@@ -12,11 +12,14 @@ package svwsim
 // paper-vs-measured values for every figure.
 
 import (
+	"context"
 	"testing"
 
 	"svwsim/internal/core"
 	"svwsim/internal/lsq"
+	"svwsim/internal/pipeline"
 	"svwsim/internal/sim"
+	"svwsim/internal/sim/engine"
 	"svwsim/internal/workload"
 )
 
@@ -26,13 +29,26 @@ const benchInsts = 60_000
 // a high-IPC call bench, a mid mix, and a speculation-heavy kernel.
 var benchSubset = []string{"crafty", "gcc", "twolf"}
 
+// runStudy executes one study descriptor on a fresh engine.
+func runStudy[R any](b *testing.B, s sim.Study[R]) R {
+	b.Helper()
+	res, err := sim.Run(context.Background(), engine.New(0), s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// runLadder executes one ladder over the benchmark subset.
+func runLadder(b *testing.B, l sim.Ladder) *sim.LadderResult {
+	b.Helper()
+	return runStudy(b, sim.LaddersStudy([]sim.Ladder{l}, benchSubset, benchInsts, pipeline.SampleSpec{}))[0]
+}
+
 func runLadderBench(b *testing.B, ladder sim.Ladder, rawIdx, svwIdx int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunLadder(ladder, benchSubset, benchInsts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runLadder(b, ladder)
 		b.ReportMetric(100*res.AvgRexRate(rawIdx), "rex-raw-%")
 		b.ReportMetric(100*res.AvgRexRate(svwIdx), "rex-svw-%")
 		b.ReportMetric(res.AvgSpeedup(rawIdx), "spd-raw-%")
@@ -56,10 +72,7 @@ func BenchmarkFig6_SSQ(b *testing.B) {
 // study, plus the elimination rate the optimization achieves.
 func BenchmarkFig7_RLE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunLadder(sim.Fig7Ladder(), benchSubset, benchInsts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runLadder(b, sim.Fig7Ladder())
 		b.ReportMetric(100*res.AvgRexRate(0), "rex-raw-%")
 		b.ReportMetric(100*res.AvgRexRate(1), "rex-svw-%")
 		var elim float64
@@ -76,10 +89,7 @@ func BenchmarkFig7_RLE(b *testing.B) {
 // the paper's five-benchmark subset.
 func BenchmarkFig8_SSBF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFig8(workload.Fig8Subset(), benchInsts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runStudy(b, sim.Fig8Study(workload.Fig8Subset(), benchInsts, pipeline.SampleSpec{}))
 		avg := func(vi int) float64 {
 			var s float64
 			for bi := range res.Benches {
@@ -100,10 +110,7 @@ func BenchmarkFig8_SSBF(b *testing.B) {
 // SSN widths relative to infinite.
 func BenchmarkSSNWidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSSNWidth(benchSubset, []int{8, 16, 0}, benchInsts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runStudy(b, sim.SSNWidthStudy(benchSubset, []int{8, 16, 0}, benchInsts, pipeline.SampleSpec{}))
 		rel := func(wi int) float64 {
 			var s float64
 			for bi := range res.Benches {
@@ -122,10 +129,7 @@ func BenchmarkSSNWidth(b *testing.B) {
 // update comparison.
 func BenchmarkSSBFUpdatePolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSSBFUpdatePolicy(benchSubset, benchInsts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runStudy(b, sim.SSBFUpdateStudy(benchSubset, benchInsts, pipeline.SampleSpec{}))
 		var spec, atomic, dIPC float64
 		for bi := range res.Benches {
 			spec += res.RexSpec[bi]
@@ -157,10 +161,7 @@ func BenchmarkSummaryReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var total float64
 		for _, s := range studies {
-			res, err := sim.RunLadder(s.ladder, benchSubset, benchInsts, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runLadder(b, s.ladder)
 			raw, svw := res.AvgRexRate(s.rawIdx), res.AvgRexRate(s.svwIdx)
 			if raw > 0 {
 				total += (1 - svw/raw) * 100
@@ -174,13 +175,13 @@ func BenchmarkSummaryReduction(b *testing.B) {
 // retirement port is worth little except on the forwarding-heavy kernel.
 func BenchmarkRetirePorts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		one, err := sim.Run(sim.BaselineNLQ(), "vortex", benchInsts)
+		one, err := engine.Run(sim.BaselineNLQ(), "vortex", benchInsts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := sim.BaselineNLQ()
 		cfg.RetirePorts = 2
-		two, err := sim.Run(cfg, "vortex", benchInsts)
+		two, err := engine.Run(cfg, "vortex", benchInsts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +222,7 @@ func BenchmarkSQSearch(b *testing.B) {
 // the full 8-wide machine with SVW — the simulator's own speed.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.SSQ(sim.SVWUpd), "gcc", 50_000)
+		res, err := engine.Run(sim.SSQ(sim.SVWUpd), "gcc", 50_000)
 		if err != nil {
 			b.Fatal(err)
 		}

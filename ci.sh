@@ -6,9 +6,10 @@
 # one-shot engine benchmark so sweep scaling regressions surface early,
 # the measured-performance gate against BENCH_pipeline.json, an svwd
 # smoke stage that boots the daemon and byte-compares its responses
-# against the svwsim CLI, a sampled-simulation smoke stage (determinism,
-# key disjointness, checkpoint reuse), and a cluster smoke stage that does
-# the same run/sweep comparison through svwctl fronting two svwd children.
+# against the svwsim and svwexp CLIs, a sampled-simulation smoke stage
+# (determinism, key disjointness, checkpoint reuse), and a cluster smoke
+# stage that does the same run/sweep comparison through svwctl fronting
+# two svwd children.
 #
 #   ./ci.sh            run the full gate
 #   ./ci.sh benchjson  re-capture the 'current' block of BENCH_pipeline.json
@@ -47,7 +48,7 @@ go run ./cmd/benchgate -compare
 # byte-identical to the equivalent svwsim -json invocations.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp" ./cmd/svwd ./cmd/svwload ./cmd/svwsim ./cmd/svwstore
+go build -o "$tmp" ./cmd/svwd ./cmd/svwexp ./cmd/svwload ./cmd/svwsim ./cmd/svwstore
 
 # wait_listening <stdout-file> <label> <stderr-file>: block until the
 # daemon prints its listening line (all smoke stages share this).
@@ -86,6 +87,22 @@ grep -q '^svw_http_requests_total{code="200",endpoint="/v1/run"}' "$tmp/svwd_met
 grep -q '^svw_stage_seconds_bucket{stage="engine_run"' "$tmp/svwd_metrics.txt"
 grep -q '^svw_gate_in_use' "$tmp/svwd_metrics.txt"
 grep -q '^svw_store_requests_total{tier="miss"}' "$tmp/svwd_metrics.txt"
+
+# Study-sharing smoke: a study is a sweep plus a reduce over ordinary
+# store cells. After a sweep of the five Fig. 7 registry configs, the
+# Fig. 7 study over the same benches and insts must run ZERO engine jobs
+# (memo hits and misses unchanged) and answer byte-identically to
+# svwexp -json -fig 7.
+"$tmp/svwload" -smoke -url "http://$addr" -configs base-rle,rle,rle+svw,rle+svw-squ,rle+perfect \
+    -benches gcc,twolf -insts "$smoke_insts" >/dev/null
+"$tmp/svwload" -stats -url "http://$addr" >"$tmp/study_before.json"
+curl -fsS "http://$addr/v1/studies/ladder?fig=7&benches=gcc,twolf&insts=$smoke_insts" \
+    >"$tmp/study_got.json"
+"$tmp/svwload" -stats -url "http://$addr" >"$tmp/study_after.json"
+memo_counters() { grep -E '"memo_(hits|misses)"' "$1"; }
+test "$(memo_counters "$tmp/study_before.json")" = "$(memo_counters "$tmp/study_after.json")"
+"$tmp/svwexp" -json -fig 7 -benches gcc,twolf -insts "$smoke_insts" >"$tmp/study_want.json"
+cmp "$tmp/study_got.json" "$tmp/study_want.json"
 
 # Deadline smoke: a hopeless budget must surface as counted 504s in the
 # report, not a fatal error (exit 0 with the deadline line present). The

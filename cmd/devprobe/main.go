@@ -11,6 +11,7 @@ import (
 
 	"svwsim/internal/pipeline"
 	"svwsim/internal/sim"
+	"svwsim/internal/sim/engine"
 )
 
 func main() {
@@ -24,7 +25,7 @@ func main() {
 // prints each machine's bottleneck breakdown.
 func probe(w io.Writer, bench string, insts uint64) {
 	run := func(label string, cfg pipeline.Config) {
-		res, err := sim.Run(cfg, bench, insts)
+		res, err := engine.Run(cfg, bench, insts)
 		if err != nil {
 			fmt.Fprintln(w, label, "ERR", err)
 			return

@@ -16,11 +16,20 @@
 //	svwexp -nlqsm            # extension: NLQsm invalidation mechanism demo
 //	svwexp -all              # everything above
 //
+// Each flag names a study descriptor in internal/sim (sim.FigureStudy,
+// sim.Fig8Study, ...): the study's engine jobs plus the reduction of their
+// results into a report, executed by sim.Run. svwd's /v1/studies
+// endpoints serve the same descriptors, so `svwexp -json -fig N` and
+// /v1/studies/ladder?fig=N (likewise fig8, ssn and ssbf) emit
+// byte-identical JSON for the same benches, insts and sampling spec.
+// -benches applies to every study; without it Fig. 8 runs the paper's
+// five-benchmark subset and everything else all benchmarks.
+//
 // All studies run through one shared experiment engine: -j bounds the
 // worker pool (0 = GOMAXPROCS), -timeout bounds each job, and repeated
 // (config, benchmark) pairs — ladder baselines, the summary study's
 // re-sweep of Figs. 5–7 under -all — execute exactly once and are served
-// from the engine's memo thereafter. -json switches the figure reports to
+// from the engine's memo thereafter. -json switches the reports to
 // machine-readable output; -stats reports the engine's reuse counters on
 // stderr at exit. The -sample-* flags switch every study to sampled
 // simulation (see pipeline.SampleSpec); sampled runs memoize under their
@@ -29,10 +38,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 
@@ -98,24 +105,44 @@ func main() {
 				r.Result.IPC(), 100*r.Result.Stats.RexRate())
 		})
 	}
-	h := &harness{eng: eng, insts: *insts, json: *jsonOut, sample: spec}
-
+	// Fig. 8 defaults to the paper's five-benchmark subset; an explicit
+	// -benches list applies to it like to every other study.
+	fig8Benches := workload.Fig8Subset()
+	if *benchList != "" {
+		fig8Benches = benches
+	}
 	ran := false
-	run := func(cond bool, f func()) {
-		if cond || *all {
-			f()
-			ran = true
+	run := func(cond bool, s sim.Study[sim.Report]) {
+		if !cond && !*all {
+			return
+		}
+		ran = true
+		rep, err := sim.Run(context.Background(), eng, s)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if !*jsonOut {
+			rep.Print(os.Stdout)
+		} else if err := rep.WriteJSON(os.Stdout); err != nil {
+			fatalf("%v", err)
 		}
 	}
-	run(*fig == 5, func() { h.runLadder(sim.Fig5Ladder(), benches, 5) })
-	run(*fig == 6, func() { h.runLadder(sim.Fig6Ladder(), benches, 6) })
-	run(*fig == 7, func() { h.runLadder(sim.Fig7Ladder(), benches, 7) })
-	run(*fig == 8, func() { h.runFig8() })
-	run(*ssnwidth, func() { h.runSSNWidth(benches) })
-	run(*ssbfupd, func() { h.runSSBFUpd(benches) })
-	run(*summary, func() { h.runSummary(benches) })
-	run(*retports, func() { h.runRetPorts(benches) })
-	run(*nlqsm, func() { h.runNLQSM(benches) })
+	figure := func(f int) sim.Study[sim.Report] {
+		s, err := sim.FigureStudy(f, benches, *insts, spec)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		return sim.Reported(s)
+	}
+	run(*fig == 5, figure(5))
+	run(*fig == 6, figure(6))
+	run(*fig == 7, figure(7))
+	run(*fig == 8, sim.Reported(sim.Fig8Study(fig8Benches, *insts, spec)))
+	run(*ssnwidth, sim.Reported(sim.SSNWidthStudy(benches, []int{8, 10, 12, 16, 0}, *insts, spec)))
+	run(*ssbfupd, sim.Reported(sim.SSBFUpdateStudy(benches, *insts, spec)))
+	run(*summary, sim.Reported(sim.SummaryStudy(benches, *insts, spec)))
+	run(*retports, sim.Reported(sim.RetPortsStudy(benches, *insts, spec)))
+	run(*nlqsm, sim.Reported(sim.NLQSMStudy(benches, *insts, spec)))
 
 	if !ran {
 		flag.Usage()
@@ -131,238 +158,4 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "svwexp: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// harness carries the shared engine and output mode through the studies.
-type harness struct {
-	eng    *engine.Engine
-	insts  uint64
-	json   bool
-	sample pipeline.SampleSpec
-}
-
-func (h *harness) emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fatalf("%v", err)
-	}
-}
-
-func (h *harness) ladder(l sim.Ladder, benches []string) *sim.LadderResult {
-	res, err := sim.RunLaddersSampled(context.Background(), h.eng, []sim.Ladder{l}, benches, h.insts, h.sample)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return res[0]
-}
-
-func (h *harness) runLadder(l sim.Ladder, benches []string, fig int) {
-	res := h.ladder(l, benches)
-
-	// Figs. 6 and 7 shade a split of one rung's re-execution rate; Fig. 7
-	// additionally reports the optimization's elimination rates. One set of
-	// rate accessors feeds both the table and the JSON paths so the two
-	// outputs cannot drift apart.
-	bdCi := -1
-	var top, bottom string
-	var topRate, bottomRate func(*sim.Result) float64
-	var elimPct []float64
-	switch fig {
-	case 6:
-		bdCi, top, bottom = 2, "fsq", "best-effort"
-		topRate = func(r *sim.Result) float64 { return r.Stats.RexRateFSQ() }
-		bottomRate = func(r *sim.Result) float64 { return r.Stats.RexRateBest() }
-	case 7:
-		bdCi, top, bottom = 1, "reuse", "bypass"
-		topRate = func(r *sim.Result) float64 { return r.Stats.RexRateReuse() }
-		bottomRate = func(r *sim.Result) float64 { return r.Stats.RexRateBypass() }
-		for bi := range benches {
-			elimPct = append(elimPct, math.Round(100_000*res.Runs[0][bi].Stats.ElimRate())/1000)
-		}
-	}
-
-	if h.json {
-		var breakdown *sim.BreakdownJSON
-		if bdCi >= 0 {
-			b := res.Breakdown(bdCi, top, bottom, topRate, bottomRate)
-			breakdown = &b
-		}
-		h.emitJSON(struct {
-			sim.LadderJSON
-			Breakdown *sim.BreakdownJSON `json:"breakdown,omitempty"`
-			ElimPct   []float64          `json:"elim_pct,omitempty"`
-		}{res.JSON(), breakdown, elimPct})
-		return
-	}
-	res.Print(os.Stdout)
-	if bdCi >= 0 {
-		res.PrintBreakdown(os.Stdout, bdCi, top, bottom, topRate, bottomRate)
-	}
-	if fig == 7 {
-		fmt.Printf("elimination rates (RLE):")
-		for bi, b := range benches {
-			fmt.Printf(" %s=%.0f%%", b, elimPct[bi])
-		}
-		fmt.Println()
-	}
-}
-
-func (h *harness) runFig8() {
-	res, err := sim.RunFig8Sampled(context.Background(), h.eng, workload.Fig8Subset(), h.insts, h.sample)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if h.json {
-		h.emitJSON(res.JSON())
-		return
-	}
-	res.Print(os.Stdout)
-}
-
-func (h *harness) runSSNWidth(benches []string) {
-	res, err := sim.RunSSNWidthSampled(context.Background(), h.eng, benches, []int{8, 10, 12, 16, 0}, h.insts, h.sample)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if h.json {
-		h.emitJSON(res.JSON())
-		return
-	}
-	res.Print(os.Stdout)
-}
-
-func (h *harness) runSSBFUpd(benches []string) {
-	res, err := sim.RunSSBFUpdatePolicySampled(context.Background(), h.eng, benches, h.insts, h.sample)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if h.json {
-		h.emitJSON(res.JSON())
-		return
-	}
-	res.Print(os.Stdout)
-}
-
-// runSummary reproduces the abstract's headline: the average re-execution
-// reduction SVW delivers across the three optimizations. Under -all the
-// shared engine serves every run from the figure sweeps' memo.
-func (h *harness) runSummary(benches []string) {
-	type study struct {
-		name   string
-		ladder sim.Ladder
-		rawIdx int
-		svwIdx int
-	}
-	studies := []study{
-		{"NLQls", sim.Fig5Ladder(), 0, 2},
-		{"SSQ", sim.Fig6Ladder(), 0, 2},
-		{"RLE", sim.Fig7Ladder(), 0, 1},
-	}
-	type line struct {
-		Study        string  `json:"study"`
-		RawRexPct    float64 `json:"raw_rex_pct"`
-		SVWRexPct    float64 `json:"svw_rex_pct"`
-		ReductionPct float64 `json:"reduction_pct"`
-	}
-	var lines []line
-	var total float64
-	for _, s := range studies {
-		res := h.ladder(s.ladder, benches)
-		raw := res.AvgRexRate(s.rawIdx)
-		svw := res.AvgRexRate(s.svwIdx)
-		red := 0.0
-		if raw > 0 {
-			red = (1 - svw/raw) * 100
-		}
-		total += red
-		lines = append(lines, line{s.name, 100 * raw, 100 * svw, red})
-	}
-	avg := total / float64(len(studies))
-	if h.json {
-		h.emitJSON(struct {
-			Studies         []line  `json:"studies"`
-			AvgReductionPct float64 `json:"avg_reduction_pct"`
-		}{lines, avg})
-		return
-	}
-	fmt.Println("SVW re-execution reduction (abstract claims ~85% average)")
-	for _, l := range lines {
-		fmt.Printf("  %-6s raw %5.1f%% -> svw %5.1f%%  (reduction %5.1f%%)\n",
-			l.Study, l.RawRexPct, l.SVWRexPct, l.ReductionPct)
-	}
-	fmt.Printf("  average reduction across optimizations: %.1f%%\n", avg)
-}
-
-// runRetPorts reproduces the setup remark that dual store retirement ports
-// only help vortex (~6%) on the 8-wide machine.
-func (h *harness) runRetPorts(benches []string) {
-	var jobs []engine.Job
-	for _, b := range benches {
-		two := sim.BaselineNLQ()
-		two.RetirePorts = 2
-		two.Name = "base-2port"
-		jobs = append(jobs,
-			engine.Job{Study: "retports", Label: "1port", Config: sim.BaselineNLQ(), Bench: b, Insts: h.insts, Sample: h.sample},
-			engine.Job{Study: "retports", Label: "2port", Config: two, Bench: b, Insts: h.insts, Sample: h.sample},
-		)
-	}
-	rs, err := h.eng.Run(jobs, nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	type line struct {
-		Bench   string  `json:"bench"`
-		GainPct float64 `json:"gain_pct"`
-	}
-	var lines []line
-	for i := 0; i < len(rs); i += 2 {
-		lines = append(lines, line{rs[i].Job.Bench, sim.Speedup(&rs[i].Result, &rs[i+1].Result)})
-	}
-	if h.json {
-		h.emitJSON(lines)
-		return
-	}
-	fmt.Println("store retirement ports: % IPC gain of 2 ports over 1 (baseline 8-wide)")
-	for _, l := range lines {
-		fmt.Printf("  %-8s %+6.1f%%\n", l.Bench, l.GainPct)
-	}
-}
-
-// runNLQSM exercises the NLQsm banked-invalidation mechanism with the
-// synthetic injector (extension; the paper does not evaluate NLQsm either).
-func (h *harness) runNLQSM(benches []string) {
-	var jobs []engine.Job
-	for _, b := range benches {
-		cfg := sim.NLQ(sim.SVWUpd)
-		cfg.NLQSM = pipeline.NLQSMConfig{Enabled: true, IntervalCycles: 200}
-		cfg.Name = "nlq+svw+sm"
-		jobs = append(jobs, engine.Job{Study: "nlqsm", Label: b, Config: cfg, Bench: b, Insts: h.insts, Sample: h.sample})
-	}
-	rs, err := h.eng.Run(jobs, nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	type line struct {
-		Bench         string  `json:"bench"`
-		Invalidations uint64  `json:"invalidations"`
-		RexPct        float64 `json:"rex_pct"`
-		SMRexPct      float64 `json:"sm_rex_pct"`
-		IPC           float64 `json:"ipc"`
-	}
-	var lines []line
-	for _, r := range rs {
-		s := &r.Result.Stats
-		lines = append(lines, line{r.Job.Bench, s.Invalidations,
-			100 * s.RexRate(), 100 * s.RexRateNLQSM(), s.IPC()})
-	}
-	if h.json {
-		h.emitJSON(lines)
-		return
-	}
-	fmt.Println("NLQsm extension: injected invalidations, marked loads, filter behaviour")
-	for _, l := range lines {
-		fmt.Printf("  %-8s invals=%d rex=%.1f%% (sm-marked rex %.1f%%) IPC=%.2f\n",
-			l.Bench, l.Invalidations, l.RexPct, l.SMRexPct, l.IPC)
-	}
 }

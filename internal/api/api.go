@@ -13,6 +13,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -494,4 +495,51 @@ func MarshalResult(res engine.Result) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// UnmarshalResult decodes MarshalResult's bytes back into the engine
+// result. The encoding round-trips every field exactly, the float rates
+// included, so a study reduced from stored cell bytes reports the same
+// figures as one reduced from the results that produced them.
+func UnmarshalResult(b []byte) (engine.Result, error) {
+	var res engine.Result
+	err := json.Unmarshal(b, &res)
+	return res, err
+}
+
+// configField opens the display-name line of MarshalResult's encoding.
+var configField = []byte("\n  \"Config\": \"")
+
+// RenameResult returns MarshalResult bytes whose "Config" display name is
+// name. Store keys ignore display names, so a cell computed under one
+// name — a study rung such as "ssq+svw/ssn16" — may be served to a
+// request that names the same machine differently ("ssq+SVW+UPD"); the
+// served bytes must carry the requester's name. When the name already
+// matches (the common case) body is returned as is, without allocating.
+func RenameResult(body []byte, name string) ([]byte, error) {
+	if i := bytes.Index(body, configField); i >= 0 && plainJSONString(name) {
+		rest := body[i+len(configField):]
+		if len(rest) > len(name) && string(rest[:len(name)]) == name && rest[len(name)] == '"' {
+			return body, nil
+		}
+	}
+	res, err := UnmarshalResult(body)
+	if err != nil {
+		return nil, err
+	}
+	res.Config = name
+	return MarshalResult(res)
+}
+
+// plainJSONString reports whether encoding/json writes s verbatim between
+// its quotes (printable ASCII with nothing escaped), so raw bytes can be
+// compared against it.
+func plainJSONString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }

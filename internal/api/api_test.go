@@ -1,0 +1,207 @@
+package api
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"svwsim/internal/pipeline"
+	"svwsim/internal/sim/engine"
+)
+
+// fill sets every numeric field of the struct v points to (array elements
+// included) to a distinct non-zero value derived from seed; float fields
+// get values with no short decimal form, so an encoding that rounds shows
+// up. It fails the test on any field kind it does not know, so a new
+// field type forces this helper (and the tests using it) to be revisited.
+func fill(t *testing.T, v any, seed uint64) {
+	t.Helper()
+	n := seed
+	var set func(f reflect.Value, name string)
+	set = func(f reflect.Value, name string) {
+		n++
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(n)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(n))
+		case reflect.Float64:
+			f.SetFloat(float64(n) / 3)
+		case reflect.Array:
+			for i := 0; i < f.Len(); i++ {
+				set(f.Index(i), name)
+			}
+		default:
+			t.Fatalf("fill: field %s has unhandled kind %s", name, f.Kind())
+		}
+	}
+	s := reflect.ValueOf(v).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		set(s.Field(i), s.Type().Field(i).Name)
+	}
+}
+
+// TestResultRoundTripsEveryStatsField pins what the study reduce relies
+// on: MarshalResult bytes decode back to the identical result — every
+// pipeline.Stats counter and float rate — and re-encode to the same bytes.
+func TestResultRoundTripsEveryStatsField(t *testing.T) {
+	res := engine.Result{Bench: "gcc", Config: "ssq+SVW+UPD"}
+	fill(t, &res.Stats, 0)
+	b, err := MarshalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalResult(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Fatalf("round trip changed the result:\n got %+v\nwant %+v", got, res)
+	}
+	again, err := MarshalResult(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, b) {
+		t.Fatal("re-encoding a decoded result changed its bytes")
+	}
+	if got.Stats.IPC() != res.Stats.IPC() || got.Stats.RexRate() != res.Stats.RexRate() {
+		t.Fatal("derived rates differ after the round trip")
+	}
+}
+
+func TestRenameResult(t *testing.T) {
+	res := engine.Result{Bench: "gcc", Config: "ssq+svw/ssn16"}
+	fill(t, &res.Stats, 7)
+	b, err := MarshalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The name already matches: the very same bytes, no allocation.
+	same, err := RenameResult(b, res.Config)
+	if err != nil || &same[0] != &b[0] {
+		t.Fatalf("matching name was not served as is (err %v)", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { RenameResult(b, res.Config) }); n != 0 {
+		t.Fatalf("matching name allocated %v times", n)
+	}
+
+	// A different name — including a prefix of the stored one and a name
+	// JSON must escape — is re-encoded with only the name changed.
+	for _, name := range []string{"ssq+SVW+UPD", "ssq+svw", "a<b>&\"c\""} {
+		got, err := RenameResult(b, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res
+		want.Config = name
+		wantBytes, _ := MarshalResult(want)
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("rename to %q:\n%s\nwant\n%s", name, got, wantBytes)
+		}
+		if again, _ := RenameResult(got, name); !bytes.Equal(again, got) {
+			t.Fatalf("renamed bytes for %q do not match their own name", name)
+		}
+	}
+	if _, err := RenameResult([]byte("not json"), "x"); err == nil {
+		t.Fatal("renaming garbage succeeded")
+	}
+}
+
+func TestDecodeBody(t *testing.T) {
+	decode := func(body string, limit int64) (*httptest.ResponseRecorder, RunRequest, bool) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body))
+		var req RunRequest
+		ok := DecodeBody(w, r, limit, &req)
+		return w, req, ok
+	}
+	if _, req, ok := decode(`{"config":"ssq","bench":"gcc","insts":5}`+"\n", 1024); !ok ||
+		req.Config != "ssq" || req.Bench != "gcc" || req.Insts != 5 {
+		t.Fatalf("valid body: ok=%v req=%+v", ok, req)
+	}
+	cases := []struct {
+		name, body string
+		limit      int64
+		status     int
+	}{
+		{"over the size limit", `{"config":"` + strings.Repeat("x", 200) + `"}`, 64, http.StatusRequestEntityTooLarge},
+		{"trailing object", `{"config":"ssq"}{"config":"nlq"}`, 1024, http.StatusBadRequest},
+		{"trailing garbage", `{"config":"ssq"} junk`, 1024, http.StatusBadRequest},
+		{"unknown field", `{"config":"ssq","bogus":1}`, 1024, http.StatusBadRequest},
+		{"not json", `config=ssq`, 1024, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		w, _, ok := decode(c.body, c.limit)
+		if ok || w.Code != c.status {
+			t.Errorf("%s: ok=%v HTTP %d, want rejected with %d", c.name, ok, w.Code, c.status)
+		}
+		if !strings.Contains(w.Body.String(), `"error"`) {
+			t.Errorf("%s: body %q is not an ErrorResponse", c.name, w.Body)
+		}
+	}
+}
+
+func TestSampleRoundTrip(t *testing.T) {
+	spec := pipeline.SampleSpec{Warmup: 1_000, Detail: 2_000, Period: 50_000}
+	var run RunRequest
+	run.SetSample(spec)
+	if run.Sample() != spec {
+		t.Fatalf("RunRequest: %+v -> %+v", spec, run.Sample())
+	}
+	var sweep SweepRequest
+	sweep.SetSample(spec)
+	if sweep.Sample() != spec {
+		t.Fatalf("SweepRequest: %+v -> %+v", spec, sweep.Sample())
+	}
+	run.SetSample(pipeline.SampleSpec{})
+	if run.Sample().Enabled() || run.SampleWarmup != 0 || run.SampleDetail != 0 || run.SamplePeriod != 0 {
+		t.Fatalf("clearing the spec left %+v", run)
+	}
+}
+
+// TestStatsSectionsAddEveryField reflects over each StatsResponse section
+// with an Add method: summing two filled values must sum every field.
+func TestStatsSectionsAddEveryField(t *testing.T) {
+	check := func(name string, a, b, sum any) {
+		t.Helper()
+		va, vb, vs := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem(), reflect.ValueOf(sum).Elem()
+		for i := 0; i < vs.NumField(); i++ {
+			f := vs.Type().Field(i).Name
+			switch vs.Field(i).Kind() {
+			case reflect.Uint64:
+				if vs.Field(i).Uint() != va.Field(i).Uint()+vb.Field(i).Uint() {
+					t.Errorf("%s.Add drops %s", name, f)
+				}
+			default:
+				if vs.Field(i).Int() != va.Field(i).Int()+vb.Field(i).Int() {
+					t.Errorf("%s.Add drops %s", name, f)
+				}
+			}
+		}
+	}
+	var c1, c2 CacheStats
+	fill(t, &c1, 0)
+	fill(t, &c2, 100)
+	cs := c1
+	cs.Add(c2)
+	check("CacheStats", &c1, &c2, &cs)
+
+	var e1, e2 EngineStats
+	fill(t, &e1, 0)
+	fill(t, &e2, 100)
+	es := e1
+	es.Add(e2)
+	check("EngineStats", &e1, &e2, &es)
+
+	var g1, g2 GateStats
+	fill(t, &g1, 0)
+	fill(t, &g2, 100)
+	gs := g1
+	gs.Add(g2)
+	check("GateStats", &g1, &g2, &gs)
+}

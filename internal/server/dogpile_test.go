@@ -12,7 +12,7 @@ import (
 
 // The cold-miss dogpile regression suite: N concurrent identical cold
 // requests must produce exactly one engine execution, with the other N-1
-// coalescing on the leader's flight (store.GetOrCompute / BeginFlight).
+// coalescing on the leader's flight (store.BeginFlight).
 
 // TestRunDogpile fires N identical cold /v1/run requests concurrently.
 func TestRunDogpile(t *testing.T) {

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"strconv"
@@ -59,33 +59,29 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// writeEngineError maps a failed engine run onto the client response:
-// nothing when the client itself is gone (no one left to write to), 504
-// when the request's own deadline budget (api.DeadlineHeader) expired,
-// 500 otherwise.
-func writeEngineError(w http.ResponseWriter, r *http.Request, err error, what string) {
-	if r.Context().Err() != nil {
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
+// errGateSaturated is resolve's admission refusal. It also resolves the
+// refused request's flights, so requests coalesced on them are refused
+// with it too.
+var errGateSaturated = errors.New("admission gate saturated")
+
+// writeResolveError maps a failed resolve onto the client response: 429
+// when the gate refused the work, nothing when the client itself is gone
+// (no one left to write to), 504 when the request's own deadline budget
+// (api.DeadlineHeader) expired, 500 otherwise.
+func writeResolveError(w http.ResponseWriter, r *http.Request, err error, what string) {
+	switch {
+	case errors.Is(err, errGateSaturated):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests,
+			"admission gate saturated: too many concurrent jobs, retry later")
+	case r.Context().Err() != nil:
+	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout,
 			"%s: deadline exceeded (%s budget)", what, api.DeadlineHeader)
-		return
+	default:
+		writeError(w, http.StatusInternalServerError, "%s: %v", what, err)
 	}
-	writeError(w, http.StatusInternalServerError, "%s: %v", what, err)
 }
-
-// rejectSaturated writes the 429 admission response.
-func rejectSaturated(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests,
-		"admission gate saturated: too many concurrent jobs, retry later")
-}
-
-// errGateSaturated carries a tryAcquire refusal out of a singleflight
-// compute closure, so both the refused leader and its coalesced waiters
-// map it back to the 429 response.
-var errGateSaturated = errors.New("admission gate saturated")
 
 // resolveSample picks a request's effective sampling spec: its own when
 // enabled, the server's configured default otherwise, validated either
@@ -101,6 +97,17 @@ func (s *Server) resolveSample(w http.ResponseWriter, spec pipeline.SampleSpec) 
 		return pipeline.SampleSpec{}, false
 	}
 	return spec, true
+}
+
+// checkCells enforces the MaxSweepJobs bound on one request's matrix,
+// writing the 400 itself.
+func (s *Server) checkCells(w http.ResponseWriter, what string, n int) bool {
+	if n > s.maxSweepJobs {
+		writeError(w, http.StatusBadRequest,
+			"%s matrix has %d jobs, limit is %d", what, n, s.maxSweepJobs)
+		return false
+	}
+	return true
 }
 
 // --- registry / health / stats ------------------------------------------
@@ -144,8 +151,280 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// --- the cell resolver ---------------------------------------------------
+
+// cell is one job's passage through resolve.
+type cell struct {
+	index int
+	job   engine.Job
+	key   string
+	// body is the cell's result in the `svwsim -json` encoding, carrying
+	// job.Config.Name whoever computed it.
+	body []byte
+	// origin is the store tier that served the cell; OriginMiss when this
+	// request computed it or waited on another request's flight.
+	origin store.Origin
+	// flight is the cell's singleflight slot when it missed the store:
+	// led by this request when owned, another request's otherwise.
+	flight     *store.Flight
+	owned      bool
+	memoized   bool // owned, and answered by the engine memo
+	recomputed bool // the awaited flight failed and this request recomputed
+	err        error
+}
+
+// computed is one owned cell's engine outcome, already encoded.
+type computed struct {
+	body     []byte
+	err      error
+	memoized bool
+}
+
+// resolve is svwd's one path from engine jobs to served result bytes;
+// /v1/run, both /v1/sweep forms and /v1/studies all reach the store, the
+// admission gate and the engine only through it. Per cell, in order:
+//
+//  1. probe the store: memory, local disk, then the key's owner over the
+//     peer-read protocol (peers.go);
+//  2. claim the cell's singleflight slot: lead its computation, or wait on
+//     the concurrent request already computing it;
+//  3. admit the led cells through the gate (refused: errGateSaturated,
+//     and the claimed flights fail with it);
+//  4. run the led cells as one engine job list in the background, each
+//     encoded and published to its flight the moment it finishes — never
+//     held for this request's own emission, so two requests each waiting
+//     on cells the other leads cannot deadlock;
+//  5. deliver the cells in job order and account them as served.
+//
+// With emit nil, cells are delivered all at once: resolve returns them
+// when every cell resolved, and the first failed cell fails the request.
+// Otherwise each cell, failed or not, goes to emit as soon as it and every
+// cell before it are ready (SSE); an emit error stops the resolve. Either
+// way a cell counts in the store's hit/miss accounting only once it is
+// delivered, so rejected, failed or abandoned work skews no rates.
+func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job, emit func(*cell) error) ([]cell, error) {
+	tr := trace.FromContext(ctx)
+	cells := make([]cell, len(jobs))
+	t0 := time.Now()
+	sp := tr.Start("store_probe")
+	for i := range cells {
+		c := &cells[i]
+		c.index, c.job = i, jobs[i]
+		c.key = engine.SampledFingerprint(c.job.Config, c.job.Bench, c.job.Insts, c.job.Sample)
+		if c.body, c.origin = s.store.Get(c.key); c.origin != store.OriginMiss {
+			continue
+		}
+		if body, ok := s.peerFetch(ctx, tr, c.key); ok {
+			s.store.PutMemory(c.key, body)
+			c.body, c.origin = body, store.OriginPeer
+		}
+	}
+	if sp.Active() {
+		annotateProbe(sp, cells)
+	}
+	sp.End()
+	s.metrics.storeProbe.Observe(time.Since(t0))
+
+	var owned []int
+	for i := range cells {
+		c := &cells[i]
+		if c.origin != store.OriginMiss {
+			continue
+		}
+		f, leader := s.store.BeginFlight(c.key)
+		if !leader {
+			c.flight = f
+			continue
+		}
+		// A flight that completed between the probe and the claim left
+		// its bytes in the store: a hit, discovered late.
+		if body, origin := s.store.Get(c.key); origin != store.OriginMiss {
+			f.Complete(body, nil, false)
+			c.body, c.origin = body, origin
+			continue
+		}
+		c.flight, c.owned = f, true
+		owned = append(owned, i)
+	}
+
+	var results chan computed
+	if len(owned) > 0 {
+		t0 = time.Now()
+		sp = tr.Start("gate_wait")
+		release, ok := s.gate.tryAcquire(clientID(r), len(owned))
+		sp.End()
+		s.metrics.gateWait.Observe(time.Since(t0))
+		if !ok {
+			for _, i := range owned {
+				cells[i].flight.Complete(nil, errGateSaturated, false)
+			}
+			return nil, errGateSaturated
+		}
+		defer release()
+		results = make(chan computed, len(owned))
+		done := make(chan struct{})
+		go s.compute(ctx, tr, cells, owned, results, done)
+		// The gate units go back once the run has finished. A request whose
+		// context ended does not wait: its run skips every queued job and
+		// only finishes the ones already executing.
+		defer func() {
+			if ctx.Err() == nil {
+				<-done
+			}
+		}()
+	}
+
+	for i := range cells {
+		c := &cells[i]
+		switch {
+		case c.owned:
+			select {
+			case o := <-results:
+				c.body, c.err, c.memoized = o.body, o.err, o.memoized
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		case c.flight != nil:
+			if c.body, c.err = s.await(ctx, c); ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+		}
+		if c.err == nil && !c.owned {
+			c.body, c.err = api.RenameResult(c.body, c.job.Config.Name)
+		}
+		if emit == nil {
+			if c.err != nil {
+				return nil, c.err
+			}
+			continue
+		}
+		if err := emit(c); err != nil {
+			return nil, err
+		}
+		s.account(cells[i : i+1])
+	}
+	if emit == nil {
+		s.account(cells)
+	}
+	return cells, nil
+}
+
+// compute runs the owned cells on the engine, encoding each result and
+// completing its flight from the ordered progress callback, then sending
+// it to results (buffered for every owned cell: sends never block). Owned
+// flights the run never delivered are abandoned before done closes.
+func (s *Server) compute(ctx context.Context, tr *trace.Trace, cells []cell, owned []int, results chan<- computed, done chan<- struct{}) {
+	defer close(done)
+	sub := make([]engine.Job, len(owned))
+	for k, i := range owned {
+		sub[k] = cells[i].job
+	}
+	t0 := time.Now()
+	run := tr.Start("engine_run")
+	// One encode span runs from the first result's encoding to the last;
+	// the stage histogram gets the summed encode time.
+	var enc trace.Span
+	var encTime time.Duration
+	_, err := s.eng.RunContext(ctx, sub, func(jr engine.JobResult) {
+		o := computed{err: jr.Err, memoized: jr.Memoized}
+		if o.err == nil {
+			if !enc.Active() {
+				enc = tr.Start("encode")
+			}
+			t := time.Now()
+			o.body, o.err = marshalResult(jr.Result)
+			encTime += time.Since(t)
+		}
+		cells[owned[jr.Index]].flight.Complete(o.body, o.err, o.err == nil)
+		results <- o
+	})
+	enc.End()
+	run.End()
+	s.metrics.engineRun.Observe(time.Since(t0))
+	if encTime > 0 {
+		s.metrics.encode.Observe(encTime)
+	}
+	if err == nil {
+		err = store.ErrFlightAbandoned
+	}
+	for _, i := range owned {
+		cells[i].flight.Complete(nil, err, false) // no-op once completed
+	}
+}
+
+// await resolves a cell from the flight another request leads. If that
+// flight fails while this request is still live — its leader lost its
+// client or hit its own deadline — the cell is recomputed here (the
+// engine memo makes a duplicate of finished work cheap) rather than
+// inheriting a failure this request didn't earn. A leader the gate
+// refused is the exception: its refusal is this request's too.
+func (s *Server) await(ctx context.Context, c *cell) ([]byte, error) {
+	b, err := c.flight.Wait(ctx)
+	if err == nil || ctx.Err() != nil || errors.Is(err, errGateSaturated) {
+		return b, err
+	}
+	rs, err := s.eng.RunContext(ctx, []engine.Job{c.job}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if b, err = marshalResult(rs[0].Result); err != nil {
+		return nil, err
+	}
+	s.store.Put(c.key, b)
+	c.recomputed = true
+	return b, nil
+}
+
+// annotateProbe records a probe's outcome on its store_probe span: the
+// serving tier for a one-cell request, per-tier tallies otherwise.
+func annotateProbe(sp trace.Span, cells []cell) {
+	if len(cells) == 1 {
+		sp.SetAttr("tier", cells[0].origin.String())
+		return
+	}
+	var n [4]int
+	for i := range cells {
+		n[cells[i].origin]++
+	}
+	sp.SetAttr("jobs", strconv.Itoa(len(cells)))
+	sp.SetAttr("hits", strconv.Itoa(len(cells)-n[store.OriginMiss]))
+	sp.SetAttr("disk_hits", strconv.Itoa(n[store.OriginDisk]))
+	sp.SetAttr("peer_hits", strconv.Itoa(n[store.OriginPeer]))
+	sp.SetAttr("misses", strconv.Itoa(n[store.OriginMiss]))
+}
+
+// account records delivered cells in the store counters: each store-served
+// cell under its tier, each cell this request computed as a miss.
+// Coalesced waits are already counted under Coalesced, so a fabric-wide
+// sum stays one count per served cell.
+func (s *Server) account(cells []cell) {
+	var hits, disk, peer, misses uint64
+	for i := range cells {
+		c := &cells[i]
+		switch {
+		case c.err != nil:
+		case c.origin == store.OriginMemory:
+			hits++
+		case c.origin == store.OriginDisk:
+			disk++
+		case c.origin == store.OriginPeer:
+			peer++
+		case c.owned || c.recomputed:
+			misses++
+		}
+	}
+	if hits+disk+misses > 0 {
+		s.store.Account(hits, disk, misses)
+	}
+	if peer > 0 {
+		s.store.AccountPeer(peer)
+	}
+}
+
 // --- /v1/run -------------------------------------------------------------
 
+// handleRun serves one job as a one-cell resolve; X-Svwd-Cache names the
+// tier that served it ("miss" when computed).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if !s.decodeBody(w, r, &req) {
@@ -170,218 +449,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	tr := trace.FromContext(ctx)
-	key := engine.SampledFingerprint(cfg, req.Bench, req.Insts, spec)
-	t0 := time.Now()
-	sp := tr.Start("store_probe")
-	body, origin := s.store.Get(key)
-	sp.SetAttr("tier", origin.String())
-	sp.End()
-	s.metrics.storeProbe.Observe(time.Since(t0))
-	if origin != store.OriginMiss {
-		s.store.AccountGet(origin)
-		w.Header().Set(api.CacheHeader, origin.String())
-		writeBody(w, http.StatusOK, body)
-		return
-	}
-	// Both local tiers missed: if the key's rendezvous owner is another
-	// backend, its disk tier may hold the entry — a validated fetch is a
-	// serve (promoted to local memory only; the persistent copy stays on
-	// the owner), and anything else falls through to compute.
-	if body, ok := s.peerFetch(ctx, tr, key); ok {
-		s.store.PutMemory(key, body)
-		s.store.AccountGet(store.OriginPeer)
-		w.Header().Set(api.CacheHeader, api.CachePeer)
-		writeBody(w, http.StatusOK, body)
-		return
-	}
-	// Cold miss: compute under the store's singleflight, so N identical
-	// concurrent requests admit and run the engine once and the other N-1
-	// coalesce on the leader's flight. The gate sits INSIDE the compute
-	// closure — only the leader holds admission units; waiters cost none.
-	body, origin, coalesced, err := s.store.GetOrCompute(ctx, key, func() ([]byte, error) {
-		t0 := time.Now()
-		sp := tr.Start("gate_wait")
-		release, ok := s.gate.tryAcquire(clientID(r), 1)
-		sp.End()
-		s.metrics.gateWait.Observe(time.Since(t0))
-		if !ok {
-			return nil, errGateSaturated
-		}
-		defer release()
-
-		t0 = time.Now()
-		sp = tr.Start("engine_run")
-		rs, err := s.eng.RunContext(ctx, []engine.Job{{
-			Study: "svwd-run", Label: cfg.Name, Config: cfg,
-			Bench: req.Bench, Insts: req.Insts, Sample: spec,
-		}}, nil)
-		sp.End()
-		s.metrics.engineRun.Observe(time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		t0 = time.Now()
-		sp = tr.Start("encode")
-		defer sp.End()
-		defer func() { s.metrics.encode.Observe(time.Since(t0)) }()
-		return marshalResult(rs[0].Result)
-	})
+	jobs := []engine.Job{{Study: "svwd-run", Label: cfg.Name, Config: cfg,
+		Bench: req.Bench, Insts: req.Insts, Sample: spec}}
+	cells, err := s.resolve(ctx, r, jobs, nil)
 	if err != nil {
-		if errors.Is(err, errGateSaturated) {
-			rejectSaturated(w)
-			return
-		}
-		writeEngineError(w, r, err, "run failed")
+		writeResolveError(w, r, err, "run failed")
 		return
 	}
-	if origin != store.OriginMiss {
-		// A completed flight landed in the store between our probe and the
-		// claim: an ordinary cache hit, just discovered late.
-		s.store.AccountGet(origin)
-		w.Header().Set(api.CacheHeader, origin.String())
-		writeBody(w, http.StatusOK, body)
-		return
-	}
-	w.Header().Set(api.CacheHeader, api.CacheMiss)
-	if !coalesced {
-		// The miss is counted only now that a result was actually computed
-		// and is being served — a rejected, cancelled or failed run skews no
-		// rates, and coalesced waits count under Coalesced, not Misses.
-		s.store.Account(0, 0, 1)
-	}
-	writeBody(w, http.StatusOK, body)
+	w.Header().Set(api.CacheHeader, cells[0].origin.String())
+	writeBody(w, http.StatusOK, cells[0].body)
 }
 
 // --- /v1/sweep -----------------------------------------------------------
 
-// sweepPlan is a flattened sweep matrix with per-job store state.
-type sweepPlan struct {
-	jobs   []engine.Job
-	keys   []string
-	cached [][]byte       // cached[i] != nil: job i was served by the store
-	origin []store.Origin // which tier served job i (OriginMiss = computed)
-	sub    []engine.Job   // the uncached jobs this request computes, in job-index order
-	disk   int            // how many cached jobs came from the disk tier
-	peer   int            // how many cached jobs were fetched from a peer's store
-
-	// Singleflight state (claimFlights). flight[i] != nil: job i is being
-	// computed by a concurrent request and this sweep waits on that flight
-	// instead of re-running the cell. owned is parallel to sub: the flights
-	// this sweep leads and must Complete. foreign counts the non-nil
-	// flight entries.
-	flight  []*store.Flight
-	owned   []*store.Flight
-	foreign int
-}
-
-// claimFlights splits the plan's uncached jobs between this request and
-// concurrent computations of the same keys: for each cell this sweep
-// either becomes the leader (the cell stays in p.sub, with its flight in
-// p.owned) or coalesces on another request's in-flight computation
-// (p.flight[i] set; the cell leaves p.sub). Called only after gate
-// admission, so a 429'd sweep never claims a flight it won't fly.
-func (s *Server) claimFlights(p *sweepPlan) {
-	p.flight = make([]*store.Flight, len(p.jobs))
-	p.sub = p.sub[:0]
-	for i := range p.jobs {
-		if p.cached[i] != nil {
-			continue
-		}
-		f, leader := s.store.BeginFlight(p.keys[i])
-		if leader {
-			p.sub = append(p.sub, p.jobs[i])
-			p.owned = append(p.owned, f)
-		} else {
-			p.flight[i] = f
-			p.foreign++
-		}
-	}
-}
-
-// abandonOwned resolves every still-open owned flight with err so
-// cross-request waiters fail fast instead of hanging; flights already
-// Completed with real results are untouched (Complete is first-wins).
-func (p *sweepPlan) abandonOwned(err error) {
-	for _, f := range p.owned {
-		f.Complete(nil, err, false)
-	}
-}
-
-// planSweep validates the request, flattens the matrix config-major (the
-// `svwsim -config a,b -bench x,y` order) and probes the store for every
-// job — memory, local disk, then the cell's store owner over HTTP when
-// the fabric membership is known (peers.go). One store_probe span covers
-// the whole probe loop, annotated with the per-tier tallies; each peer
-// fetch records its own store_peer span. It writes the error response
-// itself on failure.
-func (s *Server) planSweep(ctx context.Context, w http.ResponseWriter, tr *trace.Trace, req *SweepRequest) (*sweepPlan, bool) {
-	if len(req.Configs) == 0 || len(req.Benches) == 0 {
-		writeError(w, http.StatusBadRequest, "sweep matrix is empty: need configs and benches")
-		return nil, false
-	}
-	if n := len(req.Configs) * len(req.Benches); n > s.maxSweepJobs {
-		writeError(w, http.StatusBadRequest,
-			"sweep matrix has %d jobs, limit is %d", n, s.maxSweepJobs)
-		return nil, false
-	}
-	spec, ok := s.resolveSample(w, req.Sample())
-	if !ok {
-		return nil, false
-	}
-	p := &sweepPlan{}
-	for _, cname := range req.Configs {
-		cfg, ok := sim.ConfigByName(cname)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown config %q", cname)
-			return nil, false
-		}
-		for _, bench := range req.Benches {
-			if _, ok := workload.Get(bench); !ok {
-				writeError(w, http.StatusBadRequest, "unknown benchmark %q", bench)
-				return nil, false
-			}
-			p.jobs = append(p.jobs, engine.Job{
-				Study: "svwd-sweep", Label: cfg.Name, Config: cfg,
-				Bench: bench, Insts: req.Insts, Sample: spec,
-			})
-			p.keys = append(p.keys, engine.SampledFingerprint(cfg, bench, req.Insts, spec))
-		}
-	}
-	p.cached = make([][]byte, len(p.jobs))
-	p.origin = make([]store.Origin, len(p.jobs))
-	t0 := time.Now()
-	sp := tr.Start("store_probe")
-	for i, key := range p.keys {
-		if body, origin := s.store.Get(key); origin != store.OriginMiss {
-			p.cached[i] = body
-			p.origin[i] = origin
-			if origin == store.OriginDisk {
-				p.disk++
-			}
-		} else if body, ok := s.peerFetch(ctx, tr, key); ok {
-			s.store.PutMemory(key, body)
-			p.cached[i] = body
-			p.origin[i] = store.OriginPeer
-			p.peer++
-		} else {
-			p.sub = append(p.sub, p.jobs[i])
-		}
-	}
-	if sp.Active() {
-		hits := len(p.jobs) - len(p.sub)
-		sp.SetAttr("jobs", strconv.Itoa(len(p.jobs)))
-		sp.SetAttr("hits", strconv.Itoa(hits))
-		sp.SetAttr("disk_hits", strconv.Itoa(p.disk))
-		sp.SetAttr("peer_hits", strconv.Itoa(p.peer))
-		sp.SetAttr("misses", strconv.Itoa(len(p.sub)))
-	}
-	sp.End()
-	s.metrics.storeProbe.Observe(time.Since(t0))
-	return p, true
-}
-
+// handleSweep flattens the matrix config-major (the `svwsim -config a,b
+// -bench x,y` order) and resolves it: buffered, the body is every result
+// object in job order — byte-identical to the equivalent multi-job
+// `svwsim -json` invocation; with Accept: text/event-stream, one SSE
+// "result" event per job in job order, then a "done" summary.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !s.decodeBody(w, r, &req) {
@@ -393,308 +478,94 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	tr := trace.FromContext(ctx)
-	p, ok := s.planSweep(ctx, w, tr, &req)
+	if len(req.Configs) == 0 || len(req.Benches) == 0 {
+		writeError(w, http.StatusBadRequest, "sweep matrix is empty: need configs and benches")
+		return
+	}
+	if !s.checkCells(w, "sweep", len(req.Configs)*len(req.Benches)) {
+		return
+	}
+	spec, ok := s.resolveSample(w, req.Sample())
 	if !ok {
 		return
 	}
-	if len(p.sub) > 0 {
-		t0 := time.Now()
-		sp := tr.Start("gate_wait")
-		release, ok := s.gate.tryAcquire(clientID(r), len(p.sub))
-		sp.End()
-		s.metrics.gateWait.Observe(time.Since(t0))
+	jobs := make([]engine.Job, 0, len(req.Configs)*len(req.Benches))
+	for _, cname := range req.Configs {
+		cfg, ok := sim.ConfigByName(cname)
 		if !ok {
-			rejectSaturated(w)
+			writeError(w, http.StatusBadRequest, "unknown config %q", cname)
 			return
 		}
-		defer release()
-	}
-	// Admitted: claim the uncached cells' singleflight slots. Cells another
-	// request is already computing drop out of p.sub (this sweep waits on
-	// their flights at emission time); the rest this sweep leads and must
-	// resolve on every exit path — the deferred abandon is the backstop for
-	// panics and early returns, a no-op for flights Completed with results.
-	s.claimFlights(p)
-	defer p.abandonOwned(store.ErrFlightAbandoned)
-	// Store accounting happens as results are actually served (per event
-	// when streaming, on the completed body otherwise) — a sweep that
-	// fails or loses its client after admission inflates no counters.
-	if api.WantsSSE(r) {
-		s.streamSweep(ctx, w, r, p)
-		return
-	}
-	s.bufferSweep(ctx, w, r, p)
-}
-
-// bufferSweep runs the uncached jobs, then writes the whole sweep as a
-// sequence of indented result objects in job-index order — byte-identical
-// to the equivalent multi-job `svwsim -json` invocation.
-func (s *Server) bufferSweep(ctx context.Context, w http.ResponseWriter, r *http.Request, p *sweepPlan) {
-	tr := trace.FromContext(ctx)
-	t0 := time.Now()
-	sp := tr.Start("engine_run")
-	rs, err := s.eng.RunContext(ctx, p.sub, nil)
-	sp.End()
-	s.metrics.engineRun.Observe(time.Since(t0))
-	if err != nil {
-		p.abandonOwned(err)
-		writeEngineError(w, r, err, "sweep failed")
-		return
-	}
-	t0 = time.Now()
-	sp = tr.Start("encode")
-	defer sp.End()
-	// Encode and Complete every owned cell BEFORE waiting on any foreign
-	// flight: two sweeps each owning cells the other coalesced on would
-	// otherwise deadlock, each blocked on results the other hasn't
-	// published yet. Complete write-throughs the bytes (the old Put).
-	ownedBody := make([][]byte, len(p.sub))
-	for si := range p.sub {
-		b, err := marshalResult(rs[si].Result)
-		if err != nil {
-			p.abandonOwned(err)
-			writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
-			return
-		}
-		p.owned[si].Complete(b, nil, true)
-		ownedBody[si] = b
-	}
-	var body []byte
-	sub, misses := 0, len(p.sub)
-	for i := range p.jobs {
-		switch {
-		case p.cached[i] != nil:
-			body = append(body, p.cached[i]...)
-		case p.flight[i] != nil:
-			b, err := s.awaitCell(ctx, p, i, &misses)
-			if err != nil {
-				writeEngineError(w, r, err, "sweep failed")
+		for _, bench := range req.Benches {
+			if _, ok := workload.Get(bench); !ok {
+				writeError(w, http.StatusBadRequest, "unknown benchmark %q", bench)
 				return
 			}
-			body = append(body, b...)
-		default:
-			body = append(body, ownedBody[sub]...)
-			sub++
+			jobs = append(jobs, engine.Job{Study: "svwd-sweep", Label: cfg.Name, Config: cfg,
+				Bench: bench, Insts: req.Insts, Sample: spec})
 		}
 	}
-	// Served in full: only now does the sweep's store outcome count.
-	// Coalesced cells count under Coalesced, not Misses; peer-fetched
-	// cells count under PeerHits only, so the fabric-wide sum stays one
-	// count per served cell.
-	s.store.Account(uint64(len(p.jobs)-len(p.sub)-p.foreign-p.disk-p.peer), uint64(p.disk), uint64(misses))
-	s.store.AccountPeer(uint64(p.peer))
-	writeBody(w, http.StatusOK, body)
-	s.metrics.encode.Observe(time.Since(t0))
-}
-
-// awaitCell resolves job i from the foreign flight it coalesced on. If
-// that flight fails while this request is still live — its leader lost
-// its client or hit its own deadline — the cell is recomputed locally
-// (the engine memo makes a duplicate of finished work cheap) rather than
-// inheriting a failure this request didn't earn; misses is bumped for the
-// recompute, since it is then a real computation served by this request.
-func (s *Server) awaitCell(ctx context.Context, p *sweepPlan, i int, misses *int) ([]byte, error) {
-	b, err := p.flight[i].Wait(ctx)
-	if err == nil || ctx.Err() != nil {
-		return b, err
-	}
-	rs, err := s.eng.RunContext(ctx, []engine.Job{p.jobs[i]}, nil)
-	if err != nil {
-		return nil, err
-	}
-	b, err = marshalResult(rs[0].Result)
-	if err != nil {
-		return nil, err
-	}
-	s.store.Put(p.keys[i], b)
-	*misses++
-	return b, nil
-}
-
-// streamSweep emits one SSE "result" event per job in job-index order while
-// the engine is still working, then a "done" summary. Cached jobs are
-// emitted from the LRU; uncached jobs are emitted as the engine's
-// progress callback delivers them (already in sub-index order, which is
-// monotone in job-index order, so the merge needs no reordering).
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request, p *sweepPlan) {
-	stream, err := api.NewSSE(w)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if api.WantsSSE(r) {
+		s.streamSweep(ctx, w, r, jobs)
 		return
 	}
+	cells, err := s.resolve(ctx, r, jobs, nil)
+	if err != nil {
+		writeResolveError(w, r, err, "sweep failed")
+		return
+	}
+	var body []byte
+	for i := range cells {
+		body = append(body, cells[i].body...)
+	}
+	writeBody(w, http.StatusOK, body)
+}
 
-	// The progress callback fires under the engine's ordered-emit lock, so
-	// channel sends preserve sub-index order. The buffer holds every result:
-	// sends never block, even if the client is slow or gone. Owned flights
-	// are Completed right in the callback — marshalling there too — so a
-	// concurrent sweep coalescing on a cell is released the moment the cell
-	// finishes, not when this sweep's emission loop reaches it.
-	results := make(chan streamedResult, len(p.sub))
-	done := make(chan error, 1)
-	t0 := time.Now()
-	sp := trace.FromContext(ctx).Start("engine_run")
-	go func() {
-		_, err := s.eng.RunContext(ctx, p.sub, func(jr engine.JobResult) {
-			sr := streamedResult{jr: jr}
-			switch {
-			case jr.Err != nil:
-				p.owned[jr.Index].Complete(nil, jr.Err, false)
-			default:
-				body, merr := marshalResult(jr.Result)
-				if merr != nil {
-					sr.encodeErr = merr
-					p.owned[jr.Index].Complete(nil, merr, false)
-				} else {
-					sr.body = body
-					p.owned[jr.Index].Complete(body, nil, true)
-				}
+// streamSweep is the SSE consumer of resolve. The stream opens with the
+// first deliverable cell; a resolve that fails before it (429, deadline)
+// answers with an ordinary error response, and one that fails after it
+// leaves the stream without its "done" event, so a live client can tell
+// the sweep did not complete.
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request, jobs []engine.Job) {
+	var stream *api.SSE
+	summary := SweepDone{Jobs: len(jobs)}
+	_, err := s.resolve(ctx, r, jobs, func(c *cell) error {
+		if stream == nil {
+			var err error
+			if stream, err = api.NewSSE(w); err != nil {
+				return err
 			}
-			results <- sr
-		})
-		// Resolve owned flights the run never delivered (cancelled or
-		// skipped jobs) so cross-request waiters fail fast; a no-op for
-		// flights the callback already Completed.
-		ferr := err
-		if ferr == nil {
-			ferr = store.ErrFlightAbandoned
 		}
-		p.abandonOwned(ferr)
-		sp.End()
-		s.metrics.engineRun.Observe(time.Since(t0))
-		done <- err
-	}()
-
-	engineDone := false
-	summary := SweepDone{Jobs: len(p.jobs)}
-	sub := 0
-	for i := range p.jobs {
-		ev := SweepEvent{
-			Index:  i,
-			Config: p.jobs[i].Config.Name,
-			Bench:  p.jobs[i].Bench,
-		}
-		switch {
-		case p.cached[i] != nil:
-			ev.Cached = true
-			ev.Origin = p.origin[i].String()
-			ev.Result = json.RawMessage(p.cached[i])
+		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench,
+			Memoized: c.memoized}
+		if c.origin != store.OriginMiss {
+			ev.Cached, ev.Origin = true, c.origin.String()
 			summary.CacheHits++
-			switch p.origin[i] {
+			switch c.origin {
 			case store.OriginDisk:
 				summary.DiskHits++
 			case store.OriginPeer:
 				summary.PeerHits++
 			}
-			s.store.AccountGet(p.origin[i])
-		case p.flight[i] != nil:
-			// Coalesced on a concurrent request's computation of this cell.
-			var misses int
-			body, err := s.awaitCell(ctx, p, i, &misses)
-			if ctx.Err() != nil {
-				return
-			}
+		} else {
 			summary.CacheMisses++
-			if err != nil {
-				ev.Error = err.Error()
-				summary.Errors++
-			} else {
-				ev.Result = json.RawMessage(body)
-				if misses > 0 {
-					s.store.Account(0, 0, 1) // fallback recompute: a real miss
-				}
-			}
-		default:
-			sr, ok := s.nextSweepResult(ctx, results, done, &engineDone, sub)
-			sub++
-			if !ok {
-				// The engine wound down — or the request context ended —
-				// without delivering this job: there is nothing left to
-				// stream and (with the context gone) no one to stream it
-				// to. Bail out instead of waiting on results that will
-				// never come; the truncated stream has no "done" event, so
-				// a live client can tell the sweep did not complete.
-				return
-			}
-			summary.CacheMisses++
-			ev.Memoized = sr.jr.Memoized
-			switch {
-			case sr.jr.Err != nil:
-				ev.Error = sr.jr.Err.Error()
-				summary.Errors++
-			case sr.encodeErr != nil:
-				ev.Error = sr.encodeErr.Error()
-				summary.Errors++
-			default:
-				ev.Result = json.RawMessage(sr.body)
-				s.store.Account(0, 0, 1) // computed and served: a real miss
-			}
 		}
-		stream.Event("result", i, ev)
+		if c.err != nil {
+			ev.Error = c.err.Error()
+			summary.Errors++
+		} else {
+			ev.Result = json.RawMessage(c.body)
+		}
+		stream.Event("result", c.index, ev)
+		return nil
+	})
+	if err != nil {
+		if stream == nil {
+			writeResolveError(w, r, err, "sweep failed")
+		}
+		return
 	}
-	if !engineDone {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return
-		}
-	}
-	stream.Event("done", len(p.jobs), summary)
-}
-
-// streamedResult is one engine progress delivery, already marshalled (the
-// callback encodes so it can Complete the cell's flight immediately).
-type streamedResult struct {
-	jr        engine.JobResult
-	body      []byte
-	encodeErr error
-}
-
-// nextSweepResult receives the next owned job's result for streamSweep.
-// want is the job's engine sub-index; anything delivered for an earlier
-// index is stale and discarded (emission is monotone, so a result below
-// want can never be the one this call is for). ok=false means the engine
-// finished — or the request context ended — without delivering the job,
-// and the handler must bail out rather than block on a result that will
-// never arrive.
-func (s *Server) nextSweepResult(ctx context.Context, results <-chan streamedResult, done <-chan error, engineDone *bool, want int) (streamedResult, bool) {
-	for {
-		// Drain delivered results before consulting done or the context:
-		// every send precedes the engine's done signal, so a finished
-		// engine can still have undrained results buffered.
-		select {
-		case sr := <-results:
-			if sr.jr.Index < want {
-				continue
-			}
-			return sr, true
-		default:
-		}
-		if *engineDone {
-			return streamedResult{}, false
-		}
-		select {
-		case sr := <-results:
-			if sr.jr.Index < want {
-				continue
-			}
-			return sr, true
-		case <-done:
-			*engineDone = true
-		case <-ctx.Done():
-			// Client gone or deadline hit: one last non-blocking look,
-			// then give up instead of riding out the engine's stragglers.
-			select {
-			case sr := <-results:
-				if sr.jr.Index < want {
-					continue
-				}
-				return sr, true
-			default:
-				return streamedResult{}, false
-			}
-		}
-	}
+	stream.Event("done", len(jobs), summary)
 }
 
 // --- /v1/studies/{study} -------------------------------------------------
@@ -706,7 +577,7 @@ type studyParams struct {
 	bits    []int
 	insts   uint64
 	// sample is the study's sampling spec: ?sample=w:d:p when given, then
-	// resolved against the server default by handleStudy before keying.
+	// resolved against the server default by handleStudy.
 	sample pipeline.SampleSpec
 }
 
@@ -762,31 +633,53 @@ func parseStudyParams(w http.ResponseWriter, r *http.Request, defaultBenches []s
 	return p, true
 }
 
-// key canonicalizes the parameters into a cache key for the given study.
-// The sample component is appended only when sampling is on, so exact
-// studies keep their existing keys.
-func (p *studyParams) key(study string) string {
-	k := fmt.Sprintf("study|%s|fig=%d|bits=%v|benches=%s|insts=%d",
-		study, p.fig, p.bits, strings.Join(p.benches, ","), p.insts)
-	if p.sample.Enabled() {
-		k += "|sample=" + p.sample.String()
-	}
-	return k
-}
-
+// handleStudy serves a paper study as a sweep plus a reduce: the study
+// descriptor's jobs resolve as ordinary cells — shared with sweeps, runs,
+// peers and other studies under the same per-cell store keys — and the
+// decoded cell results reduce to the report `svwexp -json` prints.
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	study := r.PathValue("study")
+	name := r.PathValue("study")
 	defaults := sim.AllBenches()
-	if study == "fig8" {
+	if name == "fig8" {
 		defaults = workload.Fig8Subset()
 	}
 	p, ok := parseStudyParams(w, r, defaults)
 	if !ok {
 		return
 	}
-	// Resolve the effective spec now: the store key below must name what
-	// actually runs, default-sampled or exact.
 	if p.sample, ok = s.resolveSample(w, p.sample); !ok {
+		return
+	}
+	// Every study runs each bench at least once, the SSN study once per
+	// width: bound the matrix by that before building its jobs.
+	cells := len(p.benches)
+	if name == "ssn" {
+		cells *= len(p.bits)
+	}
+	if !s.checkCells(w, "study", cells) {
+		return
+	}
+	var st sim.Study[sim.Report]
+	switch name {
+	case "ladder":
+		fs, err := sim.FigureStudy(p.fig, p.benches, p.insts, p.sample)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "ladder study needs ?fig=5|6|7 (got %d)", p.fig)
+			return
+		}
+		st = sim.Reported(fs)
+	case "fig8":
+		st = sim.Reported(sim.Fig8Study(p.benches, p.insts, p.sample))
+	case "ssn":
+		st = sim.Reported(sim.SSNWidthStudy(p.benches, p.bits, p.insts, p.sample))
+	case "ssbf":
+		st = sim.Reported(sim.SSBFUpdateStudy(p.benches, p.insts, p.sample))
+	default:
+		writeError(w, http.StatusNotFound,
+			"unknown study %q (want ladder, fig8, ssn or ssbf)", name)
+		return
+	}
+	if !s.checkCells(w, "study", len(st.Jobs)) {
 		return
 	}
 	s.observePeers(r)
@@ -796,128 +689,22 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	// Resolve the study up front so weight (engine jobs) and the result
-	// builder are known before touching cache or gate.
-	var weight int
-	var run func(ctx context.Context) (any, error)
-	switch study {
-	case "ladder":
-		var ladder sim.Ladder
-		switch p.fig {
-		case 5:
-			ladder = sim.Fig5Ladder()
-		case 6:
-			ladder = sim.Fig6Ladder()
-		case 7:
-			ladder = sim.Fig7Ladder()
-		default:
-			writeError(w, http.StatusBadRequest,
-				"ladder study needs ?fig=5|6|7 (got %d)", p.fig)
-			return
-		}
-		weight = len(p.benches) * (1 + len(ladder.Configs))
-		run = func(ctx context.Context) (any, error) {
-			res, err := sim.RunLaddersSampled(ctx, s.eng, []sim.Ladder{ladder}, p.benches, p.insts, p.sample)
-			if err != nil {
-				return nil, err
-			}
-			return res[0].JSON(), nil
-		}
-	case "fig8":
-		weight = len(sim.Fig8Variants()) * len(p.benches)
-		run = func(ctx context.Context) (any, error) {
-			res, err := sim.RunFig8Sampled(ctx, s.eng, p.benches, p.insts, p.sample)
-			if err != nil {
-				return nil, err
-			}
-			return res.JSON(), nil
-		}
-	case "ssn":
-		weight = len(p.bits) * len(p.benches)
-		run = func(ctx context.Context) (any, error) {
-			res, err := sim.RunSSNWidthSampled(ctx, s.eng, p.benches, p.bits, p.insts, p.sample)
-			if err != nil {
-				return nil, err
-			}
-			return res.JSON(), nil
-		}
-	case "ssbf":
-		weight = 2 * len(p.benches)
-		run = func(ctx context.Context) (any, error) {
-			res, err := sim.RunSSBFUpdatePolicySampled(ctx, s.eng, p.benches, p.insts, p.sample)
-			if err != nil {
-				return nil, err
-			}
-			return res.JSON(), nil
-		}
-	default:
-		writeError(w, http.StatusNotFound,
-			"unknown study %q (want ladder, fig8, ssn or ssbf)", study)
-		return
-	}
-
-	tr := trace.FromContext(ctx)
-	key := p.key(study)
-	t0 := time.Now()
-	sp := tr.Start("store_probe")
-	body, origin := s.store.Get(key)
-	sp.SetAttr("tier", origin.String())
-	sp.End()
-	s.metrics.storeProbe.Observe(time.Since(t0))
-	if origin != store.OriginMiss {
-		s.store.AccountGet(origin)
-		writeBody(w, http.StatusOK, body)
-		return
-	}
-	// Cold miss: same singleflight shape as /v1/run — concurrent identical
-	// study requests admit (weight units) and compute once.
-	body, origin, coalesced, err := s.store.GetOrCompute(ctx, key, func() ([]byte, error) {
-		t0 := time.Now()
-		sp := tr.Start("gate_wait")
-		release, ok := s.gate.tryAcquire(clientID(r), weight)
-		sp.End()
-		s.metrics.gateWait.Observe(time.Since(t0))
-		if !ok {
-			return nil, errGateSaturated
-		}
-		defer release()
-
-		t0 = time.Now()
-		sp = tr.Start("engine_run")
-		v, err := run(ctx)
-		sp.End()
-		s.metrics.engineRun.Observe(time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		t0 = time.Now()
-		sp = tr.Start("encode")
-		defer sp.End()
-		defer func() { s.metrics.encode.Observe(time.Since(t0)) }()
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("encoding study: %v", err)
-		}
-		return append(b, '\n'), nil
-	})
+	resolved, err := s.resolve(ctx, r, st.Jobs, nil)
 	if err != nil {
-		if errors.Is(err, errGateSaturated) {
-			rejectSaturated(w)
+		writeResolveError(w, r, err, "study failed")
+		return
+	}
+	results := make([]sim.Result, len(resolved))
+	for i := range resolved {
+		if results[i], err = api.UnmarshalResult(resolved[i].body); err != nil {
+			writeError(w, http.StatusInternalServerError, "decoding cell %d: %v", i, err)
 			return
 		}
-		writeEngineError(w, r, err, "study failed")
+	}
+	var body bytes.Buffer
+	if err := st.Reduce(results).WriteJSON(&body); err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding study: %v", err)
 		return
 	}
-	if origin != store.OriginMiss {
-		s.store.AccountGet(origin)
-		writeBody(w, http.StatusOK, body)
-		return
-	}
-	if !coalesced {
-		// Computed and served: count the miss only now (rejections and
-		// failures above never reach this line; coalesced waits count
-		// under Coalesced, not Misses).
-		s.store.Account(0, 0, 1)
-	}
-	writeBody(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, body.Bytes())
 }

@@ -18,8 +18,8 @@ type serverMetrics struct {
 
 	// Per-stage latency: where a request's time actually goes. store_probe
 	// covers store lookups, store_peer owner-over-HTTP fetches, gate_wait
-	// the admission acquire, engine_run the simulation work, encode result
-	// marshalling + write-out.
+	// the admission acquire, engine_run the simulation work, encode the
+	// marshalling of results the request computed.
 	storeProbe *metrics.Histogram
 	storePeer  *metrics.Histogram
 	gateWait   *metrics.Histogram

@@ -11,14 +11,22 @@
 //	GET  /v1/studies/{study}     ladder | fig8 | ssn | ssbf
 //
 // One Server owns one engine.Engine, so memoized reuse spans every request
-// the process has served. On top of the engine sit the service layers:
+// the process has served. Every job-bearing endpoint reaches the service
+// layers below through one cell resolver (handlers.go): /v1/run resolves a
+// one-job list, /v1/sweep the flattened matrix (buffered or streamed), and
+// /v1/studies a study descriptor's jobs (internal/sim), whose decoded cell
+// results it then reduces. The layers:
 //
-//   - the shared tiered result store (internal/store) keyed by the
-//     engine's memo key (engine.Fingerprint): a bounded in-memory LRU,
+//   - the shared tiered result store (internal/store) keyed per cell by
+//     the engine's memo key (engine.Fingerprint): a bounded in-memory LRU,
 //     optionally backed by a persistent disk tier (Options.StoreDir) so a
 //     restarted daemon answers previously computed work without touching
-//     the engine — hit/disk-hit/miss counters are on /v1/stats and the
-//     serving tier is named in the X-Svwd-Cache response header;
+//     the engine, with the cell's rendezvous owner probed over HTTP when
+//     the fabric membership is known (peers.go) — hit/disk-hit/miss
+//     counters are on /v1/stats and the serving tier is named in the
+//     X-Svwd-Cache response header;
+//   - a per-cell singleflight, so concurrent requests needing the same
+//     uncomputed cell run it once;
 //   - an admission gate bounding concurrently admitted engine jobs,
 //     refusing excess work with HTTP 429 (cache hits bypass the gate);
 //   - per-request context cancellation threaded into the engine, so a
@@ -27,10 +35,10 @@
 //
 // /v1/run and /v1/sweep responses use exactly the `svwsim -json` encoding,
 // so service output can be byte-compared against the CLI; study endpoints
-// return the figure JSON shapes from internal/sim/print.go. Sweep requests
-// with Accept: text/event-stream stream one SSE "result" event per job in
-// job-index order — the engine's determinism guarantee carried over the
-// wire — followed by a "done" summary event.
+// return the study reports' JSON, byte-identical to `svwexp -json`. Sweep
+// requests with Accept: text/event-stream stream one SSE "result" event
+// per job in job-index order — the engine's determinism guarantee carried
+// over the wire — followed by a "done" summary event.
 package server
 
 import (

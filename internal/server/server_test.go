@@ -382,14 +382,16 @@ func TestStudyEndpoints(t *testing.T) {
 	if ladder.Name != "fig5-nlq" || len(ladder.Benches) != 2 {
 		t.Fatalf("ladder %+v", ladder)
 	}
-	// Repeat is a cache hit: byte-identical.
+	// Repeat is served from the store cell by cell: byte-identical, one
+	// hit per cell (2 benches x 5 rungs), no new misses.
 	before := cacheStats(t, s)
 	w2 := do(s, "GET", fmt.Sprintf("/v1/studies/ladder?fig=5&benches=gcc,twolf&insts=%d", testInsts), "", nil)
 	if !bytes.Equal(w2.Body.Bytes(), w.Body.Bytes()) {
 		t.Fatal("cached study response differs")
 	}
-	if after := cacheStats(t, s); after.Hits != before.Hits+1 {
-		t.Fatalf("study repeat was not a cache hit: %+v -> %+v", before, after)
+	after := cacheStats(t, s)
+	if hits := after.Hits + after.DiskHits + after.PeerHits - before.Hits - before.DiskHits - before.PeerHits; hits != 10 || after.Misses != before.Misses {
+		t.Fatalf("study repeat was not 10 cell hits: %+v -> %+v", before, after)
 	}
 
 	w = do(s, "GET", fmt.Sprintf("/v1/studies/ssn?benches=gcc&bits=8,0&insts=%d", testInsts), "", nil)

@@ -7,10 +7,11 @@ import "svwsim/internal/api"
 // serve literally the same wire types and cannot drift. The aliases keep
 // the server package's historical names usable.
 //
-// Study endpoints return the figure JSON shapes from internal/sim/print.go
-// verbatim; /v1/run and /v1/sweep return engine results encoded exactly as
-// `svwsim -json` prints them, so a service response can be byte-compared
-// against the CLI (the CI smoke stage does exactly that).
+// Study endpoints return the study reports' JSON (sim.Report.WriteJSON,
+// as `svwexp -json` prints it); /v1/run and /v1/sweep return engine
+// results encoded exactly as `svwsim -json` prints them, so a service
+// response can be byte-compared against the CLIs (the CI smoke stage does
+// exactly that).
 type (
 	RunRequest      = api.RunRequest
 	SweepRequest    = api.SweepRequest

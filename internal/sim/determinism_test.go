@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ var detBenches = []string{"gcc", "twolf"}
 // byte-level artifact the determinism guarantee covers.
 func sweepOutput(t *testing.T, eng *engine.Engine) string {
 	t.Helper()
-	results, err := RunLadders(eng, detLadders(), detBenches, detInsts)
+	results, err := RunLaddersContext(context.Background(), eng, detLadders(), detBenches, detInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestResetReuseMatchesFresh(t *testing.T) {
 // memo table.
 func TestSweepMemoization(t *testing.T) {
 	eng := engine.New(4)
-	if _, err := RunLadders(eng, detLadders(), detBenches, detInsts); err != nil {
+	if _, err := RunLaddersContext(context.Background(), eng, detLadders(), detBenches, detInsts); err != nil {
 		t.Fatal(err)
 	}
 	unique := uint64(0)
@@ -119,7 +120,7 @@ func TestSweepMemoization(t *testing.T) {
 	}
 
 	// The summary study re-runs the same three ladders: zero new executions.
-	if _, err := RunLadders(eng, detLadders(), detBenches, detInsts); err != nil {
+	if _, err := RunLaddersContext(context.Background(), eng, detLadders(), detBenches, detInsts); err != nil {
 		t.Fatal(err)
 	}
 	m2 := eng.Memo()

@@ -40,7 +40,7 @@ var benchLadders = func() []sim.Ladder {
 func ladderJobs(benches []string) int {
 	seen := make(map[string]bool)
 	for _, l := range benchLadders() {
-		for _, j := range sim.LadderJobs(l, benches, benchInsts) {
+		for _, j := range sim.LaddersStudy([]sim.Ladder{l}, benches, benchInsts, pipeline.SampleSpec{}).Jobs {
 			seen[engine.Fingerprint(j.Config, j.Bench, j.Insts)] = true
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := engine.New(j)
-				if _, err := sim.RunLadders(eng, benchLadders(), benches, benchInsts); err != nil {
+				if _, err := sim.RunLaddersContext(context.Background(), eng, benchLadders(), benches, benchInsts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,12 +3,92 @@ package sim
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"svwsim/internal/core"
 	"svwsim/internal/pipeline"
 	"svwsim/internal/sim/engine"
 	"svwsim/internal/workload"
 )
+
+// Study is one experiment of the paper's evaluation as data: the engine
+// jobs it needs, in order, and the reduction of their results (in the same
+// order) into its report. Run executes a study on an engine; svwd resolves
+// the same jobs as ordinary store cells and reduces the decoded cell
+// results, so a study shares cells with every sweep, peer and other study
+// that names the same machine.
+type Study[R any] struct {
+	Jobs   []engine.Job
+	Reduce func([]Result) R
+}
+
+// Report is what the paper's studies reduce to: a table (svwexp) and an
+// indented JSON document (svwexp -json and svwd's /v1/studies), both
+// rendered by the report itself so the two binaries cannot drift apart.
+type Report interface {
+	Print(w io.Writer)
+	WriteJSON(w io.Writer) error
+}
+
+// Run executes s on eng and reduces its results. Queued-but-unstarted jobs
+// are skipped once ctx is done (see engine.RunContext).
+func Run[R any](ctx context.Context, eng *engine.Engine, s Study[R]) (R, error) {
+	rs, err := eng.RunContext(ctx, s.Jobs, nil)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	out := make([]Result, len(rs))
+	for i := range rs {
+		out[i] = rs[i].Result
+	}
+	return s.Reduce(out), nil
+}
+
+// Reported erases a study's report type, for callers that pick the study
+// at run time and only print or encode its report.
+func Reported[R Report](s Study[R]) Study[Report] {
+	return Study[Report]{Jobs: s.Jobs, Reduce: func(rs []Result) Report { return s.Reduce(rs) }}
+}
+
+// The five calls below are the study entry points perfbench drives.
+
+// RunLaddersContext executes several ladders as one flat job list on eng,
+// so configurations shared between ladders (and with any earlier sweep on
+// the same engine) run exactly once. Results are returned per ladder.
+func RunLaddersContext(ctx context.Context, eng *engine.Engine, ladders []Ladder, benches []string, insts uint64) ([]*LadderResult, error) {
+	return Run(ctx, eng, LaddersStudy(ladders, benches, insts, pipeline.SampleSpec{}))
+}
+
+// RunLaddersSampled is RunLaddersContext with a sampling spec stamped on
+// every job (zero spec = exact, identical to RunLaddersContext).
+func RunLaddersSampled(ctx context.Context, eng *engine.Engine, ladders []Ladder, benches []string, insts uint64, spec pipeline.SampleSpec) ([]*LadderResult, error) {
+	return Run(ctx, eng, LaddersStudy(ladders, benches, insts, spec))
+}
+
+// RunFig8Context runs the Fig. 8 study (exact) on eng.
+func RunFig8Context(ctx context.Context, eng *engine.Engine, benches []string, insts uint64) (*Fig8Result, error) {
+	return Run(ctx, eng, Fig8Study(benches, insts, pipeline.SampleSpec{}))
+}
+
+// RunSSNWidthContext runs the §3.6 SSN width study (exact) on eng.
+func RunSSNWidthContext(ctx context.Context, eng *engine.Engine, benches []string, bits []int, insts uint64) (*SSNWidthResult, error) {
+	return Run(ctx, eng, SSNWidthStudy(benches, bits, insts, pipeline.SampleSpec{}))
+}
+
+// RunSSBFUpdatePolicyContext runs the §3.6 SSBF update-policy study
+// (exact) on eng.
+func RunSSBFUpdatePolicyContext(ctx context.Context, eng *engine.Engine, benches []string, insts uint64) (*SSBFUpdateResult, error) {
+	return Run(ctx, eng, SSBFUpdateStudy(benches, insts, pipeline.SampleSpec{}))
+}
+
+// job builds one study cell. A zero spec keeps the job exact, so exact
+// studies keep byte-identical jobs and memo keys.
+func job(study, label string, cfg pipeline.Config, bench string, insts uint64, spec pipeline.SampleSpec) engine.Job {
+	return engine.Job{Study: study, Label: label, Config: cfg, Bench: bench, Insts: insts, Sample: spec}
+}
+
+// --- Figs. 5–7: the configuration ladders --------------------------------
 
 // Ladder is one figure's configuration family: a baseline plus the variants
 // whose re-execution rates and baseline-relative speedups the figure plots.
@@ -64,100 +144,60 @@ type LadderResult struct {
 	Runs    [][]Result
 }
 
-// LadderJobs flattens a ladder over benchmarks into engine jobs: for each
-// benchmark, the baseline followed by every rung, in declaration order. The
-// returned order is the scatter order Gather expects.
-func LadderJobs(l Ladder, benches []string, insts uint64) []engine.Job {
-	var jobs []engine.Job
-	for _, bench := range benches {
-		jobs = append(jobs, engine.Job{
-			Study: l.Name, Label: "baseline", Config: l.Baseline,
-			Bench: bench, Insts: insts,
-		})
-		for ci, cfg := range l.Configs {
-			jobs = append(jobs, engine.Job{
-				Study: l.Name, Label: l.Labels[ci], Config: cfg,
-				Bench: bench, Insts: insts,
-			})
-		}
-	}
-	return jobs
-}
-
-// gather scatters a ladder's slice of engine results (in LadderJobs order)
-// back into a LadderResult.
-func gather(l Ladder, benches []string, rs []engine.JobResult) *LadderResult {
-	res := &LadderResult{Ladder: l, Benches: benches}
-	res.Base = make([]Result, len(benches))
-	res.Runs = make([][]Result, len(l.Configs))
-	for i := range res.Runs {
-		res.Runs[i] = make([]Result, len(benches))
-	}
-	k := 0
-	for bi := range benches {
-		res.Base[bi] = rs[k].Result
-		k++
-		for ci := range l.Configs {
-			res.Runs[ci][bi] = rs[k].Result
-			k++
-		}
-	}
-	return res
-}
-
-// stampSample marks every job for sampled execution under spec. A zero
-// spec is a no-op, so exact studies keep byte-identical jobs and memo keys.
-func stampSample(jobs []engine.Job, spec pipeline.SampleSpec) []engine.Job {
-	if spec.Enabled() {
-		for i := range jobs {
-			jobs[i].Sample = spec
-		}
-	}
-	return jobs
-}
-
-// RunLadders executes several ladders as one flat job list on eng, so
-// configurations shared between ladders (and with any earlier sweep on the
-// same engine) run exactly once. Results are returned per ladder, in order.
-func RunLadders(eng *engine.Engine, ladders []Ladder, benches []string, insts uint64) ([]*LadderResult, error) {
-	return RunLaddersContext(context.Background(), eng, ladders, benches, insts)
-}
-
-// RunLaddersContext is RunLadders with cancellation: queued-but-unstarted
-// jobs are skipped once ctx is done (see engine.RunContext).
-func RunLaddersContext(ctx context.Context, eng *engine.Engine, ladders []Ladder, benches []string, insts uint64) ([]*LadderResult, error) {
-	return RunLaddersSampled(ctx, eng, ladders, benches, insts, pipeline.SampleSpec{})
-}
-
-// RunLaddersSampled is RunLaddersContext with a sampling spec stamped on
-// every job (zero spec = exact, identical to RunLaddersContext).
-func RunLaddersSampled(ctx context.Context, eng *engine.Engine, ladders []Ladder, benches []string, insts uint64, spec pipeline.SampleSpec) ([]*LadderResult, error) {
+// LaddersStudy flattens ladders over benchmarks into one job list: per
+// ladder, for each benchmark, the baseline followed by every rung in
+// declaration order. It reduces to one result per ladder, in order.
+func LaddersStudy(ladders []Ladder, benches []string, insts uint64, spec pipeline.SampleSpec) Study[[]*LadderResult] {
 	var jobs []engine.Job
 	for _, l := range ladders {
-		jobs = append(jobs, LadderJobs(l, benches, insts)...)
+		for _, bench := range benches {
+			jobs = append(jobs, job(l.Name, "baseline", l.Baseline, bench, insts, spec))
+			for ci, cfg := range l.Configs {
+				jobs = append(jobs, job(l.Name, l.Labels[ci], cfg, bench, insts, spec))
+			}
+		}
 	}
-	rs, err := eng.RunContext(ctx, stampSample(jobs, spec), nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*LadderResult, len(ladders))
-	k := 0
-	for i, l := range ladders {
-		n := len(benches) * (1 + len(l.Configs))
-		out[i] = gather(l, benches, rs[k:k+n])
-		k += n
-	}
-	return out, nil
+	return Study[[]*LadderResult]{Jobs: jobs, Reduce: func(rs []Result) []*LadderResult {
+		out := make([]*LadderResult, len(ladders))
+		k := 0
+		for i, l := range ladders {
+			res := &LadderResult{Ladder: l, Benches: benches, Base: make([]Result, len(benches)),
+				Runs: make([][]Result, len(l.Configs))}
+			for ci := range res.Runs {
+				res.Runs[ci] = make([]Result, len(benches))
+			}
+			for bi := range benches {
+				res.Base[bi] = rs[k]
+				k++
+				for ci := range l.Configs {
+					res.Runs[ci][bi] = rs[k]
+					k++
+				}
+			}
+			out[i] = res
+		}
+		return out
+	}}
 }
 
-// RunLadder executes a ladder over the benchmarks with par workers
-// (0 = GOMAXPROCS). insts 0 keeps each config's default budget.
-func RunLadder(l Ladder, benches []string, insts uint64, par int) (*LadderResult, error) {
-	res, err := RunLadders(engine.New(par), []Ladder{l}, benches, insts)
-	if err != nil {
-		return nil, err
+// FigureStudy is paper Fig. 5, 6 or 7 as svwexp -fig N prints it and svwd's
+// /v1/studies/ladder?fig=N serves it (see FigureReport).
+func FigureStudy(fig int, benches []string, insts uint64, spec pipeline.SampleSpec) (Study[*FigureReport], error) {
+	var l Ladder
+	switch fig {
+	case 5:
+		l = Fig5Ladder()
+	case 6:
+		l = Fig6Ladder()
+	case 7:
+		l = Fig7Ladder()
+	default:
+		return Study[*FigureReport]{}, fmt.Errorf("no ladder for figure %d (want 5, 6 or 7)", fig)
 	}
-	return res[0], nil
+	s := LaddersStudy([]Ladder{l}, benches, insts, spec)
+	return Study[*FigureReport]{Jobs: s.Jobs, Reduce: func(rs []Result) *FigureReport {
+		return &FigureReport{LadderResult: s.Reduce(rs)[0], fig: fig}
+	}}, nil
 }
 
 // Speedup returns config ci's percent IPC improvement over baseline on
@@ -218,53 +258,32 @@ type Fig8Result struct {
 	IPC      [][]float64
 }
 
-// RunFig8 sweeps SSBF organizations on the SSQ machine (the optimization
-// with the highest re-execution rates).
-func RunFig8(benches []string, insts uint64, par int) (*Fig8Result, error) {
-	return RunFig8With(engine.New(par), benches, insts)
-}
-
-// RunFig8With is RunFig8 on a caller-supplied (possibly shared) engine.
-func RunFig8With(eng *engine.Engine, benches []string, insts uint64) (*Fig8Result, error) {
-	return RunFig8Context(context.Background(), eng, benches, insts)
-}
-
-// RunFig8Context is RunFig8With with cancellation.
-func RunFig8Context(ctx context.Context, eng *engine.Engine, benches []string, insts uint64) (*Fig8Result, error) {
-	return RunFig8Sampled(ctx, eng, benches, insts, pipeline.SampleSpec{})
-}
-
-// RunFig8Sampled is RunFig8Context with a sampling spec stamped on every
-// job (zero spec = exact).
-func RunFig8Sampled(ctx context.Context, eng *engine.Engine, benches []string, insts uint64, spec pipeline.SampleSpec) (*Fig8Result, error) {
+// Fig8Study sweeps SSBF organizations on the SSQ machine (the optimization
+// with the highest re-execution rates), variant-major.
+func Fig8Study(benches []string, insts uint64, spec pipeline.SampleSpec) Study[*Fig8Result] {
 	vars := Fig8Variants()
-	out := &Fig8Result{Benches: benches, Variants: vars}
-	out.Rex = make([][]float64, len(vars))
-	out.IPC = make([][]float64, len(vars))
 	var jobs []engine.Job
-	for vi := range vars {
-		out.Rex[vi] = make([]float64, len(benches))
-		out.IPC[vi] = make([]float64, len(benches))
-		for bi := range benches {
+	for _, v := range vars {
+		for _, bench := range benches {
 			cfg := SSQ(SVWUpd)
-			cfg.SVW.SSBF = vars[vi].Cfg
-			cfg.Name = "ssq+svw/" + vars[vi].Label
-			jobs = append(jobs, engine.Job{
-				Study: "fig8-ssbf", Label: vars[vi].Label, Config: cfg,
-				Bench: benches[bi], Insts: insts,
-			})
+			cfg.SVW.SSBF = v.Cfg
+			cfg.Name = "ssq+svw/" + v.Label
+			jobs = append(jobs, job("fig8-ssbf", v.Label, cfg, bench, insts, spec))
 		}
 	}
-	rs, err := eng.RunContext(ctx, stampSample(jobs, spec), nil)
-	if err != nil {
-		return nil, err
-	}
-	for k, r := range rs {
-		vi, bi := k/len(benches), k%len(benches)
-		out.Rex[vi][bi] = r.Result.Stats.RexRate()
-		out.IPC[vi][bi] = r.Result.Stats.IPC()
-	}
-	return out, nil
+	return Study[*Fig8Result]{Jobs: jobs, Reduce: func(rs []Result) *Fig8Result {
+		out := &Fig8Result{Benches: benches, Variants: vars}
+		for vi := range vars {
+			row := rs[vi*len(benches) : (vi+1)*len(benches)]
+			out.Rex = append(out.Rex, make([]float64, len(benches)))
+			out.IPC = append(out.IPC, make([]float64, len(benches)))
+			for bi := range row {
+				out.Rex[vi][bi] = row[bi].Stats.RexRate()
+				out.IPC[vi][bi] = row[bi].Stats.IPC()
+			}
+		}
+		return out
+	}}
 }
 
 // --- §3.6 sensitivity studies --------------------------------------------
@@ -278,51 +297,30 @@ type SSNWidthResult struct {
 	Drains  [][]uint64
 }
 
-// RunSSNWidth sweeps hardware SSN widths on the SSQ machine.
-func RunSSNWidth(benches []string, bits []int, insts uint64, par int) (*SSNWidthResult, error) {
-	return RunSSNWidthWith(engine.New(par), benches, bits, insts)
-}
-
-// RunSSNWidthWith is RunSSNWidth on a caller-supplied engine.
-func RunSSNWidthWith(eng *engine.Engine, benches []string, bits []int, insts uint64) (*SSNWidthResult, error) {
-	return RunSSNWidthContext(context.Background(), eng, benches, bits, insts)
-}
-
-// RunSSNWidthContext is RunSSNWidthWith with cancellation.
-func RunSSNWidthContext(ctx context.Context, eng *engine.Engine, benches []string, bits []int, insts uint64) (*SSNWidthResult, error) {
-	return RunSSNWidthSampled(ctx, eng, benches, bits, insts, pipeline.SampleSpec{})
-}
-
-// RunSSNWidthSampled is RunSSNWidthContext with a sampling spec stamped on
-// every job (zero spec = exact).
-func RunSSNWidthSampled(ctx context.Context, eng *engine.Engine, benches []string, bits []int, insts uint64, spec pipeline.SampleSpec) (*SSNWidthResult, error) {
-	out := &SSNWidthResult{Benches: benches, Bits: bits}
-	out.IPC = make([][]float64, len(bits))
-	out.Drains = make([][]uint64, len(bits))
+// SSNWidthStudy sweeps hardware SSN widths on the SSQ machine, width-major.
+func SSNWidthStudy(benches []string, bits []int, insts uint64, spec pipeline.SampleSpec) Study[*SSNWidthResult] {
 	var jobs []engine.Job
-	for wi := range bits {
-		out.IPC[wi] = make([]float64, len(benches))
-		out.Drains[wi] = make([]uint64, len(benches))
-		for bi := range benches {
+	for _, b := range bits {
+		for _, bench := range benches {
 			cfg := SSQ(SVWUpd)
-			cfg.SVW.SSNBits = bits[wi]
-			cfg.Name = fmt.Sprintf("ssq+svw/ssn%d", bits[wi])
-			jobs = append(jobs, engine.Job{
-				Study: "ssn-width", Label: cfg.Name, Config: cfg,
-				Bench: benches[bi], Insts: insts,
-			})
+			cfg.SVW.SSNBits = b
+			cfg.Name = fmt.Sprintf("ssq+svw/ssn%d", b)
+			jobs = append(jobs, job("ssn-width", cfg.Name, cfg, bench, insts, spec))
 		}
 	}
-	rs, err := eng.RunContext(ctx, stampSample(jobs, spec), nil)
-	if err != nil {
-		return nil, err
-	}
-	for k, r := range rs {
-		wi, bi := k/len(benches), k%len(benches)
-		out.IPC[wi][bi] = r.Result.Stats.IPC()
-		out.Drains[wi][bi] = r.Result.Stats.WrapDrains
-	}
-	return out, nil
+	return Study[*SSNWidthResult]{Jobs: jobs, Reduce: func(rs []Result) *SSNWidthResult {
+		out := &SSNWidthResult{Benches: benches, Bits: bits}
+		for wi := range bits {
+			row := rs[wi*len(benches) : (wi+1)*len(benches)]
+			out.IPC = append(out.IPC, make([]float64, len(benches)))
+			out.Drains = append(out.Drains, make([]uint64, len(benches)))
+			for bi := range row {
+				out.IPC[wi][bi] = row[bi].Stats.IPC()
+				out.Drains[wi][bi] = row[bi].Stats.WrapDrains
+			}
+		}
+		return out
+	}}
 }
 
 // SSBFUpdateResult compares speculative vs atomic SSBF update policies.
@@ -332,63 +330,97 @@ type SSBFUpdateResult struct {
 	IPCSpec, IPCAtomic []float64
 }
 
-// RunSSBFUpdatePolicy measures §3.6's speculative-update trade-off on the
-// SSQ machine.
-func RunSSBFUpdatePolicy(benches []string, insts uint64, par int) (*SSBFUpdateResult, error) {
-	return RunSSBFUpdatePolicyWith(engine.New(par), benches, insts)
-}
-
-// RunSSBFUpdatePolicyWith is RunSSBFUpdatePolicy on a caller-supplied engine.
-func RunSSBFUpdatePolicyWith(eng *engine.Engine, benches []string, insts uint64) (*SSBFUpdateResult, error) {
-	return RunSSBFUpdatePolicyContext(context.Background(), eng, benches, insts)
-}
-
-// RunSSBFUpdatePolicyContext is RunSSBFUpdatePolicyWith with cancellation.
-func RunSSBFUpdatePolicyContext(ctx context.Context, eng *engine.Engine, benches []string, insts uint64) (*SSBFUpdateResult, error) {
-	return RunSSBFUpdatePolicySampled(ctx, eng, benches, insts, pipeline.SampleSpec{})
-}
-
-// RunSSBFUpdatePolicySampled is RunSSBFUpdatePolicyContext with a sampling
-// spec stamped on every job (zero spec = exact).
-func RunSSBFUpdatePolicySampled(ctx context.Context, eng *engine.Engine, benches []string, insts uint64, spec pipeline.SampleSpec) (*SSBFUpdateResult, error) {
-	out := &SSBFUpdateResult{
-		Benches:   benches,
-		RexSpec:   make([]float64, len(benches)),
-		RexAtomic: make([]float64, len(benches)),
-		IPCSpec:   make([]float64, len(benches)),
-		IPCAtomic: make([]float64, len(benches)),
-	}
+// SSBFUpdateStudy measures §3.6's speculative-update trade-off on the SSQ
+// machine: per benchmark, the speculative then the atomic policy.
+func SSBFUpdateStudy(benches []string, insts uint64, spec pipeline.SampleSpec) Study[*SSBFUpdateResult] {
 	var jobs []engine.Job
-	for bi := range benches {
-		for _, spec := range []bool{true, false} {
-			cfg := SSQ(SVWUpd)
-			cfg.SVW.SpeculativeSSBF = spec
-			label := "spec"
-			if !spec {
-				cfg.Name = "ssq+svw/atomic"
-				label = "atomic"
+	for _, bench := range benches {
+		cfg := SSQ(SVWUpd)
+		cfg.SVW.SpeculativeSSBF = true
+		jobs = append(jobs, job("ssbf-update", "spec", cfg, bench, insts, spec))
+		cfg.SVW.SpeculativeSSBF = false
+		cfg.Name = "ssq+svw/atomic"
+		jobs = append(jobs, job("ssbf-update", "atomic", cfg, bench, insts, spec))
+	}
+	return Study[*SSBFUpdateResult]{Jobs: jobs, Reduce: func(rs []Result) *SSBFUpdateResult {
+		out := &SSBFUpdateResult{Benches: benches}
+		for bi := range benches {
+			sp, at := &rs[2*bi].Stats, &rs[2*bi+1].Stats
+			out.RexSpec = append(out.RexSpec, sp.RexRate())
+			out.RexAtomic = append(out.RexAtomic, at.RexRate())
+			out.IPCSpec = append(out.IPCSpec, sp.IPC())
+			out.IPCAtomic = append(out.IPCAtomic, at.IPC())
+		}
+		return out
+	}}
+}
+
+// --- svwexp's setup and extension studies --------------------------------
+
+// SummaryStudy reproduces the abstract's headline: the average
+// re-execution reduction SVW delivers across the three optimizations. Its
+// jobs are Figs. 5–7's, so after those figures on a shared engine (svwexp
+// -all) every cell is a memo hit.
+func SummaryStudy(benches []string, insts uint64, spec pipeline.SampleSpec) Study[*SummaryReport] {
+	s := LaddersStudy([]Ladder{Fig5Ladder(), Fig6Ladder(), Fig7Ladder()}, benches, insts, spec)
+	return Study[*SummaryReport]{Jobs: s.Jobs, Reduce: func(rs []Result) *SummaryReport {
+		names := []string{"NLQls", "SSQ", "RLE"}
+		svwRung := []int{2, 2, 1} // each ladder's full-SVW rung; rung 0 is raw
+		out := &SummaryReport{}
+		var total float64
+		for i, res := range s.Reduce(rs) {
+			raw, svw := res.AvgRexRate(0), res.AvgRexRate(svwRung[i])
+			red := 0.0
+			if raw > 0 {
+				red = (1 - svw/raw) * 100
 			}
-			jobs = append(jobs, engine.Job{
-				Study: "ssbf-update", Label: label, Config: cfg,
-				Bench: benches[bi], Insts: insts,
-			})
+			total += red
+			out.Studies = append(out.Studies, SummaryLine{names[i], 100 * raw, 100 * svw, red})
 		}
+		out.AvgReductionPct = total / float64(len(names))
+		return out
+	}}
+}
+
+// RetPortsStudy reproduces the setup remark that dual store retirement
+// ports only help vortex (~6%) on the 8-wide machine.
+func RetPortsStudy(benches []string, insts uint64, spec pipeline.SampleSpec) Study[RetPortsReport] {
+	var jobs []engine.Job
+	for _, bench := range benches {
+		two := BaselineNLQ()
+		two.RetirePorts = 2
+		two.Name = "base-2port"
+		jobs = append(jobs, job("retports", "1port", BaselineNLQ(), bench, insts, spec),
+			job("retports", "2port", two, bench, insts, spec))
 	}
-	rs, err := eng.RunContext(ctx, stampSample(jobs, spec), nil)
-	if err != nil {
-		return nil, err
-	}
-	for k, r := range rs {
-		bi, spec := k/2, k%2 == 0
-		if spec {
-			out.RexSpec[bi] = r.Result.Stats.RexRate()
-			out.IPCSpec[bi] = r.Result.Stats.IPC()
-		} else {
-			out.RexAtomic[bi] = r.Result.Stats.RexRate()
-			out.IPCAtomic[bi] = r.Result.Stats.IPC()
+	return Study[RetPortsReport]{Jobs: jobs, Reduce: func(rs []Result) RetPortsReport {
+		var out RetPortsReport
+		for bi, bench := range benches {
+			out = append(out, RetPortsLine{bench, Speedup(&rs[2*bi], &rs[2*bi+1])})
 		}
+		return out
+	}}
+}
+
+// NLQSMStudy exercises the NLQsm banked-invalidation mechanism with the
+// synthetic injector (an extension; the paper does not evaluate NLQsm).
+func NLQSMStudy(benches []string, insts uint64, spec pipeline.SampleSpec) Study[NLQSMReport] {
+	var jobs []engine.Job
+	for _, bench := range benches {
+		cfg := NLQ(SVWUpd)
+		cfg.NLQSM = pipeline.NLQSMConfig{Enabled: true, IntervalCycles: 200}
+		cfg.Name = "nlq+svw+sm"
+		jobs = append(jobs, job("nlqsm", bench, cfg, bench, insts, spec))
 	}
-	return out, nil
+	return Study[NLQSMReport]{Jobs: jobs, Reduce: func(rs []Result) NLQSMReport {
+		var out NLQSMReport
+		for bi, bench := range benches {
+			s := &rs[bi].Stats
+			out = append(out, NLQSMLine{bench, s.Invalidations,
+				100 * s.RexRate(), 100 * s.RexRateNLQSM(), s.IPC()})
+		}
+		return out
+	}}
 }
 
 // AllBenches returns every benchmark name.

@@ -99,14 +99,17 @@ func (r *LadderResult) JSON() LadderJSON {
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
 // WriteJSON writes the ladder's indented JSON summary followed by a newline.
-func (r *LadderResult) WriteJSON(w io.Writer) error {
+func (r *LadderResult) WriteJSON(w io.Writer) error { return writeJSON(w, r.JSON()) }
+
+// writeJSON is every report's JSON encoding: indented, newline-terminated.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.JSON())
+	return enc.Encode(v)
 }
 
-// BreakdownJSON is the machine-readable form of PrintBreakdown: the shaded
-// split of one configuration's re-execution rate, per benchmark.
+// BreakdownJSON is the machine-readable form of a figure's shaded split of
+// one configuration's re-execution rate, per benchmark.
 type BreakdownJSON struct {
 	Config    string    `json:"config"`
 	Top       string    `json:"top"`
@@ -115,16 +118,83 @@ type BreakdownJSON struct {
 	BottomPct []float64 `json:"bottom_pct"`
 }
 
-// Breakdown builds the JSON form of the stacked-bar split PrintBreakdown
-// renders for config ci.
-func (r *LadderResult) Breakdown(ci int, top, bottom string,
-	topRate, bottomRate func(*Result) float64) BreakdownJSON {
-	b := BreakdownJSON{Config: r.Ladder.Labels[ci], Top: top, Bottom: bottom}
-	for bi := range r.Benches {
-		b.TopPct = append(b.TopPct, round3(100*topRate(&r.Runs[ci][bi])))
-		b.BottomPct = append(b.BottomPct, round3(100*bottomRate(&r.Runs[ci][bi])))
+// split is the stacked bar a figure shades: rung's re-execution rate broken
+// into a top and a bottom share.
+type split struct {
+	rung                int
+	top, bottom         string
+	topRate, bottomRate func(*Result) float64
+}
+
+// figureSplits are the splits Figs. 6 (FSQ vs best-effort) and 7 (reuse vs
+// bypassing) shade.
+var figureSplits = map[int]split{
+	6: {2, "fsq", "best-effort",
+		func(r *Result) float64 { return r.Stats.RexRateFSQ() },
+		func(r *Result) float64 { return r.Stats.RexRateBest() }},
+	7: {1, "reuse", "bypass",
+		func(r *Result) float64 { return r.Stats.RexRateReuse() },
+		func(r *Result) float64 { return r.Stats.RexRateBypass() }},
+}
+
+// FigureReport is one of Figs. 5–7: the ladder's two panels, the split the
+// figure shades (Figs. 6 and 7) and, for Fig. 7, the elimination rates.
+type FigureReport struct {
+	*LadderResult
+	fig int
+}
+
+// FigureJSON is the machine-readable form of a FigureReport.
+type FigureJSON struct {
+	LadderJSON
+	Breakdown *BreakdownJSON `json:"breakdown,omitempty"`
+	ElimPct   []float64      `json:"elim_pct,omitempty"`
+}
+
+// elimPct is Fig. 7's per-benchmark elimination rate of the raw RLE rung,
+// in percent (nil for the other figures).
+func (r *FigureReport) elimPct() []float64 {
+	if r.fig != 7 {
+		return nil
 	}
-	return b
+	var out []float64
+	for bi := range r.Benches {
+		out = append(out, math.Round(100_000*r.Runs[0][bi].Stats.ElimRate())/1000)
+	}
+	return out
+}
+
+// JSON returns the figure's machine-readable summary.
+func (r *FigureReport) JSON() FigureJSON {
+	j := FigureJSON{LadderJSON: r.LadderResult.JSON(), ElimPct: r.elimPct()}
+	if sp, ok := figureSplits[r.fig]; ok {
+		b := BreakdownJSON{Config: r.Ladder.Labels[sp.rung], Top: sp.top, Bottom: sp.bottom}
+		for bi := range r.Benches {
+			b.TopPct = append(b.TopPct, round3(100*sp.topRate(&r.Runs[sp.rung][bi])))
+			b.BottomPct = append(b.BottomPct, round3(100*sp.bottomRate(&r.Runs[sp.rung][bi])))
+		}
+		j.Breakdown = &b
+	}
+	return j
+}
+
+// WriteJSON writes the figure's indented JSON summary.
+func (r *FigureReport) WriteJSON(w io.Writer) error { return writeJSON(w, r.JSON()) }
+
+// Print renders the figure's panels, its shaded split and Fig. 7's
+// elimination rates.
+func (r *FigureReport) Print(w io.Writer) {
+	r.LadderResult.Print(w)
+	if sp, ok := figureSplits[r.fig]; ok {
+		r.printSplit(w, sp)
+	}
+	if elim := r.elimPct(); elim != nil {
+		fmt.Fprintf(w, "elimination rates (RLE):")
+		for bi, b := range r.Benches {
+			fmt.Fprintf(w, " %s=%.0f%%", b, elim[bi])
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // Fig8JSON is the machine-readable form of a Fig8Result.
@@ -151,6 +221,9 @@ func (r *Fig8Result) JSON() Fig8JSON {
 	return j
 }
 
+// WriteJSON writes the Fig. 8 sweep's indented JSON summary.
+func (r *Fig8Result) WriteJSON(w io.Writer) error { return writeJSON(w, r.JSON()) }
+
 // SSNWidthJSON is the machine-readable form of an SSNWidthResult.
 type SSNWidthJSON struct {
 	Benches []string    `json:"benches"`
@@ -171,6 +244,9 @@ func (r *SSNWidthResult) JSON() SSNWidthJSON {
 	}
 	return j
 }
+
+// WriteJSON writes the SSN width study's indented JSON summary.
+func (r *SSNWidthResult) WriteJSON(w io.Writer) error { return writeJSON(w, r.JSON()) }
 
 // SSBFUpdateJSON is the machine-readable form of an SSBFUpdateResult.
 type SSBFUpdateJSON struct {
@@ -193,27 +269,26 @@ func (r *SSBFUpdateResult) JSON() SSBFUpdateJSON {
 	return j
 }
 
-// PrintBreakdown renders the stacked-bar split the figure shades: for Fig. 6
-// the FSQ vs best-effort share, for Fig. 7 reuse vs bypassing.
-func (r *LadderResult) PrintBreakdown(w io.Writer, ci int, top, bottom string,
-	topRate, bottomRate func(*Result) float64) {
+// WriteJSON writes the update-policy study's indented JSON summary.
+func (r *SSBFUpdateResult) WriteJSON(w io.Writer) error { return writeJSON(w, r.JSON()) }
+
+// printSplit renders a figure's stacked-bar split as two table rows.
+func (r *LadderResult) printSplit(w io.Writer, sp split) {
 	header(w, fmt.Sprintf("%s[%s]: re-execution breakdown (%s / %s)",
-		r.Ladder.Name, r.Ladder.Labels[ci], top, bottom), r.Benches)
-	var sumT, sumB float64
-	fmt.Fprintf(w, "%-10s", top)
-	for bi := range r.Benches {
-		v := topRate(&r.Runs[ci][bi])
-		sumT += v
-		fmt.Fprintf(w, "%9.1f", 100*v)
+		r.Ladder.Name, r.Ladder.Labels[sp.rung], sp.top, sp.bottom), r.Benches)
+	for _, row := range []struct {
+		label string
+		rate  func(*Result) float64
+	}{{sp.top, sp.topRate}, {sp.bottom, sp.bottomRate}} {
+		var sum float64
+		fmt.Fprintf(w, "%-10s", row.label)
+		for bi := range r.Benches {
+			v := row.rate(&r.Runs[sp.rung][bi])
+			sum += v
+			fmt.Fprintf(w, "%9.1f", 100*v)
+		}
+		fmt.Fprintf(w, "%9.1f\n", 100*sum/float64(len(r.Benches)))
 	}
-	fmt.Fprintf(w, "%9.1f\n", 100*sumT/float64(len(r.Benches)))
-	fmt.Fprintf(w, "%-10s", bottom)
-	for bi := range r.Benches {
-		v := bottomRate(&r.Runs[ci][bi])
-		sumB += v
-		fmt.Fprintf(w, "%9.1f", 100*v)
-	}
-	fmt.Fprintf(w, "%9.1f\n", 100*sumB/float64(len(r.Benches)))
 	fmt.Fprintln(w)
 }
 
@@ -299,4 +374,77 @@ func (r *SSBFUpdateResult) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "speculative updates: avg IPC gain over atomic %.2f%%\n\n",
 		dIPC/float64(len(r.Benches)))
+}
+
+// SummaryReport is the abstract's headline: each optimization's average
+// re-execution rate without and with SVW, and the reduction between them.
+type SummaryReport struct {
+	Studies         []SummaryLine `json:"studies"`
+	AvgReductionPct float64       `json:"avg_reduction_pct"`
+}
+
+// SummaryLine is one optimization's row of the summary.
+type SummaryLine struct {
+	Study        string  `json:"study"`
+	RawRexPct    float64 `json:"raw_rex_pct"`
+	SVWRexPct    float64 `json:"svw_rex_pct"`
+	ReductionPct float64 `json:"reduction_pct"`
+}
+
+// WriteJSON writes the summary as indented JSON.
+func (r *SummaryReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+
+// Print renders the summary.
+func (r *SummaryReport) Print(w io.Writer) {
+	fmt.Fprintln(w, "SVW re-execution reduction (abstract claims ~85% average)")
+	for _, l := range r.Studies {
+		fmt.Fprintf(w, "  %-6s raw %5.1f%% -> svw %5.1f%%  (reduction %5.1f%%)\n",
+			l.Study, l.RawRexPct, l.SVWRexPct, l.ReductionPct)
+	}
+	fmt.Fprintf(w, "  average reduction across optimizations: %.1f%%\n", r.AvgReductionPct)
+}
+
+// RetPortsReport is the retirement-port ablation, one line per benchmark.
+type RetPortsReport []RetPortsLine
+
+// RetPortsLine is one benchmark's IPC gain of two store retirement ports
+// over one.
+type RetPortsLine struct {
+	Bench   string  `json:"bench"`
+	GainPct float64 `json:"gain_pct"`
+}
+
+// WriteJSON writes the ablation as an indented JSON list.
+func (r RetPortsReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+
+// Print renders the ablation.
+func (r RetPortsReport) Print(w io.Writer) {
+	fmt.Fprintln(w, "store retirement ports: % IPC gain of 2 ports over 1 (baseline 8-wide)")
+	for _, l := range r {
+		fmt.Fprintf(w, "  %-8s %+6.1f%%\n", l.Bench, l.GainPct)
+	}
+}
+
+// NLQSMReport is the NLQsm extension demo, one line per benchmark.
+type NLQSMReport []NLQSMLine
+
+// NLQSMLine is one benchmark's injected invalidations and filter behaviour.
+type NLQSMLine struct {
+	Bench         string  `json:"bench"`
+	Invalidations uint64  `json:"invalidations"`
+	RexPct        float64 `json:"rex_pct"`
+	SMRexPct      float64 `json:"sm_rex_pct"`
+	IPC           float64 `json:"ipc"`
+}
+
+// WriteJSON writes the demo as an indented JSON list.
+func (r NLQSMReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+
+// Print renders the demo.
+func (r NLQSMReport) Print(w io.Writer) {
+	fmt.Fprintln(w, "NLQsm extension: injected invalidations, marked loads, filter behaviour")
+	for _, l := range r {
+		fmt.Fprintf(w, "  %-8s invals=%d rex=%.1f%% (sm-marked rex %.1f%%) IPC=%.2f\n",
+			l.Bench, l.Invalidations, l.RexPct, l.SMRexPct, l.IPC)
+	}
 }

@@ -6,8 +6,6 @@
 package sim
 
 import (
-	"context"
-
 	"svwsim/internal/core"
 	"svwsim/internal/pipeline"
 	"svwsim/internal/sim/engine"
@@ -165,22 +163,6 @@ func RLE(m RLEMode) pipeline.Config {
 
 // Result is one (benchmark, config) run; it is the engine's result type.
 type Result = engine.Result
-
-// Run executes the named benchmark on cfg for maxInsts committed
-// instructions (0 keeps the config's own limit). It runs the job directly,
-// without memoization; sweeps should go through an engine (RunLadders).
-func Run(cfg pipeline.Config, bench string, maxInsts uint64) (Result, error) {
-	return engine.Run(cfg, bench, maxInsts)
-}
-
-// RunContext is Run with cancellation: it returns ctx's error without
-// starting when ctx is already done and abandons the run when ctx is
-// cancelled mid-simulation (the abandoned goroutine still terminates on
-// the config's MaxCycles bound). Sweeps should use an engine instead —
-// internal/server cancels through Engine.RunContext.
-func RunContext(ctx context.Context, cfg pipeline.Config, bench string, maxInsts uint64) (Result, error) {
-	return engine.RunContext(ctx, cfg, bench, maxInsts)
-}
 
 // Speedup returns the percent IPC improvement of opt over base.
 func Speedup(base, opt *Result) float64 {

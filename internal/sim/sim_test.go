@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"svwsim/internal/sim/engine"
 )
 
 func TestConfigLaddersWellFormed(t *testing.T) {
@@ -46,10 +49,11 @@ func TestStudyConfigsMatchPaperSetup(t *testing.T) {
 }
 
 func TestRunLadderSmall(t *testing.T) {
-	res, err := RunLadder(Fig5Ladder(), []string{"gcc"}, 25_000, 0)
+	rs, err := RunLaddersContext(context.Background(), engine.New(0), []Ladder{Fig5Ladder()}, []string{"gcc"}, 25_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rs[0]
 	if len(res.Base) != 1 || len(res.Runs) != 4 {
 		t.Fatal("result shape")
 	}

@@ -46,6 +46,7 @@ import (
 
 	"svwsim/internal/pipeline"
 	"svwsim/internal/sim"
+	"svwsim/internal/sim/engine"
 	"svwsim/internal/workload"
 )
 
@@ -200,7 +201,7 @@ func Run(bench string, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := sim.Run(cfg, bench, o.MaxInsts)
+	r, err := engine.Run(cfg, bench, o.MaxInsts)
 	if err != nil {
 		return Result{}, err
 	}
