@@ -2,7 +2,7 @@
 # ci.sh — the repository's test gate. Mirrors what a hosted CI job runs:
 # static checks, a full build, the race-enabled test suite (covering the
 # ring-buffer timing core and the svwctl coordinator's concurrency/fault
-# tests), a fuzz smoke over the differential and builder fuzzers, a
+# tests), the perfbench module's vet and self-tests, a fuzz smoke over the differential and builder fuzzers, a
 # one-shot engine benchmark so sweep scaling regressions surface early,
 # the measured-performance gate against BENCH_pipeline.json, an svwd
 # smoke stage that boots the daemon and byte-compares its responses
@@ -32,6 +32,10 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# perfbench is its own module (perfbench/go.mod), so the builds above never
+# compile it: vet and self-test it here so an API change that breaks the
+# benchmark fails the gate.
+(cd perfbench && go vet ./... && go test ./...)
 go test -bench=Engine -benchtime=1x -run='^$' ./internal/sim/engine
 go test -bench=Store -benchtime=1x -run='^$' ./internal/store
 

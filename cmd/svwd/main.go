@@ -1,8 +1,8 @@
 // Command svwd serves the experiment engine over JSON/HTTP: the daemon
 // behind which svwload, dashboards and remote assessment tooling queue
 // simulation work instead of shelling out to one-shot CLIs. See
-// internal/server for the API surface and production semantics (shared
-// engine, bounded LRU result cache, 429 admission control, SSE sweep
+// internal/server for the API surface and production semantics (tiered
+// result store as the only cache, 429 admission control, SSE sweep
 // streaming, per-request cancellation).
 //
 // Usage:
@@ -88,7 +88,6 @@ func main() {
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes")
 	maxSweep := flag.Int("max-sweep", server.DefaultMaxSweepJobs, "max jobs in one sweep matrix")
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
-	memoCap := flag.Int("memo-cap", 65536, "engine memo table entries (0 = unbounded)")
 	grace := flag.Duration("grace", time.Second,
 		"delay between advertising 503 on healthz and closing the listener")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain window")
@@ -136,7 +135,6 @@ func main() {
 		MaxBodyBytes:        *maxBody,
 		MaxSweepJobs:        *maxSweep,
 		JobTimeout:          *timeout,
-		EngineMemoCap:       *memoCap,
 		ClientWeights:       weights,
 		DefaultClientWeight: *defaultWeight,
 		TraceBufferSize:     *traceBuf,

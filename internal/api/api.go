@@ -271,14 +271,13 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.WritebehindDrops += o.WritebehindDrops
 }
 
-// EngineStats surfaces the shared engine's reuse counters, plus its
-// sampled-simulation counters (engine.SampleStats on the wire): how much
-// functional fast-forward work ran and how often stored warm-state
-// checkpoints spared it.
+// EngineStats surfaces the engine reuse counters, summed over every batch
+// engine svwd has run, plus their sampled-simulation counters
+// (engine.SampleStats on the wire): how much functional fast-forward work
+// ran and how often stored warm-state checkpoints spared it.
 type EngineStats struct {
-	MemoHits    uint64 `json:"memo_hits"`
-	MemoMisses  uint64 `json:"memo_misses"`
-	MemoEntries int    `json:"memo_entries"`
+	MemoHits   uint64 `json:"memo_hits"`
+	MemoMisses uint64 `json:"memo_misses"`
 	// FastForwards counts fast-forward legs actually emulated, and
 	// FastForwardInsts the instructions those legs executed.
 	FastForwards     uint64 `json:"fast_forwards"`
@@ -295,7 +294,6 @@ type EngineStats struct {
 func (s *EngineStats) Add(o EngineStats) {
 	s.MemoHits += o.MemoHits
 	s.MemoMisses += o.MemoMisses
-	s.MemoEntries += o.MemoEntries
 	s.FastForwards += o.FastForwards
 	s.FastForwardInsts += o.FastForwardInsts
 	s.CheckpointHits += o.CheckpointHits
@@ -386,8 +384,6 @@ type SweepEvent struct {
 	// computed jobs.
 	Cached bool   `json:"cached"`
 	Origin string `json:"origin,omitempty"`
-	// Memoized: executed via the engine but answered from its memo table.
-	Memoized bool `json:"memoized"`
 	// Backend is the URL of the backend that served the job; set only by
 	// the coordinator (single-node svwd omits it).
 	Backend string `json:"backend,omitempty"`

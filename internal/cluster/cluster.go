@@ -7,9 +7,9 @@
 // The fabric's moving parts:
 //
 //   - routing: every job is placed by rendezvous hashing on its engine
-//     memo key (engine.Fingerprint — the same key svwd's LRU and the
-//     engine's memo table use), so repeated jobs always land on the same
-//     backend and its caches stay hot, and a backend-set change only
+//     memo key (engine.Fingerprint — the same key svwd's result store
+//     uses), so repeated jobs always land on the same backend and its
+//     caches stay hot, and a backend-set change only
 //     remaps the keys the departed backend owned (see routing.go);
 //   - fan-out: sweep matrices flatten config-major exactly like svwd and
 //     svwsim, each cell forwarded as one /v1/run with bounded per-backend
@@ -26,8 +26,8 @@
 //     counts). Each client job is counted exactly once however many
 //     attempts it took.
 //
-// Result caching lives in the backends, where the routing affinity makes
-// it effective — with one exception: started with Options.StoreDir, the
+// Result caching and coalescing live in the backends, where the routing
+// affinity makes them effective — with one exception: started with Options.StoreDir, the
 // coordinator opens its own tiered result store (internal/store, the same
 // subsystem svwd and svwsim use) as a last-resort read-through. A job
 // whose every backend attempt failed is answered from that store when a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -92,19 +93,35 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestHedgedRequestWinsOverStraggler: a backend that answers slowly gets
-// hedged onto the fast fallback, the client sees the fast answer, and the
-// hedge is accounted (without double-counting the job).
-func TestHedgedRequestWinsOverStraggler(t *testing.T) {
-	const stall = 400 * time.Millisecond
+// stragglerCap bounds how long the straggler of newStragglerFabric holds
+// a request the hedge never beats.
+const stragglerCap = 10 * time.Second
+
+// newStragglerFabric builds a two-backend fabric that hedges after 20ms,
+// whose first backend holds every /v1/run until the request is cancelled
+// — by the winning hedge, however long its simulation takes (the race
+// detector slows it several-fold) — or stragglerCap passes. It returns
+// the fabric and a registry config whose gcc job is homed on the
+// straggler, skipping the test when none of the probe configs is.
+func newStragglerFabric(t *testing.T) (*fabric, string) {
+	t.Helper()
 	f := newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/run" {
+				// The server notices the client hanging up, and cancels
+				// r's context, only once the body has been read to EOF.
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				timer := time.NewTimer(stragglerCap)
+				defer timer.Stop()
 				select {
-				case <-time.After(stall):
+				case <-timer.C:
 				case <-r.Context().Done():
 					return
 				}
@@ -112,20 +129,21 @@ func TestHedgedRequestWinsOverStraggler(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-
-	// Find a job homed on the slow backend so the hedge has a straggler to
-	// beat; the key population is the registry, so one exists.
-	var slowKey string
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
 		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			slowKey = cname
-			break
+			return f, cname
 		}
 	}
-	if slowKey == "" {
-		t.Skip("no probe config homed on the slow backend")
-	}
+	t.Skip("no probe config homed on the slow backend")
+	return nil, ""
+}
+
+// TestHedgedRequestWinsOverStraggler: a backend that answers slowly gets
+// hedged onto the fast fallback, the client sees the fast answer, and the
+// hedge is accounted (without double-counting the job).
+func TestHedgedRequestWinsOverStraggler(t *testing.T) {
+	f, slowKey := newStragglerFabric(t)
 
 	body, _ := json.Marshal(api.RunRequest{Config: slowKey, Bench: "gcc", Insts: testInsts})
 	start := time.Now()
@@ -137,8 +155,8 @@ func TestHedgedRequestWinsOverStraggler(t *testing.T) {
 	if !bytes.Equal(w.Body.Bytes(), refRunBody(t, slowKey, "gcc")) {
 		t.Fatal("hedged response differs from reference")
 	}
-	if elapsed >= stall {
-		t.Fatalf("response took %v, the hedge never beat the %v straggler", elapsed, stall)
+	if elapsed >= stragglerCap {
+		t.Fatalf("response took %v, the hedge never beat the %v straggler", elapsed, stragglerCap)
 	}
 	st := f.stats(t)
 	if st.Cluster.Hedges == 0 || st.Cluster.HedgeWins == 0 {

@@ -179,58 +179,19 @@ func (c *Coordinator) noteOutcome(out outcome) {
 	}
 }
 
-// dispatchJob dispatches one engine job (a /v1/run body, keyed by its
-// memo key) with the coordinator store wrapped around the pool:
+// forwardJob dispatches one engine job (a /v1/run body, keyed by its memo
+// key) with the coordinator store wrapped around the pool:
 //
 //   - a job no backend could serve is answered from the coordinator's own
 //     store when the result is already on its disk — a previous
 //     write-through, or a CLI sweep that pre-warmed the directory — so a
 //     fabric with every backend down still serves what it has computed;
-//   - a freshly computed result is written through to the store;
-//   - concurrent identical jobs coalesce on one dispatch (the store's
-//     singleflight): the first caller forwards, the rest wait and share
-//     its bytes instead of multiplying identical work onto the pool.
+//   - a freshly computed result is written through to the store.
 //
-// Without Options.StoreDir this is exactly dispatch.
-func (c *Coordinator) dispatchJob(ctx context.Context, key string, reqBody []byte) outcome {
-	if c.store == nil {
-		return c.forwardJob(ctx, key, reqBody)
-	}
-	f, leader := c.store.BeginFlight(key)
-	if !leader {
-		val, err := f.Wait(ctx)
-		if err == nil {
-			// Shared bytes, computed by the coalesced-upon dispatch: no
-			// backend attribution and miss-origin semantics, like any
-			// freshly computed result the coordinator serves itself.
-			return outcome{status: http.StatusOK, body: val}
-		}
-		if ctx.Err() != nil {
-			return outcome{err: ctx.Err()}
-		}
-		// The flight's leader failed. Fall back to a dispatch of our own so
-		// this caller reports its exact outcome (a 429's Retry-After
-		// mapping, a 4xx body) instead of a secondhand error.
-		return c.forwardJob(ctx, key, reqBody)
-	}
-	defer f.Complete(nil, store.ErrFlightAbandoned, false)
-	out := c.forwardJob(ctx, key, reqBody)
-	if out.err == nil && out.status == http.StatusOK {
-		// forwardJob already wrote the result through; the flight only has
-		// to hand the bytes to its waiters.
-		f.Complete(out.body, nil, false)
-	} else {
-		err := out.err
-		if err == nil {
-			err = fmt.Errorf("HTTP %d", out.status)
-		}
-		f.Complete(nil, err, false)
-	}
-	return out
-}
-
-// forwardJob is dispatchJob without the singleflight: one pool dispatch
-// plus the coordinator store's read-fallback and write-through.
+// Concurrent identical jobs are not coalesced here: rendezvous routing
+// sends them all to the key's one owner, whose cell resolver runs the job
+// once for every waiting request. Without Options.StoreDir this is
+// exactly dispatch.
 func (c *Coordinator) forwardJob(ctx context.Context, key string, reqBody []byte) outcome {
 	out := c.dispatch(ctx, key, http.MethodPost, "/v1/run", reqBody)
 	if c.store == nil {

@@ -179,7 +179,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusInternalServerError, "encoding job: %v", err)
 		return
 	}
-	out := c.dispatchJob(ctx, key, body)
+	out := c.forwardJob(ctx, key, body)
 	c.addJob(out.err != nil)
 	if out.err != nil {
 		writeOutcomeError(w, r, out)
@@ -303,7 +303,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		done[i] = make(chan struct{})
 		go func(i int) {
 			defer close(done[i])
-			outcomes[i] = c.dispatchJob(ctx, jobs[i].key, jobs[i].body)
+			outcomes[i] = c.forwardJob(ctx, jobs[i].key, jobs[i].body)
 			if outcomes[i].err == nil && outcomes[i].status != http.StatusOK {
 				// A non-200 terminal response is a failed cell from the
 				// sweep's point of view.

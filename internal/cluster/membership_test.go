@@ -225,19 +225,14 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 }
 
 // TestClusterRunDogpile: N identical concurrent cold /v1/run requests
-// through a store-backed coordinator reach the backend exactly once; the
-// other N-1 coalesce on the leader's dispatch.
+// through a store-backed coordinator compute the job once. The coordinator
+// forwards every request — rendezvous routing sends them all to the key's
+// one owner — and that backend's cell resolver coalesces them: one engine
+// execution, the other N-1 joining its flight or hitting its store.
 func TestClusterRunDogpile(t *testing.T) {
-	var backendRuns int64
-	f := newFabric(t, 1, Options{StoreDir: t.TempDir()}, func(i int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" {
-				atomic.AddInt64(&backendRuns, 1)
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
+	f := newFabric(t, 1, Options{StoreDir: t.TempDir()}, nil)
 	f.c.ProbeAll(context.Background())
+	before := f.stats(t)
 
 	const n = 6
 	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
@@ -261,10 +256,13 @@ func TestClusterRunDogpile(t *testing.T) {
 			t.Fatalf("request %d: body differs from the svwsim -json encoding", i)
 		}
 	}
-	if got := atomic.LoadInt64(&backendRuns); got != 1 {
-		t.Errorf("backend saw %d /v1/run dispatches for %d identical requests, want 1", got, n)
+	after := f.stats(t)
+	if got := after.Engine.MemoMisses - before.Engine.MemoMisses; got != 1 {
+		t.Errorf("backend engine executed %d times for %d identical requests, want 1", got, n)
 	}
-	if got := f.c.store.Stats().Coalesced; got != n-1 {
-		t.Errorf("coordinator coalesced = %d, want %d", got, n-1)
+	coalesced := after.Cache.Coalesced - before.Cache.Coalesced
+	hits := after.Cache.Hits - before.Cache.Hits
+	if coalesced+hits != n-1 {
+		t.Errorf("backend store coalesced=%d hits=%d, want their sum = %d", coalesced, hits, n-1)
 	}
 }

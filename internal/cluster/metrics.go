@@ -75,11 +75,6 @@ func newClusterMetrics(c *Coordinator) *clusterMetrics {
 		locked(func() uint64 { return c.hedgeWins }))
 	reg.GaugeFunc("svwctl_backends_healthy", "Backends currently presumed healthy.",
 		func() float64 { return float64(c.healthyCount()) })
-	if c.store != nil {
-		reg.CounterFunc("svw_store_coalesced_total",
-			"Singleflight waits: requests that shared an in-flight identical dispatch.",
-			func() uint64 { return c.store.Stats().Coalesced })
-	}
 
 	for _, b := range c.members.snapshot() {
 		m.ensureBackend(b.url)

@@ -199,34 +199,7 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 // cancellation and is marked outcome=abandoned (it may land after the
 // request finishes — the ring keeps the live trace, so polling sees it).
 func TestHedgeTraceMarksAbandonedAttempt(t *testing.T) {
-	const stall = 400 * time.Millisecond
-	f := newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" {
-				select {
-				case <-time.After(stall):
-				case <-r.Context().Done():
-					return
-				}
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
-
-	var cfg string
-	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
-		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			cfg = cname
-			break
-		}
-	}
-	if cfg == "" {
-		t.Skip("no probe config homed on the slow backend")
-	}
+	f, cfg := newStragglerFabric(t)
 
 	body, _ := json.Marshal(api.RunRequest{Config: cfg, Bench: "gcc", Insts: testInsts})
 	hdr := map[string]string{api.TraceHeader: "hedge-run-1"}

@@ -41,7 +41,7 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	if w := do(f.servers[owner], "POST", "/v1/run", runBody("ssq"), nil); w.Code != http.StatusOK {
 		t.Fatalf("warm run HTTP %d: %s", w.Code, w.Body)
 	}
-	sm := f.servers[owner].Engine().Sample()
+	sm := f.servers[owner].engineStats()
 	if sm.FastForwards != 1 || sm.CheckpointPuts != 1 {
 		t.Fatalf("owner fast-forwards/puts = %d/%d, want 1/1: %+v",
 			sm.FastForwards, sm.CheckpointPuts, sm)
@@ -54,7 +54,7 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	if w := do(f.servers[peer], "POST", "/v1/run", runBody("nlq"), nil); w.Code != http.StatusOK {
 		t.Fatalf("peer run HTTP %d: %s", w.Code, w.Body)
 	}
-	sm = f.servers[peer].Engine().Sample()
+	sm = f.servers[peer].engineStats()
 	if sm.FastForwards != 0 || sm.CheckpointHits != 1 {
 		t.Fatalf("peer member re-emulated: fast-forwards/hits = %d/%d, want 0/1: %+v",
 			sm.FastForwards, sm.CheckpointHits, sm)
@@ -69,7 +69,7 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	if w := do(f.servers[peer], "POST", "/v1/run", runBody("rle"), nil); w.Code != http.StatusOK {
 		t.Fatalf("third run HTTP %d: %s", w.Code, w.Body)
 	}
-	sm = f.servers[peer].Engine().Sample()
+	sm = f.servers[peer].engineStats()
 	if sm.FastForwards != 0 || sm.CheckpointHits != 2 {
 		t.Fatalf("promoted checkpoint not reused locally: fast-forwards/hits = %d/%d, want 0/2",
 			sm.FastForwards, sm.CheckpointHits)

@@ -2,12 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
+
+	"svwsim/internal/pipeline"
+	"svwsim/internal/sim"
+	"svwsim/internal/sim/engine"
 )
 
 // The cold-miss dogpile regression suite: N concurrent identical cold
@@ -39,8 +46,8 @@ func TestRunDogpile(t *testing.T) {
 			t.Fatalf("request %d: body differs from the svwsim -json encoding", i)
 		}
 	}
-	if m := s.eng.Memo(); m.Misses != 1 {
-		t.Errorf("engine executed %d times for %d identical requests, want 1", m.Misses, n)
+	if m := s.engineStats(); m.MemoMisses != 1 {
+		t.Errorf("engine executed %d times for %d identical requests, want 1", m.MemoMisses, n)
 	}
 	st := s.store.Stats()
 	if st.Misses != 1 {
@@ -93,9 +100,9 @@ func TestSweepDogpile(t *testing.T) {
 			t.Fatalf("sweep %d: body differs from the svwsim -json encoding", i)
 		}
 	}
-	if m := s.eng.Memo(); m.Misses != uint64(cells) {
+	if m := s.engineStats(); m.MemoMisses != uint64(cells) {
 		t.Errorf("engine executed %d jobs for %d identical sweeps, want %d (one per cell)",
-			m.Misses, n, cells)
+			m.MemoMisses, n, cells)
 	}
 	st := s.store.Stats()
 	if st.Misses != uint64(cells) {
@@ -180,5 +187,123 @@ func TestOverlappingSweepsNoDeadlock(t *testing.T) {
 			}
 			i++
 		}
+	}
+}
+
+// failedLeader sets up the failed-leader path: a resolve leads the cell
+// ssq/gcc behind a blocker job on a one-worker engine, n /v1/run requests
+// for that cell coalesce on its flight, and the leader's request is
+// cancelled before the cell starts. Before the blocker is released and
+// the cell's flight fails, hold runs (with the leader's gate units already
+// returned). It returns the n waiters' responses.
+func failedLeader(t *testing.T, s *Server, n int, hold func()) []*httptest.ResponseRecorder {
+	t.Helper()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	blocker, _ := sim.ConfigByName("base")
+	blocker.TraceCommit = func(pipeline.TraceRecord) {
+		once.Do(func() {
+			close(started)
+			<-unblock
+		})
+	}
+	cell, _ := sim.ConfigByName("ssq")
+	jobs := []engine.Job{
+		{Config: blocker, Bench: "gcc", Insts: testInsts},
+		{Config: cell, Bench: "gcc", Insts: testInsts},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), jobs, nil)
+		leaderDone <- err
+	}()
+	<-started // the blocker runs; the cell is claimed and queued behind it
+
+	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
+	results := make([]*httptest.ResponseRecorder, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = do(s, "POST", "/v1/run", body, nil)
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.store.Stats().Coalesced < uint64(n) {
+		if time.Now().After(deadline) {
+			close(unblock)
+			t.Fatalf("coalesced = %d, want %d waiters on the leader's flight", s.store.Stats().Coalesced, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader resolve err = %v, want context.Canceled", err)
+	}
+	hold()
+	close(unblock)
+	wg.Wait()
+	return results
+}
+
+// TestFailedLeaderCellRunsOnce: when the request leading a cell is
+// cancelled before the cell starts, the N requests waiting on it claim
+// the cell again — one leads, the rest wait — so it executes once, and
+// every waiter still gets the svwsim -json bytes.
+func TestFailedLeaderCellRunsOnce(t *testing.T) {
+	s := newTestServer(Options{Workers: 1})
+	const n = 5
+	results := failedLeader(t, s, n, func() {})
+
+	want := directRunBody(t, "ssq", "gcc")
+	for i, w := range results {
+		if w.Code != http.StatusOK {
+			t.Fatalf("waiter %d: HTTP %d: %s", i, w.Code, w.Body)
+		}
+		if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("waiter %d: body differs from the svwsim -json encoding", i)
+		}
+	}
+	// The blocker is a traced job, which the engine runs outside its memo
+	// counters: every counted execution is the cell's.
+	if m := s.engineStats(); m.MemoMisses != 1 {
+		t.Errorf("cell executed %d times across %d waiters, want 1", m.MemoMisses, n)
+	}
+	if st := s.store.Stats(); st.Misses != 1 {
+		t.Errorf("store misses = %d, want 1 (one waiter led the retry)", st.Misses)
+	}
+}
+
+// TestFailedLeaderRetryIsAdmitted: the waiter that claims a failed cell
+// again needs a gate unit like any leader. With the gate saturated the
+// retry is refused — every waiter gets a 429 — and the cell never runs.
+func TestFailedLeaderRetryIsAdmitted(t *testing.T) {
+	const capacity = 4
+	s := newTestServer(Options{Workers: 1, MaxConcurrentJobs: capacity})
+	var release func()
+	results := failedLeader(t, s, 3, func() {
+		var ok bool
+		if release, ok = s.gate.tryAcquire("", capacity); !ok {
+			t.Fatal("could not occupy the gate")
+		}
+	})
+	defer release()
+
+	for i, w := range results {
+		if w.Code != http.StatusTooManyRequests {
+			t.Fatalf("waiter %d: HTTP %d, want 429 (%s)", i, w.Code, w.Body)
+		}
+		if w.Header().Get("Retry-After") == "" {
+			t.Errorf("waiter %d: 429 without Retry-After", i)
+		}
+	}
+	if m := s.engineStats(); m.MemoMisses != 0 {
+		t.Errorf("engine executed %d jobs past a saturated gate, want 0", m.MemoMisses)
+	}
+	if st := s.gate.stats(); st.Rejected == 0 {
+		t.Error("the gate never refused the retry")
 	}
 }

@@ -132,21 +132,10 @@ func (s *Server) handleBenches(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	m := s.eng.Memo()
-	sm := s.eng.Sample()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeS: time.Since(s.start).Seconds(),
-		Cache:   api.StoreCacheStats(s.store.Stats()),
-		Engine: EngineStats{
-			MemoHits:         m.Hits,
-			MemoMisses:       m.Misses,
-			MemoEntries:      s.eng.MemoSize(),
-			FastForwards:     sm.FastForwards,
-			FastForwardInsts: sm.FastForwardInsts,
-			CheckpointHits:   sm.CheckpointHits,
-			CheckpointMisses: sm.CheckpointMisses,
-			CheckpointPuts:   sm.CheckpointPuts,
-		},
+		UptimeS:   time.Since(s.start).Seconds(),
+		Cache:     api.StoreCacheStats(s.store.Stats()),
+		Engine:    s.engineStats(),
 		Admission: s.gate.stats(),
 	})
 }
@@ -166,18 +155,15 @@ type cell struct {
 	origin store.Origin
 	// flight is the cell's singleflight slot when it missed the store:
 	// led by this request when owned, another request's otherwise.
-	flight     *store.Flight
-	owned      bool
-	memoized   bool // owned, and answered by the engine memo
-	recomputed bool // the awaited flight failed and this request recomputed
-	err        error
+	flight *store.Flight
+	owned  bool
+	err    error
 }
 
 // computed is one owned cell's engine outcome, already encoded.
 type computed struct {
-	body     []byte
-	err      error
-	memoized bool
+	body []byte
+	err  error
 }
 
 // resolve is svwd's one path from engine jobs to served result bytes;
@@ -190,7 +176,7 @@ type computed struct {
 //     the concurrent request already computing it;
 //  3. admit the led cells through the gate (refused: errGateSaturated,
 //     and the claimed flights fail with it);
-//  4. run the led cells as one engine job list in the background, each
+//  4. run the led cells on one batch engine in the background, each
 //     encoded and published to its flight the moment it finishes — never
 //     held for this request's own emission, so two requests each waiting
 //     on cells the other leads cannot deadlock;
@@ -225,45 +211,29 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 	sp.End()
 	s.metrics.storeProbe.Observe(time.Since(t0))
 
-	var owned []int
+	var owned []*cell
 	for i := range cells {
-		c := &cells[i]
-		if c.origin != store.OriginMiss {
-			continue
+		if c := &cells[i]; c.origin == store.OriginMiss && s.claim(c) {
+			owned = append(owned, c)
 		}
-		f, leader := s.store.BeginFlight(c.key)
-		if !leader {
-			c.flight = f
-			continue
-		}
-		// A flight that completed between the probe and the claim left
-		// its bytes in the store: a hit, discovered late.
-		if body, origin := s.store.Get(c.key); origin != store.OriginMiss {
-			f.Complete(body, nil, false)
-			c.body, c.origin = body, origin
-			continue
-		}
-		c.flight, c.owned = f, true
-		owned = append(owned, i)
 	}
 
 	var results chan computed
 	if len(owned) > 0 {
-		t0 = time.Now()
-		sp = tr.Start("gate_wait")
-		release, ok := s.gate.tryAcquire(clientID(r), len(owned))
-		sp.End()
-		s.metrics.gateWait.Observe(time.Since(t0))
+		release, ok := s.admit(tr, r, len(owned))
 		if !ok {
-			for _, i := range owned {
-				cells[i].flight.Complete(nil, errGateSaturated, false)
+			for _, c := range owned {
+				c.flight.Complete(nil, errGateSaturated, false)
 			}
 			return nil, errGateSaturated
 		}
 		defer release()
 		results = make(chan computed, len(owned))
 		done := make(chan struct{})
-		go s.compute(ctx, tr, cells, owned, results, done)
+		go func() {
+			defer close(done)
+			s.compute(ctx, tr, owned, results)
+		}()
 		// The gate units go back once the run has finished. A request whose
 		// context ended does not wait: its run skips every queued job and
 		// only finishes the ones already executing.
@@ -280,12 +250,12 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 		case c.owned:
 			select {
 			case o := <-results:
-				c.body, c.err, c.memoized = o.body, o.err, o.memoized
+				c.body, c.err = o.body, o.err
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		case c.flight != nil:
-			if c.body, c.err = s.await(ctx, c); ctx.Err() != nil {
+			if c.body, c.err = s.await(ctx, tr, r, c); ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
 		}
@@ -309,15 +279,44 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 	return cells, nil
 }
 
-// compute runs the owned cells on the engine, encoding each result and
-// completing its flight from the ordered progress callback, then sending
-// it to results (buffered for every owned cell: sends never block). Owned
-// flights the run never delivered are abandoned before done closes.
-func (s *Server) compute(ctx context.Context, tr *trace.Trace, cells []cell, owned []int, results chan<- computed, done chan<- struct{}) {
-	defer close(done)
+// claim takes c's singleflight slot and reports whether this request now
+// leads the cell's computation. Otherwise c.flight is the flight to wait
+// on, or — when a flight completed between the probe and the claim and
+// left its bytes in the store — c is a hit, discovered late.
+func (s *Server) claim(c *cell) bool {
+	f, leader := s.store.BeginFlight(c.key)
+	if !leader {
+		c.flight = f
+		return false
+	}
+	if body, origin := s.store.Get(c.key); origin != store.OriginMiss {
+		f.Complete(body, nil, false)
+		c.body, c.origin, c.flight = body, origin, nil
+		return false
+	}
+	c.flight, c.owned = f, true
+	return true
+}
+
+// admit takes n gate units for r's client, timing the acquire.
+func (s *Server) admit(tr *trace.Trace, r *http.Request, n int) (release func(), ok bool) {
+	t0 := time.Now()
+	sp := tr.Start("gate_wait")
+	release, ok = s.gate.tryAcquire(clientID(r), n)
+	sp.End()
+	s.metrics.gateWait.Observe(time.Since(t0))
+	return release, ok
+}
+
+// compute runs the owned cells on a batch engine, encoding each result
+// and completing its flight from the ordered progress callback, then
+// sending it to results (buffered for every owned cell: sends never
+// block). Owned flights the run never delivered are abandoned before it
+// returns.
+func (s *Server) compute(ctx context.Context, tr *trace.Trace, owned []*cell, results chan<- computed) {
 	sub := make([]engine.Job, len(owned))
-	for k, i := range owned {
-		sub[k] = cells[i].job
+	for k, c := range owned {
+		sub[k] = c.job
 	}
 	t0 := time.Now()
 	run := tr.Start("engine_run")
@@ -325,8 +324,14 @@ func (s *Server) compute(ctx context.Context, tr *trace.Trace, cells []cell, own
 	// the stage histogram gets the summed encode time.
 	var enc trace.Span
 	var encTime time.Duration
-	_, err := s.eng.RunContext(ctx, sub, func(jr engine.JobResult) {
-		o := computed{err: jr.Err, memoized: jr.Memoized}
+	eng := engine.New(s.workers)
+	eng.SetTimeout(s.jobTimeout)
+	// Sampled runs probe the shared store for warm-state checkpoints —
+	// local tiers first, then the key's rendezvous owner over the
+	// peer-read path — so one fast-forward serves the whole fabric.
+	eng.SetCheckpointStore(serverCheckpoints{s})
+	_, err := eng.RunContext(ctx, sub, func(jr engine.JobResult) {
+		o := computed{err: jr.Err}
 		if o.err == nil {
 			if !enc.Active() {
 				enc = tr.Start("encode")
@@ -335,9 +340,10 @@ func (s *Server) compute(ctx context.Context, tr *trace.Trace, cells []cell, own
 			o.body, o.err = marshalResult(jr.Result)
 			encTime += time.Since(t)
 		}
-		cells[owned[jr.Index]].flight.Complete(o.body, o.err, o.err == nil)
+		owned[jr.Index].flight.Complete(o.body, o.err, o.err == nil)
 		results <- o
 	})
+	s.countEngine(eng)
 	enc.End()
 	run.End()
 	s.metrics.engineRun.Observe(time.Since(t0))
@@ -347,32 +353,41 @@ func (s *Server) compute(ctx context.Context, tr *trace.Trace, cells []cell, own
 	if err == nil {
 		err = store.ErrFlightAbandoned
 	}
-	for _, i := range owned {
-		cells[i].flight.Complete(nil, err, false) // no-op once completed
+	for _, c := range owned {
+		c.flight.Complete(nil, err, false) // no-op once completed
 	}
 }
 
 // await resolves a cell from the flight another request leads. If that
 // flight fails while this request is still live — its leader lost its
-// client or hit its own deadline — the cell is recomputed here (the
-// engine memo makes a duplicate of finished work cheap) rather than
-// inheriting a failure this request didn't earn. A leader the gate
-// refused is the exception: its refusal is this request's too.
-func (s *Server) await(ctx context.Context, c *cell) ([]byte, error) {
-	b, err := c.flight.Wait(ctx)
-	if err == nil || ctx.Err() != nil || errors.Is(err, errGateSaturated) {
-		return b, err
+// client or hit its own deadline — the cell is claimed again rather than
+// inheriting a failure this request didn't earn: the request waits on
+// whoever claimed it first, or leads it under one gate unit of its own,
+// so N such waiters still compute the cell once. A refusal of the gate,
+// the leader's or this request's, is this request's too.
+func (s *Server) await(ctx context.Context, tr *trace.Trace, r *http.Request, c *cell) ([]byte, error) {
+	for {
+		b, err := c.flight.Wait(ctx)
+		if err == nil || ctx.Err() != nil || errors.Is(err, errGateSaturated) {
+			return b, err
+		}
+		if !s.claim(c) {
+			if c.flight == nil {
+				return c.body, nil
+			}
+			continue
+		}
+		release, ok := s.admit(tr, r, 1)
+		if !ok {
+			c.flight.Complete(nil, errGateSaturated, false)
+			return nil, errGateSaturated
+		}
+		results := make(chan computed, 1)
+		s.compute(ctx, tr, []*cell{c}, results)
+		release()
+		o := <-results
+		return o.body, o.err
 	}
-	rs, err := s.eng.RunContext(ctx, []engine.Job{c.job}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if b, err = marshalResult(rs[0].Result); err != nil {
-		return nil, err
-	}
-	s.store.Put(c.key, b)
-	c.recomputed = true
-	return b, nil
 }
 
 // annotateProbe records a probe's outcome on its store_probe span: the
@@ -409,7 +424,7 @@ func (s *Server) account(cells []cell) {
 			disk++
 		case c.origin == store.OriginPeer:
 			peer++
-		case c.owned || c.recomputed:
+		case c.owned:
 			misses++
 		}
 	}
@@ -536,8 +551,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 				return err
 			}
 		}
-		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench,
-			Memoized: c.memoized}
+		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench}
 		if c.origin != store.OriginMiss {
 			ev.Cached, ev.Origin = true, c.origin.String()
 			summary.CacheHits++

@@ -176,8 +176,8 @@ func TestDeadlineExceededReturns504AndStopsEngine(t *testing.T) {
 	}
 	// At most the job already executing when the deadline fired ran; the
 	// queued remainder must have been skipped.
-	if m := s.Engine().Memo(); m.Misses >= 4 {
-		t.Fatalf("engine executed %d jobs under a 1ms deadline, want < 4", m.Misses)
+	if m := s.engineStats(); m.MemoMisses >= 4 {
+		t.Fatalf("engine executed %d jobs under a 1ms deadline, want < 4", m.MemoMisses)
 	}
 	if st := cacheStats(t, s); st.Misses != 0 {
 		t.Fatalf("store counted %d misses for a timed-out sweep, want 0", st.Misses)

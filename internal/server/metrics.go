@@ -117,11 +117,9 @@ func newServerMetrics(s *Server, clientWeights map[string]int) *serverMetrics {
 		func() uint64 { return s.store.Stats().WriteBehind.Drops })
 
 	reg.CounterFunc("svw_engine_memo_hits_total", "Engine memo-table hits.",
-		func() uint64 { return s.eng.Memo().Hits })
+		func() uint64 { return s.engineStats().MemoHits })
 	reg.CounterFunc("svw_engine_memo_misses_total", "Engine memo-table misses (executions).",
-		func() uint64 { return s.eng.Memo().Misses })
-	reg.GaugeFunc("svw_engine_memo_entries", "Engine memo-table entries.",
-		func() float64 { return float64(s.eng.MemoSize()) })
+		func() uint64 { return s.engineStats().MemoMisses })
 
 	return m
 }

@@ -131,7 +131,7 @@ func TestShardedSweepEquivalenceOverPeerReads(t *testing.T) {
 	}
 
 	s0 := f.servers[0]
-	memoBefore := s0.Engine().Memo()
+	memoBefore := s0.engineStats()
 	w := do(s0, "POST", "/v1/sweep", sweepReq(configs, benches), nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("sweep HTTP %d: %s", w.Code, w.Body)
@@ -139,9 +139,9 @@ func TestShardedSweepEquivalenceOverPeerReads(t *testing.T) {
 	if !bytes.Equal(w.Body.Bytes(), refSweepBody(t, configs, benches)) {
 		t.Fatal("sharded sweep differs from the svwsim -json encoding")
 	}
-	if m := s0.Engine().Memo(); m.Misses != memoBefore.Misses {
+	if m := s0.engineStats(); m.MemoMisses != memoBefore.MemoMisses {
 		t.Fatalf("member 0 executed %d jobs during the sweep, want 0 — "+
-			"every non-owned cell should be a peer read", m.Misses-memoBefore.Misses)
+			"every non-owned cell should be a peer read", m.MemoMisses-memoBefore.MemoMisses)
 	}
 
 	st := cacheStats(t, s0)

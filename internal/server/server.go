@@ -10,12 +10,14 @@
 //	POST /v1/sweep               a config × bench matrix; SSE streaming
 //	GET  /v1/studies/{study}     ladder | fig8 | ssn | ssbf
 //
-// One Server owns one engine.Engine, so memoized reuse spans every request
-// the process has served. Every job-bearing endpoint reaches the service
-// layers below through one cell resolver (handlers.go): /v1/run resolves a
-// one-job list, /v1/sweep the flattened matrix (buffered or streamed), and
-// /v1/studies a study descriptor's jobs (internal/sim), whose decoded cell
-// results it then reduces. The layers:
+// Every job-bearing endpoint reaches the service layers below through one
+// cell resolver (handlers.go): /v1/run resolves a one-job list, /v1/sweep
+// the flattened matrix (buffered or streamed), and /v1/studies a study
+// descriptor's jobs (internal/sim), whose decoded cell results it then
+// reduces. The store and its flights are the process's only result cache
+// and singleflight: the cells a request leads run on an engine.Engine
+// built for that batch alone, whose counters the server adds into its
+// /v1/stats totals. The layers:
 //
 //   - the shared tiered result store (internal/store) keyed per cell by
 //     the engine's memo key (engine.Fingerprint): a bounded in-memory LRU,
@@ -45,9 +47,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"svwsim/internal/api"
 	"svwsim/internal/pipeline"
 	"svwsim/internal/sim/engine"
 	"svwsim/internal/store"
@@ -66,7 +70,8 @@ const (
 // workers track GOMAXPROCS and the limits fall back to the Default*
 // constants.
 type Options struct {
-	// Workers is the engine worker-pool size (0 = GOMAXPROCS).
+	// Workers is the worker-pool size of each batch's engine
+	// (0 = GOMAXPROCS).
 	Workers int
 	// MaxConcurrentJobs caps engine jobs admitted concurrently across all
 	// requests; excess requests get HTTP 429 (0 = DefaultMaxConcurrentJobs,
@@ -113,10 +118,6 @@ type Options struct {
 	MaxSweepJobs int
 	// JobTimeout bounds each engine job's wall-clock time (0 = none).
 	JobTimeout time.Duration
-	// EngineMemoCap bounds the engine's memo table (0 = unbounded). The LRU
-	// cache above it is always bounded; this additionally bounds the
-	// engine-level table a long-lived daemon accumulates.
-	EngineMemoCap int
 	// ClientWeights enables weighted fair admission: per-client shares of
 	// the gate, keyed by the api.ClientHeader name (requests without the
 	// header are attributed to their remote host). Each client is capped
@@ -150,10 +151,11 @@ type Options struct {
 	DefaultSample pipeline.SampleSpec
 }
 
-// Server is the svwd HTTP service: one shared engine plus the store and
-// admission layers. Create with New; it is safe for concurrent use.
+// Server is the svwd HTTP service: the store and admission layers over
+// per-batch engines. Create with New; it is safe for concurrent use.
 type Server struct {
-	eng          *engine.Engine
+	workers      int
+	jobTimeout   time.Duration
 	store        *store.Store
 	gate         *gate
 	metrics      *serverMetrics
@@ -173,6 +175,11 @@ type Server struct {
 	// defaultSample is applied to requests that carry no sampling spec of
 	// their own (Options.DefaultSample).
 	defaultSample pipeline.SampleSpec
+
+	// engMu guards engStats, the sum of every finished batch engine's
+	// memo and sampling counters.
+	engMu    sync.Mutex
+	engStats api.EngineStats
 }
 
 // New builds a Server from opts (see Options for zero-value defaults). It
@@ -210,9 +217,6 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(opts.Workers)
-	eng.SetTimeout(opts.JobTimeout)
-	eng.SetMemoCap(opts.EngineMemoCap)
 	g := newGate(maxJobs)
 	g.setWeights(opts.ClientWeights, opts.DefaultClientWeight)
 	peerTimeout := opts.PeerReadTimeout
@@ -220,7 +224,8 @@ func New(opts Options) (*Server, error) {
 		peerTimeout = DefaultPeerReadTimeout
 	}
 	s := &Server{
-		eng:           eng,
+		workers:       opts.Workers,
+		jobTimeout:    opts.JobTimeout,
 		store:         st,
 		gate:          g,
 		tracer:        trace.NewTracer(opts.TraceBufferSize),
@@ -234,10 +239,6 @@ func New(opts Options) (*Server, error) {
 		defaultSample: opts.DefaultSample,
 	}
 	s.peers.set(opts.Peers, opts.PeerSelf)
-	// Sampled runs probe the shared store for warm-state checkpoints —
-	// local tiers first, then the key's rendezvous owner over the peer-read
-	// path — so one fast-forward serves the whole fabric.
-	eng.SetCheckpointStore(serverCheckpoints{s})
 	s.metrics = newServerMetrics(s, opts.ClientWeights)
 	if opts.SlowLogEnabled {
 		s.tracer.Slow = &trace.SlowLog{
@@ -249,9 +250,29 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Engine returns the server's shared engine (for embedding svwd-style
-// serving next to direct sweeps in the same process).
-func (s *Server) Engine() *engine.Engine { return s.eng }
+// countEngine adds a finished batch engine's counters into the server's
+// lifetime totals.
+func (s *Server) countEngine(eng *engine.Engine) {
+	m, sm := eng.Memo(), eng.Sample()
+	s.engMu.Lock()
+	s.engStats.Add(api.EngineStats{
+		MemoHits:         m.Hits,
+		MemoMisses:       m.Misses,
+		FastForwards:     sm.FastForwards,
+		FastForwardInsts: sm.FastForwardInsts,
+		CheckpointHits:   sm.CheckpointHits,
+		CheckpointMisses: sm.CheckpointMisses,
+		CheckpointPuts:   sm.CheckpointPuts,
+	})
+	s.engMu.Unlock()
+}
+
+// engineStats snapshots the engine counters summed over every batch.
+func (s *Server) engineStats() api.EngineStats {
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	return s.engStats
+}
 
 // Close releases the server's background resources: the store's
 // write-behind queue is drained (every completed result lands on disk)

@@ -165,8 +165,8 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	}
 	// The engine must not have been consulted for the repeat: one unique
 	// execution, zero memo hits.
-	m := s.Engine().Memo()
-	if m.Misses != 1 || m.Hits != 0 {
+	m := s.engineStats()
+	if m.MemoMisses != 1 || m.MemoHits != 0 {
 		t.Fatalf("engine %+v, want the repeat served above the engine", m)
 	}
 }

@@ -52,8 +52,8 @@ func TestWarmRestartServesSweepFromDisk(t *testing.T) {
 	if w1.Code != http.StatusOK {
 		t.Fatalf("first sweep HTTP %d: %s", w1.Code, w1.Body)
 	}
-	if m := s1.Engine().Memo(); m.Misses != 4 {
-		t.Fatalf("first server executed %d jobs, want 4", m.Misses)
+	if m := s1.engineStats(); m.MemoMisses != 4 {
+		t.Fatalf("first server executed %d jobs, want 4", m.MemoMisses)
 	}
 
 	// "Restart": a brand-new server process over the same directory. Its
@@ -67,7 +67,7 @@ func TestWarmRestartServesSweepFromDisk(t *testing.T) {
 	if !bytes.Equal(w2.Body.Bytes(), w1.Body.Bytes()) {
 		t.Fatal("restarted server's sweep differs from the original")
 	}
-	if m := s2.Engine().Memo(); m.Misses != 0 || m.Hits != 0 {
+	if m := s2.engineStats(); m.MemoMisses != 0 || m.MemoHits != 0 {
 		t.Fatalf("restarted server touched the engine: %+v, want all jobs from the store", m)
 	}
 	st := cacheStats(t, s2)
@@ -173,8 +173,8 @@ func TestCorruptStoreEntriesRecomputed(t *testing.T) {
 	if !bytes.Equal(w2.Body.Bytes(), w1.Body.Bytes()) {
 		t.Fatal("recomputed sweep differs from the original")
 	}
-	if m := s2.Engine().Memo(); m.Misses != 2 {
-		t.Fatalf("engine executed %d jobs, want 2 (every corrupt entry recomputed)", m.Misses)
+	if m := s2.engineStats(); m.MemoMisses != 2 {
+		t.Fatalf("engine executed %d jobs, want 2 (every corrupt entry recomputed)", m.MemoMisses)
 	}
 	st := cacheStats(t, s2)
 	if st.DiskCorrupt != 2 {
@@ -187,8 +187,8 @@ func TestCorruptStoreEntriesRecomputed(t *testing.T) {
 	if !bytes.Equal(w3.Body.Bytes(), w1.Body.Bytes()) {
 		t.Fatal("store was not repaired after recompute")
 	}
-	if m := s3.Engine().Memo(); m.Misses != 0 {
-		t.Fatalf("repaired store still executed %d jobs", m.Misses)
+	if m := s3.engineStats(); m.MemoMisses != 0 {
+		t.Fatalf("repaired store still executed %d jobs", m.MemoMisses)
 	}
 }
 

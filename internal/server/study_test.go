@@ -110,7 +110,7 @@ func TestStudyMatrixBounded(t *testing.T) {
 		}
 	}
 	for _, srv := range []*Server{s, small} {
-		if m := srv.Engine().Memo(); m.Misses != 0 || m.Hits != 0 {
+		if m := srv.engineStats(); m.MemoMisses != 0 || m.MemoHits != 0 {
 			t.Fatalf("rejected studies reached the engine: %+v", m)
 		}
 	}
@@ -132,7 +132,7 @@ func TestStudyCellsKeepRequesterNames(t *testing.T) {
 	if w := get(s, fmt.Sprintf("/v1/studies/ssn?bits=16&benches=gcc&insts=%d", testInsts)); w.Code != http.StatusOK {
 		t.Fatalf("ssn study: HTTP %d: %s", w.Code, w.Body)
 	}
-	memo := s.Engine().Memo()
+	memo := s.engineStats()
 	want := directRunBody(t, "ssq+svw", "gcc")
 	sweep := fmt.Sprintf(`{"configs":["ssq+svw"],"benches":["gcc"],"insts":%d}`, testInsts)
 	w := do(s, http.MethodPost, "/v1/sweep", sweep, nil)
@@ -157,7 +157,7 @@ func TestStudyCellsKeepRequesterNames(t *testing.T) {
 	if !ev.Cached || got.String() != ref.String() {
 		t.Fatalf("streamed cell (cached=%v) differs from the direct encoding: %s", ev.Cached, got.String())
 	}
-	if m := s.Engine().Memo(); m != memo {
+	if m := s.engineStats(); m != memo {
 		t.Fatalf("the shared cell was recomputed: engine %+v -> %+v", memo, m)
 	}
 
@@ -173,11 +173,11 @@ func TestStudyCellsKeepRequesterNames(t *testing.T) {
 	if w := do(warm, http.MethodPost, "/v1/sweep", sweep, nil); w.Code != http.StatusOK {
 		t.Fatalf("warming sweep: HTTP %d: %s", w.Code, w.Body)
 	}
-	memo, before := warm.Engine().Memo(), cacheStats(t, warm)
+	memo, before := warm.engineStats(), cacheStats(t, warm)
 	if w := get(warm, path); !bytes.Equal(w.Body.Bytes(), cold.Body.Bytes()) {
 		t.Fatalf("study from sweep-written cells differs from the cold study:\n%s\nwant\n%s", w.Body, cold.Body)
 	}
-	if m := warm.Engine().Memo(); m != memo {
+	if m := warm.engineStats(); m != memo {
 		t.Fatalf("study over warm cells ran the engine: %+v -> %+v", memo, m)
 	}
 	if after := cacheStats(t, warm); after.Hits-before.Hits != 10 || after.Misses != before.Misses {

@@ -98,80 +98,3 @@ func TestLeafRunContext(t *testing.T) {
 		t.Fatal("run committed nothing")
 	}
 }
-
-// SetMemoCap bounds the table: old completed entries are evicted and
-// re-running an evicted job is a fresh miss.
-func TestMemoCapEviction(t *testing.T) {
-	eng := New(1)
-	eng.SetMemoCap(2)
-	jobs := ctxJobs(4, 5000)
-	if _, err := eng.Run(jobs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.MemoSize(); n != 2 {
-		t.Fatalf("memo size %d after cap-2 sweep, want 2", n)
-	}
-	m0 := eng.Memo()
-	if m0.Misses != 4 {
-		t.Fatalf("want 4 unique executions, got %+v", m0)
-	}
-	// Cycling 4 distinct jobs through a 2-entry table is the eviction worst
-	// case: each re-insert evicts a survivor before it is reached, so every
-	// job re-executes — but the table stays bounded throughout.
-	if _, err := eng.Run(jobs, nil); err != nil {
-		t.Fatal(err)
-	}
-	m1 := eng.Memo()
-	if misses := m1.Misses - m0.Misses; misses != 4 {
-		t.Errorf("want 4 re-executions on the cyclic re-sweep, got %d", misses)
-	}
-	if n := eng.MemoSize(); n != 2 {
-		t.Errorf("memo size %d after re-sweep, want 2", n)
-	}
-	// A repeated job inside one sweep still memo-hits under the cap.
-	pair := []Job{jobs[0], jobs[0]}
-	if _, err := eng.Run(pair, nil); err != nil {
-		t.Fatal(err)
-	}
-	m2 := eng.Memo()
-	if hits := m2.Hits - m1.Hits; hits != 1 {
-		t.Errorf("want 1 memo hit for the duplicated job, got %d", hits)
-	}
-}
-
-// Eviction is true LRU, not insertion-order FIFO: a memo hit refreshes an
-// entry's recency, so the least recently *used* entry goes first.
-func TestMemoCapEvictionIsLRU(t *testing.T) {
-	eng := New(1)
-	eng.SetMemoCap(2)
-	jobs := ctxJobs(3, 5000)
-	a, b, c := jobs[0], jobs[1], jobs[2]
-	// Fill the table with a then b, then touch a: under FIFO a is still
-	// the first victim; under LRU the victim is b.
-	if _, err := eng.Run([]Job{a, b, a}, nil); err != nil {
-		t.Fatal(err)
-	}
-	m0 := eng.Memo()
-	if m0.Misses != 2 || m0.Hits != 1 {
-		t.Fatalf("warmup memo %+v, want 2 misses / 1 hit", m0)
-	}
-	// Inserting c evicts exactly one entry. Re-running a must still hit.
-	if _, err := eng.Run([]Job{c, a}, nil); err != nil {
-		t.Fatal(err)
-	}
-	m1 := eng.Memo()
-	if misses := m1.Misses - m0.Misses; misses != 1 {
-		t.Errorf("want only c to execute, got %d misses (a was evicted: FIFO, not LRU)", misses)
-	}
-	if hits := m1.Hits - m0.Hits; hits != 1 {
-		t.Errorf("want a to memo-hit after c's insert, got %d hits", hits)
-	}
-	// b was the LRU entry and must be the one that went.
-	if _, err := eng.Run([]Job{b}, nil); err != nil {
-		t.Fatal(err)
-	}
-	m2 := eng.Memo()
-	if misses := m2.Misses - m1.Misses; misses != 1 {
-		t.Errorf("want b evicted (1 fresh execution), got %d misses", misses)
-	}
-}

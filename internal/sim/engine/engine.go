@@ -21,8 +21,11 @@
 //     in job-index order regardless of completion order, so -j 1 and -j N
 //     produce byte-identical output.
 //
-// An Engine is safe for concurrent use and retains its memo table across
-// Run calls; share one Engine across studies to get cross-study reuse.
+// An Engine is safe for concurrent use. Its memo table is a plain map that
+// lives as long as the Engine and is never evicted: share one Engine across
+// studies (svwexp, svwsim) to get cross-study reuse, and scope one to a
+// batch where a longer-lived cache already sits above it (svwd, whose
+// result store is the process's only cross-request cache).
 package engine
 
 import (
@@ -34,7 +37,6 @@ import (
 	"time"
 
 	"svwsim/internal/pipeline"
-	"svwsim/internal/store"
 	"svwsim/internal/trace"
 )
 
@@ -83,13 +85,12 @@ type Engine struct {
 	timeout  time.Duration
 	progress func(JobResult)
 
-	mu      sync.Mutex
-	memo    *store.LRU[*memoEntry] // recency-ordered: hits refresh, eviction takes the LRU entry
-	memoCap int                    // max memo entries (0 = unbounded)
-	hits    uint64
-	misses  uint64
-	ckpt    CheckpointStore // warm-state checkpoints for sampled runs (nil = none)
-	sample  SampleStats
+	mu     sync.Mutex
+	memo   map[string]*memoEntry
+	hits   uint64
+	misses uint64
+	ckpt   CheckpointStore // warm-state checkpoints for sampled runs (nil = none)
+	sample SampleStats
 }
 
 type memoEntry struct {
@@ -105,7 +106,7 @@ type memoEntry struct {
 
 // New returns an engine with the given worker count (<= 0 = GOMAXPROCS).
 func New(workers int) *Engine {
-	return &Engine{workers: workers, memo: store.NewLRU[*memoEntry]()}
+	return &Engine{workers: workers, memo: make(map[string]*memoEntry)}
 }
 
 // Workers returns the effective worker count for a sweep of n jobs.
@@ -146,44 +147,6 @@ func (e *Engine) Memo() MemoStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return MemoStats{Hits: e.hits, Misses: e.misses}
-}
-
-// MemoSize returns the number of entries currently in the memo table
-// (including in-flight executions).
-func (e *Engine) MemoSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.memo.Len()
-}
-
-// SetMemoCap bounds the memo table to n entries (0 = unbounded, the
-// default). When an insertion exceeds the cap, the least recently used
-// completed entries are evicted (memo hits refresh recency — true LRU, via
-// the shared store index); in-flight executions are never evicted, so
-// waiter delivery is unaffected. Long-lived engines — a daemon sharing one
-// engine across requests — use this to keep memory bounded; evicted jobs
-// simply re-execute on their next request.
-func (e *Engine) SetMemoCap(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.memoCap = n
-	e.evictLocked()
-}
-
-// evictLocked drops least-recently-used completed memo entries until the
-// table fits the cap. In-flight entries are skipped in place, keeping
-// their recency.
-func (e *Engine) evictLocked() {
-	if e.memoCap <= 0 {
-		return
-	}
-	for e.memo.Len() > e.memoCap {
-		if _, _, ok := e.memo.EvictOldest(func(_ string, ent *memoEntry) bool {
-			return ent.complete
-		}); !ok {
-			return // everything over the cap is in flight; retry next insert
-		}
-	}
 }
 
 // Run executes jobs and returns one result per job, in job order. The
@@ -346,7 +309,7 @@ func (e *Engine) execute(tr *trace.Trace, worker, workers, idx int, j Job,
 
 	key := SampledFingerprint(j.Config, j.Bench, j.Insts, j.Sample)
 	e.mu.Lock()
-	ent, ok := e.memo.Get(key) // a hit refreshes the entry's recency
+	ent, ok := e.memo[key]
 	if ok {
 		e.hits++
 		if ent.complete {
@@ -372,9 +335,8 @@ func (e *Engine) execute(tr *trace.Trace, worker, workers, idx int, j Job,
 		return
 	}
 	ent = &memoEntry{}
-	e.memo.Put(key, ent)
+	e.memo[key] = ent
 	e.misses++
-	e.evictLocked()
 	e.mu.Unlock()
 
 	if tr != nil {
@@ -395,7 +357,7 @@ func (e *Engine) execute(tr *trace.Trace, worker, workers, idx int, j Job,
 		// Failures (including timeouts) are not cached: a later identical
 		// job must get a fresh attempt, not the stale error. Waiters parked
 		// on this execution still observe its error.
-		e.memo.Delete(key)
+		delete(e.memo, key)
 	}
 	e.mu.Unlock()
 	if err != nil {

@@ -266,7 +266,7 @@ func (d *Disk) dropLocked(name string) {
 // the budget — an empty store would just recompute-and-GC forever.
 func (d *Disk) gcLocked() {
 	for d.total > d.maxBytes && d.index.Len() > 1 {
-		name, f, ok := d.index.EvictOldest(nil)
+		name, f, ok := d.index.EvictOldest()
 		if !ok {
 			return
 		}

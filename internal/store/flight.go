@@ -13,7 +13,9 @@ import (
 // computes; everyone else waits on the leader's flight and is handed the
 // finished bytes, costing one channel receive instead of a simulation
 // (the recompute-vs-fetch economics of value recomputation applied to the
-// store). Coalesced waits are counted in Stats.Coalesced, surfaced on
+// store). svwd's cell resolver is the one caller: its flights are the
+// process's only singleflight, and the engines it runs beneath them last
+// one batch. Coalesced waits are counted in Stats.Coalesced, surfaced on
 // /v1/stats and as svw_store_coalesced_total.
 
 // ErrFlightAbandoned resolves a flight whose leader exited without
@@ -39,7 +41,8 @@ type Flight struct {
 // one Coalesced count) and should Wait on it.
 //
 // BeginFlight does not probe the store; callers coalescing on cached keys
-// should Get first (or use GetOrCompute, which does both).
+// should Get first, and Get again after winning the claim, since a flight
+// that completed in between left its bytes in the store.
 func (s *Store) BeginFlight(key string) (*Flight, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,29 +91,4 @@ func (f *Flight) Wait(ctx context.Context) ([]byte, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// GetOrCompute returns the bytes under key, computing them with fn on a
-// cold miss — at most once across concurrent callers. The probe order is
-// Get's (memory, then disk with promotion); on a miss the first caller
-// runs fn and its result is written through both tiers, while concurrent
-// callers of the same key coalesce on that one computation (coalesced=
-// true, one Stats.Coalesced count each) and share its bytes or its error.
-// Counters other than Coalesced are untouched — callers that serve the
-// result record the outcome with Account, exactly as with Get.
-func (s *Store) GetOrCompute(ctx context.Context, key string, fn func() ([]byte, error)) (val []byte, origin Origin, coalesced bool, err error) {
-	if val, origin := s.Get(key); origin != OriginMiss {
-		return val, origin, false, nil
-	}
-	f, leader := s.BeginFlight(key)
-	if !leader {
-		val, err := f.Wait(ctx)
-		return val, OriginMiss, true, err
-	}
-	// Backstop: if fn panics, waiters get ErrFlightAbandoned instead of a
-	// hang. A no-op when the Complete below ran.
-	defer f.Complete(nil, ErrFlightAbandoned, false)
-	val, err = fn()
-	f.Complete(val, err, true)
-	return val, OriginMiss, false, err
 }

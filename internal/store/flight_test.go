@@ -27,62 +27,49 @@ func waitCoalesced(t *testing.T, s *Store, n uint64) {
 	}
 }
 
-// The dogpile contract: N concurrent GetOrCompute calls for one cold key
-// run fn exactly once; the other N-1 coalesce, share the bytes, and are
-// counted.
-func TestGetOrComputeCoalesces(t *testing.T) {
+// The dogpile contract: of N concurrent claims on one cold key exactly one
+// leads; the other N-1 coalesce, are counted, and receive the leader's
+// bytes, which one write-through lands in both tiers.
+func TestFlightCoalesces(t *testing.T) {
 	const waiters = 7
 	s := openStore(t, Options{MemoryEntries: 4, Dir: t.TempDir()})
 
-	var executions atomic.Int64
+	var leaders atomic.Int64
 	release := make(chan struct{})
-	fn := func() ([]byte, error) {
-		executions.Add(1)
-		<-release // hold the flight open until every waiter has joined
-		return []byte("computed"), nil
-	}
-
 	var wg sync.WaitGroup
 	results := make([][]byte, 1+waiters)
-	flags := make([]bool, 1+waiters)
 	for i := 0; i <= waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			val, origin, coalesced, err := s.GetOrCompute(context.Background(), "key", fn)
+			f, leader := s.BeginFlight("key")
+			if leader {
+				leaders.Add(1)
+				<-release // hold the flight open until every waiter has joined
+				f.Complete([]byte("computed"), nil, true)
+			}
+			val, err := f.Wait(context.Background())
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 			}
-			if origin != OriginMiss {
-				t.Errorf("caller %d: origin %v, want miss", i, origin)
-			}
-			results[i], flags[i] = val, coalesced
+			results[i] = val
 		}(i)
 	}
 	waitCoalesced(t, s, waiters)
 	close(release)
 	wg.Wait()
 
-	if n := executions.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want exactly 1", n)
+	if n := leaders.Load(); n != 1 {
+		t.Fatalf("%d callers led the flight, want exactly 1", n)
 	}
-	var coalesced int
 	for i := 0; i <= waiters; i++ {
 		if !bytes.Equal(results[i], []byte("computed")) {
 			t.Fatalf("caller %d got %q", i, results[i])
 		}
-		if flags[i] {
-			coalesced++
-		}
-	}
-	if coalesced != waiters {
-		t.Fatalf("%d callers coalesced, want %d", coalesced, waiters)
 	}
 	if st := s.Stats(); st.Coalesced != waiters {
 		t.Fatalf("Stats.Coalesced = %d, want %d", st.Coalesced, waiters)
 	}
-
-	// One write-through landed the value in both tiers.
 	if _, o := s.Get("key"); o != OriginMemory {
 		t.Fatalf("origin %v after compute, want memory", o)
 	}
@@ -91,85 +78,47 @@ func TestGetOrComputeCoalesces(t *testing.T) {
 	}
 }
 
-// A warm key never starts a flight: GetOrCompute is a plain Get.
-func TestGetOrComputeWarmKey(t *testing.T) {
-	s := openStore(t, Options{MemoryEntries: 4})
-	s.Put("key", []byte("warm"))
-	val, origin, coalesced, err := s.GetOrCompute(context.Background(), "key", func() ([]byte, error) {
-		t.Fatal("fn ran on a warm key")
-		return nil, nil
-	})
-	if err != nil || coalesced || origin != OriginMemory || !bytes.Equal(val, []byte("warm")) {
-		t.Fatalf("got %q, %v, coalesced=%v, err=%v", val, origin, coalesced, err)
-	}
-}
-
-// A failing leader fails its waiters too — once, without caching the
-// failure: the next caller recomputes.
-func TestGetOrComputeErrorSharedNotCached(t *testing.T) {
+// A failing leader fails its waiters too — once, without storing the
+// failure: the next claim leads a fresh flight.
+func TestFlightErrorSharedNotCached(t *testing.T) {
 	s := openStore(t, Options{MemoryEntries: 4})
 	wantErr := errors.New("engine exploded")
 
-	// Two callers race for the flight; whichever leads, both must see the
-	// leader's error.
-	release := make(chan struct{})
-	fn := func() ([]byte, error) {
-		<-release
-		return nil, wantErr
+	f, leader := s.BeginFlight("key")
+	if !leader {
+		t.Fatal("first claim was not leader")
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, _, err := s.GetOrCompute(context.Background(), "key", fn); !errors.Is(err, wantErr) {
-				t.Errorf("err = %v, want %v", err, wantErr)
-			}
-		}()
+	waiter, leader := s.BeginFlight("key")
+	if leader {
+		t.Fatal("second claim led a flight already in progress")
 	}
-	waitCoalesced(t, s, 1)
-	close(release)
-	wg.Wait()
-	// The failure was not cached: a later caller recomputes and succeeds.
-	val, origin, coalesced, err := s.GetOrCompute(context.Background(), "key", func() ([]byte, error) {
-		return []byte("recovered"), nil
-	})
-	if err != nil || coalesced || origin != OriginMiss || !bytes.Equal(val, []byte("recovered")) {
-		t.Fatalf("recompute: %q, %v, coalesced=%v, err=%v", val, origin, coalesced, err)
+	f.Complete(nil, wantErr, true)
+	if _, err := waiter.Wait(context.Background()); !errors.Is(err, wantErr) {
+		t.Fatalf("waiter err = %v, want %v", err, wantErr)
+	}
+	if _, o := s.Get("key"); o != OriginMiss {
+		t.Fatalf("origin %v after a failed flight, want the failure unstored", o)
+	}
+	if _, leader := s.BeginFlight("key"); !leader {
+		t.Fatal("claim after a failed flight did not lead a fresh one")
 	}
 }
 
-// A leader whose fn panics must not hang its waiters: the deferred
-// backstop resolves the flight with ErrFlightAbandoned.
-func TestGetOrComputePanicReleasesWaiters(t *testing.T) {
+// A leader that panics must not hang its waiters: the deferred
+// Complete(nil, ErrFlightAbandoned, false) backstop resolves the flight.
+func TestFlightAbandonReleasesWaiters(t *testing.T) {
 	s := openStore(t, Options{MemoryEntries: 4})
-	release := make(chan struct{})
-	started := make(chan struct{}) // fn only runs in the leader
+	f, _ := s.BeginFlight("key")
+	waiter, _ := s.BeginFlight("key")
 	go func() {
 		defer func() { recover() }()
-		s.GetOrCompute(context.Background(), "key", func() ([]byte, error) {
-			close(started)
-			<-release
-			panic("boom")
-		})
+		defer f.Complete(nil, ErrFlightAbandoned, false)
+		panic("boom")
 	}()
-	<-started
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, _, _, err := s.GetOrCompute(context.Background(), "key", func() ([]byte, error) {
-			return []byte("unexpected"), nil
-		})
-		waiterDone <- err
-	}()
-	waitCoalesced(t, s, 1)
-	close(release)
-	select {
-	case err := <-waiterDone:
-		if !errors.Is(err, ErrFlightAbandoned) {
-			t.Fatalf("waiter err = %v, want ErrFlightAbandoned", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter hung after leader panic")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := waiter.Wait(ctx); !errors.Is(err, ErrFlightAbandoned) {
+		t.Fatalf("waiter err = %v, want ErrFlightAbandoned", err)
 	}
 }
 
@@ -208,7 +157,7 @@ func TestFlightCompleteIdempotent(t *testing.T) {
 }
 
 // Completing with persist=false resolves waiters without writing the
-// store — the svwctl fallback path, where the bytes already came from it.
+// store — the late-hit path, where the bytes already came from it.
 func TestFlightCompleteNoPersist(t *testing.T) {
 	s := openStore(t, Options{MemoryEntries: 4})
 	f, _ := s.BeginFlight("key")

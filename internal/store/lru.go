@@ -4,13 +4,11 @@ import "container/list"
 
 // LRU is a recency-ordered string-keyed index: a map over an intrusive
 // list, front = most recently used. It is the one LRU implementation in
-// the repository — the store's memory tier, and the engine's memo table
-// (which previously evicted in insertion order, i.e. FIFO), both order
-// their entries with it, so "least recently used" means the same thing at
-// every layer.
+// the repository: the store's memory tier and the disk tier's GC index
+// both order their entries with it.
 //
-// LRU is not safe for concurrent use; callers hold their own lock (the
-// engine its memo mutex, Store its tier mutex).
+// LRU is not safe for concurrent use; callers hold their own lock (Store
+// its tier mutex, Disk its index mutex).
 type LRU[V any] struct {
 	ll    *list.List
 	items map[string]*list.Element
@@ -69,20 +67,16 @@ func (l *LRU[V]) Delete(key string) {
 	}
 }
 
-// EvictOldest removes and returns the least-recently-used entry for which
-// evictable returns true (nil = any). Entries the predicate rejects are
-// left in place, untouched in recency order, and scanning continues toward
-// more recent ones; false is returned when nothing qualifies.
-func (l *LRU[V]) EvictOldest(evictable func(key string, val V) bool) (string, V, bool) {
-	for el := l.ll.Back(); el != nil; el = el.Prev() {
-		ent := el.Value.(*lruEntry[V])
-		if evictable != nil && !evictable(ent.key, ent.val) {
-			continue
-		}
-		l.ll.Remove(el)
-		delete(l.items, ent.key)
-		return ent.key, ent.val, true
+// EvictOldest removes and returns the least-recently-used entry; false
+// is returned when the index is empty.
+func (l *LRU[V]) EvictOldest() (string, V, bool) {
+	el := l.ll.Back()
+	if el == nil {
+		var zero V
+		return "", zero, false
 	}
-	var zero V
-	return "", zero, false
+	ent := el.Value.(*lruEntry[V])
+	l.ll.Remove(el)
+	delete(l.items, ent.key)
+	return ent.key, ent.val, true
 }

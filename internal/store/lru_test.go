@@ -7,7 +7,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	l.Put("a", "A")
 	l.Put("b", "B")
 	l.Get("a") // refresh a: b is now the LRU entry
-	key, val, ok := l.EvictOldest(nil)
+	key, val, ok := l.EvictOldest()
 	if !ok || key != "b" || val != "B" {
 		t.Fatalf("evicted %q=%q ok=%v, want b=B", key, val, ok)
 	}
@@ -30,7 +30,7 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("duplicate put grew the index to %d", l.Len())
 	}
-	if key, _, _ := l.EvictOldest(nil); key != "b" {
+	if key, _, _ := l.EvictOldest(); key != "b" {
 		t.Fatalf("evicted %q, want b (a was refreshed by Put)", key)
 	}
 }
@@ -40,31 +40,8 @@ func TestLRUPeekDoesNotRefresh(t *testing.T) {
 	l.Put("a", "A")
 	l.Put("b", "B")
 	l.Peek("a") // must NOT refresh
-	if key, _, _ := l.EvictOldest(nil); key != "a" {
+	if key, _, _ := l.EvictOldest(); key != "a" {
 		t.Fatalf("evicted %q, want a (Peek must not refresh recency)", key)
-	}
-}
-
-func TestLRUEvictOldestPredicate(t *testing.T) {
-	l := NewLRU[int]()
-	l.Put("a", 1)
-	l.Put("b", 2)
-	l.Put("c", 3)
-	// Only even values are evictable: "a" (oldest) is skipped in place.
-	key, val, ok := l.EvictOldest(func(_ string, v int) bool { return v%2 == 0 })
-	if !ok || key != "b" || val != 2 {
-		t.Fatalf("evicted %q=%d ok=%v, want b=2", key, val, ok)
-	}
-	// Nothing evictable: report false, leave the index intact.
-	if _, _, ok := l.EvictOldest(func(_ string, v int) bool { return v > 100 }); ok {
-		t.Fatal("evicted an entry the predicate rejected")
-	}
-	if l.Len() != 2 {
-		t.Fatalf("len %d after rejected eviction, want 2", l.Len())
-	}
-	// The skipped-in-place oldest is still the oldest.
-	if key, _, _ := l.EvictOldest(nil); key != "a" {
-		t.Fatalf("evicted %q, want a", key)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package store is the unified content-addressed result store: one cache
-// subsystem shared by every layer of the serving stack. The engine's memo
-// table orders its entries with the same LRU index (lru.go), the svwd
-// server and the svwctl coordinator serve /v1/run and /v1/sweep through a
-// Store, and svwsim reads and pre-warms the same on-disk tier, so a
+// subsystem shared by every layer of the serving stack. In svwd it is the
+// only result cache, and its per-key flights (flight.go) the only
+// singleflight; the svwctl coordinator keeps one for its pool-down read
+// fallback, and svwsim reads and pre-warms the same on-disk tier, so a
 // result computed anywhere is a lookup everywhere.
 //
 // A Store is two tiers behind one Get/Put:
@@ -89,9 +89,9 @@ type Stats struct {
 	// memory tier is too small for the working set sloshing up from disk —
 	// reads are cannibalizing the hot tier, not growth.
 	PromotionEvictions uint64
-	// Coalesced counts singleflight waits: Get-or-compute callers that
-	// found the key already being computed and shared the leader's result
-	// instead of computing their own (flight.go).
+	// Coalesced counts singleflight waits: BeginFlight callers that found
+	// the key already being computed and shared the leader's result instead
+	// of computing their own (flight.go).
 	Coalesced   uint64
 	Entries     int // memory-tier entries
 	Capacity    int // memory-tier bound
@@ -226,7 +226,7 @@ func (s *Store) diskPut(key string, val []byte) {
 func (s *Store) putMemLocked(key string, val []byte, promote bool) {
 	s.mem.Put(key, val)
 	for s.mem.Len() > s.cap {
-		if _, _, ok := s.mem.EvictOldest(nil); !ok {
+		if _, _, ok := s.mem.EvictOldest(); !ok {
 			break
 		}
 		s.evictions++
