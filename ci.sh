@@ -220,6 +220,21 @@ ctl=$(sed -n 's/^svwctl: listening on //p' "$tmp/ctl.out")
 "$tmp/svwsim" -json -config ssq,ssq+svw -bench gcc,twolf -insts "$smoke_insts" >>"$tmp/ctl_want.json"
 cmp "$tmp/ctl_got.json" "$tmp/ctl_want.json"
 
+# One forward per backend per sweep: svwctl sends each rendezvous owner one
+# cells-form batch, so the 4-cell smoke sweep, repeated, may reach the two
+# backends with at most 2 requests in total (one per cell would be 4).
+backend_requests() {
+    sed -n 's/.*"requests": \([0-9]*\).*/\1/p' "$1" | awk '{s += $1} END {print s + 0}'
+}
+"$tmp/svwload" -stats -url "http://$ctl" >"$tmp/fwd_before.json"
+curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d "{\"configs\":[\"ssq\",\"ssq+svw\"],\"benches\":[\"gcc\",\"twolf\"],\"insts\":$smoke_insts}" \
+    "http://$ctl/v1/sweep" >"$tmp/fwd_got.json"
+"$tmp/svwload" -stats -url "http://$ctl" >"$tmp/fwd_after.json"
+"$tmp/svwsim" -json -config ssq,ssq+svw -bench gcc,twolf -insts "$smoke_insts" >"$tmp/fwd_want.json"
+cmp "$tmp/fwd_got.json" "$tmp/fwd_want.json"
+test "$(($(backend_requests "$tmp/fwd_after.json") - $(backend_requests "$tmp/fwd_before.json")))" -le 2
+
 # Coordinator observability smoke: svwctl serves the shared request
 # histograms plus its per-backend dispatch series.
 "$tmp/svwload" -metrics -url "http://$ctl" >"$tmp/ctl_metrics.txt"

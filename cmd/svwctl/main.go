@@ -84,15 +84,16 @@ func main() {
 			"and reconciled with -backends, so the pool grows and shrinks "+
 			"without a restart")
 	conc := flag.Int("backend-conc", cluster.DefaultBackendConcurrency,
-		"max in-flight requests per backend")
+		"max in-flight requests (sweep batches or runs) per backend")
 	attempts := flag.Int("max-attempts", 0,
 		"max forwarding attempts per job across backends (0 = 2x backend count)")
 	hedge := flag.Duration("hedge", 0,
-		"hedge a straggling job onto its fallback backend after this delay (0 = off)")
+		"hedge a straggling job or sweep batch onto its fallback backend after this delay (0 = off)")
 	headerTimeout := flag.Duration("response-header-timeout", 0,
 		"per-attempt wait for a backend's response headers before retrying the "+
 			"next ranked backend; svwd answers only after computing, so keep it "+
-			"above the longest expected job (0 = 2m default, negative = no bound)")
+			"above the longest expected job or sweep batch (the cells of one sweep "+
+			"one backend owns) (0 = 2m default, negative = no bound)")
 	healthEvery := flag.Duration("health-interval", time.Second,
 		"background backend health probe period (0 = passive health only)")
 	maxBody := flag.Int64("max-body", cluster.DefaultMaxBodyBytes, "max request body bytes")

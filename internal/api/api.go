@@ -31,7 +31,9 @@ import (
 
 // CacheHeader is set on /v1/run responses to say which store tier served
 // the result: "memory" (the in-process LRU), "disk" (the persistent
-// tier), or "miss" (freshly computed). A fronting coordinator reads it to
+// tier), "peer" (a peer backend's store), or "miss" (freshly computed).
+// On a buffered /v1/sweep response it lists every cell's tier,
+// comma-separated in cell order. A fronting coordinator reads it to
 // observe backend cache effectiveness without parsing bodies, propagates
 // it verbatim, and surfaces per-backend memory/disk hit counts in its
 // /v1/stats cluster section.
@@ -123,17 +125,61 @@ func (r *RunRequest) SetSample(spec pipeline.SampleSpec) {
 	r.SampleWarmup, r.SampleDetail, r.SamplePeriod = spec.Warmup, spec.Detail, spec.Period
 }
 
-// SweepRequest is the body of POST /v1/sweep: a config × bench matrix that
-// flattens into a job list config-major (configs outer, benches inner), the
-// same order `svwsim -config a,b -bench x,y` runs. The Sample* fields
-// apply to every cell of the matrix (see RunRequest).
+// SweepRequest is the body of POST /v1/sweep, in one of two forms: a
+// config × bench matrix that flattens into a job list config-major
+// (configs outer, benches inner), the same order `svwsim -config a,b
+// -bench x,y` runs; or an explicit Cells list, run in the order given —
+// how svwctl sends each backend the cells it owns. Insts and the Sample*
+// fields apply to every cell either way (see RunRequest).
 type SweepRequest struct {
-	Configs      []string `json:"configs"`
-	Benches      []string `json:"benches"`
-	Insts        uint64   `json:"insts"`
-	SampleWarmup uint64   `json:"sample_warmup,omitempty"`
-	SampleDetail uint64   `json:"sample_detail,omitempty"`
-	SamplePeriod uint64   `json:"sample_period,omitempty"`
+	Configs      []string    `json:"configs,omitempty"`
+	Benches      []string    `json:"benches,omitempty"`
+	Cells        []SweepCell `json:"cells,omitempty"`
+	Insts        uint64      `json:"insts"`
+	SampleWarmup uint64      `json:"sample_warmup,omitempty"`
+	SampleDetail uint64      `json:"sample_detail,omitempty"`
+	SamplePeriod uint64      `json:"sample_period,omitempty"`
+}
+
+// SweepCell is one (config, bench) job of a cells-form SweepRequest.
+type SweepCell struct {
+	Config string `json:"config"`
+	Bench  string `json:"bench"`
+}
+
+// CheckForm rejects a request that names no cells or mixes the two forms.
+func (r *SweepRequest) CheckForm() error {
+	switch {
+	case len(r.Cells) > 0 && (len(r.Configs) > 0 || len(r.Benches) > 0):
+		return errors.New("sweep names both cells and a configs/benches matrix: send one form")
+	case len(r.Cells) == 0 && (len(r.Configs) == 0 || len(r.Benches) == 0):
+		return errors.New("sweep matrix is empty: need configs and benches, or cells")
+	}
+	return nil
+}
+
+// NumCells is how many jobs the request flattens into, computed without
+// flattening it, so a size bound can be enforced first.
+func (r *SweepRequest) NumCells() int {
+	if len(r.Cells) > 0 {
+		return len(r.Cells)
+	}
+	return len(r.Configs) * len(r.Benches)
+}
+
+// Flatten returns the request's cells in job order: Cells as given, or
+// the matrix config-major.
+func (r *SweepRequest) Flatten() []SweepCell {
+	if len(r.Cells) > 0 {
+		return r.Cells
+	}
+	cells := make([]SweepCell, 0, r.NumCells())
+	for _, c := range r.Configs {
+		for _, b := range r.Benches {
+			cells = append(cells, SweepCell{Config: c, Bench: b})
+		}
+	}
+	return cells
 }
 
 // Sample assembles the request's sampling spec (zero value = exact).
@@ -491,6 +537,31 @@ func MarshalResult(res engine.Result) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// resultEnd closes one MarshalResult encoding: the top-level object's
+// brace is the only one MarshalIndent puts at the start of a line, and
+// JSON strings cannot hold a raw newline, so this marks cell boundaries.
+var resultEnd = []byte("\n}\n")
+
+// SplitResults splits a concatenation of MarshalResult encodings — a
+// buffered /v1/sweep body — back into its n cells, sharing body's bytes.
+// A body that does not hold exactly n whole cells, such as one cut off
+// mid-transfer, is an error.
+func SplitResults(body []byte, n int) ([][]byte, error) {
+	cells := make([][]byte, 0, n)
+	for len(body) > 0 {
+		i := bytes.Index(body, resultEnd)
+		if i < 0 || body[0] != '{' {
+			return nil, fmt.Errorf("sweep body: cell %d is not a whole result", len(cells))
+		}
+		cells = append(cells, body[:i+len(resultEnd)])
+		body = body[i+len(resultEnd):]
+	}
+	if len(cells) != n {
+		return nil, fmt.Errorf("sweep body holds %d results, want %d", len(cells), n)
+	}
+	return cells, nil
 }
 
 // UnmarshalResult decodes MarshalResult's bytes back into the engine

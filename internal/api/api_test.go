@@ -205,3 +205,69 @@ func TestStatsSectionsAddEveryField(t *testing.T) {
 	gs.Add(g2)
 	check("GateStats", &g1, &g2, &gs)
 }
+
+// TestSplitResults: a concatenation of MarshalResult cells splits back
+// into exactly those cells, and a body that does not hold n whole cells —
+// cut off anywhere, or holding another count — is an error.
+func TestSplitResults(t *testing.T) {
+	var cells [][]byte
+	var body []byte
+	for i, name := range []string{"ssq", "ssq+svw", "nlq"} {
+		res := engine.Result{Bench: "gcc", Config: name}
+		fill(t, &res.Stats, uint64(10*i))
+		b, err := MarshalResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, b)
+		body = append(body, b...)
+	}
+	got, err := SplitResults(body, len(cells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cells) {
+		t.Fatal("split cells differ from the encoded ones")
+	}
+	if _, err := SplitResults(body, 2); err == nil {
+		t.Error("3 cells split as 2")
+	}
+	if _, err := SplitResults(nil, 1); err == nil {
+		t.Error("an empty body split as 1 cell")
+	}
+	for cut := 1; cut < len(body); cut++ {
+		if _, err := SplitResults(body[:cut], len(cells)); err == nil {
+			t.Fatalf("body cut at %d of %d split cleanly", cut, len(body))
+		}
+	}
+	if _, err := SplitResults(append(body[:len(body):len(body)], " "...), len(cells)); err == nil {
+		t.Error("trailing bytes after the last cell were accepted")
+	}
+}
+
+// TestSweepRequestForms: both forms flatten into job order, and a request
+// that mixes them or names no cells is rejected.
+func TestSweepRequestForms(t *testing.T) {
+	matrix := SweepRequest{Configs: []string{"a", "b"}, Benches: []string{"x", "y"}}
+	want := []SweepCell{{"a", "x"}, {"a", "y"}, {"b", "x"}, {"b", "y"}}
+	if err := matrix.CheckForm(); err != nil || matrix.NumCells() != 4 ||
+		!reflect.DeepEqual(matrix.Flatten(), want) {
+		t.Fatalf("matrix form: err %v, %d cells %v", err, matrix.NumCells(), matrix.Flatten())
+	}
+	list := SweepRequest{Cells: []SweepCell{{"b", "y"}, {"a", "x"}, {"b", "y"}}}
+	if err := list.CheckForm(); err != nil || list.NumCells() != 3 ||
+		!reflect.DeepEqual(list.Flatten(), list.Cells) {
+		t.Fatalf("cells form: err %v, %d cells %v", err, list.NumCells(), list.Flatten())
+	}
+	for name, bad := range map[string]SweepRequest{
+		"empty":           {},
+		"configs only":    {Configs: []string{"a"}},
+		"empty cells":     {Cells: []SweepCell{}},
+		"cells + configs": {Configs: []string{"a"}, Cells: []SweepCell{{"a", "x"}}},
+		"cells + benches": {Benches: []string{"x"}, Cells: []SweepCell{{"a", "x"}}},
+	} {
+		if bad.CheckForm() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -11,15 +11,17 @@
 //     uses), so repeated jobs always land on the same backend and its
 //     caches stay hot, and a backend-set change only
 //     remaps the keys the departed backend owned (see routing.go);
-//   - fan-out: sweep matrices flatten config-major exactly like svwd and
-//     svwsim, each cell forwarded as one /v1/run with bounded per-backend
-//     concurrency; responses merge back in job-index order, buffered or
-//     as SSE, so cluster output is byte-identical to `svwsim -json`;
+//   - fan-out: sweeps flatten into job order exactly like svwd and
+//     svwsim, and each rendezvous owner gets one cells-form /v1/sweep
+//     carrying the cells it owns, under bounded per-backend concurrency;
+//     the replies merge back in job-index order, buffered or as SSE, so
+//     cluster output is byte-identical to `svwsim -json`;
 //   - resilience: backends are health-checked (background probes plus
 //     passive marking on request failures); a failed attempt retries on
-//     the key's next-ranked backend, and optional hedging duplicates a
-//     straggling job onto the fallback after a configurable delay, first
-//     response winning;
+//     the key's next-ranked backend — a failed sweep batch re-walks its
+//     cells one by one as /v1/runs — and optional hedging duplicates a
+//     straggling job or batch onto the fallback after a configurable
+//     delay, first response winning;
 //   - observability: /v1/stats aggregates the pool's store/engine/
 //     admission counters and adds a cluster section (per-backend health,
 //     requests, errors, jobs won, memory/disk cache hits, retry/hedge
@@ -58,8 +60,9 @@ const (
 	DefaultProbeTimeout       = 2 * time.Second
 	// DefaultResponseHeaderTimeout bounds how long one forwarded attempt
 	// waits for a backend to start answering. svwd sends headers only
-	// after the job computes, so the bound must sit above the longest
-	// legitimate job — it exists to reclaim dispatch slots from a backend
+	// after the job computes (for a sweep batch, after all of its cells
+	// do), so the bound must sit above the longest legitimate job or
+	// batch — it exists to reclaim dispatch slots from a backend
 	// that accepted the connection and then hung (half-dead process, wedged
 	// accept queue), which before this bound pinned a slot forever on
 	// requests without an api.DeadlineHeader budget.
@@ -72,17 +75,17 @@ type Options struct {
 	// Backends are the svwd base URLs to front (e.g. "http://10.0.0.1:7411").
 	// Order does not matter: placement depends only on the URL set.
 	Backends []string
-	// BackendConcurrency caps the coordinator's in-flight requests per
-	// backend (0 = DefaultBackendConcurrency).
+	// BackendConcurrency caps the coordinator's in-flight requests —
+	// sweep batches or runs — per backend (0 = DefaultBackendConcurrency).
 	BackendConcurrency int
 	// MaxAttempts bounds forwarding attempts per job, counting the first
 	// (0 = 2 × len(Backends), min 2). Attempts walk the key's rendezvous
 	// order, healthy backends first, then fail open to unhealthy ones.
 	MaxAttempts int
-	// HedgeAfter launches a speculative duplicate of a job on its
-	// next-ranked backend when the primary has not answered within this
-	// delay; the first response wins (0 = hedging disabled). The hedge
-	// shares the job's MaxAttempts budget.
+	// HedgeAfter launches a speculative duplicate of a job, or of a sweep
+	// batch as a whole, on its next-ranked backend when the primary has
+	// not answered within this delay; the first response wins (0 = hedging
+	// disabled). The hedge shares the job's MaxAttempts budget.
 	HedgeAfter time.Duration
 	// MaxBodyBytes bounds request bodies (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"svwsim/internal/api"
 	"svwsim/internal/server"
@@ -140,6 +142,46 @@ func refSweepBody(t *testing.T, configs, benches []string) []byte {
 		}
 	}
 	return body
+}
+
+// waitTimeout bounds every channel wait in this package's tests, so a
+// routing change that never delivers fails in seconds, not at go test's
+// timeout.
+const waitTimeout = 10 * time.Second
+
+// recv receives from ch, failing the test after waitTimeout.
+func recv[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	timer := time.NewTimer(waitTimeout)
+	defer timer.Stop()
+	select {
+	case v := <-ch:
+		return v
+	case <-timer.C:
+		t.Fatalf("no %s within %v", what, waitTimeout)
+		panic("unreachable")
+	}
+}
+
+// jobCells is how many cells a backend request carries: 1 for a /v1/run,
+// the cell count of a /v1/sweep (the coordinator's per-owner batch), 0
+// for anything else. Fault injectors use it to match job traffic on
+// either route; it reads r's body and restores it for the wrapped
+// handler.
+func jobCells(r *http.Request) int {
+	switch r.URL.Path {
+	case "/v1/run":
+		return 1
+	case "/v1/sweep":
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req api.SweepRequest
+		if json.Unmarshal(body, &req) != nil {
+			return 0
+		}
+		return req.NumCells()
+	}
+	return 0
 }
 
 func sweepBody(configs, benches []string) string {

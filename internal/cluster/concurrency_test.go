@@ -98,7 +98,8 @@ func TestConcurrentClients(t *testing.T) {
 const stragglerCap = 10 * time.Second
 
 // newStragglerFabric builds a two-backend fabric that hedges after 20ms,
-// whose first backend holds every /v1/run until the request is cancelled
+// whose first backend holds every job request — a run or a cell batch —
+// until the request is cancelled
 // — by the winning hedge, however long its simulation takes (the race
 // detector slows it several-fold) — or stragglerCap passes. It returns
 // the fabric and a registry config whose gcc job is homed on the
@@ -110,7 +111,7 @@ func newStragglerFabric(t *testing.T) (*fabric, string) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" {
+			if jobCells(r) > 0 {
 				// The server notices the client hanging up, and cancels
 				// r's context, only once the body has been read to EOF.
 				body, err := io.ReadAll(r.Body)

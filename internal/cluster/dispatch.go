@@ -30,6 +30,24 @@ type outcome struct {
 	// err is set when no usable response was obtained (all candidates
 	// failed, saturated, or the client went away).
 	err error
+	// cells and tiers are a batch's 200 reply split per cell: each
+	// cell's result bytes and its serving tier from the CacheHeader list.
+	cells [][]byte
+	tiers []string
+}
+
+// call is one request a dispatch forwards.
+type call struct {
+	key          string // rendezvous key: ranks the backends to try
+	method, path string
+	body         []byte
+	// cells > 0 marks a cells-form /v1/sweep batch of that many cells, all
+	// owned by the key's top-ranked backend. A batch is addressed, not
+	// walked: each walk makes one attempt — the primary on the owner, a
+	// hedge on the next-ranked backend — and a 200 reply is split per cell
+	// (a reply that does not split is a failed attempt). When a batch
+	// fails, its cells walk on their own (handleSweep).
+	cells int
 }
 
 // cached reports whether the response was served from a store rather than
@@ -58,24 +76,25 @@ func peersHeader(pool []*backend) string {
 	return sb.String()
 }
 
-// dispatch forwards one request to the pool: rendezvous-routed, retried
-// across backends, optionally hedged. It is the single entry point the
-// handlers use, so every path gets identical failover behavior, and it
+// dispatch forwards one request to pool, a membership snapshot:
+// rendezvous-routed, retried across backends, optionally hedged. It is the
+// single entry point the handlers use, so every path — a run, a study, a
+// sweep's per-owner batch — gets identical failover behavior, and it
 // performs the winning-response bookkeeping exactly once per call.
 //
 // A traced request gets one "dispatch" span per call, annotated
 // synchronously (before dispatch returns) with the winning backend, which
 // walk won a hedge race and which was abandoned; each backend attempt is
 // a child "attempt" span.
-func (c *Coordinator) dispatch(ctx context.Context, key, method, path string, reqBody []byte) outcome {
+func (c *Coordinator) dispatch(ctx context.Context, pool []*backend, req call) outcome {
 	dsp := trace.FromContext(ctx).Start("dispatch")
-	dsp.SetAttr("path", path)
-	// ONE membership snapshot per dispatch: ranking, the retry walk, the
-	// hedge and the health check all see the same pool, so a concurrent
-	// add/remove cannot skip or double-visit a backend mid-job. In-flight
-	// work thus finishes against the set it ranked under; a removed
-	// backend drains instead of vanishing.
-	pool := c.members.snapshot()
+	dsp.SetAttr("path", req.path)
+	// ONE membership snapshot per dispatch, taken by the caller: ranking,
+	// the retry walk, the hedge and the health check all see the same pool,
+	// so a concurrent add/remove cannot skip or double-visit a backend
+	// mid-job. In-flight work thus finishes against the set it ranked
+	// under; a removed backend drains instead of vanishing.
+	//
 	// One attempts budget per job, shared between the primary walk and a
 	// hedge, so MaxAttempts bounds the job's total backend traffic even
 	// when both walks are live.
@@ -83,7 +102,7 @@ func (c *Coordinator) dispatch(ctx context.Context, key, method, path string, re
 	maxAttempts := c.attemptsBudget(len(pool))
 	peersHdr := peersHeader(pool)
 	if c.hedgeAfter <= 0 || len(pool) < 2 {
-		out := c.forward(ctx, dsp, pool, "primary", key, 0, method, path, reqBody, peersHdr, &budget, maxAttempts)
+		out := c.forward(ctx, dsp, pool, "primary", 0, &req, peersHdr, &budget, maxAttempts)
 		c.noteOutcome(out)
 		finishDispatch(dsp, out, false)
 		return out
@@ -93,7 +112,7 @@ func (c *Coordinator) dispatch(ctx context.Context, key, method, path string, re
 	defer cancel() // reap the losing attempt
 	results := make(chan outcome, 2)
 	go func() {
-		results <- c.forward(hctx, dsp, pool, "primary", key, 0, method, path, reqBody, peersHdr, &budget, maxAttempts)
+		results <- c.forward(hctx, dsp, pool, "primary", 0, &req, peersHdr, &budget, maxAttempts)
 	}()
 
 	timer := time.NewTimer(c.hedgeAfter)
@@ -131,7 +150,7 @@ func (c *Coordinator) dispatch(ctx context.Context, key, method, path string, re
 				// Offset 1 starts the candidate walk at the key's
 				// second-ranked backend, so the hedge never duplicates
 				// work onto the straggling primary first.
-				out := c.forward(hctx, dsp, pool, "hedge", key, 1, method, path, reqBody, peersHdr, &budget, maxAttempts)
+				out := c.forward(hctx, dsp, pool, "hedge", 1, &req, peersHdr, &budget, maxAttempts)
 				out.hedged = true
 				results <- out
 			}()
@@ -172,7 +191,12 @@ func finishDispatch(dsp trace.Span, out outcome, hedged bool) {
 // handlers' business: they know what is a client job and what is not.
 func (c *Coordinator) noteOutcome(out outcome) {
 	if out.err == nil && out.status == http.StatusOK && out.b != nil {
-		out.b.noteWin(out.origin)
+		if out.tiers == nil {
+			out.b.noteWin(out.origin)
+		}
+		for _, tier := range out.tiers { // a batch wins once per cell
+			out.b.noteWin(tier)
+		}
 		if out.hedged {
 			c.addHedgeWin()
 		}
@@ -180,7 +204,8 @@ func (c *Coordinator) noteOutcome(out outcome) {
 }
 
 // forwardJob dispatches one engine job (a /v1/run body, keyed by its memo
-// key) with the coordinator store wrapped around the pool:
+// key) with the coordinator store wrapped around the pool: a run, or one
+// cell of a sweep whose batch failed.
 //
 //   - a job no backend could serve is answered from the coordinator's own
 //     store when the result is already on its disk — a previous
@@ -193,7 +218,8 @@ func (c *Coordinator) noteOutcome(out outcome) {
 // once for every waiting request. Without Options.StoreDir this is
 // exactly dispatch.
 func (c *Coordinator) forwardJob(ctx context.Context, key string, reqBody []byte) outcome {
-	out := c.dispatch(ctx, key, http.MethodPost, "/v1/run", reqBody)
+	out := c.dispatch(ctx, c.members.snapshot(), call{
+		key: key, method: http.MethodPost, path: "/v1/run", body: reqBody})
 	if c.store == nil {
 		return out
 	}
@@ -211,10 +237,16 @@ func (c *Coordinator) forwardJob(ctx context.Context, key string, reqBody []byte
 			}
 		}
 	}
-	if out.err == nil && out.status == http.StatusOK && !out.cached() {
+	c.writeThrough(key, out)
+	return out
+}
+
+// writeThrough copies a freshly computed result into the coordinator's
+// store (a no-op without one, or for a result a backend's store served).
+func (c *Coordinator) writeThrough(key string, out outcome) {
+	if c.store != nil && out.err == nil && out.status == http.StatusOK && !out.cached() {
 		c.store.Put(key, out.body)
 	}
-	return out
 }
 
 // forward walks the key's rendezvous candidate order over pool — the
@@ -224,12 +256,18 @@ func (c *Coordinator) forwardJob(ctx context.Context, key string, reqBody []byte
 // unhealthy (unless none are); pass 1 fails open and tries everyone, so a
 // pool whose marks are all stale can still recover. Attempts beyond each
 // walk's first count as retries (a hedge's first attempt is accounted as
-// the hedge, not a retry). dsp is the dispatch span the walk's "attempt"
-// spans parent under (inert when untraced); walk names the walk on those
-// spans ("primary" or "hedge").
-func (c *Coordinator) forward(ctx context.Context, dsp trace.Span, pool []*backend, walk, key string, offset int, method, path string, reqBody []byte, peersHdr string, budget *atomic.Int64, maxAttempts int) outcome {
-	order := rank(pool, key)
+// the hedge, not a retry). A batch's walk is its one attempt on the
+// candidate at offset (see call). dsp is the dispatch span the walk's
+// "attempt" spans parent under (inert when untraced); walk names the walk
+// on those spans ("primary" or "hedge").
+func (c *Coordinator) forward(ctx context.Context, dsp trace.Span, pool []*backend, walk string, offset int, req *call, peersHdr string, budget *atomic.Int64, maxAttempts int) outcome {
+	order := rank(pool, req.key)
 	n := len(order)
+	if req.cells > 0 {
+		b := pool[order[offset%n]]
+		out, _ := c.attempt(ctx, attemptSpan(dsp, b, walk, 1), b, req, peersHdr)
+		return out
+	}
 	walkAttempts := 0
 	last := outcome{err: fmt.Errorf("no backend attempted")}
 	for pass := 0; pass < 2; pass++ {
@@ -250,15 +288,7 @@ func (c *Coordinator) forward(ctx context.Context, dsp trace.Span, pool []*backe
 			if walkAttempts > 1 {
 				c.addRetry()
 			}
-			sp := dsp.Child("attempt")
-			if sp.Active() {
-				sp.SetAttr("backend", b.url)
-				sp.SetAttr("walk", walk)
-				if walkAttempts > 1 {
-					sp.SetAttr("retry", strconv.Itoa(walkAttempts-1))
-				}
-			}
-			out, retryable := c.attempt(ctx, sp, b, method, path, reqBody, peersHdr)
+			out, retryable := c.attempt(ctx, attemptSpan(dsp, b, walk, walkAttempts), b, req, peersHdr)
 			if !retryable {
 				return out
 			}
@@ -283,11 +313,26 @@ func (c *Coordinator) forward(ctx context.Context, dsp trace.Span, pool []*backe
 	return last
 }
 
+// attemptSpan opens the "attempt" span of a walk's nth attempt on b
+// (inert when dsp is).
+func attemptSpan(dsp trace.Span, b *backend, walk string, nth int) trace.Span {
+	sp := dsp.Child("attempt")
+	if sp.Active() {
+		sp.SetAttr("backend", b.url)
+		sp.SetAttr("walk", walk)
+		if nth > 1 {
+			sp.SetAttr("retry", strconv.Itoa(nth-1))
+		}
+	}
+	return sp
+}
+
 // attempt forwards the request to one backend under its concurrency
 // bound. The second result reports whether the failure is retryable on
-// another backend: transport errors and 5xx (which also mark the backend
-// unhealthy) and 429 saturation (which does not — a busy backend is not a
-// sick one) are; success and other 4xx are terminal.
+// another backend: transport errors, 5xx and a batch reply that does not
+// split into its cells (which also mark the backend unhealthy) and 429
+// saturation (which does not — a busy backend is not a sick one) are;
+// success and other 4xx are terminal.
 //
 // sp is the walk's "attempt" span (inert when untraced): the backend
 // request carries the trace ID header, so the backend's own trace shares
@@ -296,7 +341,7 @@ func (c *Coordinator) forward(ctx context.Context, dsp trace.Span, pool []*backe
 // walk won — or the client went away — is marked outcome=abandoned; for
 // a losing hedge that marking happens when its transport call observes
 // the cancellation, possibly after the request has already completed.
-func (c *Coordinator) attempt(ctx context.Context, sp trace.Span, b *backend, method, path string, reqBody []byte, peersHdr string) (outcome, bool) {
+func (c *Coordinator) attempt(ctx context.Context, sp trace.Span, b *backend, r *call, peersHdr string) (outcome, bool) {
 	fail := func(o outcome, retryable bool, outcomeAttr string) (outcome, bool) {
 		if sp.Active() {
 			sp.SetAttr("outcome", outcomeAttr)
@@ -315,14 +360,14 @@ func (c *Coordinator) attempt(ctx context.Context, sp trace.Span, b *backend, me
 	defer func() { <-b.sem }()
 
 	var body io.Reader
-	if len(reqBody) > 0 {
-		body = bytes.NewReader(reqBody)
+	if len(r.body) > 0 {
+		body = bytes.NewReader(r.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.url+path, body)
+	req, err := http.NewRequestWithContext(ctx, r.method, b.url+r.path, body)
 	if err != nil {
 		return fail(outcome{err: err}, false, "error")
 	}
-	if len(reqBody) > 0 {
+	if len(r.body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if peersHdr != "" {
@@ -370,16 +415,22 @@ func (c *Coordinator) attempt(ctx context.Context, sp trace.Span, b *backend, me
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
 	switch {
 	case resp.StatusCode == http.StatusOK:
+		out := outcome{b: b, status: resp.StatusCode, body: respBody,
+			origin: resp.Header.Get(api.CacheHeader)}
+		if r.cells > 0 {
+			if out.cells, out.tiers, err = splitBatch(out, r.cells); err != nil {
+				b.setHealth(false, err)
+				b.noteEnd(true)
+				return fail(outcome{b: b, err: fmt.Errorf("%s: %w", b.url, err)}, true, "error")
+			}
+		}
 		b.setHealth(true, nil)
 		b.noteEnd(false)
-		if origin := resp.Header.Get(api.CacheHeader); origin != "" {
-			sp.SetAttr("tier", origin)
+		if out.origin != "" {
+			sp.SetAttr("tier", out.origin)
 		}
 		sp.End()
-		return outcome{
-			b: b, status: resp.StatusCode, body: respBody,
-			origin: resp.Header.Get(api.CacheHeader),
-		}, false
+		return out, false
 	case resp.StatusCode == http.StatusTooManyRequests:
 		b.noteEnd(false)
 		return fail(outcome{b: b, status: resp.StatusCode,
@@ -397,4 +448,18 @@ func (c *Coordinator) attempt(ctx context.Context, sp trace.Span, b *backend, me
 		sp.End()
 		return outcome{b: b, status: resp.StatusCode, body: respBody}, false
 	}
+}
+
+// splitBatch splits a batch's 200 reply into its n cells' result bytes
+// and serving tiers.
+func splitBatch(out outcome, n int) ([][]byte, []string, error) {
+	cells, err := api.SplitResults(out.body, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	tiers := strings.Split(out.origin, ",")
+	if len(tiers) != n {
+		return nil, nil, fmt.Errorf("%s lists %d tiers for %d cells", api.CacheHeader, len(tiers), n)
+	}
+	return cells, tiers, nil
 }

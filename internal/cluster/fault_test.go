@@ -23,13 +23,14 @@ import (
 // mid-flight with work outstanding, light enough for -race CI.
 var faultBenches = []string{"gcc", "twolf"}
 
-// failAfterN passes the first n /v1/run requests through to the real svwd
-// handler, then answers every later one with 503 — a backend that falls
-// over mid-sweep but keeps its socket open.
+// failAfterN passes job requests (runs and cell batches) through to the
+// real svwd handler until they have carried n cells, then answers every
+// later one with 503 — a backend that falls over mid-sweep but keeps its
+// socket open.
 func failAfterN(n int64, h http.Handler) http.Handler {
 	var served int64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/run" && atomic.AddInt64(&served, 1) > n {
+		if cells := jobCells(r); cells > 0 && atomic.AddInt64(&served, int64(cells)) > n {
 			api.WriteError(w, http.StatusServiceUnavailable, "injected fault: backend down")
 			return
 		}
@@ -112,7 +113,7 @@ func TestSweepSSESurvivesBackendKill(t *testing.T) {
 		}
 		var served int64
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" && atomic.AddInt64(&served, 1) > killAfter {
+			if cells := jobCells(r); cells > 0 && atomic.AddInt64(&served, int64(cells)) > killAfter {
 				// Kill the whole backend: open connections die with rude
 				// RSTs, later dials are refused. Close blocks until
 				// handlers return, so run it from the side.
@@ -222,11 +223,18 @@ func TestRunFailsOverFromDeadBackend(t *testing.T) {
 // TestSweepSaturatedPoolReturns429: when every backend refuses with 429,
 // the coordinator's sweep answers 429 + Retry-After exactly like a
 // single saturated svwd — not a 500. The fabric must be indistinguishable
-// from one daemon even in its failure statuses.
+// from one daemon even in its failure statuses. The refused batch's cell
+// must re-walk on its own, and be refused there too.
 func TestSweepSaturatedPoolReturns429(t *testing.T) {
+	var refusedBatches, refusedRuns atomic.Int64
 	saturated := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" {
+			if jobCells(r) > 0 {
+				if r.URL.Path == "/v1/sweep" {
+					refusedBatches.Add(1)
+				} else {
+					refusedRuns.Add(1)
+				}
 				w.Header().Set("Retry-After", "1")
 				api.WriteError(w, http.StatusTooManyRequests, "admission gate saturated")
 				return
@@ -241,6 +249,10 @@ func TestSweepSaturatedPoolReturns429(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+	if refusedBatches.Load() == 0 || refusedRuns.Load() == 0 {
+		t.Errorf("refused %d batches and %d runs, want both > 0: the batch or its per-cell re-walk never ran",
+			refusedBatches.Load(), refusedRuns.Load())
 	}
 }
 

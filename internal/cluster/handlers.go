@@ -222,23 +222,31 @@ func (c *Coordinator) resolveSample(w http.ResponseWriter, spec pipeline.SampleS
 	return spec, true
 }
 
-// sweepJob is one cell of the flattened matrix.
-type sweepJob struct {
-	config string // the config's display name (what SSE events carry)
-	bench  string
-	key    string // engine memo key: the routing key
-	body   []byte // the /v1/run request forwarded for this cell
+// sweepPlan is a validated sweep: its cells in job order, and the insts
+// and resolved sampling spec they all share.
+type sweepPlan struct {
+	insts uint64
+	spec  pipeline.SampleSpec
+	jobs  []sweepJob
 }
 
-// planSweep validates the request and flattens the matrix config-major
-// (the `svwsim -config a,b -bench x,y` order — identical to svwd's). It
-// writes the error response itself on failure.
-func (c *Coordinator) planSweep(w http.ResponseWriter, req *api.SweepRequest) ([]sweepJob, bool) {
-	if len(req.Configs) == 0 || len(req.Benches) == 0 {
-		api.WriteError(w, http.StatusBadRequest, "sweep matrix is empty: need configs and benches")
+// sweepJob is one cell of the plan.
+type sweepJob struct {
+	config string        // the config's display name (what SSE events carry)
+	cell   api.SweepCell // registry name and bench, as forwarded
+	key    string        // engine memo key: the routing key
+}
+
+// planSweep validates the request and flattens it into job order — a
+// matrix config-major (the `svwsim -config a,b -bench x,y` order), cells
+// as listed — identically to svwd. It writes the error response itself
+// on failure.
+func (c *Coordinator) planSweep(w http.ResponseWriter, req *api.SweepRequest) (*sweepPlan, bool) {
+	if err := req.CheckForm(); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	if n := len(req.Configs) * len(req.Benches); n > c.maxSweepJobs {
+	if n := req.NumCells(); n > c.maxSweepJobs {
 		api.WriteError(w, http.StatusBadRequest,
 			"sweep matrix has %d jobs, limit is %d", n, c.maxSweepJobs)
 		return nil, false
@@ -247,37 +255,74 @@ func (c *Coordinator) planSweep(w http.ResponseWriter, req *api.SweepRequest) ([
 	if !ok {
 		return nil, false
 	}
-	var jobs []sweepJob
-	for _, cname := range req.Configs {
-		cfg, ok := sim.ConfigByName(cname)
+	p := &sweepPlan{insts: req.Insts, spec: spec}
+	for _, cell := range req.Flatten() {
+		cfg, ok := sim.ConfigByName(cell.Config)
 		if !ok {
-			api.WriteError(w, http.StatusBadRequest, "unknown config %q", cname)
+			api.WriteError(w, http.StatusBadRequest, "unknown config %q", cell.Config)
 			return nil, false
 		}
-		for _, bench := range req.Benches {
-			if _, ok := workload.Get(bench); !ok {
-				api.WriteError(w, http.StatusBadRequest, "unknown benchmark %q", bench)
-				return nil, false
-			}
-			cell := api.RunRequest{
-				Config: normalizeConfigName(cname), Bench: bench, Insts: req.Insts}
-			cell.SetSample(spec)
-			body, err := json.Marshal(cell)
-			if err != nil {
-				api.WriteError(w, http.StatusInternalServerError, "encoding job: %v", err)
-				return nil, false
-			}
-			jobs = append(jobs, sweepJob{
-				config: cfg.Name,
-				bench:  bench,
-				key:    engine.SampledFingerprint(cfg, bench, req.Insts, spec),
-				body:   body,
-			})
+		if _, ok := workload.Get(cell.Bench); !ok {
+			api.WriteError(w, http.StatusBadRequest, "unknown benchmark %q", cell.Bench)
+			return nil, false
 		}
+		p.jobs = append(p.jobs, sweepJob{
+			config: cfg.Name,
+			cell:   api.SweepCell{Config: normalizeConfigName(cell.Config), Bench: cell.Bench},
+			key:    engine.SampledFingerprint(cfg, cell.Bench, req.Insts, spec),
+		})
 	}
-	return jobs, true
+	return p, true
 }
 
+// runBody is the /v1/run request for job i alone. (Marshalling these
+// strings and integers cannot fail.)
+func (p *sweepPlan) runBody(i int) []byte {
+	run := api.RunRequest{Config: p.jobs[i].cell.Config, Bench: p.jobs[i].cell.Bench, Insts: p.insts}
+	run.SetSample(p.spec)
+	b, _ := json.Marshal(run)
+	return b
+}
+
+// batchBody is the cells-form /v1/sweep request for the jobs at idx.
+func (p *sweepPlan) batchBody(idx []int) []byte {
+	req := api.SweepRequest{Cells: make([]api.SweepCell, len(idx)), Insts: p.insts}
+	for k, i := range idx {
+		req.Cells[k] = p.jobs[i].cell
+	}
+	req.SetSample(p.spec)
+	b, _ := json.Marshal(req)
+	return b
+}
+
+// batch is the jobs of one sweep owned by one backend, in job order.
+type batch struct {
+	owner *backend
+	idx   []int
+}
+
+// groupByOwner splits the plan's jobs by their key's rendezvous owner in
+// pool.
+func groupByOwner(pool []*backend, jobs []sweepJob) []batch {
+	owned := make([][]int, len(pool))
+	for i := range jobs {
+		o := rank(pool, jobs[i].key)[0]
+		owned[o] = append(owned[o], i)
+	}
+	var batches []batch
+	for o, idx := range owned {
+		if len(idx) > 0 {
+			batches = append(batches, batch{owner: pool[o], idx: idx})
+		}
+	}
+	return batches
+}
+
+// handleSweep sends each rendezvous owner one request: the sweep's cells
+// are grouped by owner over one membership snapshot, and each group goes
+// out as a cells-form /v1/sweep through dispatch — so the per-backend
+// concurrency bound, the trace spans and hedging apply per batch. The
+// replies merge back in job order, buffered or as SSE.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
 	if !c.decodeBody(w, r, &req) {
@@ -288,53 +333,99 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	jobs, ok := c.planSweep(w, &req)
+	plan, ok := c.planSweep(w, &req)
 	if !ok {
 		return
 	}
 	c.addSweep()
 
-	// Fan out: one dispatch per cell, each rendezvous-routed by its memo
-	// key. Goroutines are cheap; actual backend concurrency is bounded by
-	// the per-backend semaphores inside dispatch.
-	outcomes := make([]outcome, len(jobs))
-	done := make([]chan struct{}, len(jobs))
-	for i := range jobs {
-		done[i] = make(chan struct{})
-		go func(i int) {
-			defer close(done[i])
-			outcomes[i] = c.forwardJob(ctx, jobs[i].key, jobs[i].body)
-			if outcomes[i].err == nil && outcomes[i].status != http.StatusOK {
-				// A non-200 terminal response is a failed cell from the
-				// sweep's point of view.
-				outcomes[i].err = errors.New(string(outcomes[i].body))
-			}
-			c.addJob(outcomes[i].err != nil)
-		}(i)
+	pool := c.members.snapshot()
+	batches := groupByOwner(pool, plan.jobs)
+	outcomes := make([]outcome, len(plan.jobs))
+	landed := make(chan []int, len(batches))
+	for _, bt := range batches {
+		go func(bt batch) {
+			c.sweepBatch(ctx, pool, plan, bt, outcomes)
+			landed <- bt.idx
+		}(bt)
 	}
 
 	tr := trace.FromContext(ctx)
 	if api.WantsSSE(r) {
-		c.streamSweep(w, tr, jobs, outcomes, done)
+		c.streamSweep(w, tr, plan.jobs, outcomes, landed)
 		return
 	}
-	c.bufferSweep(w, r, tr, jobs, outcomes, done)
+	c.bufferSweep(w, r, tr, plan.jobs, outcomes, landed)
 }
 
-// bufferSweep waits for every cell and writes the whole sweep as a
+// sweepBatch resolves one owner's jobs into outcomes, accounting each as
+// one client job. The batch goes to its owner as one request; if that
+// fails — transport error, 5xx, 429, timeout, or a reply that does not
+// split into its cells — each job re-walks on its own through forwardJob,
+// concurrently, counted as one retry apiece. An owner marked unhealthy
+// gets no batch: its jobs walk on their own from the start, as runs would.
+func (c *Coordinator) sweepBatch(ctx context.Context, pool []*backend, plan *sweepPlan, bt batch, outcomes []outcome) {
+	var out outcome
+	sent := bt.owner.isHealthy()
+	if sent {
+		out = c.dispatch(ctx, pool, call{key: plan.jobs[bt.idx[0]].key, method: http.MethodPost,
+			path: "/v1/sweep", body: plan.batchBody(bt.idx), cells: len(bt.idx)})
+	}
+	var wg sync.WaitGroup
+	for k, i := range bt.idx {
+		if out.cells != nil {
+			outcomes[i] = outcome{b: out.b, status: http.StatusOK, body: out.cells[k], origin: out.tiers[k]}
+			c.writeThrough(plan.jobs[i].key, outcomes[i])
+			c.addJob(false)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if sent && ctx.Err() == nil {
+				c.addRetry()
+			}
+			o := c.forwardJob(ctx, plan.jobs[i].key, plan.runBody(i))
+			if o.err == nil && o.status != http.StatusOK {
+				// A non-200 terminal response is a failed cell from the
+				// sweep's point of view.
+				o.err = errors.New(string(o.body))
+			}
+			outcomes[i] = o
+			c.addJob(o.err != nil)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// merge receives the landed batches and hands each job index to emit in
+// job order, as soon as it and every job before it have landed.
+func merge(landed <-chan []int, n int, emit func(i int)) {
+	have := make([]bool, n)
+	next := 0
+	for next < n {
+		for _, i := range <-landed {
+			have[i] = true
+		}
+		for ; next < n && have[next]; next++ {
+			emit(next)
+		}
+	}
+}
+
+// bufferSweep waits for every batch and writes the whole sweep as a
 // sequence of indented result objects in job-index order — byte-identical
 // to the equivalent multi-job `svwsim -json` invocation, however many
-// backends computed it.
-func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *trace.Trace, jobs []sweepJob, outcomes []outcome, done []chan struct{}) {
-	// The merge span covers waiting for the fan-out plus reassembly; its
+// backends computed it — with svwd's per-cell tier list in X-Svwd-Cache.
+func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *trace.Trace, jobs []sweepJob, outcomes []outcome, landed <-chan []int) {
+	// The merge span covers waiting for the batches plus reassembly; its
 	// duration is the sweep's critical path after dispatch began.
 	sp := tr.Start("merge")
 	defer sp.End()
 	sp.SetAttr("jobs", strconv.Itoa(len(jobs)))
-	for i := range done {
-		<-done[i]
-	}
+	merge(landed, len(jobs), func(int) {})
 	var body []byte
+	tiers := make([]string, len(jobs))
 	for i := range jobs {
 		if err := outcomes[i].err; err != nil {
 			if r.Context().Err() != nil {
@@ -355,19 +446,23 @@ func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *tr
 			// Deterministic error reporting: the lowest-index failure
 			// names the sweep's error, like the engine's own contract.
 			api.WriteError(w, http.StatusInternalServerError,
-				"sweep failed: job %d (%s on %s): %v", i, jobs[i].config, jobs[i].bench, err)
+				"sweep failed: job %d (%s on %s): %v", i, jobs[i].config, jobs[i].cell.Bench, err)
 			return
 		}
 		body = append(body, outcomes[i].body...)
+		if tiers[i] = outcomes[i].origin; tiers[i] == "" {
+			tiers[i] = api.CacheMiss
+		}
 	}
+	w.Header().Set(api.CacheHeader, strings.Join(tiers, ","))
 	api.WriteBody(w, http.StatusOK, body)
 }
 
 // streamSweep emits one SSE "result" event per cell in job-index order as
-// results land, then a "done" summary. Events carry the serving backend's
-// URL and whether its LRU answered, so a watching client sees the fabric's
-// cache affinity live.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs []sweepJob, outcomes []outcome, done []chan struct{}) {
+// batches land, then a "done" summary. Events carry the serving backend's
+// URL and whether its store answered, so a watching client sees the
+// fabric's cache affinity live.
+func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs []sweepJob, outcomes []outcome, landed <-chan []int) {
 	stream, err := api.NewSSE(w)
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, "%v", err)
@@ -375,13 +470,12 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs [
 	}
 	sp := tr.Start("merge")
 	summary := api.SweepDone{Jobs: len(jobs)}
-	for i := range jobs {
-		<-done[i]
+	merge(landed, len(jobs), func(i int) {
 		out := outcomes[i]
 		ev := api.SweepEvent{
 			Index:  i,
 			Config: jobs[i].config,
-			Bench:  jobs[i].bench,
+			Bench:  jobs[i].cell.Bench,
 			Cached: out.cached(),
 		}
 		if ev.Cached {
@@ -408,7 +502,7 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs [
 			ev.Result = json.RawMessage(out.body)
 		}
 		stream.Event("result", i, ev)
-	}
+	})
 	if sp.Active() {
 		sp.SetAttr("jobs", strconv.Itoa(len(jobs)))
 		sp.SetAttr("cache_hits", strconv.Itoa(summary.CacheHits))
@@ -437,7 +531,7 @@ func (c *Coordinator) handleStudy(w http.ResponseWriter, r *http.Request) {
 		path += "?" + r.URL.RawQuery
 		key += "|" + r.URL.RawQuery
 	}
-	out := c.dispatch(ctx, key, http.MethodGet, path, nil)
+	out := c.dispatch(ctx, c.members.snapshot(), call{key: key, method: http.MethodGet, path: path})
 	if out.err != nil {
 		writeOutcomeError(w, r, out)
 		return

@@ -112,7 +112,7 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 	var once sync.Once
 	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" {
+			if jobCells(r) > 0 {
 				once.Do(func() { close(sawJob) })
 			}
 			h.ServeHTTP(w, r)
@@ -125,13 +125,13 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 	resp := make(chan *httptest.ResponseRecorder, 1)
 	go func() { resp <- f.do("POST", "/v1/sweep", body, nil) }()
 
-	<-sawJob // at least one job is in flight on the 3-backend snapshot
+	recv(t, sawJob, "backend job") // at least one job is in flight on the 3-backend snapshot
 	removed := f.backends[2].URL
 	if err := f.c.RemoveBackend(removed); err != nil {
 		t.Fatalf("RemoveBackend: %v", err)
 	}
 
-	w := <-resp
+	w := recv(t, resp, "sweep response")
 	if w.Code != http.StatusOK {
 		t.Fatalf("sweep HTTP %d: %s", w.Code, w.Body)
 	}

@@ -23,15 +23,20 @@ func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
 				return h
 			}
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/v1/run" {
+				if jobCells(r) > 0 {
 					// Accept the request, send nothing. The body must be
 					// drained: the server starts its background read (the
 					// thing that cancels r.Context on client disconnect) only
 					// once the request body hits EOF, and blocking on the
-					// context (not forever) lets the httptest server shut
-					// down cleanly once the client abandons the attempt.
+					// context (bounded, not forever) lets the httptest server
+					// shut down cleanly once the client abandons the attempt.
 					io.Copy(io.Discard, r.Body)
-					<-r.Context().Done()
+					timer := time.NewTimer(waitTimeout)
+					defer timer.Stop()
+					select {
+					case <-r.Context().Done():
+					case <-timer.C:
+					}
 					return
 				}
 				h.ServeHTTP(w, r)

@@ -216,7 +216,7 @@ func failedLeader(t *testing.T, s *Server, n int, hold func()) []*httptest.Respo
 	defer cancel()
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), jobs, nil)
+		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), jobs, nil, nil)
 		leaderDone <- err
 	}()
 	<-started // the blocker runs; the cell is claimed and queued behind it

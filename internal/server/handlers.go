@@ -185,10 +185,12 @@ type computed struct {
 // With emit nil, cells are delivered all at once: resolve returns them
 // when every cell resolved, and the first failed cell fails the request.
 // Otherwise each cell, failed or not, goes to emit as soon as it and every
-// cell before it are ready (SSE); an emit error stops the resolve. Either
-// way a cell counts in the store's hit/miss accounting only once it is
-// delivered, so rejected, failed or abandoned work skews no rates.
-func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job, emit func(*cell) error) ([]cell, error) {
+// cell before it are ready (SSE); an emit error stops the resolve. open,
+// when set, is called once the led cells are admitted and before any cell
+// is awaited (an SSE stream opens there); its error stops the resolve.
+// Either way a cell counts in the store's hit/miss accounting only once it
+// is delivered, so rejected, failed or abandoned work skews no rates.
+func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job, open func() error, emit func(*cell) error) ([]cell, error) {
 	tr := trace.FromContext(ctx)
 	cells := make([]cell, len(jobs))
 	t0 := time.Now()
@@ -244,6 +246,11 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 		}()
 	}
 
+	if open != nil {
+		if err := open(); err != nil {
+			return nil, err
+		}
+	}
 	for i := range cells {
 		c := &cells[i]
 		switch {
@@ -466,7 +473,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := []engine.Job{{Study: "svwd-run", Label: cfg.Name, Config: cfg,
 		Bench: req.Bench, Insts: req.Insts, Sample: spec}}
-	cells, err := s.resolve(ctx, r, jobs, nil)
+	cells, err := s.resolve(ctx, r, jobs, nil, nil)
 	if err != nil {
 		writeResolveError(w, r, err, "run failed")
 		return
@@ -477,11 +484,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // --- /v1/sweep -----------------------------------------------------------
 
-// handleSweep flattens the matrix config-major (the `svwsim -config a,b
-// -bench x,y` order) and resolves it: buffered, the body is every result
-// object in job order — byte-identical to the equivalent multi-job
-// `svwsim -json` invocation; with Accept: text/event-stream, one SSE
-// "result" event per job in job order, then a "done" summary.
+// handleSweep resolves a sweep in job order — the matrix flattened
+// config-major (the `svwsim -config a,b -bench x,y` order), or the cells
+// form's list as given: buffered, the body is every result object in job
+// order — byte-identical to the equivalent multi-job `svwsim -json`
+// invocation — and X-Svwd-Cache lists each cell's serving tier; with
+// Accept: text/event-stream, one SSE "result" event per job in job order,
+// then a "done" summary.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !s.decodeBody(w, r, &req) {
@@ -493,64 +502,65 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	if len(req.Configs) == 0 || len(req.Benches) == 0 {
-		writeError(w, http.StatusBadRequest, "sweep matrix is empty: need configs and benches")
+	if err := req.CheckForm(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.checkCells(w, "sweep", len(req.Configs)*len(req.Benches)) {
+	if !s.checkCells(w, "sweep", req.NumCells()) {
 		return
 	}
 	spec, ok := s.resolveSample(w, req.Sample())
 	if !ok {
 		return
 	}
-	jobs := make([]engine.Job, 0, len(req.Configs)*len(req.Benches))
-	for _, cname := range req.Configs {
-		cfg, ok := sim.ConfigByName(cname)
+	cells := req.Flatten()
+	jobs := make([]engine.Job, len(cells))
+	for i, c := range cells {
+		cfg, ok := sim.ConfigByName(c.Config)
 		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown config %q", cname)
+			writeError(w, http.StatusBadRequest, "unknown config %q", c.Config)
 			return
 		}
-		for _, bench := range req.Benches {
-			if _, ok := workload.Get(bench); !ok {
-				writeError(w, http.StatusBadRequest, "unknown benchmark %q", bench)
-				return
-			}
-			jobs = append(jobs, engine.Job{Study: "svwd-sweep", Label: cfg.Name, Config: cfg,
-				Bench: bench, Insts: req.Insts, Sample: spec})
+		if _, ok := workload.Get(c.Bench); !ok {
+			writeError(w, http.StatusBadRequest, "unknown benchmark %q", c.Bench)
+			return
 		}
+		jobs[i] = engine.Job{Study: "svwd-sweep", Label: cfg.Name, Config: cfg,
+			Bench: c.Bench, Insts: req.Insts, Sample: spec}
 	}
 	if api.WantsSSE(r) {
 		s.streamSweep(ctx, w, r, jobs)
 		return
 	}
-	cells, err := s.resolve(ctx, r, jobs, nil)
+	resolved, err := s.resolve(ctx, r, jobs, nil, nil)
 	if err != nil {
 		writeResolveError(w, r, err, "sweep failed")
 		return
 	}
 	var body []byte
-	for i := range cells {
-		body = append(body, cells[i].body...)
+	tiers := make([]string, len(resolved))
+	for i := range resolved {
+		body = append(body, resolved[i].body...)
+		tiers[i] = resolved[i].origin.String()
 	}
+	w.Header().Set(api.CacheHeader, strings.Join(tiers, ","))
 	writeBody(w, http.StatusOK, body)
 }
 
-// streamSweep is the SSE consumer of resolve. The stream opens with the
-// first deliverable cell; a resolve that fails before it (429, deadline)
-// answers with an ordinary error response, and one that fails after it
-// leaves the stream without its "done" event, so a live client can tell
-// the sweep did not complete.
+// streamSweep is the SSE consumer of resolve. The stream opens as soon as
+// resolve has admitted the request's led cells, before any cell is
+// awaited, so a client's header timeout need not cover a cold cell; a
+// refusal (429) or a failure before that point answers with an ordinary
+// error response, and one after it leaves the stream without its "done"
+// event, so a live client can tell the sweep did not complete.
 func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request, jobs []engine.Job) {
 	var stream *api.SSE
 	summary := SweepDone{Jobs: len(jobs)}
-	_, err := s.resolve(ctx, r, jobs, func(c *cell) error {
-		if stream == nil {
-			var err error
-			if stream, err = api.NewSSE(w); err != nil {
-				return err
-			}
-		}
+	open := func() (err error) {
+		stream, err = api.NewSSE(w)
+		return err
+	}
+	_, err := s.resolve(ctx, r, jobs, open, func(c *cell) error {
 		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench}
 		if c.origin != store.OriginMiss {
 			ev.Cached, ev.Origin = true, c.origin.String()
@@ -703,7 +713,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	resolved, err := s.resolve(ctx, r, st.Jobs, nil)
+	resolved, err := s.resolve(ctx, r, st.Jobs, nil, nil)
 	if err != nil {
 		writeResolveError(w, r, err, "study failed")
 		return
