@@ -220,6 +220,17 @@ ctl=$(sed -n 's/^svwctl: listening on //p' "$tmp/ctl.out")
 "$tmp/svwsim" -json -config ssq,ssq+svw -bench gcc,twolf -insts "$smoke_insts" >>"$tmp/ctl_want.json"
 cmp "$tmp/ctl_got.json" "$tmp/ctl_want.json"
 
+# One forward route: svwctl sends svwd engine work only as cells-form
+# /v1/sweep — the smoke's run went out as a one-cell batch — so the
+# backends served sweeps and not a single /v1/run.
+"$tmp/svwload" -metrics -url "http://$b1" >"$tmp/backend_metrics.txt"
+"$tmp/svwload" -metrics -url "http://$b2" >>"$tmp/backend_metrics.txt"
+grep -q '^svw_http_requests_total{code="200",endpoint="/v1/sweep"}' "$tmp/backend_metrics.txt"
+if grep '^svw_http_requests_total{.*endpoint="/v1/run"' "$tmp/backend_metrics.txt"; then
+    echo "ci: svwctl forwarded /v1/run to a backend" >&2
+    exit 1
+fi
+
 # One forward per backend per sweep: svwctl sends each rendezvous owner one
 # cells-form batch, so the 4-cell smoke sweep, repeated, may reach the two
 # backends with at most 2 requests in total (one per cell would be 4).

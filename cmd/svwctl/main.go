@@ -42,6 +42,7 @@ import (
 	"svwsim/internal/cluster"
 	"svwsim/internal/debugserver"
 	"svwsim/internal/pipeline"
+	"svwsim/internal/rendezvous"
 )
 
 // backendSet is the desired pool: the union of the -backends flag and the
@@ -66,7 +67,7 @@ func backendSet(flagURLs, file string) ([]string, error) {
 	var urls []string
 	seen := make(map[string]bool)
 	for _, u := range raw {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
+		u = rendezvous.Normalize(u)
 		if u == "" || seen[u] {
 			continue
 		}
@@ -84,7 +85,7 @@ func main() {
 			"and reconciled with -backends, so the pool grows and shrinks "+
 			"without a restart")
 	conc := flag.Int("backend-conc", cluster.DefaultBackendConcurrency,
-		"max in-flight requests (sweep batches or runs) per backend")
+		"max in-flight sweep batches (a run is a one-cell batch) per backend")
 	attempts := flag.Int("max-attempts", 0,
 		"max forwarding attempts per job across backends (0 = 2x backend count)")
 	hedge := flag.Duration("hedge", 0,

@@ -24,9 +24,11 @@ import (
 	"time"
 
 	"svwsim/internal/pipeline"
+	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
 	"svwsim/internal/store"
 	"svwsim/internal/trace"
+	"svwsim/internal/workload"
 )
 
 // CacheHeader is set on /v1/run responses to say which store tier served
@@ -114,15 +116,17 @@ type RunRequest struct {
 	SamplePeriod uint64 `json:"sample_period,omitempty"`
 }
 
-// Sample assembles the request's sampling spec (zero value = exact).
-func (r *RunRequest) Sample() pipeline.SampleSpec {
-	return pipeline.SampleSpec{Warmup: r.SampleWarmup, Detail: r.SampleDetail, Period: r.SamplePeriod}
-}
-
-// SetSample spreads spec back into the wire fields (used when a layer
-// resolves a default spec and forwards the request).
-func (r *RunRequest) SetSample(spec pipeline.SampleSpec) {
-	r.SampleWarmup, r.SampleDetail, r.SamplePeriod = spec.Warmup, spec.Detail, spec.Period
+// Sweep is the run as a one-cell cells-form sweep. Both services plan,
+// resolve and forward a run as exactly that, so a run and a sweep cell
+// share one validation, one resolve path and one forward route.
+func (r *RunRequest) Sweep() SweepRequest {
+	return SweepRequest{
+		Cells:        []SweepCell{{Config: r.Config, Bench: r.Bench}},
+		Insts:        r.Insts,
+		SampleWarmup: r.SampleWarmup,
+		SampleDetail: r.SampleDetail,
+		SamplePeriod: r.SamplePeriod,
+	}
 }
 
 // SweepRequest is the body of POST /v1/sweep, in one of two forms: a
@@ -190,6 +194,42 @@ func (r *SweepRequest) Sample() pipeline.SampleSpec {
 // SetSample spreads spec back into the wire fields.
 func (r *SweepRequest) SetSample(spec pipeline.SampleSpec) {
 	r.SampleWarmup, r.SampleDetail, r.SamplePeriod = spec.Warmup, spec.Detail, spec.Period
+}
+
+// Plan validates the request and returns its cells as engine jobs in job
+// order. The sampling spec is the request's own when enabled, else
+// defaultSample, and every job carries it resolved, so the spec that keys
+// a cell is the spec that runs it. The checks run in a fixed order —
+// form, the maxJobs bound, the spec, then each cell's config and bench —
+// and an error's text is the 400 message both services answer with.
+func (r *SweepRequest) Plan(defaultSample pipeline.SampleSpec, maxJobs int) ([]engine.Job, error) {
+	if err := r.CheckForm(); err != nil {
+		return nil, err
+	}
+	if n := r.NumCells(); n > maxJobs {
+		return nil, fmt.Errorf("sweep matrix has %d jobs, limit is %d", n, maxJobs)
+	}
+	spec := r.Sample()
+	if !spec.Enabled() {
+		spec = defaultSample
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	cells := r.Flatten()
+	jobs := make([]engine.Job, len(cells))
+	for i, c := range cells {
+		cfg, ok := sim.ConfigByName(c.Config)
+		if !ok {
+			return nil, fmt.Errorf("unknown config %q", c.Config)
+		}
+		if _, ok := workload.Get(c.Bench); !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", c.Bench)
+		}
+		jobs[i] = engine.Job{Study: "sweep", Label: cfg.Name, Config: cfg,
+			Bench: c.Bench, Insts: r.Insts, Sample: spec}
+	}
+	return jobs, nil
 }
 
 // ErrorResponse is the body of every non-2xx response.
@@ -449,6 +489,26 @@ type SweepDone struct {
 	PeerHits    int `json:"peer_hits"`
 	CacheMisses int `json:"cache_misses"`
 	Errors      int `json:"errors"`
+}
+
+// Add tallies one delivered event into the summary: a store-served event
+// under CacheHits and its tier's subset, any other under CacheMisses, and
+// a failed one under Errors too. Jobs is the sweep's size, set up front.
+func (d *SweepDone) Add(ev SweepEvent) {
+	if ev.Cached {
+		d.CacheHits++
+		switch ev.Origin {
+		case CacheDisk:
+			d.DiskHits++
+		case CachePeer:
+			d.PeerHits++
+		}
+	} else {
+		d.CacheMisses++
+	}
+	if ev.Error != "" {
+		d.Errors++
+	}
 }
 
 // --- request helpers -----------------------------------------------------

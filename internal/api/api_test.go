@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"svwsim/internal/pipeline"
+	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
 )
 
@@ -148,19 +149,18 @@ func TestDecodeBody(t *testing.T) {
 
 func TestSampleRoundTrip(t *testing.T) {
 	spec := pipeline.SampleSpec{Warmup: 1_000, Detail: 2_000, Period: 50_000}
-	var run RunRequest
-	run.SetSample(spec)
-	if run.Sample() != spec {
-		t.Fatalf("RunRequest: %+v -> %+v", spec, run.Sample())
-	}
 	var sweep SweepRequest
 	sweep.SetSample(spec)
 	if sweep.Sample() != spec {
 		t.Fatalf("SweepRequest: %+v -> %+v", spec, sweep.Sample())
 	}
-	run.SetSample(pipeline.SampleSpec{})
-	if run.Sample().Enabled() || run.SampleWarmup != 0 || run.SampleDetail != 0 || run.SamplePeriod != 0 {
-		t.Fatalf("clearing the spec left %+v", run)
+	run := RunRequest{SampleWarmup: spec.Warmup, SampleDetail: spec.Detail, SamplePeriod: spec.Period}
+	if got := run.Sweep(); got.Sample() != spec {
+		t.Fatalf("RunRequest.Sweep: %+v -> %+v", spec, got.Sample())
+	}
+	sweep.SetSample(pipeline.SampleSpec{})
+	if sweep.Sample().Enabled() || sweep.SampleWarmup != 0 || sweep.SampleDetail != 0 || sweep.SamplePeriod != 0 {
+		t.Fatalf("clearing the spec left %+v", sweep)
 	}
 }
 
@@ -204,6 +204,79 @@ func TestStatsSectionsAddEveryField(t *testing.T) {
 	gs := g1
 	gs.Add(g2)
 	check("GateStats", &g1, &g2, &gs)
+}
+
+// TestSweepDoneAddTalliesEveryField: one event of each kind — a memory,
+// disk and peer hit, a miss, a failed miss — lands in its own fields, and
+// every field but Jobs is reached by some event, so a field added to the
+// summary without a tally fails here.
+func TestSweepDoneAddTalliesEveryField(t *testing.T) {
+	var d SweepDone
+	for _, ev := range []SweepEvent{
+		{Cached: true, Origin: CacheMemory},
+		{Cached: true, Origin: CacheDisk},
+		{Cached: true, Origin: CachePeer},
+		{},
+		{Error: "boom"},
+	} {
+		d.Add(ev)
+	}
+	want := SweepDone{CacheHits: 3, DiskHits: 1, PeerHits: 1, CacheMisses: 2, Errors: 1}
+	if d != want {
+		t.Fatalf("tallied %+v, want %+v", d, want)
+	}
+	v := reflect.ValueOf(d)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Jobs" && v.Field(i).Int() == 0 {
+			t.Errorf("SweepDone.Add never tallies %s", name)
+		}
+	}
+}
+
+// TestPlan: a run and the one-cell sweep it becomes plan to the same job;
+// a matrix plans config-major with the resolved spec on every job; and
+// each rejection carries the message both services answer 400 with.
+func TestPlan(t *testing.T) {
+	def := pipeline.SampleSpec{Warmup: 1_000, Detail: 1_000, Period: 10_000}
+	run := RunRequest{Config: " SSQ+SVW ", Bench: "gcc", Insts: 5_000}
+	sweep := run.Sweep()
+	jobs, err := sweep.Plan(def, 1)
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("run plan: %v, %d jobs", err, len(jobs))
+	}
+	want, _ := sim.ConfigByName("ssq+svw")
+	if j := jobs[0]; j.Config.Name != want.Name || j.Label != want.Name || j.Bench != "gcc" ||
+		j.Insts != 5_000 || j.Sample != def {
+		t.Fatalf("run planned as %s/%s on %s, %d insts, spec %+v", j.Label, j.Config.Name, j.Bench, j.Insts, j.Sample)
+	}
+	matrix := SweepRequest{Configs: []string{"ssq", "nlq"}, Benches: []string{"gcc", "twolf"}}
+	matrix.SetSample(pipeline.SampleSpec{Warmup: 10, Detail: 10, Period: 100})
+	jobs, err = matrix.Plan(def, 4)
+	if err != nil || len(jobs) != 4 {
+		t.Fatalf("matrix plan: %v, %d jobs", err, len(jobs))
+	}
+	for i, c := range matrix.Flatten() {
+		want, _ := sim.ConfigByName(c.Config)
+		if j := jobs[i]; j.Config.Name != want.Name || j.Bench != c.Bench || j.Sample != matrix.Sample() {
+			t.Errorf("job %d planned as %s on %s (%+v), want %s on %s", i, j.Config.Name, j.Bench,
+				j.Sample, want.Name, c.Bench)
+		}
+	}
+	for _, bad := range []struct {
+		req  SweepRequest
+		want string
+	}{
+		{SweepRequest{}, "sweep matrix is empty: need configs and benches, or cells"},
+		{matrix, "sweep matrix has 4 jobs, limit is 3"},
+		{SweepRequest{Cells: []SweepCell{{"ssq", "gcc"}}, SampleDetail: 1},
+			pipeline.SampleSpec{Detail: 1}.Validate().Error()},
+		{(&RunRequest{Config: "no-such", Bench: "gcc"}).Sweep(), `unknown config "no-such"`},
+		{(&RunRequest{Config: "ssq", Bench: "no-such"}).Sweep(), `unknown benchmark "no-such"`},
+	} {
+		if _, err := bad.req.Plan(pipeline.SampleSpec{}, 3); err == nil || err.Error() != bad.want {
+			t.Errorf("%+v: error %v, want %q", bad.req, err, bad.want)
+		}
+	}
 }
 
 // TestSplitResults: a concatenation of MarshalResult cells splits back

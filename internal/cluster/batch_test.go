@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"svwsim/internal/api"
+	"svwsim/internal/rendezvous"
 	"svwsim/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func owners(t *testing.T, f *fabric, configs, benches []string) []int {
 	var out []int
 	for _, c := range configs {
 		for _, b := range benches {
-			top := rankURLs(urls, jobKey(t, c, b))[0]
+			top := rendezvous.Rank(urls, jobKey(t, c, b))[0]
 			for i, u := range urls {
 				if u == top {
 					out = append(out, i)
@@ -141,7 +142,7 @@ func TestSweepSurvivesBatchCutMidBody(t *testing.T) {
 	if st.Cluster.Retries != uint64(cut) {
 		t.Fatalf("retries %d, want %d: exactly the cut batch's cells, once each", st.Cluster.Retries, cut)
 	}
-	// One batch per owner, plus one run per re-walked cell.
+	// One batch per owner, plus one one-cell batch per re-walked cell.
 	if got, want := backendRequests(st), uint64(len(distinct)+cut); got != want {
 		t.Fatalf("%d backend requests, want %d", got, want)
 	}

@@ -17,11 +17,13 @@
 //     the replies merge back in job-index order, buffered or as SSE, so
 //     cluster output is byte-identical to `svwsim -json`;
 //   - resilience: backends are health-checked (background probes plus
-//     passive marking on request failures); a failed attempt retries on
-//     the key's next-ranked backend — a failed sweep batch re-walks its
-//     cells one by one as /v1/runs — and optional hedging duplicates a
-//     straggling job or batch onto the fallback after a configurable
-//     delay, first response winning;
+//     passive marking on request failures); a run is a one-cell batch,
+//     and a one-cell batch walks the key's rendezvous order, retrying on
+//     the next-ranked backend; a failed multi-cell batch re-walks its
+//     cells one by one as one-cell batches — cells-form /v1/sweep is the
+//     only job route to svwd — and optional hedging duplicates a
+//     straggling batch onto the fallback after a configurable delay,
+//     first response winning;
 //   - observability: /v1/stats aggregates the pool's store/engine/
 //     admission counters and adds a cluster section (per-backend health,
 //     requests, errors, jobs won, memory/disk cache hits, retry/hedge
@@ -75,17 +77,19 @@ type Options struct {
 	// Backends are the svwd base URLs to front (e.g. "http://10.0.0.1:7411").
 	// Order does not matter: placement depends only on the URL set.
 	Backends []string
-	// BackendConcurrency caps the coordinator's in-flight requests —
-	// sweep batches or runs — per backend (0 = DefaultBackendConcurrency).
+	// BackendConcurrency caps the coordinator's in-flight requests — sweep
+	// batches, one-cell ones included — per backend
+	// (0 = DefaultBackendConcurrency).
 	BackendConcurrency int
 	// MaxAttempts bounds forwarding attempts per job, counting the first
 	// (0 = 2 × len(Backends), min 2). Attempts walk the key's rendezvous
 	// order, healthy backends first, then fail open to unhealthy ones.
 	MaxAttempts int
-	// HedgeAfter launches a speculative duplicate of a job, or of a sweep
-	// batch as a whole, on its next-ranked backend when the primary has
-	// not answered within this delay; the first response wins (0 = hedging
-	// disabled). The hedge shares the job's MaxAttempts budget.
+	// HedgeAfter launches a speculative duplicate of a forwarded request —
+	// a sweep batch as a whole, a run's one-cell batch, a study — on its
+	// next-ranked backend when the primary has not answered within this
+	// delay; the first response wins (0 = hedging disabled). A walking
+	// hedge shares its request's MaxAttempts budget.
 	HedgeAfter time.Duration
 	// MaxBodyBytes bounds request bodies (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64

@@ -163,25 +163,22 @@ func recv[T any](t *testing.T, ch <-chan T, what string) T {
 	}
 }
 
-// jobCells is how many cells a backend request carries: 1 for a /v1/run,
-// the cell count of a /v1/sweep (the coordinator's per-owner batch), 0
-// for anything else. Fault injectors use it to match job traffic on
-// either route; it reads r's body and restores it for the wrapped
+// jobCells is how many cells a backend request carries: the cell count
+// of a /v1/sweep — the coordinator's only job route, a per-owner batch or
+// a one-cell walk — and 0 for anything else. Fault injectors use it to
+// match job traffic; it reads r's body and restores it for the wrapped
 // handler.
 func jobCells(r *http.Request) int {
-	switch r.URL.Path {
-	case "/v1/run":
-		return 1
-	case "/v1/sweep":
-		body, _ := io.ReadAll(r.Body)
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		var req api.SweepRequest
-		if json.Unmarshal(body, &req) != nil {
-			return 0
-		}
-		return req.NumCells()
+	if r.URL.Path != "/v1/sweep" {
+		return 0
 	}
-	return 0
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	var req api.SweepRequest
+	if json.Unmarshal(body, &req) != nil {
+		return 0
+	}
+	return req.NumCells()
 }
 
 func sweepBody(configs, benches []string) string {

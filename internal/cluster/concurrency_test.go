@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"svwsim/internal/api"
+	"svwsim/internal/rendezvous"
 	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
 )
@@ -132,7 +133,7 @@ func newStragglerFabric(t *testing.T) (*fabric, string) {
 	})
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
+		if rendezvous.Rank([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
 			return f, cname
 		}
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,9 +23,10 @@ type outcome struct {
 	status int      // HTTP status of the final response (0 = no response)
 	body   []byte
 	// origin is the serving store tier from api.CacheHeader ("memory",
-	// "disk", "miss"; empty when the response carried no header, e.g. a
-	// proxied study). A response served by the coordinator's own store
-	// after every backend attempt failed has a tier origin and b == nil.
+	// "disk", "peer", "miss"; a batch's comma-separated list; empty when
+	// the response carried no header, e.g. a proxied study). A response
+	// served by the coordinator's own store after every backend attempt
+	// failed has a tier origin and b == nil.
 	origin string
 	hedged bool // produced by the hedge attempt, not the primary
 	// err is set when no usable response was obtained (all candidates
@@ -32,6 +34,7 @@ type outcome struct {
 	err error
 	// cells and tiers are a batch's 200 reply split per cell: each
 	// cell's result bytes and its serving tier from the CacheHeader list.
+	// A one-cell reply's single cell is body itself, its tier origin.
 	cells [][]byte
 	tiers []string
 }
@@ -41,12 +44,13 @@ type call struct {
 	key          string // rendezvous key: ranks the backends to try
 	method, path string
 	body         []byte
-	// cells > 0 marks a cells-form /v1/sweep batch of that many cells, all
-	// owned by the key's top-ranked backend. A batch is addressed, not
-	// walked: each walk makes one attempt — the primary on the owner, a
-	// hedge on the next-ranked backend — and a 200 reply is split per cell
-	// (a reply that does not split is a failed attempt). When a batch
-	// fails, its cells walk on their own (handleSweep).
+	// cells > 0 marks a cells-form /v1/sweep of that many cells, all owned
+	// by the key's top-ranked backend; its 200 reply is split per cell (a
+	// reply that does not split is a failed attempt). A one-cell batch
+	// walks the key's rendezvous order like any call. A multi-cell batch
+	// is addressed, not walked: each walk makes one attempt — the primary
+	// on the owner, a hedge on the next-ranked backend — and when the
+	// batch fails its cells walk on their own (sweepBatch).
 	cells int
 }
 
@@ -78,9 +82,10 @@ func peersHeader(pool []*backend) string {
 
 // dispatch forwards one request to pool, a membership snapshot:
 // rendezvous-routed, retried across backends, optionally hedged. It is the
-// single entry point the handlers use, so every path — a run, a study, a
-// sweep's per-owner batch — gets identical failover behavior, and it
-// performs the winning-response bookkeeping exactly once per call.
+// single entry point the handlers use, so every path — a per-owner sweep
+// batch, a one-cell batch (a run, or a re-walked cell), a study — gets
+// identical failover behavior, and it performs the winning-response
+// bookkeeping exactly once per call.
 //
 // A traced request gets one "dispatch" span per call, annotated
 // synchronously (before dispatch returns) with the winning backend, which
@@ -191,7 +196,7 @@ func finishDispatch(dsp trace.Span, out outcome, hedged bool) {
 // handlers' business: they know what is a client job and what is not.
 func (c *Coordinator) noteOutcome(out outcome) {
 	if out.err == nil && out.status == http.StatusOK && out.b != nil {
-		if out.tiers == nil {
+		if out.tiers == nil { // a proxied study
 			out.b.noteWin(out.origin)
 		}
 		for _, tier := range out.tiers { // a batch wins once per cell
@@ -203,10 +208,10 @@ func (c *Coordinator) noteOutcome(out outcome) {
 	}
 }
 
-// forwardJob dispatches one engine job (a /v1/run body, keyed by its memo
-// key) with the coordinator store wrapped around the pool: a run, or one
-// cell of a sweep whose batch failed.
+// settle finishes one job's outcome against the coordinator store and
+// accounts it as one client job, exactly once:
 //
+//   - a non-200 terminal reply is a failed job;
 //   - a job no backend could serve is answered from the coordinator's own
 //     store when the result is already on its disk — a previous
 //     write-through, or a CLI sweep that pre-warmed the directory — so a
@@ -215,38 +220,28 @@ func (c *Coordinator) noteOutcome(out outcome) {
 //
 // Concurrent identical jobs are not coalesced here: rendezvous routing
 // sends them all to the key's one owner, whose cell resolver runs the job
-// once for every waiting request. Without Options.StoreDir this is
-// exactly dispatch.
-func (c *Coordinator) forwardJob(ctx context.Context, key string, reqBody []byte) outcome {
-	out := c.dispatch(ctx, c.members.snapshot(), call{
-		key: key, method: http.MethodPost, path: "/v1/run", body: reqBody})
-	if c.store == nil {
-		return out
+// once for every waiting request. Without Options.StoreDir only the
+// first rule applies.
+func (c *Coordinator) settle(ctx context.Context, key string, out outcome) outcome {
+	if out.err == nil && out.status != http.StatusOK {
+		out.err = errors.New(string(out.body))
 	}
-	if out.err != nil && ctx.Err() == nil {
+	switch {
+	case c.store == nil:
+	case out.err != nil && ctx.Err() == nil:
 		sp := trace.FromContext(ctx).Start("store_fallback")
 		body, origin := c.store.Get(key)
 		sp.SetAttr("tier", origin.String())
 		sp.End()
 		if origin != store.OriginMiss {
 			c.store.AccountGet(origin)
-			return outcome{
-				status: http.StatusOK,
-				body:   body,
-				origin: origin.String(),
-			}
+			out = outcome{status: http.StatusOK, body: body, origin: origin.String()}
 		}
-	}
-	c.writeThrough(key, out)
-	return out
-}
-
-// writeThrough copies a freshly computed result into the coordinator's
-// store (a no-op without one, or for a result a backend's store served).
-func (c *Coordinator) writeThrough(key string, out outcome) {
-	if c.store != nil && out.err == nil && out.status == http.StatusOK && !out.cached() {
+	case out.err == nil && !out.cached():
 		c.store.Put(key, out.body)
 	}
+	c.addJob(out.err != nil)
+	return out
 }
 
 // forward walks the key's rendezvous candidate order over pool — the
@@ -256,14 +251,14 @@ func (c *Coordinator) writeThrough(key string, out outcome) {
 // unhealthy (unless none are); pass 1 fails open and tries everyone, so a
 // pool whose marks are all stale can still recover. Attempts beyond each
 // walk's first count as retries (a hedge's first attempt is accounted as
-// the hedge, not a retry). A batch's walk is its one attempt on the
-// candidate at offset (see call). dsp is the dispatch span the walk's
+// the hedge, not a retry). A multi-cell batch's walk is its one attempt
+// on the candidate at offset (see call). dsp is the dispatch span the walk's
 // "attempt" spans parent under (inert when untraced); walk names the walk
 // on those spans ("primary" or "hedge").
 func (c *Coordinator) forward(ctx context.Context, dsp trace.Span, pool []*backend, walk string, offset int, req *call, peersHdr string, budget *atomic.Int64, maxAttempts int) outcome {
 	order := rank(pool, req.key)
 	n := len(order)
-	if req.cells > 0 {
+	if req.cells > 1 {
 		b := pool[order[offset%n]]
 		out, _ := c.attempt(ctx, attemptSpan(dsp, b, walk, 1), b, req, peersHdr)
 		return out

@@ -223,36 +223,50 @@ func TestRunFailsOverFromDeadBackend(t *testing.T) {
 // TestSweepSaturatedPoolReturns429: when every backend refuses with 429,
 // the coordinator's sweep answers 429 + Retry-After exactly like a
 // single saturated svwd — not a 500. The fabric must be indistinguishable
-// from one daemon even in its failure statuses. The refused batch's cell
-// must re-walk on its own, and be refused there too.
+// from one daemon even in its failure statuses. The sweep's cells share
+// one owner, so they go out as one multi-cell batch; once it is refused,
+// each cell must re-walk as a one-cell batch along its rendezvous order,
+// and be refused by every backend there too.
 func TestSweepSaturatedPoolReturns429(t *testing.T) {
-	var refusedBatches, refusedRuns atomic.Int64
+	var refusedBatches, refusedCells atomic.Int64
 	saturated := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if jobCells(r) > 0 {
-				if r.URL.Path == "/v1/sweep" {
-					refusedBatches.Add(1)
-				} else {
-					refusedRuns.Add(1)
-				}
-				w.Header().Set("Retry-After", "1")
-				api.WriteError(w, http.StatusTooManyRequests, "admission gate saturated")
+			switch n := jobCells(r); {
+			case n > 1:
+				refusedBatches.Add(1)
+			case n == 1:
+				refusedCells.Add(1)
+			default:
+				h.ServeHTTP(w, r)
 				return
 			}
-			h.ServeHTTP(w, r)
+			w.Header().Set("Retry-After", "1")
+			api.WriteError(w, http.StatusTooManyRequests, "admission gate saturated")
 		})
 	}
 	f := newFabric(t, 2, Options{MaxAttempts: 2}, saturated)
-	w := f.do("POST", "/v1/sweep", sweepBody([]string{"ssq"}, []string{"gcc"}), nil)
+	var cells []api.SweepCell
+	for _, c := range sim.ConfigNames() {
+		if len(cells) < 2 && owners(t, f, []string{c}, []string{"gcc"})[0] == 0 {
+			cells = append(cells, api.SweepCell{Config: c, Bench: "gcc"})
+		}
+	}
+	if len(cells) < 2 {
+		t.Fatal("fewer than two configs own gcc on backend 0")
+	}
+	body, _ := json.Marshal(api.SweepRequest{Cells: cells, Insts: testInsts})
+	w := f.do("POST", "/v1/sweep", string(body), nil)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("sweep over saturated pool: HTTP %d, want 429", w.Code)
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if refusedBatches.Load() == 0 || refusedRuns.Load() == 0 {
-		t.Errorf("refused %d batches and %d runs, want both > 0: the batch or its per-cell re-walk never ran",
-			refusedBatches.Load(), refusedRuns.Load())
+	// Each cell's walk spends its whole budget: both backends, once each.
+	if got, want := refusedCells.Load(), int64(2*len(cells)); refusedBatches.Load() != 1 || got != want {
+		t.Errorf("refused %d multi-cell batches and %d one-cell attempts, want 1 and %d: "+
+			"the batch, or its cells' re-walks along the rendezvous order, never ran",
+			refusedBatches.Load(), got, want)
 	}
 }
 

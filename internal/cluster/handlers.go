@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"svwsim/internal/api"
-	"svwsim/internal/pipeline"
 	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
 	"svwsim/internal/trace"
@@ -137,8 +136,13 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
-// --- /v1/run -------------------------------------------------------------
+// --- /v1/run and /v1/sweep ---------------------------------------------
 
+// handleRun serves a run as a one-cell sweep: planned by the same
+// api.SweepRequest.Plan and sent down the same batch path as a sweep's
+// cells, so its cell walks the key's rendezvous order with the store
+// fallback around it. The serving tier — a backend's store, the
+// coordinator's own, or "miss" — is propagated in X-Svwd-Cache.
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
 	if !c.decodeBody(w, r, &req) {
@@ -149,55 +153,26 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	cfg, ok := sim.ConfigByName(req.Config)
-	if !ok {
-		api.WriteError(w, http.StatusBadRequest, "unknown config %q", req.Config)
-		return
-	}
-	if _, ok := workload.Get(req.Bench); !ok {
-		api.WriteError(w, http.StatusBadRequest, "unknown benchmark %q", req.Bench)
-		return
-	}
-	spec, ok := c.resolveSample(w, req.Sample())
+	sweep := req.Sweep()
+	plan, ok := c.plan(w, &sweep)
 	if !ok {
 		return
 	}
 	c.addRun()
-
-	// Forward the normalized registry name (the display name in cfg.Name
-	// is not a registry key). The routing key is the memo key of the
-	// built config, so aliases and case differences hash to the same
-	// backend as their canonical spelling regardless of spelling. The
-	// resolved sampling spec is forwarded explicitly and keys the routing,
-	// so sampled and exact variants of one job shard independently.
-	key := engine.SampledFingerprint(cfg, req.Bench, req.Insts, spec)
-	fwd := api.RunRequest{
-		Config: normalizeConfigName(req.Config), Bench: req.Bench, Insts: req.Insts}
-	fwd.SetSample(spec)
-	body, err := json.Marshal(fwd)
-	if err != nil {
-		api.WriteError(w, http.StatusInternalServerError, "encoding job: %v", err)
-		return
-	}
-	out := c.forwardJob(ctx, key, body)
-	c.addJob(out.err != nil)
+	outcomes, landed := c.send(ctx, plan)
+	<-landed
+	out := outcomes[0]
 	if out.err != nil {
 		writeOutcomeError(w, r, out)
 		return
 	}
-	if out.status == http.StatusOK {
-		// Propagate the serving tier verbatim — memory, disk or miss —
-		// whether a backend's store answered or the coordinator's own.
-		origin := out.origin
-		if origin == "" {
-			origin = api.CacheMiss
-		}
-		w.Header().Set(api.CacheHeader, origin)
+	origin := out.origin
+	if origin == "" {
+		origin = api.CacheMiss
 	}
-	api.WriteBody(w, out.status, out.body)
+	w.Header().Set(api.CacheHeader, origin)
+	api.WriteBody(w, http.StatusOK, out.body)
 }
-
-// --- /v1/sweep -----------------------------------------------------------
 
 // normalizeConfigName lowercases and trims a client-supplied config name
 // so the forwarded request resolves in the backend's registry exactly as
@@ -206,107 +181,60 @@ func normalizeConfigName(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// resolveSample picks a request's effective sampling spec — its own when
-// enabled, the coordinator's default otherwise — and validates it,
-// writing the 400 itself on an incoherent spec. The result is stamped
-// onto every forwarded body, so backends never apply their own defaults
-// to fabric-routed work.
-func (c *Coordinator) resolveSample(w http.ResponseWriter, spec pipeline.SampleSpec) (pipeline.SampleSpec, bool) {
-	if !spec.Enabled() {
-		spec = c.defaultSample
-	}
-	if err := spec.Validate(); err != nil {
-		api.WriteError(w, http.StatusBadRequest, "%v", err)
-		return pipeline.SampleSpec{}, false
-	}
-	return spec, true
-}
-
-// sweepPlan is a validated sweep: its cells in job order, and the insts
-// and resolved sampling spec they all share.
+// sweepPlan is a planned request: its engine jobs in job order, with each
+// job's cell as forwarded and its memo key, the routing key. The key
+// hashes the built config and the resolved sampling spec, so aliases and
+// case differences route with their canonical spelling, and sampled and
+// exact variants of one job shard independently.
 type sweepPlan struct {
-	insts uint64
-	spec  pipeline.SampleSpec
-	jobs  []sweepJob
+	jobs  []engine.Job
+	cells []api.SweepCell // normalized registry name and bench
+	keys  []string
 }
 
-// sweepJob is one cell of the plan.
-type sweepJob struct {
-	config string        // the config's display name (what SSE events carry)
-	cell   api.SweepCell // registry name and bench, as forwarded
-	key    string        // engine memo key: the routing key
-}
-
-// planSweep validates the request and flattens it into job order — a
-// matrix config-major (the `svwsim -config a,b -bench x,y` order), cells
-// as listed — identically to svwd. It writes the error response itself
-// on failure.
-func (c *Coordinator) planSweep(w http.ResponseWriter, req *api.SweepRequest) (*sweepPlan, bool) {
-	if err := req.CheckForm(); err != nil {
+// plan validates req through api.SweepRequest.Plan — against the
+// coordinator's default sampling spec, which is thereby stamped onto every
+// forwarded body so backends never apply their own defaults to
+// fabric-routed work — writing the 400 itself on failure.
+func (c *Coordinator) plan(w http.ResponseWriter, req *api.SweepRequest) (*sweepPlan, bool) {
+	jobs, err := req.Plan(c.defaultSample, c.maxSweepJobs)
+	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	if n := req.NumCells(); n > c.maxSweepJobs {
-		api.WriteError(w, http.StatusBadRequest,
-			"sweep matrix has %d jobs, limit is %d", n, c.maxSweepJobs)
-		return nil, false
-	}
-	spec, ok := c.resolveSample(w, req.Sample())
-	if !ok {
-		return nil, false
-	}
-	p := &sweepPlan{insts: req.Insts, spec: spec}
-	for _, cell := range req.Flatten() {
-		cfg, ok := sim.ConfigByName(cell.Config)
-		if !ok {
-			api.WriteError(w, http.StatusBadRequest, "unknown config %q", cell.Config)
-			return nil, false
-		}
-		if _, ok := workload.Get(cell.Bench); !ok {
-			api.WriteError(w, http.StatusBadRequest, "unknown benchmark %q", cell.Bench)
-			return nil, false
-		}
-		p.jobs = append(p.jobs, sweepJob{
-			config: cfg.Name,
-			cell:   api.SweepCell{Config: normalizeConfigName(cell.Config), Bench: cell.Bench},
-			key:    engine.SampledFingerprint(cfg, cell.Bench, req.Insts, spec),
-		})
+	p := &sweepPlan{jobs: jobs, cells: make([]api.SweepCell, len(jobs)), keys: make([]string, len(jobs))}
+	for i, cell := range req.Flatten() {
+		j := jobs[i]
+		p.cells[i] = api.SweepCell{Config: normalizeConfigName(cell.Config), Bench: cell.Bench}
+		p.keys[i] = engine.SampledFingerprint(j.Config, j.Bench, j.Insts, j.Sample)
 	}
 	return p, true
 }
 
-// runBody is the /v1/run request for job i alone. (Marshalling these
-// strings and integers cannot fail.)
-func (p *sweepPlan) runBody(i int) []byte {
-	run := api.RunRequest{Config: p.jobs[i].cell.Config, Bench: p.jobs[i].cell.Bench, Insts: p.insts}
-	run.SetSample(p.spec)
-	b, _ := json.Marshal(run)
-	return b
-}
-
-// batchBody is the cells-form /v1/sweep request for the jobs at idx.
-func (p *sweepPlan) batchBody(idx []int) []byte {
-	req := api.SweepRequest{Cells: make([]api.SweepCell, len(idx)), Insts: p.insts}
+// call is the cells-form /v1/sweep forwarding the jobs at idx, keyed by
+// the first job's memo key (a batch's jobs share one owner). Marshalling
+// these strings and integers cannot fail.
+func (p *sweepPlan) call(idx []int) call {
+	req := api.SweepRequest{Cells: make([]api.SweepCell, len(idx)), Insts: p.jobs[0].Insts}
 	for k, i := range idx {
-		req.Cells[k] = p.jobs[i].cell
+		req.Cells[k] = p.cells[i]
 	}
-	req.SetSample(p.spec)
-	b, _ := json.Marshal(req)
-	return b
+	req.SetSample(p.jobs[0].Sample)
+	body, _ := json.Marshal(req)
+	return call{key: p.keys[idx[0]], method: http.MethodPost, path: "/v1/sweep", body: body, cells: len(idx)}
 }
 
-// batch is the jobs of one sweep owned by one backend, in job order.
+// batch is the jobs of one request owned by one backend, in job order.
 type batch struct {
 	owner *backend
 	idx   []int
 }
 
-// groupByOwner splits the plan's jobs by their key's rendezvous owner in
-// pool.
-func groupByOwner(pool []*backend, jobs []sweepJob) []batch {
+// groupByOwner splits jobs by their key's rendezvous owner in pool.
+func groupByOwner(pool []*backend, keys []string) []batch {
 	owned := make([][]int, len(pool))
-	for i := range jobs {
-		o := rank(pool, jobs[i].key)[0]
+	for i, key := range keys {
+		o := rank(pool, key)[0]
 		owned[o] = append(owned[o], i)
 	}
 	var batches []batch
@@ -316,6 +244,23 @@ func groupByOwner(pool []*backend, jobs []sweepJob) []batch {
 		}
 	}
 	return batches
+}
+
+// send resolves a plan's jobs into outcomes, one batch per rendezvous
+// owner over one membership snapshot, concurrently. Each batch's job
+// indices arrive on the returned channel once its outcomes are final.
+func (c *Coordinator) send(ctx context.Context, plan *sweepPlan) ([]outcome, <-chan []int) {
+	pool := c.members.snapshot()
+	batches := groupByOwner(pool, plan.keys)
+	outcomes := make([]outcome, len(plan.jobs))
+	landed := make(chan []int, len(batches))
+	for _, bt := range batches {
+		go func(bt batch) {
+			c.sweepBatch(ctx, pool, plan, bt, outcomes)
+			landed <- bt.idx
+		}(bt)
+	}
+	return outcomes, landed
 }
 
 // handleSweep sends each rendezvous owner one request: the sweep's cells
@@ -333,23 +278,12 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	plan, ok := c.planSweep(w, &req)
+	plan, ok := c.plan(w, &req)
 	if !ok {
 		return
 	}
 	c.addSweep()
-
-	pool := c.members.snapshot()
-	batches := groupByOwner(pool, plan.jobs)
-	outcomes := make([]outcome, len(plan.jobs))
-	landed := make(chan []int, len(batches))
-	for _, bt := range batches {
-		go func(bt batch) {
-			c.sweepBatch(ctx, pool, plan, bt, outcomes)
-			landed <- bt.idx
-		}(bt)
-	}
-
+	outcomes, landed := c.send(ctx, plan)
 	tr := trace.FromContext(ctx)
 	if api.WantsSSE(r) {
 		c.streamSweep(w, tr, plan.jobs, outcomes, landed)
@@ -358,25 +292,25 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	c.bufferSweep(w, r, tr, plan.jobs, outcomes, landed)
 }
 
-// sweepBatch resolves one owner's jobs into outcomes, accounting each as
-// one client job. The batch goes to its owner as one request; if that
-// fails — transport error, 5xx, 429, timeout, or a reply that does not
-// split into its cells — each job re-walks on its own through forwardJob,
-// concurrently, counted as one retry apiece. An owner marked unhealthy
-// gets no batch: its jobs walk on their own from the start, as runs would.
+// sweepBatch resolves one owner's jobs into outcomes. A batch of several
+// jobs goes to its owner as one request, plus at most one hedge; a
+// one-job batch walks its key's rendezvous order instead. When a
+// multi-job batch fails — transport error, 5xx, 429, timeout, or a reply
+// that does not split into its cells — or its owner is marked unhealthy
+// and gets no batch, each job walks on its own as a one-job batch,
+// concurrently, a re-walk after a sent batch counting one retry. Either
+// way each job settles as one client job.
 func (c *Coordinator) sweepBatch(ctx context.Context, pool []*backend, plan *sweepPlan, bt batch, outcomes []outcome) {
 	var out outcome
-	sent := bt.owner.isHealthy()
+	sent := len(bt.idx) > 1 && bt.owner.isHealthy()
 	if sent {
-		out = c.dispatch(ctx, pool, call{key: plan.jobs[bt.idx[0]].key, method: http.MethodPost,
-			path: "/v1/sweep", body: plan.batchBody(bt.idx), cells: len(bt.idx)})
+		out = c.dispatch(ctx, pool, plan.call(bt.idx))
 	}
 	var wg sync.WaitGroup
 	for k, i := range bt.idx {
 		if out.cells != nil {
-			outcomes[i] = outcome{b: out.b, status: http.StatusOK, body: out.cells[k], origin: out.tiers[k]}
-			c.writeThrough(plan.jobs[i].key, outcomes[i])
-			c.addJob(false)
+			outcomes[i] = c.settle(ctx, plan.keys[i],
+				outcome{b: out.b, status: http.StatusOK, body: out.cells[k], origin: out.tiers[k]})
 			continue
 		}
 		wg.Add(1)
@@ -385,14 +319,8 @@ func (c *Coordinator) sweepBatch(ctx context.Context, pool []*backend, plan *swe
 			if sent && ctx.Err() == nil {
 				c.addRetry()
 			}
-			o := c.forwardJob(ctx, plan.jobs[i].key, plan.runBody(i))
-			if o.err == nil && o.status != http.StatusOK {
-				// A non-200 terminal response is a failed cell from the
-				// sweep's point of view.
-				o.err = errors.New(string(o.body))
-			}
-			outcomes[i] = o
-			c.addJob(o.err != nil)
+			// A one-cell reply is its own cell: body and tier as received.
+			outcomes[i] = c.settle(ctx, plan.keys[i], c.dispatch(ctx, pool, plan.call([]int{i})))
 		}(i)
 	}
 	wg.Wait()
@@ -417,7 +345,7 @@ func merge(landed <-chan []int, n int, emit func(i int)) {
 // sequence of indented result objects in job-index order — byte-identical
 // to the equivalent multi-job `svwsim -json` invocation, however many
 // backends computed it — with svwd's per-cell tier list in X-Svwd-Cache.
-func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *trace.Trace, jobs []sweepJob, outcomes []outcome, landed <-chan []int) {
+func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *trace.Trace, jobs []engine.Job, outcomes []outcome, landed <-chan []int) {
 	// The merge span covers waiting for the batches plus reassembly; its
 	// duration is the sweep's critical path after dispatch began.
 	sp := tr.Start("merge")
@@ -446,7 +374,7 @@ func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *tr
 			// Deterministic error reporting: the lowest-index failure
 			// names the sweep's error, like the engine's own contract.
 			api.WriteError(w, http.StatusInternalServerError,
-				"sweep failed: job %d (%s on %s): %v", i, jobs[i].config, jobs[i].cell.Bench, err)
+				"sweep failed: job %d (%s on %s): %v", i, jobs[i].Config.Name, jobs[i].Bench, err)
 			return
 		}
 		body = append(body, outcomes[i].body...)
@@ -462,7 +390,7 @@ func (c *Coordinator) bufferSweep(w http.ResponseWriter, r *http.Request, tr *tr
 // batches land, then a "done" summary. Events carry the serving backend's
 // URL and whether its store answered, so a watching client sees the
 // fabric's cache affinity live.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs []sweepJob, outcomes []outcome, landed <-chan []int) {
+func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs []engine.Job, outcomes []outcome, landed <-chan []int) {
 	stream, err := api.NewSSE(w)
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, "%v", err)
@@ -474,8 +402,8 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs [
 		out := outcomes[i]
 		ev := api.SweepEvent{
 			Index:  i,
-			Config: jobs[i].config,
-			Bench:  jobs[i].cell.Bench,
+			Config: jobs[i].Config.Name,
+			Bench:  jobs[i].Bench,
 			Cached: out.cached(),
 		}
 		if ev.Cached {
@@ -484,23 +412,12 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs [
 		if out.b != nil {
 			ev.Backend = out.b.url
 		}
-		if ev.Cached {
-			summary.CacheHits++
-			switch out.origin {
-			case api.CacheDisk:
-				summary.DiskHits++
-			case api.CachePeer:
-				summary.PeerHits++
-			}
-		} else {
-			summary.CacheMisses++
-		}
 		if out.err != nil {
 			ev.Error = out.err.Error()
-			summary.Errors++
 		} else {
 			ev.Result = json.RawMessage(out.body)
 		}
+		summary.Add(ev)
 		stream.Event("result", i, ev)
 	})
 	if sp.Active() {
@@ -515,9 +432,11 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, tr *trace.Trace, jobs [
 // --- /v1/studies/{study} -------------------------------------------------
 
 // handleStudy proxies a study request to one backend, routed by the study
-// path and raw query so repeated identical requests hit the same
-// backend's study cache. Validation and computation stay in the backend;
-// the response (including 4xx validation errors) is forwarded verbatim.
+// path and raw query so repeated identical requests land on the same
+// backend. That backend resolves the study's cells through its store like
+// any other cells, reading the ones it does not own from their owners.
+// Validation and computation stay in the backend; the response (including
+// 4xx validation errors) is forwarded verbatim.
 func (c *Coordinator) handleStudy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, ok := api.RequestContext(w, r)
 	if !ok {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"svwsim/internal/rendezvous"
 )
 
 // Dynamic membership. The backend set used to be a slice fixed at New;
@@ -63,14 +65,6 @@ func (m *membership) urls() []string {
 	return out
 }
 
-// normalizeBackendURL canonicalizes a backend URL for membership
-// identity: surrounding space and trailing slashes are insignificant
-// (http://h:1/ and http://h:1 are one backend, and must hash identically
-// in routing.go).
-func normalizeBackendURL(u string) string {
-	return strings.TrimRight(strings.TrimSpace(u), "/")
-}
-
 // reconcile applies adds then removes against the current pool and swaps
 // in the new one. Already-present adds and absent removes are no-ops (the
 // caller declares a desired delta, not a transaction); the reported
@@ -89,7 +83,7 @@ func (m *membership) reconcile(add, remove []string) (added, removed []string, e
 	}
 
 	for _, raw := range add {
-		u := normalizeBackendURL(raw)
+		u := rendezvous.Normalize(raw)
 		if u == "" || !strings.Contains(u, "://") {
 			return nil, nil, fmt.Errorf("cluster: invalid backend URL %q", raw)
 		}
@@ -105,7 +99,7 @@ func (m *membership) reconcile(add, remove []string) (added, removed []string, e
 		added = append(added, u)
 	}
 	for _, raw := range remove {
-		u := normalizeBackendURL(raw)
+		u := rendezvous.Normalize(raw)
 		for i, b := range next {
 			if b.url == u {
 				next = append(next[:i], next[i+1:]...)
@@ -128,7 +122,7 @@ func (m *membership) reconcile(add, remove []string) (added, removed []string, e
 func (c *Coordinator) AddBackend(url string) error {
 	_, _, err := c.members.reconcile([]string{url}, nil)
 	if err == nil {
-		c.metrics.ensureBackend(normalizeBackendURL(url))
+		c.metrics.ensureBackend(rendezvous.Normalize(url))
 	}
 	return err
 }
@@ -149,7 +143,7 @@ func (c *Coordinator) SetBackends(urls []string) (added, removed []string, err e
 	want := make(map[string]bool, len(urls))
 	var add []string
 	for _, raw := range urls {
-		u := normalizeBackendURL(raw)
+		u := rendezvous.Normalize(raw)
 		if u == "" {
 			continue
 		}

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sort"
-
-	"svwsim/internal/rendezvous"
-)
+import "svwsim/internal/rendezvous"
 
 // Job routing: rendezvous (highest-random-weight) hashing on the engine
 // memo key, delegating the hash itself to internal/rendezvous so the
@@ -24,37 +20,13 @@ import (
 //     retry/hedge target, itself deterministic per key, so retried work
 //     warms one fallback cache instead of spraying the pool.
 
-// score is one backend's rendezvous weight for a key.
-func score(backendURL, key string) uint64 {
-	return rendezvous.Score(backendURL, key)
-}
-
-// rank returns indices into backends ordered by descending rendezvous
-// score for key (ties broken by URL, then index, for full determinism).
-// backends[rank[0]] is the key's home; later entries are its failover
-// order.
+// rank returns indices into backends in the key's rendezvous order
+// (rendezvous.Order over their URLs): backends[rank[0]] is the key's
+// home; later entries are its failover order.
 func rank(backends []*backend, key string) []int {
-	order := make([]int, len(backends))
-	scores := make([]uint64, len(backends))
+	urls := make([]string, len(backends))
 	for i, b := range backends {
-		order[i] = i
-		scores[i] = score(b.url, key)
+		urls[i] = b.url
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib]
-		}
-		if backends[ia].url != backends[ib].url {
-			return backends[ia].url < backends[ib].url
-		}
-		return ia < ib
-	})
-	return order
-}
-
-// rankURLs is rank over bare URLs, for tests and tooling that reason about
-// placement without a live pool.
-func rankURLs(urls []string, key string) []string {
-	return rendezvous.Rank(urls, key)
+	return rendezvous.Order(urls, key)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"svwsim/internal/rendezvous"
 	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
 	"svwsim/internal/workload"
@@ -49,9 +50,18 @@ func TestRankGolden(t *testing.T) {
 		{"{SVW:{Bits:12}}|gcc|30000", []string{"http://10.0.0.3:7411", "http://10.0.0.1:7411", "http://10.0.0.2:7411"}},
 		{"{SVW:{Bits:12}}|twolf|30000", []string{"http://10.0.0.2:7411", "http://10.0.0.3:7411", "http://10.0.0.1:7411"}},
 	}
+	pool := make([]*backend, len(urls))
+	for i, u := range urls {
+		pool[i] = &backend{url: u}
+	}
 	for _, c := range cases {
-		if got := rankURLs(urls, c.key); !reflect.DeepEqual(got, c.want) {
+		if got := rendezvous.Rank(urls, c.key); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("rank(%q):\n got %v\nwant %v", c.key, got, c.want)
+		}
+		for j, idx := range rank(pool, c.key) {
+			if pool[idx].url != c.want[j] {
+				t.Errorf("pool rank(%q)[%d] = %s, want %s", c.key, j, pool[idx].url, c.want[j])
+			}
 		}
 	}
 }
@@ -62,7 +72,7 @@ func TestRankOrderIndependent(t *testing.T) {
 	a := []string{"http://b1", "http://b2", "http://b3"}
 	b := []string{"http://b3", "http://b1", "http://b2"}
 	for _, key := range sweepKeys(t, 30_000)[:40] {
-		if ga, gb := rankURLs(a, key)[0], rankURLs(b, key)[0]; ga != gb {
+		if ga, gb := rendezvous.Rank(a, key)[0], rendezvous.Rank(b, key)[0]; ga != gb {
 			t.Fatalf("key %q: home %q with one listing order, %q with another", key, ga, gb)
 		}
 	}
@@ -81,8 +91,8 @@ func TestRankStableUnderBackendChange(t *testing.T) {
 	keys := sweepKeys(t, 30_000)
 	moved := 0
 	for _, key := range keys {
-		before := rankURLs(full, key)
-		after := rankURLs(reduced, key)
+		before := rendezvous.Rank(full, key)
+		after := rendezvous.Rank(reduced, key)
 		// The survivors' relative order must be identical with and without
 		// the removed backend present.
 		var survivors []string
@@ -119,7 +129,7 @@ func TestRankBalance(t *testing.T) {
 		keys := sweepKeys(t, 30_000)
 		counts := make(map[string]int)
 		for _, key := range keys {
-			counts[rankURLs(urls, key)[0]]++
+			counts[rendezvous.Rank(urls, key)[0]]++
 		}
 		mean := len(keys) / n
 		for _, u := range urls {
@@ -136,7 +146,7 @@ func TestRankBalance(t *testing.T) {
 // TestScoreSeparator: the url/key boundary is part of the hash input, so
 // concatenation collisions ("ab"+"c" vs "a"+"bc") score differently.
 func TestScoreSeparator(t *testing.T) {
-	if score("ab", "c") == score("a", "bc") {
+	if rendezvous.Score("ab", "c") == rendezvous.Score("a", "bc") {
 		t.Fatal("score collides across the url/key boundary")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"svwsim/internal/api"
+	"svwsim/internal/rendezvous"
 )
 
 // Regression: the built-in backend client used to have no response-header
@@ -48,7 +49,7 @@ func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
 	var cfg string
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
+		if rendezvous.Rank([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
 			cfg = cname
 			break
 		}

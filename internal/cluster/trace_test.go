@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"svwsim/internal/api"
+	"svwsim/internal/rendezvous"
 )
 
 // coordTrace looks one trace up on the coordinator's /debug/traces.
@@ -77,7 +78,7 @@ func TestClusterTraceCorrelation(t *testing.T) {
 	owners := map[string]bool{}
 	for _, cname := range []string{"ssq", "ssq+svw"} {
 		for _, bench := range equivalenceBenches {
-			owners[rankURLs(urls, jobKey(t, cname, bench))[0]] = true
+			owners[rendezvous.Rank(urls, jobKey(t, cname, bench))[0]] = true
 		}
 	}
 	ct := coordTrace(t, f, "corr-sweep-1")
@@ -147,7 +148,7 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 	var cfg string
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
+		if rendezvous.Rank([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
 			cfg = cname
 			break
 		}

@@ -15,6 +15,7 @@ package rendezvous
 import (
 	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 // Score is one member's rendezvous weight for a key. The 0x00 separator
@@ -27,10 +28,21 @@ func Score(member, key string) uint64 {
 	return h.Sum64()
 }
 
-// Rank returns members ordered by descending Score for key, ties broken
-// by member string then original index, for full determinism. Rank[0] is
-// the key's owner; later entries are its failover order.
-func Rank(members []string, key string) []string {
+// Normalize canonicalizes a member URL: surrounding space and trailing
+// slashes are insignificant, so "http://h:1/" and " http://h:1" name the
+// member "http://h:1". A member's normalized URL is its hash input on
+// every side of the fabric — coordinator routing, backend store-owner
+// election, and svwctl's configured pool — so all of them normalize
+// through here.
+func Normalize(u string) string {
+	return strings.TrimRight(strings.TrimSpace(u), "/")
+}
+
+// Order returns the indices of members ordered by descending Score for
+// key, ties broken by member string then original index, for full
+// determinism. members[Order[0]] is the key's owner; later entries are
+// its failover order.
+func Order(members []string, key string) []int {
 	order := make([]int, len(members))
 	scores := make([]uint64, len(members))
 	for i, m := range members {
@@ -47,8 +59,13 @@ func Rank(members []string, key string) []string {
 		}
 		return ia < ib
 	})
-	out := make([]string, len(order))
-	for i, idx := range order {
+	return order
+}
+
+// Rank is Order as member strings: Rank[0] is the key's owner.
+func Rank(members []string, key string) []string {
+	out := make([]string, len(members))
+	for i, idx := range Order(members, key) {
 		out[i] = members[idx]
 	}
 	return out

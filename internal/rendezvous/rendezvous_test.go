@@ -2,6 +2,7 @@ package rendezvous
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -62,5 +63,29 @@ func TestRemovalOnlyRemapsOwnedKeys(t *testing.T) {
 func TestOwnerEmptySet(t *testing.T) {
 	if got := Owner(nil, "k"); got != "" {
 		t.Fatalf("Owner(nil)=%q, want empty", got)
+	}
+}
+
+// TestNormalizedSpellingsRankIdentically: URLs that differ only by
+// surrounding space or a trailing slash normalize to one member, so they
+// rank — and place keys — identically.
+func TestNormalizedSpellingsRankIdentically(t *testing.T) {
+	spellings := []string{"http://h:1/", " http://h:1", "http://h:1"}
+	for _, s := range spellings {
+		if got := Normalize(s); got != "http://h:1" {
+			t.Fatalf("Normalize(%q) = %q, want %q", s, got, "http://h:1")
+		}
+	}
+	for i := 0; i < 50; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		var want []string
+		for _, s := range spellings {
+			got := Rank([]string{Normalize(s), "http://other:2"}, key)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("key %q: %q ranks %v, want %v", key, s, got, want)
+			}
+		}
 	}
 }

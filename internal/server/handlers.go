@@ -83,11 +83,12 @@ func writeResolveError(w http.ResponseWriter, r *http.Request, err error, what s
 	}
 }
 
-// resolveSample picks a request's effective sampling spec: its own when
+// resolveSample picks a study's effective sampling spec: its own when
 // enabled, the server's configured default otherwise, validated either
-// way. It writes the 400 itself on an incoherent spec. The resolution
-// happens here at the handler seam — never inside the engine — so the
-// spec that keys the store is always the spec that ran.
+// way — the rule api.SweepRequest.Plan applies to runs and sweeps. It
+// writes the 400 itself on an incoherent spec. The resolution happens at
+// the handler seam — never inside the engine — so the spec that keys the
+// store is always the spec that ran.
 func (s *Server) resolveSample(w http.ResponseWriter, spec pipeline.SampleSpec) (pipeline.SampleSpec, bool) {
 	if !spec.Enabled() {
 		spec = s.defaultSample
@@ -99,12 +100,12 @@ func (s *Server) resolveSample(w http.ResponseWriter, spec pipeline.SampleSpec) 
 	return spec, true
 }
 
-// checkCells enforces the MaxSweepJobs bound on one request's matrix,
-// writing the 400 itself.
-func (s *Server) checkCells(w http.ResponseWriter, what string, n int) bool {
+// checkCells enforces the MaxSweepJobs bound on a study's matrix, writing
+// the 400 itself.
+func (s *Server) checkCells(w http.ResponseWriter, n int) bool {
 	if n > s.maxSweepJobs {
 		writeError(w, http.StatusBadRequest,
-			"%s matrix has %d jobs, limit is %d", what, n, s.maxSweepJobs)
+			"study matrix has %d jobs, limit is %d", n, s.maxSweepJobs)
 		return false
 	}
 	return true
@@ -443,46 +444,17 @@ func (s *Server) account(cells []cell) {
 	}
 }
 
-// --- /v1/run -------------------------------------------------------------
+// --- /v1/run and /v1/sweep -----------------------------------------------
 
-// handleRun serves one job as a one-cell resolve; X-Svwd-Cache names the
+// handleRun serves one job as a one-cell sweep; X-Svwd-Cache names the
 // tier that served it ("miss" when computed).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	s.observePeers(r)
-	ctx, cancel, ok := api.RequestContext(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	cfg, ok := sim.ConfigByName(req.Config)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "unknown config %q", req.Config)
-		return
-	}
-	if _, ok := workload.Get(req.Bench); !ok {
-		writeError(w, http.StatusBadRequest, "unknown benchmark %q", req.Bench)
-		return
-	}
-	spec, ok := s.resolveSample(w, req.Sample())
-	if !ok {
-		return
-	}
-	jobs := []engine.Job{{Study: "svwd-run", Label: cfg.Name, Config: cfg,
-		Bench: req.Bench, Insts: req.Insts, Sample: spec}}
-	cells, err := s.resolve(ctx, r, jobs, nil, nil)
-	if err != nil {
-		writeResolveError(w, r, err, "run failed")
-		return
-	}
-	w.Header().Set(api.CacheHeader, cells[0].origin.String())
-	writeBody(w, http.StatusOK, cells[0].body)
+	s.serveSweep(w, r, req.Sweep(), "run", false)
 }
-
-// --- /v1/sweep -----------------------------------------------------------
 
 // handleSweep resolves a sweep in job order — the matrix flattened
 // config-major (the `svwsim -config a,b -bench x,y` order), or the cells
@@ -496,45 +468,32 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	s.serveSweep(w, r, req, "sweep", api.WantsSSE(r))
+}
+
+// serveSweep plans a decoded request through api's one Plan — against the
+// server's default sampling spec and MaxSweepJobs, answering 400 with its
+// error — and resolves the jobs, as an SSE stream or buffered. what names
+// the request in a failure's message.
+func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, what string, stream bool) {
 	s.observePeers(r)
 	ctx, cancel, ok := api.RequestContext(w, r)
 	if !ok {
 		return
 	}
 	defer cancel()
-	if err := req.CheckForm(); err != nil {
+	jobs, err := req.Plan(s.defaultSample, s.maxSweepJobs)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.checkCells(w, "sweep", req.NumCells()) {
-		return
-	}
-	spec, ok := s.resolveSample(w, req.Sample())
-	if !ok {
-		return
-	}
-	cells := req.Flatten()
-	jobs := make([]engine.Job, len(cells))
-	for i, c := range cells {
-		cfg, ok := sim.ConfigByName(c.Config)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown config %q", c.Config)
-			return
-		}
-		if _, ok := workload.Get(c.Bench); !ok {
-			writeError(w, http.StatusBadRequest, "unknown benchmark %q", c.Bench)
-			return
-		}
-		jobs[i] = engine.Job{Study: "svwd-sweep", Label: cfg.Name, Config: cfg,
-			Bench: c.Bench, Insts: req.Insts, Sample: spec}
-	}
-	if api.WantsSSE(r) {
+	if stream {
 		s.streamSweep(ctx, w, r, jobs)
 		return
 	}
 	resolved, err := s.resolve(ctx, r, jobs, nil, nil)
 	if err != nil {
-		writeResolveError(w, r, err, "sweep failed")
+		writeResolveError(w, r, err, what+" failed")
 		return
 	}
 	var body []byte
@@ -564,22 +523,13 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench}
 		if c.origin != store.OriginMiss {
 			ev.Cached, ev.Origin = true, c.origin.String()
-			summary.CacheHits++
-			switch c.origin {
-			case store.OriginDisk:
-				summary.DiskHits++
-			case store.OriginPeer:
-				summary.PeerHits++
-			}
-		} else {
-			summary.CacheMisses++
 		}
 		if c.err != nil {
 			ev.Error = c.err.Error()
-			summary.Errors++
 		} else {
 			ev.Result = json.RawMessage(c.body)
 		}
+		summary.Add(ev)
 		stream.Event("result", c.index, ev)
 		return nil
 	})
@@ -680,7 +630,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	if name == "ssn" {
 		cells *= len(p.bits)
 	}
-	if !s.checkCells(w, "study", cells) {
+	if !s.checkCells(w, cells) {
 		return
 	}
 	var st sim.Study[sim.Report]
@@ -703,7 +653,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 			"unknown study %q (want ladder, fig8, ssn or ssbf)", name)
 		return
 	}
-	if !s.checkCells(w, "study", len(st.Jobs)) {
+	if !s.checkCells(w, len(st.Jobs)) {
 		return
 	}
 	s.observePeers(r)

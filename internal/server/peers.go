@@ -54,23 +54,17 @@ type peerSet struct {
 	joined  string // last adopted PeersHeader value, for a cheap no-change path
 }
 
-// normalizePeerURL matches the coordinator's backend-URL normalization so
-// header-carried and flag-configured URLs compare equal.
-func normalizePeerURL(u string) string {
-	return strings.TrimRight(strings.TrimSpace(u), "/")
-}
-
 // set replaces the membership view from a configured list.
 func (p *peerSet) set(members []string, self string) {
 	norm := make([]string, 0, len(members))
 	for _, m := range members {
-		if m = normalizePeerURL(m); m != "" {
+		if m = rendezvous.Normalize(m); m != "" {
 			norm = append(norm, m)
 		}
 	}
 	p.mu.Lock()
 	p.members = norm
-	p.self = normalizePeerURL(self)
+	p.self = rendezvous.Normalize(self)
 	p.joined = strings.Join(norm, ",")
 	p.mu.Unlock()
 }
@@ -83,7 +77,7 @@ func (p *peerSet) observe(r *http.Request) {
 	if raw == "" {
 		return
 	}
-	self := normalizePeerURL(r.Header.Get(api.PeerSelfHeader))
+	self := rendezvous.Normalize(r.Header.Get(api.PeerSelfHeader))
 	p.mu.Lock()
 	if raw == p.joined && (self == "" || self == p.self) {
 		p.mu.Unlock()
@@ -91,7 +85,7 @@ func (p *peerSet) observe(r *http.Request) {
 	}
 	members := make([]string, 0, strings.Count(raw, ",")+1)
 	for _, m := range strings.Split(raw, ",") {
-		if m = normalizePeerURL(m); m != "" {
+		if m = rendezvous.Normalize(m); m != "" {
 			members = append(members, m)
 		}
 	}
