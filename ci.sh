@@ -177,7 +177,10 @@ sample_flags="-sample-warmup 1000 -sample-detail 1000 -sample-period 5000"
 "$tmp/svwsim" -json -config ssq+svw -bench gcc,twolf -insts "$smoke_insts" \
     $sample_flags >"$tmp/sampled2.json"
 cmp "$tmp/sampled1.json" "$tmp/sampled2.json"
-! cmp -s "$tmp/sampled1.json" "$tmp/want2.json"
+if cmp -s "$tmp/sampled1.json" "$tmp/want2.json"; then
+    echo "sampled sweep equals exact" >&2
+    exit 1
+fi
 
 sampledir="$tmp/sampled_store"
 "$tmp/svwsim" -json -config ssq+svw -bench gcc,twolf -insts "$smoke_insts" \

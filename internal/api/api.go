@@ -51,6 +51,22 @@ const (
 	CacheMiss   = "miss"
 )
 
+// SampleHeader is set on /v1/run and /v1/sweep responses to name the
+// sampling spec the request resolved to: "exact", or the spec's w:d:p
+// spelling. A request that carries no spec resolves against the serving
+// process's own default, so a fronting coordinator checks this header
+// against the spec it keyed the cells under before it stores a result
+// under that key.
+const SampleHeader = "X-Svwd-Sample"
+
+// SampleName is SampleHeader's value for spec.
+func SampleName(spec pipeline.SampleSpec) string {
+	if !spec.Enabled() {
+		return "exact"
+	}
+	return spec.String()
+}
+
 // PeersHeader carries the fabric's member URLs (comma-separated,
 // normalized, including the receiver) on coordinator-forwarded requests.
 // A backend started with -peer-learn adopts the list as its store-owner

@@ -28,6 +28,9 @@ type outcome struct {
 	// served by the coordinator's own store after every backend attempt
 	// failed has a tier origin and b == nil.
 	origin string
+	// sample is the spec the backend resolved the request to, from
+	// api.SampleHeader (empty when the response carried none).
+	sample string
 	hedged bool // produced by the hedge attempt, not the primary
 	// err is set when no usable response was obtained (all candidates
 	// failed, saturated, or the client went away).
@@ -216,13 +219,17 @@ func (c *Coordinator) noteOutcome(out outcome) {
 //     store when the result is already on its disk — a previous
 //     write-through, or a CLI sweep that pre-warmed the directory — so a
 //     fabric with every backend down still serves what it has computed;
-//   - a freshly computed result is written through to the store.
+//   - a freshly computed result is written through to the store, but only
+//     when the backend's api.SampleHeader names spec, the sampling spec
+//     key was derived from: a backend applies its own default to a cell
+//     forwarded without one, and a sampled result must never land under
+//     an exact key.
 //
 // Concurrent identical jobs are not coalesced here: rendezvous routing
 // sends them all to the key's one owner, whose cell resolver runs the job
 // once for every waiting request. Without Options.StoreDir only the
 // first rule applies.
-func (c *Coordinator) settle(ctx context.Context, key string, out outcome) outcome {
+func (c *Coordinator) settle(ctx context.Context, key, spec string, out outcome) outcome {
 	if out.err == nil && out.status != http.StatusOK {
 		out.err = errors.New(string(out.body))
 	}
@@ -237,7 +244,7 @@ func (c *Coordinator) settle(ctx context.Context, key string, out outcome) outco
 			c.store.AccountGet(origin)
 			out = outcome{status: http.StatusOK, body: body, origin: origin.String()}
 		}
-	case out.err == nil && !out.cached():
+	case out.err == nil && !out.cached() && out.sample == spec:
 		c.store.Put(key, out.body)
 	}
 	c.addJob(out.err != nil)
@@ -411,7 +418,7 @@ func (c *Coordinator) attempt(ctx context.Context, sp trace.Span, b *backend, r 
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		out := outcome{b: b, status: resp.StatusCode, body: respBody,
-			origin: resp.Header.Get(api.CacheHeader)}
+			origin: resp.Header.Get(api.CacheHeader), sample: resp.Header.Get(api.SampleHeader)}
 		if r.cells > 0 {
 			if out.cells, out.tiers, err = splitBatch(out, r.cells); err != nil {
 				b.setHealth(false, err)

@@ -194,8 +194,9 @@ type sweepPlan struct {
 
 // plan validates req through api.SweepRequest.Plan — against the
 // coordinator's default sampling spec, which is thereby stamped onto every
-// forwarded body so backends never apply their own defaults to
-// fabric-routed work — writing the 400 itself on failure.
+// forwarded body when enabled — writing the 400 itself on failure. A cell
+// forwarded exact carries no spec, so a backend with a default of its own
+// samples it; settle sees that in api.SampleHeader.
 func (c *Coordinator) plan(w http.ResponseWriter, req *api.SweepRequest) (*sweepPlan, bool) {
 	jobs, err := req.Plan(c.defaultSample, c.maxSweepJobs)
 	if err != nil {
@@ -223,6 +224,9 @@ func (p *sweepPlan) call(idx []int) call {
 	body, _ := json.Marshal(req)
 	return call{key: p.keys[idx[0]], method: http.MethodPost, path: "/v1/sweep", body: body, cells: len(idx)}
 }
+
+// sample is job i's sampling spec as api.SampleHeader spells it.
+func (p *sweepPlan) sample(i int) string { return api.SampleName(p.jobs[i].Sample) }
 
 // batch is the jobs of one request owned by one backend, in job order.
 type batch struct {
@@ -309,8 +313,8 @@ func (c *Coordinator) sweepBatch(ctx context.Context, pool []*backend, plan *swe
 	var wg sync.WaitGroup
 	for k, i := range bt.idx {
 		if out.cells != nil {
-			outcomes[i] = c.settle(ctx, plan.keys[i],
-				outcome{b: out.b, status: http.StatusOK, body: out.cells[k], origin: out.tiers[k]})
+			outcomes[i] = c.settle(ctx, plan.keys[i], plan.sample(i),
+				outcome{b: out.b, status: http.StatusOK, body: out.cells[k], origin: out.tiers[k], sample: out.sample})
 			continue
 		}
 		wg.Add(1)
@@ -320,7 +324,7 @@ func (c *Coordinator) sweepBatch(ctx context.Context, pool []*backend, plan *swe
 				c.addRetry()
 			}
 			// A one-cell reply is its own cell: body and tier as received.
-			outcomes[i] = c.settle(ctx, plan.keys[i], c.dispatch(ctx, pool, plan.call([]int{i})))
+			outcomes[i] = c.settle(ctx, plan.keys[i], plan.sample(i), c.dispatch(ctx, pool, plan.call([]int{i})))
 		}(i)
 	}
 	wg.Wait()

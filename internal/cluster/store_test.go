@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"svwsim/internal/api"
+	"svwsim/internal/pipeline"
+	"svwsim/internal/server"
 )
 
 // A coordinator started with a store dir writes computed results through
@@ -106,5 +108,55 @@ func TestCoordinatorStoreSurvivesRestart(t *testing.T) {
 	}
 	if h := w2.Header().Get(api.CacheHeader); h != api.CacheDisk {
 		t.Fatalf("restarted coordinator %s=%q, want disk", api.CacheHeader, h)
+	}
+}
+
+// A backend started with its own sampling default resolves a cell the
+// coordinator forwards exact as sampled. The coordinator keyed that cell
+// exact, so it must not write the sampled bytes through under the exact
+// key — once the backend is gone, the exact run has nothing to be served
+// from. A coordinator whose default matches the backend's keys the cell
+// sampled and writes it through as before.
+func TestCoordinatorStoreKeepsSampledOutOfExactKeys(t *testing.T) {
+	spec := pipeline.SampleSpec{Warmup: 1000, Detail: 1000, Period: 5000}
+	runReq := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
+	for _, tc := range []struct {
+		name      string
+		ctlSample pipeline.SampleSpec
+		wantDown  int
+	}{
+		{"exact coordinator", pipeline.SampleSpec{}, http.StatusBadGateway},
+		{"sampled coordinator", spec, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := server.New(server.Options{Workers: 2, MaxConcurrentJobs: -1, DefaultSample: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			c, err := New(Options{Backends: []string{ts.URL}, StoreDir: t.TempDir(), DefaultSample: tc.ctlSample})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.client.CloseIdleConnections)
+			f := &fabric{c: c, backends: []*httptest.Server{ts}}
+
+			w := f.do("POST", "/v1/run", runReq, nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("live run HTTP %d: %s", w.Code, w.Body)
+			}
+			if bytes.Equal(w.Body.Bytes(), refRunBody(t, "ssq", "gcc")) {
+				t.Fatal("the backend's sampling default did not apply; the case proves nothing")
+			}
+			ts.Close()
+			w2 := f.do("POST", "/v1/run", runReq, nil)
+			if w2.Code != tc.wantDown {
+				t.Fatalf("pool-down run HTTP %d, want %d: %s", w2.Code, tc.wantDown, w2.Body)
+			}
+			if w2.Code == http.StatusOK && !bytes.Equal(w2.Body.Bytes(), w.Body.Bytes()) {
+				t.Fatal("pool-down run differs from the live one")
+			}
+		})
 	}
 }

@@ -243,3 +243,59 @@ func TestAllSixteenBenchmarksRunOnSVWConfig(t *testing.T) {
 		})
 	}
 }
+
+// buildPartialOverlapLoop returns a loop whose loads each overlap an older,
+// narrower in-flight store: the SQ cannot forward, so every load waits for
+// its store to commit, and the next iteration's stores wait on the loads.
+func buildPartialOverlapLoop(iters int64) *prog.Program {
+	b := prog.NewBuilder("partial")
+	base := uint64(prog.DefaultDataBase)
+	b.MovImm(2, base)
+	b.MovImm(5, uint64(iters))
+	b.MovImm(1, 7)
+	b.Label("top")
+	b.Mul(6, 1, 1)
+	b.Stb(6, 3, 2)
+	b.Ldq(3, 0, 2) // covers the byte store: partial overlap
+	b.Add(1, 1, 3)
+	b.Stw(1, 8, 2)
+	b.Ldl(4, 8, 2) // covers the half-word store: partial overlap
+	b.Mul(6, 4, 6)
+	b.Stq(6, 16, 2)
+	b.Ldb(7, 17, 2) // inside the quad store: forwards
+	b.Add(1, 1, 7)
+	b.Addi(5, 5, -1)
+	b.Bne(5, "top")
+	b.Halt()
+	return b.Build()
+}
+
+// TestLoadWaitCountersPinned pins the per-cycle load-wait counters on the
+// partial-overlap loop, where loads sit for hundreds of cycles behind a
+// store's data or commit. The scheduler charges those waits without
+// retrying the loads each cycle, and the core skips cycles in which nothing
+// can happen; both must charge exactly what a per-cycle retry would. The
+// figures were captured with the scheduler polling every entry every cycle.
+func TestLoadWaitCountersPinned(t *testing.T) {
+	p := buildPartialOverlapLoop(3000)
+	base := testConfig()
+	base.WarmupInsts, base.MaxInsts = 0, 20_000
+	ssq := base
+	ssq.LSU, ssq.Rex = LSUSSQ, RexReal
+	ssq.SVW.Enabled, ssq.SVW.UpdateOnForward = true, true
+	for _, tc := range []struct {
+		cfg  Config
+		want [7]uint64 // cycles; waits on data, commit, store set; stalls incomplete, commit depth, empty
+	}{
+		{base, [7]uint64{42074, 1707, 1141631, 1521935, 30196, 0, 212}},
+		{ssq, [7]uint64{52092, 0, 352856, 895583, 18530, 21663, 234}},
+	} {
+		s := runCore(t, tc.cfg, p).Stats()
+		got := [7]uint64{s.Cycles, s.LoadWaitData, s.LoadWaitCommit, s.LoadWaitSS,
+			s.StallIncomplete, s.StallCommitLat, s.StallHeadEmpty}
+		if got != tc.want {
+			t.Errorf("%s: cycles, waits (data, commit, store set), stalls (incomplete, commit depth, empty) = %v, want %v",
+				tc.cfg.LSU, got, tc.want)
+		}
+	}
+}

@@ -13,70 +13,91 @@ import (
 // refetched load executes normally (its stale source was invalidated), and
 // the predictors train so the mis-speculation does not recur.
 
-func (c *Core) commit() {
+// stallKind is why commit retired nothing in a cycle: the cause its first
+// blocked slot charges.
+type stallKind uint8
+
+const (
+	stallNone       stallKind = iota // something retired (or flushed)
+	stallEmpty                       // ROB empty
+	stallIncomplete                  // head not executed yet
+	stallCommitLat                   // head inside the commit pipeline depth
+	stallRexWait                     // rex has not passed the head
+	stallStorePort                   // head store lacks a retirement port
+)
+
+// commit retires up to CommitWidth instructions and reports why the head
+// blocked when nothing retired (stallNone otherwise).
+func (c *Core) commit() stallKind {
 	commitLat := c.cfg.commitLat()
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		u := c.rob.headUop()
-		if u == nil {
-			if n == 0 {
-				c.stats.StallHeadEmpty++
-			}
-			return
+		stall := stallNone
+		switch {
+		case u == nil:
+			stall = stallEmpty
+		case !u.completed:
+			stall = stallIncomplete
+		case c.cycle < u.completeC+commitLat:
+			stall = stallCommitLat
+		case c.cfg.Rex == RexReal && (u.rexDoneAt == ^uint64(0) || c.cycle < u.rexDoneAt):
+			stall = stallRexWait
+		case u.isStore() && c.portsUsed >= c.cfg.RetirePorts:
+			// Retirement port busy (or held by a re-access). A failed
+			// re-execution is a load's, so the order against it is moot.
+			stall = stallStorePort
 		}
-		if !u.completed {
-			if n == 0 {
-				c.stats.StallIncomplete++
-				switch {
-				case u.isLoad():
-					c.stats.StallHeadLoad++
-				case u.isStore():
-					c.stats.StallHeadStore++
-				case u.isBranch():
-					c.stats.StallHeadBranch++
-				default:
-					c.stats.StallHeadALU++
-				}
-				if !u.issued {
-					c.stats.StallHeadUnissued++
-				}
-				if c.stallPC == nil {
-					c.stallPC = make(map[uint64]uint64)
-				}
-				c.stallPC[u.dyn.PC]++
+		if stall != stallNone {
+			if n > 0 {
+				return stallNone
 			}
-			return
-		}
-		if c.cycle < u.completeC+commitLat {
-			if n == 0 {
-				c.stats.StallCommitLat++
-			}
-			return
-		}
-		if c.cfg.Rex == RexReal && (u.rexDoneAt == ^uint64(0) || c.cycle < u.rexDoneAt) {
-			if n == 0 {
-				c.stats.StallRexWait++
-			}
-			return
+			c.countStall(stall, u, 1)
+			return stall
 		}
 		if u.isLoad() && (u.rexFail ||
 			(c.cfg.Rex == RexPerfect && u.marked && c.rexMismatch(u))) {
 			c.handleRexFailure(u)
-			return
+			return stallNone
 		}
 		if u.isStore() {
-			if c.portsUsed >= c.cfg.RetirePorts {
-				if n == 0 {
-					c.stats.StallStorePort++
-				}
-				return // retirement port busy (or held by a re-access)
-			}
 			c.portsUsed++
 			c.commitStore(u)
 		}
 		c.commitOne(u)
 		if c.done {
-			return
+			return stallNone
 		}
+	}
+	return stallNone
+}
+
+// countStall charges n commit-blocked cycles with the head u to their
+// cause, StallIncomplete broken down by the head's class and issue state.
+func (c *Core) countStall(kind stallKind, u *uop, n uint64) {
+	switch kind {
+	case stallEmpty:
+		c.stats.StallHeadEmpty += n
+	case stallIncomplete:
+		c.stats.StallIncomplete += n
+		switch {
+		case u.isLoad():
+			c.stats.StallHeadLoad += n
+		case u.isStore():
+			c.stats.StallHeadStore += n
+		case u.isBranch():
+			c.stats.StallHeadBranch += n
+		default:
+			c.stats.StallHeadALU += n
+		}
+		if !u.issued {
+			c.stats.StallHeadUnissued += n
+		}
+	case stallCommitLat:
+		c.stats.StallCommitLat += n
+	case stallRexWait:
+		c.stats.StallRexWait += n
+	case stallStorePort:
+		c.stats.StallStorePort += n
 	}
 }
 
@@ -97,6 +118,7 @@ func (c *Core) commitStore(u *uop) {
 		c.fsq.Remove(u.seq)
 	}
 	c.removeRexStoreBuf(u.seq)
+	c.wakeIssue(c.cycle) // releases loads asleep on this store's commit
 	c.lastStoreLine = d.EffAddr
 	c.stats.CommittedStores++
 }

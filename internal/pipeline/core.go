@@ -20,9 +20,8 @@ import (
 // ROB ring, oracle records through the stream's arena, completion events
 // through the event wheel's buckets, and the load/store queues are
 // fixed-capacity rings. The only allocations after warm-up are amortized
-// growth events (wheel expansion under extreme bus contention, new stall-PC
-// map keys bounded by static code size) and functional-memory page faults on
-// first touch.
+// growth events (wheel expansion under extreme bus contention) and
+// functional-memory page faults on first touch.
 type Core struct {
 	cfg Config
 
@@ -53,6 +52,12 @@ type Core struct {
 
 	// Scheduler.
 	iq []uint64 // seqs of dispatched, un-issued instructions, age-ordered
+	// issueWake is the first cycle the next IQ scan can issue anything
+	// (see issue); asleepSS and asleepCommit count the loads the last scan
+	// left asleep on a store, by the wait counter each slept cycle charges.
+	issueWake    uint64
+	asleepSS     uint64
+	asleepCommit uint64
 
 	// Completion events, bucketed by cycle on a reusable wheel.
 	events eventWheel
@@ -106,32 +111,11 @@ type Core struct {
 	committedTotal uint64 // includes warm-up commits
 	warmDone       bool
 	warmCycle      uint64 // cycle at which measurement began
-	stallPC        map[uint64]uint64
 
 	// Reusable scratch (never escapes a call).
 	bankBusy  []bool      // per-cycle D$ bank occupancy (issue)
 	refWork   []int       // releaseRef work list
 	itScratch []rle.Entry // InvalidateByBase result buffer
-}
-
-// TopStallPCs returns up to n (pc, cycles) pairs of head-blocking PCs,
-// most-blocking first (diagnostics).
-func (c *Core) TopStallPCs(n int) [][2]uint64 {
-	var out [][2]uint64
-	for pc, cnt := range c.stallPC {
-		out = append(out, [2]uint64{pc, cnt})
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j][1] > out[i][1] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 type eventRec struct {
@@ -210,6 +194,20 @@ func (w *eventWheel) take(cycle uint64) []eventRec {
 	evs := s.evs
 	s.evs = s.evs[:0]
 	return evs
+}
+
+// next returns the first cycle in [from, limit) with a due bucket, or
+// limit when there is none. It looks at most one wheel's worth of cycles
+// ahead — a bucket further out shares its slot with a nearer cycle — so a
+// farther limit comes back clamped to that horizon.
+func (w *eventWheel) next(from, limit uint64) uint64 {
+	limit = min(limit, from+uint64(len(w.slots)))
+	for cy := from; cy < limit; cy++ {
+		if s := &w.slots[cy&w.mask]; len(s.evs) > 0 && s.cycle == cy {
+			return cy
+		}
+	}
+	return limit
 }
 
 // grow doubles the wheel, redistributing occupied buckets.
@@ -432,9 +430,16 @@ func (c *Core) Run() error {
 
 // step advances one cycle. Stages run commit-first (reverse pipeline order)
 // so each stage sees the previous cycle's state of its upstream neighbor.
+//
+// A step in which no stage changed anything — commit blocked, rex stalled,
+// no event bucket due, no store data arrived, issue asleep, rename and fetch
+// blocked — leaves the machine exactly as it found it, so every following
+// step repeats it until a timed condition comes due (see idleUntil). The
+// clock jumps straight there, charging the skipped cycles the per-cycle
+// counters those steps would have charged.
 func (c *Core) step() {
 	c.portsUsed = 0
-	c.commit()
+	stall := c.commit()
 	if c.flushPend {
 		c.doFlush()
 		c.cycle++
@@ -443,23 +448,96 @@ func (c *Core) step() {
 	if c.done {
 		return
 	}
+	rexHead := c.rexHead
 	c.rex()
-	c.writeback()
+	moved := c.writeback() || c.rexHead != rexHead
 	if c.flushPend { // ordering violation found at store resolve
 		c.doFlush()
 		c.cycle++
 		return
 	}
+	moved = moved || c.cycle >= c.issueWake
 	c.issue()
-	c.rename()
-	c.fetch()
-	if c.cfg.NLQSM.Enabled {
-		c.maybeInvalidate()
+	moved = c.rename() || moved
+	moved = c.fetch() || moved
+	if c.cfg.NLQSM.Enabled && due(c.cycle, c.cfg.NLQSM.IntervalCycles) {
+		c.invalidate()
+		moved = true
 	}
-	if iv := c.cfg.SS.ClearInterval; iv > 0 && c.cycle > 0 && c.cycle%iv == 0 {
+	if due(c.cycle, c.cfg.SS.ClearInterval) {
 		c.ss.Clear()
+		moved = true
 	}
 	c.cycle++
+	if stall != stallNone && !moved {
+		c.skipIdle(stall)
+	}
+}
+
+// due reports whether a periodic action with period iv (0 = never) fires at
+// cycle.
+func due(cycle, iv uint64) bool {
+	return iv > 0 && cycle > 0 && cycle%iv == 0
+}
+
+// nextDue returns the first cycle at or after cycle at which a periodic
+// action with period iv fires, or never.
+func nextDue(cycle, iv uint64) uint64 {
+	if iv == 0 {
+		return never
+	}
+	return (cycle + iv - 1) / iv * iv
+}
+
+// skipIdle follows a step that changed nothing and ended with commit
+// blocked for stall: it advances the clock to idleUntil, charging each
+// skipped cycle the commit stall and the sleeping-load waits.
+func (c *Core) skipIdle(stall stallKind) {
+	to := c.idleUntil()
+	if to <= c.cycle {
+		return
+	}
+	n := to - c.cycle
+	c.countStall(stall, c.rob.headUop(), n)
+	c.stats.LoadWaitSS += n * c.asleepSS
+	c.stats.LoadWaitCommit += n * c.asleepCommit
+	c.cycle = to
+}
+
+// idleUntil returns the first cycle, from the current one on, at which a
+// timed condition can let a stage act on the unchanged machine: the next
+// due event bucket, the issue wake cycle, the end of a fetch stall, the
+// front-end head reaching rename, the ROB head clearing the commit depth or
+// the rex pipe, a pending store's data arriving, a store-set clear or NLQsm
+// injection, or the cycle limit. A bound the step just taken had already
+// passed was not what held it back, and is ignored.
+func (c *Core) idleUntil() uint64 {
+	now := c.cycle
+	to := c.issueWake
+	bound := func(at uint64) {
+		if at >= now {
+			to = min(to, at)
+		}
+	}
+	bound(c.cfg.MaxCycles)
+	bound(c.fetchStallTil)
+	if c.fetchLen > 0 {
+		bound(c.fetchQFront().fetchC + uint64(c.cfg.FrontDepth))
+	}
+	if u := c.rob.headUop(); u != nil {
+		bound(u.completeC + c.cfg.commitLat())
+		bound(u.rexDoneAt)
+	}
+	for _, ev := range c.pendingSTD {
+		if u := c.uopAt(ev.seq); u != nil && u.uid == ev.uid {
+			bound(c.readyAt[u.srcPhys[1]])
+		}
+	}
+	to = min(to, nextDue(now, c.cfg.SS.ClearInterval))
+	if c.cfg.NLQSM.Enabled {
+		to = min(to, nextDue(now, c.cfg.NLQSM.IntervalCycles))
+	}
+	return c.events.next(now, to)
 }
 
 func (c *Core) finalizeStats() {
@@ -548,6 +626,9 @@ func (c *Core) releaseRef(p int) {
 func (c *Core) setPhysValue(p int, v uint64, when uint64) {
 	if p > 0 {
 		c.physVal[p] = v
-		c.readyAt[p] = when
+		if c.readyAt[p] != when {
+			c.readyAt[p] = when
+			c.wakeIssue(c.cycle)
+		}
 	}
 }

@@ -38,22 +38,24 @@ func (c *Core) fetchQClear() {
 	}
 }
 
-func (c *Core) fetch() {
+// fetch reports whether it changed anything: once it gets past a full queue
+// it draws an oracle record, touches the I-cache or accepts an instruction.
+func (c *Core) fetch() bool {
 	if c.haltSeen || c.cycle < c.fetchStallTil || c.waitBranchSeq != ^uint64(0) {
-		return
+		return false
 	}
 	capacity := c.cfg.FetchWidth * (c.cfg.FrontDepth + 1)
 	takenSeen := 0
 	for n := 0; n < c.cfg.FetchWidth; n++ {
 		if c.fetchLen >= capacity {
-			return
+			return n > 0
 		}
 		rec := c.pendingRec
 		if rec == nil {
 			rec = c.stream.Next()
 			if rec == nil {
 				c.haltSeen = true // stream exhausted (halt already delivered)
-				return
+				return true
 			}
 		}
 		c.pendingRec = rec
@@ -66,7 +68,7 @@ func (c *Core) fetch() {
 			c.lastFetchLine = line
 			if done > hit {
 				c.fetchStallTil = done
-				return // record stays pending
+				return true // record stays pending
 			}
 		}
 
@@ -75,7 +77,7 @@ func (c *Core) fetch() {
 			if rec.Taken {
 				takenSeen++
 				if takenSeen > 1 {
-					return // past one taken branch per cycle; resume next cycle
+					return true // past one taken branch per cycle; resume next cycle
 				}
 			}
 			out := c.bp.Lookup(rec.PC, inst, rec.Taken, rec.NextPC)
@@ -84,20 +86,21 @@ func (c *Core) fetch() {
 			case out.DirMispredict || out.TargetMispredict:
 				c.stats.Mispredicts++
 				c.waitBranchSeq = rec.Seq
-				return
+				return true
 			case out.BTBMiss && rec.Taken:
 				// Target produced at decode: short redirect bubble.
 				c.fetchStallTil = c.cycle + 2
-				return
+				return true
 			}
 			continue
 		}
 		c.accept(rec)
 		if inst.Op == isa.OpHalt {
 			c.haltSeen = true
-			return
+			return true
 		}
 	}
+	return true
 }
 
 // accept moves the pending record into the fetch queue.

@@ -42,6 +42,7 @@ func (c *Core) doFlush() {
 	if c.rexHead > keep+1 {
 		c.rexHead = keep + 1
 	}
+	c.wakeIssue(c.cycle)
 
 	// Front end: drop fetched-but-unrenamed instructions and redirect.
 	c.fetchQClear()
@@ -71,18 +72,14 @@ func (c *Core) squashUop(u *uop) {
 	}
 }
 
-// maybeInvalidate is the NLQsm extension's synthetic coherence-traffic
-// injector: every IntervalCycles it pretends another processor wrote the
-// line most recently stored to, updating every SSBF bank with SSNrename+1
-// (§3.2) and marking all issued in-flight loads for re-execution. The
-// injected invalidations are value-neutral (like false sharing or silent
-// remote stores), so they exercise the full NLQsm re-execution path without
-// perturbing single-thread architectural state.
-func (c *Core) maybeInvalidate() {
-	iv := c.cfg.NLQSM.IntervalCycles
-	if iv == 0 || c.cycle == 0 || c.cycle%iv != 0 {
-		return
-	}
+// invalidate is the NLQsm extension's synthetic coherence-traffic
+// injector, fired every IntervalCycles: it pretends another processor wrote
+// the line most recently stored to, updating every SSBF bank with
+// SSNrename+1 (§3.2) and marking all issued in-flight loads for
+// re-execution. The injected invalidations are value-neutral (like false
+// sharing or silent remote stores), so they exercise the full NLQsm
+// re-execution path without perturbing single-thread architectural state.
+func (c *Core) invalidate() {
 	c.stats.Invalidations++
 	if c.ssbf != nil {
 		c.ssbf.Invalidate(c.lastStoreLine, core.InvalidationSSN(c.ssnRename))

@@ -21,14 +21,61 @@ type issuePorts struct {
 	fsq    bool   // FSQ search port busy (1/cycle)
 }
 
+// never is a wake cycle no clock reaches: only an event can end the sleep.
+const never = ^uint64(0)
+
+// issueResult is why a try* call did or did not issue its uop.
+type issueResult uint8
+
+const (
+	issued issueResult = iota
+	// retry: a port, a D$ bank or the FSQ search port was taken this
+	// cycle; the uop may issue next cycle.
+	retry
+	// asleep: the uop waits on an older store's data completion or commit
+	// (u.waiting), and only that store's event can release it.
+	asleep
+)
+
+// issue selects oldest-first over the issue queue under the per-class port
+// limits. The scheduler sleeps between scans: a scan leaves in issueWake the
+// earliest cycle at which any entry it left queued could issue —
+//
+//   - renameC+SchedDepth for an entry still in the schedule stages;
+//   - max(readyAt[src])−RegReadDepth once every producer has issued, never
+//     while one has not;
+//   - the next cycle for an entry that lost a port, a bank or the FSQ
+//     search port, and for every entry a full-width scan did not reach;
+//   - never for a uop asleep on an older store.
+//
+// Before that cycle issue returns at once. The events that can let an entry
+// issue sooner lower the wake cycle through wakeIssue: an IQ insert at
+// rename, a store's STD completion (storeDataReady) or commit
+// (commitStore), a changed readyAt (setPhysValue), and a flush. A readyAt
+// written by startOp needs no wake: its consumers are younger, so the scan
+// that issued the producer reaches them after the write.
+//
+// Counter invariant: a load asleep on a store is charged LoadWaitSS or
+// LoadWaitCommit once for every slept cycle, exactly as retrying it every
+// cycle would charge it. No uop issues before the wake cycle, so in each
+// slept cycle every asleep load would reach its wait check with all ports
+// free and find its store still pending.
 func (c *Core) issue() {
+	if c.cycle < c.issueWake {
+		c.stats.LoadWaitSS += c.asleepSS
+		c.stats.LoadWaitCommit += c.asleepCommit
+		return
+	}
 	for i := range c.bankBusy {
 		c.bankBusy[i] = false
 	}
 	ports := issuePorts{banks: c.bankBusy}
+	wake := never
+	var asleepSS, asleepCommit uint64
 	compact := false
 	for i, seq := range c.iq {
 		if ports.total >= c.cfg.TotalIssue {
+			wake = c.cycle + 1
 			break
 		}
 		u := c.uopAt(seq)
@@ -37,36 +84,57 @@ func (c *Core) issue() {
 			compact = true
 			continue
 		}
-		if c.cycle < u.renameC+uint64(c.cfg.SchedDepth) {
+		if at := u.renameC + uint64(c.cfg.SchedDepth); c.cycle < at {
 			// Queue is age ordered; everything younger is too new as well,
 			// but class ports may still find older candidates — just skip.
+			wake = min(wake, at)
 			continue
 		}
-		if !c.srcsReadyFor(u) {
+		if at := c.operandsAt(u); c.cycle < at {
+			wake = min(wake, at)
 			continue
 		}
-		ok := false
+		res := retry
 		switch u.class {
 		case isa.ClassIntALU:
-			ok = c.tryIssueALU(u, &ports, 1)
+			res = c.tryIssueALU(u, &ports, 1)
 		case isa.ClassIntMul:
-			ok = c.tryIssueALU(u, &ports, c.cfg.MulLat)
+			res = c.tryIssueALU(u, &ports, c.cfg.MulLat)
 		case isa.ClassBranch:
-			ok = c.tryIssueBranch(u, &ports)
+			res = c.tryIssueBranch(u, &ports)
 		case isa.ClassLoad:
-			ok = c.tryIssueLoad(u, &ports)
+			res = c.tryIssueLoad(u, &ports)
 		case isa.ClassStore:
-			ok = c.tryIssueStore(u, &ports)
+			res = c.tryIssueStore(u, &ports)
 		}
-		if ok {
+		switch res {
+		case issued:
 			ports.total++
 			c.iq[i] = ^uint64(0)
 			compact = true
+		case retry:
+			wake = c.cycle + 1
+		case asleep:
+			if u.isLoad() {
+				switch u.waiting {
+				case waitStoreExec:
+					asleepSS++
+				case waitStoreCommit:
+					asleepCommit++
+				}
+			}
 		}
 	}
 	if compact {
 		c.compactIQ()
 	}
+	c.issueWake, c.asleepSS, c.asleepCommit = wake, asleepSS, asleepCommit
+}
+
+// wakeIssue lowers the scheduler's wake cycle to at: an event that may let
+// a queued uop issue at cycle at has happened.
+func (c *Core) wakeIssue(at uint64) {
+	c.issueWake = min(c.issueWake, at)
 }
 
 func (c *Core) compactIQ() {
@@ -79,23 +147,29 @@ func (c *Core) compactIQ() {
 	c.iq = out
 }
 
-// srcsReadyFor implements the wakeup rule: a consumer may issue at cycle t
-// if each producer's value arrives by the consumer's execute start (t +
-// RegReadDepth), modeling full bypassing. Stores issue their address
+// operandsAt implements the wakeup rule: a consumer may issue at cycle t if
+// each producer's value arrives by the consumer's execute start (t +
+// RegReadDepth), modeling full bypassing. It returns the earliest such t,
+// or never while a producer has not issued. Stores issue their address
 // generation as soon as the base register is ready (split STA/STD); the
 // data register is watched separately.
-func (c *Core) srcsReadyFor(u *uop) bool {
-	execStart := c.cycle + uint64(c.cfg.RegReadDepth)
+func (c *Core) operandsAt(u *uop) uint64 {
 	n := u.nsrc
 	if u.isStore() {
 		n = 1 // address base only
 	}
+	var ready uint64
 	for i := 0; i < n; i++ {
-		if c.readyAt[u.srcPhys[i]] > execStart {
-			return false
+		r := c.readyAt[u.srcPhys[i]]
+		if r == never {
+			return never
 		}
+		ready = max(ready, r)
 	}
-	return true
+	if rrd := uint64(c.cfg.RegReadDepth); ready > rrd {
+		return ready - rrd
+	}
+	return 0
 }
 
 func (c *Core) startOp(u *uop, completeAt uint64) {
@@ -108,33 +182,33 @@ func (c *Core) startOp(u *uop, completeAt uint64) {
 	c.scheduleEvent(completeAt, u)
 }
 
-func (c *Core) tryIssueALU(u *uop, p *issuePorts, lat int) bool {
+func (c *Core) tryIssueALU(u *uop, p *issuePorts, lat int) issueResult {
 	if p.intOps >= c.cfg.IntIssue {
-		return false
+		return retry
 	}
 	p.intOps++
 	c.startOp(u, c.cycle+uint64(c.cfg.RegReadDepth)+uint64(lat))
-	return true
+	return issued
 }
 
-func (c *Core) tryIssueBranch(u *uop, p *issuePorts) bool {
+func (c *Core) tryIssueBranch(u *uop, p *issuePorts) issueResult {
 	if p.brs >= c.cfg.BranchIssue {
-		return false
+		return retry
 	}
 	p.brs++
 	c.startOp(u, c.cycle+uint64(c.cfg.RegReadDepth)+1)
-	return true
+	return issued
 }
 
 // tryIssueStore issues a store's address generation (STA). The data half
 // (STD) completes independently when the data register arrives; the store
 // counts as executed only when both halves are done.
-func (c *Core) tryIssueStore(u *uop, p *issuePorts) bool {
+func (c *Core) tryIssueStore(u *uop, p *issuePorts) issueResult {
 	if p.stores >= c.cfg.StoreIssue {
-		return false
+		return retry
 	}
 	if u.waiting == waitStoreExec && c.storeStillPending(u.waitSeq) {
-		return false // intra-store-set serialization
+		return asleep // intra-store-set serialization
 	}
 	u.waiting = waitNothing
 	p.stores++
@@ -167,7 +241,7 @@ func (c *Core) tryIssueStore(u *uop, p *issuePorts) bool {
 		}
 	}
 	c.scheduleEvent(u.completeC, u)
-	return true
+	return issued
 }
 
 // storeStillPending reports whether the store with seq is in flight and has
@@ -182,21 +256,21 @@ func (c *Core) storeStillInFlight(seq uint64) bool {
 	return c.uopAt(seq) != nil
 }
 
-func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
+func (c *Core) tryIssueLoad(u *uop, p *issuePorts) issueResult {
 	if p.loads >= c.cfg.LoadIssue {
-		return false
+		return retry
 	}
 	switch u.waiting {
 	case waitStoreExec:
 		if c.storeStillPending(u.waitSeq) {
 			c.stats.LoadWaitSS++
-			return false
+			return asleep
 		}
 		u.waiting = waitNothing
 	case waitStoreCommit:
 		if c.storeStillInFlight(u.waitSeq) {
 			c.stats.LoadWaitCommit++
-			return false
+			return asleep
 		}
 		u.waiting = waitNothing
 	}
@@ -204,11 +278,11 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
 	d := u.dyn
 	bank := c.hier.DCache.Bank(d.EffAddr, c.cfg.DBanks)
 	if p.banks[bank] {
-		return false // bank conflict: retry next cycle
+		return retry // bank conflict
 	}
 	steered := c.cfg.LSU == LSUSSQ && c.steer.LoadSteered(d.PC)
 	if steered && p.fsq {
-		return false // single FSQ search port
+		return retry // single FSQ search port
 	}
 
 	execStart := c.cycle + uint64(c.cfg.RegReadDepth)
@@ -221,11 +295,11 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
 		case lsq.SearchPartial:
 			u.waitSeq, u.waiting = res.StoreSeq, waitStoreCommit
 			c.stats.LoadWaitCommit++
-			return false
+			return asleep
 		case lsq.SearchDataWait:
 			u.waitSeq, u.waiting = res.StoreSeq, waitStoreExec
 			c.stats.LoadWaitData++
-			return false
+			return asleep
 		case lsq.SearchForward:
 			u.execValue = emu.ExtendLoad(d.Inst, res.Value)
 			u.fwdSeq, u.fwdOK = res.StoreSeq, true
@@ -252,10 +326,10 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
 			switch res.Kind {
 			case lsq.SearchPartial:
 				u.waitSeq, u.waiting = res.StoreSeq, waitStoreCommit
-				return false
+				return asleep
 			case lsq.SearchDataWait:
 				u.waitSeq, u.waiting = res.StoreSeq, waitStoreExec
-				return false
+				return asleep
 			case lsq.SearchForward:
 				u.execValue = emu.ExtendLoad(d.Inst, res.Value)
 				u.fwdSeq, u.fwdOK = res.StoreSeq, true
@@ -292,7 +366,7 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
 		rec.FwdSeq, rec.FwdOK = u.fwdSeq, u.fwdOK
 	}
 	c.startOp(u, completeAt)
-	return true
+	return issued
 }
 
 // readSpecMem returns the load value visible in committed memory right now —

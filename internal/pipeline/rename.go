@@ -13,45 +13,48 @@ import (
 // integration, sets dispatch-time SVWs, and allocates ROB/LQ/SQ/FSQ/IQ
 // entries.
 
-func (c *Core) rename() {
+// rename reports whether it changed anything: renamed an instruction, armed
+// or performed a wrap drain, or evicted an IT entry for a register.
+func (c *Core) rename() (moved bool) {
 	for n := 0; n < c.cfg.RenameWidth; n++ {
 		if c.fetchLen == 0 {
-			return
+			return moved
 		}
 		fr := *c.fetchQFront()
 		if fr.fetchC+uint64(c.cfg.FrontDepth) > c.cycle {
-			return // still in the front-end pipe
+			return moved // still in the front-end pipe
 		}
 		if c.drainPending {
 			if !c.rob.empty() || len(c.rexStoreBuf) > 0 {
-				return
+				return moved
 			}
 			c.performDrain()
+			moved = true
 		}
 		d := fr.dyn
 		inst := d.Inst
 
 		// Structural stalls.
 		if c.rob.full() || len(c.iq) >= c.cfg.IQSize {
-			return
+			return moved
 		}
 		if inst.IsLoad() && c.lq.Full() {
-			return
+			return moved
 		}
 		if inst.IsStore() {
 			if c.sq.Full() {
-				return
+				return moved
 			}
 			if c.cfg.SVW.Enabled && c.wrap.ShouldDrain(c.ssnRename) &&
 				c.drainedAt != c.ssnRename {
 				c.drainPending = true
-				return
+				return true
 			}
 		}
 		steeredStore := false
 		if inst.IsStore() && c.fsq != nil && c.steer.StoreSteered(d.PC) {
 			if c.fsq.Full() {
-				return
+				return moved
 			}
 			steeredStore = true
 		}
@@ -96,9 +99,10 @@ func (c *Core) rename() {
 				if c.it != nil {
 					if e, ok := c.it.EvictOne(); ok {
 						c.releaseRef(e.DestPhys)
+						moved = true
 					}
 				}
-				return
+				return moved
 			}
 			destPhys = p
 			oldDestPhys = c.rmap[destArch]
@@ -120,6 +124,7 @@ func (c *Core) rename() {
 		u.destPhys = destPhys
 		u.oldDestPhys = oldDestPhys
 		c.fetchQPop()
+		moved = true
 
 		switch {
 		case inst.IsStore():
@@ -136,8 +141,10 @@ func (c *Core) rename() {
 		}
 		if !u.completed {
 			c.iq = append(c.iq, u.seq)
+			c.wakeIssue(c.cycle + uint64(c.cfg.SchedDepth))
 		}
 	}
+	return moved
 }
 
 func (c *Core) renameStore(u *uop, steered bool) {

@@ -4,43 +4,48 @@ package pipeline
 // stores' addresses/data known, run the conventional LQ ordering search, and
 // resolve branches.
 
-func (c *Core) writeback() {
-	defer c.scanPendingSTD()
+// writeback reports whether it had anything to do: a due event bucket or a
+// store whose data arrived.
+func (c *Core) writeback() bool {
 	evs := c.events.take(c.cycle)
-	if evs == nil {
-		return
+	for _, ev := range evs {
+		c.complete(ev)
 	}
-	// Process the whole batch even if a violation flush is requested
+	return c.scanPendingSTD() || evs != nil
+}
+
+// complete processes one completion event.
+func (c *Core) complete(ev eventRec) {
+	// The whole batch is processed even if a violation flush is requested
 	// mid-way: events for instructions older than the flush point must not
 	// be lost, and state published for about-to-be-squashed instructions is
 	// reclaimed by the flush itself.
-	for _, ev := range evs {
-		u := c.uopAt(ev.seq)
-		if u == nil || u.uid != ev.uid {
-			continue // the instance this event belonged to was squashed
+	u := c.uopAt(ev.seq)
+	if u == nil || u.uid != ev.uid {
+		return // the instance this event belonged to was squashed
+	}
+	if u.isStore() {
+		c.storeAddrResolved(u)
+		return
+	}
+	u.completed = true
+	if u.destPhys != noPhys {
+		v := u.dyn.Result
+		if u.isLoad() {
+			v = u.execValue // possibly stale; that is the point
 		}
-		if u.isStore() {
-			c.storeAddrResolved(u)
-			continue
-		}
-		u.completed = true
-		if u.destPhys != noPhys {
-			v := u.dyn.Result
-			if u.isLoad() {
-				v = u.execValue // possibly stale; that is the point
-			}
-			c.setPhysValue(u.destPhys, v, u.completeC)
-		}
-		if u.isBranch() && u.mispredict && c.waitBranchSeq == u.seq {
-			c.waitBranchSeq = ^uint64(0)
-			c.fetchStallTil = u.completeC + 1
-		}
+		c.setPhysValue(u.destPhys, v, u.completeC)
+	}
+	if u.isBranch() && u.mispredict && c.waitBranchSeq == u.seq {
+		c.waitBranchSeq = ^uint64(0)
+		c.fetchStallTil = u.completeC + 1
 	}
 }
 
 // scanPendingSTD completes the data half of stores whose address has
-// resolved but whose data register was still in flight.
-func (c *Core) scanPendingSTD() {
+// resolved but whose data register was still in flight, reporting whether
+// any did.
+func (c *Core) scanPendingSTD() bool {
 	out := c.pendingSTD[:0]
 	for _, ev := range c.pendingSTD {
 		u := c.uopAt(ev.seq)
@@ -53,7 +58,9 @@ func (c *Core) scanPendingSTD() {
 		}
 		out = append(out, ev)
 	}
+	done := len(out) < len(c.pendingSTD)
 	c.pendingSTD = out
+	return done
 }
 
 // storeAddrResolved fires at STA resolution (the address was published to
@@ -87,6 +94,7 @@ func (c *Core) storeAddrResolved(u *uop) {
 func (c *Core) storeDataReady(u *uop) {
 	d := u.dyn
 	u.completed = true
+	c.wakeIssue(c.cycle) // releases uops asleep on this store's execution
 	if c.cycle > u.completeC {
 		u.completeC = c.cycle
 	}

@@ -19,7 +19,8 @@ import (
 
 // TestSweepCellsFormMatchesCLI: a cells-form sweep over a list that is no
 // config × bench product answers the `svwsim -json` encoding of exactly
-// those cells, in list order, and X-Svwd-Cache names each cell's tier.
+// those cells, in list order, X-Svwd-Cache names each cell's tier, and
+// X-Svwd-Sample names the exact spec the cells resolved to.
 func TestSweepCellsFormMatchesCLI(t *testing.T) {
 	s := newTestServer(Options{})
 	warm := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
@@ -41,6 +42,9 @@ func TestSweepCellsFormMatchesCLI(t *testing.T) {
 	}
 	if h, wantH := w.Header().Get(api.CacheHeader), "miss,memory,miss"; h != wantH {
 		t.Fatalf("%s = %q, want %q", api.CacheHeader, h, wantH)
+	}
+	if h := w.Header().Get(api.SampleHeader); h != "exact" {
+		t.Fatalf("%s = %q, want exact", api.SampleHeader, h)
 	}
 }
 

@@ -487,6 +487,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	w.Header().Set(api.SampleHeader, api.SampleName(jobs[0].Sample))
 	if stream {
 		s.streamSweep(ctx, w, r, jobs)
 		return
