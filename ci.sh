@@ -4,7 +4,8 @@
 # ring-buffer timing core and the svwctl coordinator's concurrency/fault
 # tests), the perfbench module's vet and self-tests, a fuzz smoke over the differential and builder fuzzers, a
 # one-shot engine benchmark so sweep scaling regressions surface early,
-# the measured-performance gate against BENCH_pipeline.json, an svwd
+# the measured-performance gate against BENCH_pipeline.json, an svwexp
+# dedupe stage (-j 1 and -j 4 byte-identical with pinned memo counts), an svwd
 # smoke stage that boots the daemon and byte-compares its responses
 # against the svwsim and svwexp CLIs, a sampled-simulation smoke stage
 # (determinism, key disjointness, checkpoint reuse), and a cluster smoke
@@ -53,6 +54,17 @@ go run ./cmd/benchgate -compare
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp" ./cmd/svwd ./cmd/svwexp ./cmd/svwload ./cmd/svwsim ./cmd/svwstore
+
+# Engine dedupe smoke: svwexp -all at -j 1 and -j 4 must print the same
+# bytes and execute each unique job exactly once — 56 executions, the
+# other 36 jobs (the summary's re-sweep of Figs. 5-7) served from memo.
+dedupe_want='svwexp: engine executed 56 unique jobs, served 36 from memo'
+for j in 1 4; do
+    "$tmp/svwexp" -all -json -stats -benches gcc,twolf -insts 5000 -j "$j" \
+        >"$tmp/dedupe_j$j.json" 2>"$tmp/dedupe_j$j.err"
+    test "$(cat "$tmp/dedupe_j$j.err")" = "$dedupe_want"
+done
+cmp "$tmp/dedupe_j1.json" "$tmp/dedupe_j4.json"
 
 # wait_listening <stdout-file> <label> <stderr-file>: block until the
 # daemon prints its listening line (all smoke stages share this).

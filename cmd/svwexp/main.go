@@ -59,7 +59,6 @@ func main() {
 	all := flag.Bool("all", false, "run everything")
 	insts := flag.Uint64("insts", 0, "committed instructions per run (0 = config default)")
 	workers := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-	par := flag.Int("par", 0, "alias for -j (deprecated)")
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
 	jsonOut := flag.Bool("json", false, "machine-readable output")
 	progress := flag.Bool("progress", false, "stream per-job progress to stderr (in job order)")
@@ -89,9 +88,6 @@ func main() {
 		}
 	}
 
-	if *workers == 0 {
-		*workers = *par
-	}
 	eng := engine.New(*workers)
 	eng.SetTimeout(*timeout)
 	if *progress {

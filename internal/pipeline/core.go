@@ -25,10 +25,8 @@ import (
 type Core struct {
 	cfg Config
 
-	// Oracle side. emu is the stream's underlying functional emulator,
-	// retained so FastForward and ResetFrom can drive it directly.
+	// Oracle side: the functional emulator's record stream.
 	stream *emu.Stream
-	emu    *emu.Emulator
 
 	// Committed architectural memory: advanced only at store commit. Loads
 	// executing speculatively read this image (plus forwarding), which is
@@ -248,21 +246,37 @@ func New(cfg Config, p *prog.Program) *Core {
 // state whose full clearing is exactly equivalent to reconstruction, and
 // they are small compared to the core's rings.
 func (c *Core) Reset(cfg Config, p *prog.Program) {
-	img := p.NewImage()
-	em := emu.New(img, p.Entry)
+	c.rebind(cfg, p, emu.New(p.NewImage(), p.Entry), p.NewImage(), false)
+}
+
+// rebind is the body of Reset and ResetWindow. em is the oracle emulator,
+// already positioned where the run starts, and commitMem the matching
+// committed memory image. With warm set and a previous run to inherit
+// from, the trained substrates and the cycle counter carry over (see
+// ResetWindow); otherwise every substrate is built fresh.
+func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *memimage.Image, warm bool) {
 	em.SetDecodeTable(p.Base, p.Decoded())
 
 	old := *c
 	*c = Core{
 		cfg:           cfg,
-		emu:           em,
-		commitMem:     p.NewImage(),
-		hier:          cache.NewHierarchy(cfg.Mem),
-		bp:            bpred.New(cfg.BP),
-		ss:            storesets.New(cfg.SS),
-		spct:          core.NewSPCT(cfg.SPCT),
+		commitMem:     commitMem,
 		wrap:          core.WrapControl{Bits: cfg.SVW.SSNBits},
 		waitBranchSeq: ^uint64(0),
+	}
+	warm = warm && old.hier != nil
+	if warm {
+		c.hier, c.bp, c.ss, c.spct = old.hier, old.bp, old.ss, old.spct
+		c.hier.ResetStats()
+		c.bp.ResetStats()
+		c.ss.FlushInflight()
+		c.ss.ResetStats()
+		c.cycle, c.warmCycle = old.cycle, old.cycle
+	} else {
+		c.hier = cache.NewHierarchy(cfg.Mem)
+		c.bp = bpred.New(cfg.BP)
+		c.ss = storesets.New(cfg.SS)
+		c.spct = core.NewSPCT(cfg.SPCT)
 	}
 
 	// Oracle stream: recycle the record arena.
@@ -286,7 +300,11 @@ func (c *Core) Reset(cfg Config, p *prog.Program) {
 	c.lq = resetLoadQueue(old.lq, cfg.LQSize)
 	if cfg.LSU == LSUSSQ {
 		c.fsq = resetStoreQueue(old.fsq, cfg.FSQSize)
-		c.steer = lsq.NewSteering()
+		if warm && old.steer != nil {
+			c.steer = old.steer
+		} else {
+			c.steer = lsq.NewSteering()
+		}
 		if len(old.fbs) == cfg.DBanks {
 			c.fbs = old.fbs
 			for _, fb := range c.fbs {

@@ -74,80 +74,30 @@ func ParseSampleSpec(v string) (SampleSpec, error) {
 	return SampleSpec{Warmup: nums[0], Detail: nums[1], Period: nums[2]}, nil
 }
 
-// FastForward advances the core's architectural state by up to n committed
-// instructions through the functional emulator alone — no timing structure
-// is touched — and re-seeds the committed memory image from the result. It
-// reports how many instructions actually executed (fewer than n only when
-// the program halted or hit a decode error). Valid only on a freshly Reset
-// core, before the first cycle: the pipeline must not hold in-flight state
-// for the skipped region.
-func (c *Core) FastForward(n uint64) (uint64, error) {
-	if c.cycle != 0 || c.committedTotal != 0 {
-		panic("pipeline: FastForward on a core that already simulated")
-	}
-	executed, err := c.emu.FastForward(n)
-	c.commitMem = c.emu.Mem.Clone()
-	return executed, err
-}
-
-// ResetFrom is Reset, but the run starts from a previously captured
-// architectural snapshot instead of the program's entry point: the emulator
-// adopts the snapshot and the committed memory image is re-seeded from its
-// memory. cfg and p must describe the same program the snapshot was taken
-// from (the decode table still comes from p).
-func (c *Core) ResetFrom(cfg Config, p *prog.Program, st emu.ArchState) {
-	c.Reset(cfg, p)
-	c.emu.Restore(st)
-	c.commitMem = st.Mem.Clone()
-}
-
-// ResetWindow is ResetFrom for the second and later windows of one sampled
-// run: the architectural state comes from the snapshot, but the trained
-// microarchitectural substrates — cache tags, branch predictor, store-set
-// SSIT, SPCT, SSQ steering — carry over from the previous window instead of
-// being rebuilt cold, and the cycle counter keeps counting (cache MSHR and
-// bus occupancy hold absolute cycles; a monotone clock keeps them coherent).
-// A window measured over stale-but-trained state tracks the full run far
-// more closely than a cold one: the substrates hold history a short
-// per-window warm-up cannot re-create. In-flight state does not carry — the
-// store-set LFST (which names live store sequence numbers) is flushed, and
-// the SSN-epoch-tagged SSBF and the physical-register-referencing IT are
-// rebuilt like every other reset. Substrate event counters reset so the
-// window measures its own rates over the warm state.
+// ResetWindow is Reset for the second and later windows of one sampled
+// run: the run starts from a previously captured architectural snapshot
+// instead of the program's entry point (the emulator adopts the snapshot
+// and the committed memory image is re-seeded from its memory), and the
+// trained microarchitectural substrates — cache tags, branch predictor,
+// store-set SSIT, SPCT, SSQ steering — carry over from the previous window
+// instead of being rebuilt cold, and the cycle counter keeps counting
+// (cache MSHR and bus occupancy hold absolute cycles; a monotone clock
+// keeps them coherent). A window measured over stale-but-trained state
+// tracks the full run far more closely than a cold one: the substrates hold
+// history a short per-window warm-up cannot re-create. In-flight state does
+// not carry — the store-set LFST (which names live store sequence numbers)
+// is flushed, and the SSN-epoch-tagged SSBF and the
+// physical-register-referencing IT are rebuilt like every other reset.
+// Substrate event counters reset so the window measures its own rates over
+// the warm state. cfg and p must describe the program the snapshot was
+// taken from (the decode table still comes from p).
 //
-// On a fresh Core (no previous window) this degrades to exactly ResetFrom.
+// On a fresh Core (no previous window) every substrate is built fresh.
 func (c *Core) ResetWindow(cfg Config, p *prog.Program, st emu.ArchState) {
-	hier, bp, ss, spct, steer := c.hier, c.bp, c.ss, c.spct, c.steer
-	cycle := c.cycle
-	c.Reset(cfg, p)
-	if hier != nil {
-		c.hier, c.bp, c.spct = hier, bp, spct
-		hier.ResetStats()
-		bp.ResetStats()
-		if ss != nil {
-			c.ss = ss
-			ss.FlushInflight()
-			ss.ResetStats()
-		}
-		if steer != nil && cfg.LSU == LSUSSQ {
-			c.steer = steer
-		}
-		c.cycle = cycle
-		c.warmCycle = cycle
-	}
-	c.emu.Restore(st)
-	c.commitMem = st.Mem.Clone()
+	em := emu.New(nil, 0)
+	em.Restore(st)
+	c.rebind(cfg, p, em, st.Mem.Clone(), true)
 }
-
-// EmuState snapshots the underlying emulator's architectural state (see
-// emu.Emulator.State). Meaningful after FastForward and before detailed
-// simulation begins; once cycles run, the oracle emulator speculatively
-// leads commit and its state is not an architectural point.
-func (c *Core) EmuState() emu.ArchState { return c.emu.State() }
-
-// Halted reports whether the underlying emulator has executed a halt —
-// after a FastForward that came up short, there is nothing left to run.
-func (c *Core) Halted() bool { return c.emu.Halted() }
 
 // scaleCounter computes v*num/den in 128-bit intermediate precision with
 // round-half-up, so window counters scale to full-run estimates without

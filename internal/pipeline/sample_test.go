@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"svwsim/internal/emu"
+	"svwsim/internal/prog"
 	"svwsim/internal/workload"
 )
 
@@ -79,10 +81,42 @@ func TestSampleSpecValidate(t *testing.T) {
 	}
 }
 
-// TestCoreFastForward: a fast-forwarded core continues detailed simulation
-// from the skipped point, and its committed memory equals a pure functional
-// execution of skip+detail instructions — the same end-to-end oracle the
-// exact integration tests use.
+// snapshotAt runs the sampled path's fast-forward leg: a fresh functional
+// emulator of p (restored from `from` when it is non-nil) executes n
+// instructions, and its architectural state comes back as the snapshot a
+// window starts from.
+func snapshotAt(t *testing.T, p *prog.Program, from *emu.ArchState, n uint64) emu.ArchState {
+	t.Helper()
+	m := emu.New(p.NewImage(), p.Entry)
+	m.SetDecodeTable(p.Base, p.Decoded())
+	if from != nil {
+		m.Restore(*from)
+	}
+	executed, err := m.FastForward(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executed != n {
+		t.Fatalf("FastForward executed %d, want %d", executed, n)
+	}
+	return m.State()
+}
+
+// runWindow runs one detailed window from st on a fresh core.
+func runWindow(t *testing.T, cfg Config, p *prog.Program, st emu.ArchState) *Core {
+	t.Helper()
+	c := new(Core)
+	c.ResetWindow(cfg, p, st)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCoreFastForward: a window started from a fast-forwarded snapshot
+// continues detailed simulation from the skipped point, and its committed
+// memory equals a pure functional execution of skip+detail instructions —
+// the same end-to-end oracle the exact integration tests use.
 func TestCoreFastForward(t *testing.T) {
 	p := workload.Cached("gcc")
 	const skip, detail = 30_000, 5_000
@@ -90,45 +124,33 @@ func TestCoreFastForward(t *testing.T) {
 	cfg := Wide8Config()
 	cfg.WarmupInsts = 0
 	cfg.MaxInsts = detail
-	c := New(cfg, p)
-	n, err := c.FastForward(skip)
-	if err != nil {
-		t.Fatal(err)
+	st := snapshotAt(t, p, nil, skip)
+	if st.Skipped != skip {
+		t.Fatalf("snapshot skipped = %d, want %d", st.Skipped, skip)
 	}
-	if n != skip {
-		t.Fatalf("FastForward executed %d, want %d", n, skip)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+	c := runWindow(t, cfg, p, st)
 	if got := c.CommittedTotal(); got != detail {
 		t.Fatalf("committed %d detailed insts, want %d", got, detail)
 	}
 
 	// Functional reference: skip+detail instructions straight through.
-	ref := New(cfg, p)
-	if _, err := ref.FastForward(skip + detail); err != nil {
-		t.Fatal(err)
-	}
-	if addr, differ := c.CommittedMem().Diff(ref.EmuState().Mem); differ {
+	ref := snapshotAt(t, p, nil, skip+detail)
+	if addr, differ := c.CommittedMem().Diff(ref.Mem); differ {
 		t.Fatalf("committed memory diverges from functional reference at %#x", addr)
 	}
 
-	// Determinism: the same fast-forwarded run twice is identical.
-	c2 := New(cfg, p)
-	if _, err := c2.FastForward(skip); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Run(); err != nil {
-		t.Fatal(err)
-	}
+	// Determinism: the same window from the same snapshot twice is
+	// identical (the window leaves the snapshot reusable).
+	c2 := runWindow(t, cfg, p, st)
 	if *c.Stats() != *c2.Stats() {
 		t.Fatalf("fast-forwarded runs diverge:\n%+v\n%+v", *c.Stats(), *c2.Stats())
 	}
 }
 
-// TestResetFromSnapshot: a window run from a captured snapshot behaves
-// identically to a fresh core fast-forwarded to the same point.
+// TestResetFromSnapshot: a window behaves identically whichever way its
+// snapshot was reached — one fast-forward leg, or two chained legs the way
+// the sampled path advances between windows — and on a fresh core a window
+// from the entry-point snapshot is exactly a Reset run.
 func TestResetFromSnapshot(t *testing.T) {
 	p := workload.Cached("mcf")
 	const skip, detail = 20_000, 4_000
@@ -137,27 +159,27 @@ func TestResetFromSnapshot(t *testing.T) {
 	cfg.WarmupInsts = 0
 	cfg.MaxInsts = detail
 
-	direct := New(cfg, p)
-	if _, err := direct.FastForward(skip); err != nil {
-		t.Fatal(err)
+	direct := snapshotAt(t, p, nil, skip)
+	half := snapshotAt(t, p, nil, skip/2)
+	chained := snapshotAt(t, p, &half, skip-skip/2)
+	if chained.Skipped != skip {
+		t.Fatalf("chained snapshot skipped = %d, want %d", chained.Skipped, skip)
 	}
-	st := direct.EmuState()
-	if st.Skipped != skip {
-		t.Fatalf("snapshot skipped = %d, want %d", st.Skipped, skip)
+	a := runWindow(t, cfg, p, direct)
+	b := runWindow(t, cfg, p, chained)
+	if *a.Stats() != *b.Stats() {
+		t.Fatalf("snapshot-restored run diverges:\n%+v\n%+v", *a.Stats(), *b.Stats())
 	}
-	if err := direct.Run(); err != nil {
-		t.Fatal(err)
+	if addr, differ := a.CommittedMem().Diff(b.CommittedMem()); differ {
+		t.Fatalf("committed memory diverges at %#x", addr)
 	}
 
-	restored := new(Core)
-	restored.ResetFrom(cfg, p, st)
-	if err := restored.Run(); err != nil {
+	entry := snapshotAt(t, p, nil, 0)
+	fresh := New(cfg, p)
+	if err := fresh.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if *direct.Stats() != *restored.Stats() {
-		t.Fatalf("snapshot-restored run diverges:\n%+v\n%+v", *direct.Stats(), *restored.Stats())
-	}
-	if addr, differ := direct.CommittedMem().Diff(restored.CommittedMem()); differ {
-		t.Fatalf("committed memory diverges at %#x", addr)
+	if w := runWindow(t, cfg, p, entry); *w.Stats() != *fresh.Stats() || w.Cycle() != fresh.Cycle() {
+		t.Fatalf("entry-point window on a fresh core diverges from New:\n%+v\n%+v", *w.Stats(), *fresh.Stats())
 	}
 }

@@ -21,21 +21,82 @@ import (
 // requests must produce exactly one engine execution, with the other N-1
 // coalescing on the leader's flight (store.BeginFlight).
 
-// TestRunDogpile fires N identical cold /v1/run requests concurrently.
-func TestRunDogpile(t *testing.T) {
-	s := newTestServer(Options{})
-	const n = 6
-	body := fmt.Sprintf(`{"config":"base","bench":"gcc","insts":%d}`, testInsts)
-	results := make([]*httptest.ResponseRecorder, n)
+// heldLeader starts a resolve that leads jobs behind a blocker on a
+// one-worker engine (the server must run with Options.Workers 1). The
+// blocker is a traced run of base/mcf, a cell no test here requests; it
+// stalls in its first commit, so when heldLeader returns every job's
+// flight is claimed by the leader and none has started. release lets the
+// blocker (and then the jobs) run, cancel ends the leader's request, and
+// done yields the leader's resolve error.
+func heldLeader(t *testing.T, s *Server, jobs []engine.Job) (release, cancel func(), done <-chan error) {
+	t.Helper()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	var blocking, releasing sync.Once
+	blocker, _ := sim.ConfigByName("base")
+	blocker.TraceCommit = func(pipeline.TraceRecord) {
+		blocking.Do(func() {
+			close(started)
+			<-unblock
+		})
+	}
+	jobs = append([]engine.Job{{Config: blocker, Bench: "mcf", Insts: testInsts}}, jobs...)
+	ctx, cancelCtx := context.WithCancel(context.Background())
+	t.Cleanup(cancelCtx)
+	release = func() { releasing.Do(func() { close(unblock) }) }
+	t.Cleanup(release)
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), jobs, nil, nil)
+		leaderDone <- err
+	}()
+	<-started
+	return release, cancelCtx, leaderDone
+}
+
+// fire sends n identical requests concurrently; wait blocks until every
+// response is in.
+func fire(s *Server, n int, path, body string) (results []*httptest.ResponseRecorder, wait func()) {
+	results = make([]*httptest.ResponseRecorder, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = do(s, "POST", "/v1/run", body, nil)
+			results[i] = do(s, "POST", path, body, nil)
 		}(i)
 	}
-	wg.Wait()
+	return results, wg.Wait
+}
+
+// awaitCoalesced polls until want requests wait on flights they do not
+// lead.
+func awaitCoalesced(t *testing.T, s *Server, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.store.Stats().Coalesced < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("coalesced = %d, want %d waiters on the leader's flights", s.store.Stats().Coalesced, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunDogpile: n identical cold /v1/run requests — a leader held before
+// its cell starts, and n-1 followers — execute the cell once, and every
+// follower coalesces on the leader's flight.
+func TestRunDogpile(t *testing.T) {
+	s := newTestServer(Options{Workers: 1})
+	const n = 6
+	cfg, _ := sim.ConfigByName("base")
+	release, _, leaderDone := heldLeader(t, s, []engine.Job{{Config: cfg, Bench: "gcc", Insts: testInsts}})
+	body := fmt.Sprintf(`{"config":"base","bench":"gcc","insts":%d}`, testInsts)
+	results, wait := fire(s, n-1, "/v1/run", body)
+	awaitCoalesced(t, s, n-1)
+	release()
+	wait()
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
 
 	want := directRunBody(t, "base", "gcc")
 	for i, w := range results {
@@ -46,52 +107,48 @@ func TestRunDogpile(t *testing.T) {
 			t.Fatalf("request %d: body differs from the svwsim -json encoding", i)
 		}
 	}
+	// The blocker is a traced job, which the engine runs outside its memo
+	// counters: every counted execution is the cell's.
 	if m := s.engineStats(); m.MemoMisses != 1 {
 		t.Errorf("engine executed %d times for %d identical requests, want 1", m.MemoMisses, n)
 	}
 	st := s.store.Stats()
-	if st.Misses != 1 {
-		t.Errorf("store misses = %d, want 1 (only the leader computes)", st.Misses)
+	if st.Misses != 2 {
+		t.Errorf("store misses = %d, want 2 (the leader's blocker and cell; no follower computes)", st.Misses)
 	}
-	// Each non-leader either coalesced on the flight or (having arrived
-	// after the leader finished) hit the store at its probe; both together
-	// must cover all n-1, and with a simultaneous launch against a
-	// millisecond-scale simulation at least one coalesces.
-	if st.Coalesced+st.Hits != n-1 {
-		t.Errorf("coalesced=%d hits=%d, want their sum = %d", st.Coalesced, st.Hits, n-1)
-	}
-	if st.Coalesced == 0 {
-		t.Errorf("no request coalesced across %d concurrent identical misses", n)
+	if st.Coalesced != n-1 || st.Hits != 0 {
+		t.Errorf("coalesced=%d hits=%d, want every one of the %d followers coalesced", st.Coalesced, st.Hits, n-1)
 	}
 }
 
 // TestSweepDogpile is the same regression for whole sweep matrices: the
 // per-cell flights must coalesce across concurrent identical sweeps.
 func TestSweepDogpile(t *testing.T) {
-	s := newTestServer(Options{})
+	s := newTestServer(Options{Workers: 1})
 	configs := []string{"base", "ssq+svw"}
 	benches := []string{"gcc", "twolf"}
-	cells := len(configs) * len(benches)
-	body := fmt.Sprintf(`{"configs":["base","ssq+svw"],"benches":["gcc","twolf"],"insts":%d}`, testInsts)
-
-	const n = 4
-	results := make([]*httptest.ResponseRecorder, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = do(s, "POST", "/v1/sweep", body, nil)
-		}(i)
-	}
-	wg.Wait()
-
+	const cells = 4
+	var jobs []engine.Job
 	var want []byte
 	for _, c := range configs {
+		cfg, _ := sim.ConfigByName(c)
 		for _, b := range benches {
+			jobs = append(jobs, engine.Job{Config: cfg, Bench: b, Insts: testInsts})
 			want = append(want, directRunBody(t, c, b)...)
 		}
 	}
+	body := fmt.Sprintf(`{"configs":["base","ssq+svw"],"benches":["gcc","twolf"],"insts":%d}`, testInsts)
+
+	const n = 4 // identical sweeps: the held leader and n-1 followers
+	release, _, leaderDone := heldLeader(t, s, jobs)
+	results, wait := fire(s, n-1, "/v1/sweep", body)
+	awaitCoalesced(t, s, (n-1)*cells)
+	release()
+	wait()
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+
 	for i, w := range results {
 		if w.Code != http.StatusOK {
 			t.Fatalf("sweep %d: HTTP %d: %s", i, w.Code, w.Body)
@@ -100,19 +157,18 @@ func TestSweepDogpile(t *testing.T) {
 			t.Fatalf("sweep %d: body differs from the svwsim -json encoding", i)
 		}
 	}
-	if m := s.engineStats(); m.MemoMisses != uint64(cells) {
+	if m := s.engineStats(); m.MemoMisses != cells {
 		t.Errorf("engine executed %d jobs for %d identical sweeps, want %d (one per cell)",
 			m.MemoMisses, n, cells)
 	}
 	st := s.store.Stats()
-	if st.Misses != uint64(cells) {
-		t.Errorf("store misses = %d, want %d (each cell computed by one leader)", st.Misses, cells)
+	if st.Misses != cells+1 {
+		t.Errorf("store misses = %d, want %d (the leader's blocker and cells; no follower computes)",
+			st.Misses, cells+1)
 	}
-	if got, wantSum := st.Coalesced+st.Hits, uint64((n-1)*cells); got != wantSum {
-		t.Errorf("coalesced=%d hits=%d, want their sum = %d", st.Coalesced, st.Hits, wantSum)
-	}
-	if st.Coalesced == 0 {
-		t.Errorf("no cell coalesced across %d concurrent identical sweeps", n)
+	if st.Coalesced != (n-1)*cells || st.Hits != 0 {
+		t.Errorf("coalesced=%d hits=%d, want every follower cell coalesced (%d)",
+			st.Coalesced, st.Hits, (n-1)*cells)
 	}
 }
 
@@ -190,62 +246,26 @@ func TestOverlappingSweepsNoDeadlock(t *testing.T) {
 	}
 }
 
-// failedLeader sets up the failed-leader path: a resolve leads the cell
-// ssq/gcc behind a blocker job on a one-worker engine, n /v1/run requests
-// for that cell coalesce on its flight, and the leader's request is
-// cancelled before the cell starts. Before the blocker is released and
-// the cell's flight fails, hold runs (with the leader's gate units already
-// returned). It returns the n waiters' responses.
+// failedLeader sets up the failed-leader path: a held leader (heldLeader)
+// claims the cell ssq/gcc, n /v1/run requests for that cell coalesce on
+// its flight, and the leader's request is cancelled before the cell
+// starts. Before the blocker is released and the cell's flight fails, hold
+// runs (with the leader's gate units already returned). It returns the n
+// waiters' responses.
 func failedLeader(t *testing.T, s *Server, n int, hold func()) []*httptest.ResponseRecorder {
 	t.Helper()
-	started, unblock := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	blocker, _ := sim.ConfigByName("base")
-	blocker.TraceCommit = func(pipeline.TraceRecord) {
-		once.Do(func() {
-			close(started)
-			<-unblock
-		})
-	}
 	cell, _ := sim.ConfigByName("ssq")
-	jobs := []engine.Job{
-		{Config: blocker, Bench: "gcc", Insts: testInsts},
-		{Config: cell, Bench: "gcc", Insts: testInsts},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), jobs, nil, nil)
-		leaderDone <- err
-	}()
-	<-started // the blocker runs; the cell is claimed and queued behind it
-
+	release, cancel, leaderDone := heldLeader(t, s, []engine.Job{{Config: cell, Bench: "gcc", Insts: testInsts}})
 	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
-	results := make([]*httptest.ResponseRecorder, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = do(s, "POST", "/v1/run", body, nil)
-		}(i)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.store.Stats().Coalesced < uint64(n) {
-		if time.Now().After(deadline) {
-			close(unblock)
-			t.Fatalf("coalesced = %d, want %d waiters on the leader's flight", s.store.Stats().Coalesced, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	results, wait := fire(s, n, "/v1/run", body)
+	awaitCoalesced(t, s, uint64(n))
 	cancel()
 	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
 		t.Errorf("leader resolve err = %v, want context.Canceled", err)
 	}
 	hold()
-	close(unblock)
-	wg.Wait()
+	release()
+	wait()
 	return results
 }
 

@@ -79,22 +79,3 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 		t.Errorf("want exactly 1 execution, memo says %+v", m)
 	}
 }
-
-// The leaf RunContext refuses an already-done context and honours
-// mid-simulation cancellation.
-func TestLeafRunContext(t *testing.T) {
-	cfg := ctxConfig()
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunContext(done, cfg, "gcc", 5000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	// Background context takes the direct (no goroutine) path.
-	res, err := RunContext(context.Background(), cfg, "gcc", 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Committed == 0 {
-		t.Fatal("run committed nothing")
-	}
-}

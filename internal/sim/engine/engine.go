@@ -1,6 +1,6 @@
 // Package engine executes experiment sweeps: flat lists of (machine
-// configuration, benchmark, instruction budget) jobs run on a sharded,
-// work-stealing worker pool.
+// configuration, benchmark, instruction budget) jobs run on a bounded
+// worker pool that takes its jobs from one shared queue.
 //
 // The engine exists because the paper's evaluation (Figs. 5–8 and the §3.6
 // sensitivity studies) is a configuration matrix, and large parts of that
@@ -8,14 +8,15 @@
 // summary study re-runs three whole ladders, and -all sweeps overlap. The
 // engine therefore:
 //
-//   - shards the job list round-robin across workers, each of which drains
-//     its own deque and steals from the busiest victim when idle, so a few
-//     slow configurations (e.g. 4-cycle-load baselines) cannot strand work
+//   - hands jobs out in job order from one shared cursor: a worker takes
+//     the next unclaimed index whenever it finishes a job, so a few slow
+//     configurations (e.g. 4-cycle-load baselines) cannot strand work
 //     behind them;
 //   - memoizes (configuration, benchmark, instruction budget) → result, so
 //     any job that is semantically identical to an earlier one — the Name
 //     label is ignored — executes exactly once per Engine, however many
-//     sweeps ask for it;
+//     sweeps ask for it. A job whose twin is still executing, in the same
+//     Run or a concurrent one, waits on that execution's done channel;
 //   - delivers results and progress deterministically: Run's result slice
 //     is indexed by job position, and the optional progress callback fires
 //     in job-index order regardless of completion order, so -j 1 and -j N
@@ -34,6 +35,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"svwsim/internal/pipeline"
@@ -93,35 +95,17 @@ type Engine struct {
 	sample SampleStats
 }
 
+// memoEntry is one key's execution. done is closed once it completes;
+// res and err are written before the close and read only after it.
 type memoEntry struct {
-	complete bool
-	res      Result
-	err      error
-	// waiters are jobs identical to the in-flight execution. They do not
-	// block a worker: the duplicate registers a delivery closure and the
-	// worker moves on to other queued work; the executing worker runs the
-	// closures when it finishes.
-	waiters []func(res Result, err error)
+	done chan struct{}
+	res  Result
+	err  error
 }
 
 // New returns an engine with the given worker count (<= 0 = GOMAXPROCS).
 func New(workers int) *Engine {
 	return &Engine{workers: workers, memo: make(map[string]*memoEntry)}
-}
-
-// Workers returns the effective worker count for a sweep of n jobs.
-func (e *Engine) Workers(n int) int {
-	w := e.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // SetTimeout bounds each job's wall-clock execution (0 = none). A timed-out
@@ -161,8 +145,8 @@ func (e *Engine) Run(jobs []Job, progress func(JobResult)) ([]JobResult, error) 
 // RunContext is Run with cancellation: once ctx is done, queued-but-unstarted
 // jobs are not executed and report ctx's error instead. Jobs already
 // executing run to completion (populating the memo for later identical
-// requests), so cancellation never poisons waiters parked on an in-flight
-// execution. Results, progress ordering and the lowest-index-error contract
+// requests), so a job waiting on an in-flight execution still gets its
+// result. Results, progress ordering and the lowest-index-error contract
 // are unchanged — cancelled jobs still occupy their slots and fire progress.
 func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobResult)) ([]JobResult, error) {
 	if ctx == nil {
@@ -173,35 +157,28 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 	if n == 0 {
 		return out, nil
 	}
-	// Request tracing rides the context: one span per job (shard, steal,
-	// memo outcome, core reuse), recorded entirely outside the timing
-	// core. With no trace on ctx, tr is nil and every hook below is a
-	// plain nil check — the benchmark path allocates nothing extra.
+	// Request tracing rides the context: one span per job (worker, memo
+	// outcome, core reuse), recorded entirely outside the timing core.
+	// With no trace on ctx, tr is nil and every hook below is a plain nil
+	// check — the benchmark path allocates nothing extra.
 	tr := trace.FromContext(ctx)
-	workers := e.Workers(n)
+	workers := e.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	if progress == nil {
 		e.mu.Lock()
 		progress = e.progress
 		e.mu.Unlock()
 	}
 
-	// Shard the indices round-robin: worker w owns jobs w, w+workers, ...
-	// Owners pop from the front; thieves steal from the back.
-	shards := make([]*shard, workers)
-	for w := range shards {
-		shards[w] = &shard{}
-	}
-	for i := 0; i < n; i++ {
-		s := shards[i%workers]
-		s.jobs = append(s.jobs, i)
-	}
-
 	var (
-		wg      sync.WaitGroup
-		deliver sync.WaitGroup // memo-waiter deliveries, possibly cross-Run
-		emitMu  sync.Mutex
-		ready   = make([]bool, n)
-		next    int
+		wg     sync.WaitGroup
+		cursor atomic.Int64 // next job index to hand out
+		emitMu sync.Mutex
+		ready  = make([]bool, n)
+		next   int
 	)
 	emit := func(idx int) {
 		emitMu.Lock()
@@ -224,11 +201,8 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 			// register files carry over; see pipeline.Core.Reset).
 			rn := &runner{}
 			for {
-				idx, ok := shards[self].pop()
-				if !ok {
-					idx, ok = steal(shards, self)
-				}
-				if !ok {
+				idx := int(cursor.Add(1)) - 1
+				if idx >= n {
 					return
 				}
 				if err := ctx.Err(); err != nil {
@@ -236,7 +210,7 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 					// executing. The loop keeps draining so every slot is
 					// filled and emitted in order.
 					if tr != nil {
-						sp := jobSpan(tr, idx, self, workers, jobs[idx])
+						sp := jobSpan(tr, idx, self, jobs[idx])
 						sp.SetAttr("outcome", "cancelled")
 						sp.End()
 					}
@@ -244,14 +218,11 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 					emit(idx)
 					continue
 				}
-				e.execute(tr, self, workers, idx, jobs[idx], out, emit, &deliver, rn)
+				e.execute(tr, self, idx, jobs[idx], out, emit, rn)
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Jobs parked on an execution in flight in a concurrent Run on the same
-	// engine are delivered by that run's worker; wait for them too.
-	deliver.Wait()
 
 	for i := range out {
 		if out[i].Err != nil {
@@ -262,33 +233,27 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 	return out, nil
 }
 
-// jobSpan opens one job's trace span with its placement attributes: the
-// shard the round-robin assignment put the job on, the worker that
-// actually ran it, and whether that took a steal. Called only when a
-// trace is present, so the formatting never runs on untraced sweeps.
-func jobSpan(tr *trace.Trace, idx, worker, workers int, j Job) trace.Span {
+// jobSpan opens one job's trace span with its index and the worker that
+// ran it. Called only when a trace is present, so the formatting never
+// runs on untraced sweeps.
+func jobSpan(tr *trace.Trace, idx, worker int, j Job) trace.Span {
 	sp := tr.Start("engine_job")
 	sp.SetAttr("index", strconv.Itoa(idx))
 	sp.SetAttr("config", j.Config.Name)
 	sp.SetAttr("bench", j.Bench)
 	sp.SetAttr("worker", strconv.Itoa(worker))
-	shard := idx % workers
-	sp.SetAttr("shard", strconv.Itoa(shard))
-	if shard != worker {
-		sp.SetAttr("stolen", "true")
-	}
 	return sp
 }
 
 // execute runs one job through the memo table, storing its result in
 // out[idx] and emitting it. A job identical to an execution already in
-// flight is parked as a waiter — the worker returns immediately to take
-// other queued work, and the executing worker delivers the parked result.
-func (e *Engine) execute(tr *trace.Trace, worker, workers, idx int, j Job,
-	out []JobResult, emit func(int), deliver *sync.WaitGroup, rn *runner) {
+// flight — in this Run or a concurrent one — waits for that execution to
+// finish and takes its result.
+func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job,
+	out []JobResult, emit func(int), rn *runner) {
 	var sp trace.Span
 	if tr != nil {
-		sp = jobSpan(tr, idx, worker, workers, j)
+		sp = jobSpan(tr, idx, worker, j)
 	}
 	if j.Config.TraceCommit != nil {
 		// Traced runs exist for their side effects; a memo hit would
@@ -302,39 +267,30 @@ func (e *Engine) execute(tr *trace.Trace, worker, workers, idx int, j Job,
 		sp.End()
 		return
 	}
-	memoResult := func(res Result, err error) JobResult {
-		res.Config = j.Config.Name // keep the job's own label on shared results
-		return JobResult{Index: idx, Job: j, Result: res, Err: err, Memoized: true}
-	}
 
 	key := SampledFingerprint(j.Config, j.Bench, j.Insts, j.Sample)
 	e.mu.Lock()
 	ent, ok := e.memo[key]
 	if ok {
 		e.hits++
-		if ent.complete {
-			res, err := ent.res, ent.err
-			e.mu.Unlock()
-			sp.SetAttr("memo", "hit")
-			out[idx] = memoResult(res, err)
-			emit(idx)
-			sp.End()
-			return
-		}
-		deliver.Add(1)
-		// The waiter's span stays open until the in-flight execution
-		// delivers, so its duration is the time the job spent parked.
-		sp.SetAttr("memo", "waiter")
-		ent.waiters = append(ent.waiters, func(res Result, err error) {
-			out[idx] = memoResult(res, err)
-			emit(idx)
-			sp.End()
-			deliver.Done()
-		})
 		e.mu.Unlock()
+		select {
+		case <-ent.done:
+			sp.SetAttr("memo", "hit")
+		default:
+			// The span stays open through the wait, so its duration is
+			// the time the job spent waiting on the execution.
+			sp.SetAttr("memo", "waiter")
+			<-ent.done
+		}
+		res := ent.res
+		res.Config = j.Config.Name // keep the job's own label on shared results
+		out[idx] = JobResult{Index: idx, Job: j, Result: res, Err: ent.err, Memoized: true}
+		emit(idx)
+		sp.End()
 		return
 	}
-	ent = &memoEntry{}
+	ent = &memoEntry{done: make(chan struct{})}
 	e.memo[key] = ent
 	e.misses++
 	e.mu.Unlock()
@@ -349,27 +305,21 @@ func (e *Engine) execute(tr *trace.Trace, worker, workers, idx int, j Job,
 	}
 	start := time.Now()
 	res, err := e.runWithTimeout(j, rn)
-	e.mu.Lock()
-	ent.res, ent.err, ent.complete = res, err, true
-	waiters := ent.waiters
-	ent.waiters = nil
+	ent.res, ent.err = res, err
 	if err != nil {
 		// Failures (including timeouts) are not cached: a later identical
-		// job must get a fresh attempt, not the stale error. Waiters parked
-		// on this execution still observe its error.
+		// job must get a fresh attempt, not the stale error. Jobs already
+		// waiting on this execution still observe its error.
+		e.mu.Lock()
 		delete(e.memo, key)
-	}
-	e.mu.Unlock()
-	if err != nil {
+		e.mu.Unlock()
 		sp.SetAttr("error", err.Error())
 	}
+	close(ent.done)
 	out[idx] = JobResult{Index: idx, Job: j, Result: res, Err: err,
 		Elapsed: time.Since(start)}
 	emit(idx)
 	sp.End()
-	for _, w := range waiters {
-		w(res, err)
-	}
 }
 
 // runJob dispatches one job to the exact or sampled leaf executor.
@@ -420,63 +370,5 @@ func (e *Engine) runWithTimeout(j Job, rn *runner) (Result, error) {
 		// own MaxCycles bound; its core is lost with it.
 		return Result{}, fmt.Errorf("%s on %s: timed out after %v",
 			j.Bench, j.Config.Name, timeout)
-	}
-}
-
-// shard is one worker's deque of job indices.
-type shard struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-// pop takes from the front (the owner's end).
-func (s *shard) pop() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.jobs) == 0 {
-		return 0, false
-	}
-	idx := s.jobs[0]
-	s.jobs = s.jobs[1:]
-	return idx, true
-}
-
-// popBack takes from the back (the thieves' end).
-func (s *shard) popBack() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.jobs) == 0 {
-		return 0, false
-	}
-	idx := s.jobs[len(s.jobs)-1]
-	s.jobs = s.jobs[:len(s.jobs)-1]
-	return idx, true
-}
-
-func (s *shard) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
-// steal takes a job from the back of the fullest other shard.
-func steal(shards []*shard, self int) (int, bool) {
-	for {
-		victim, best := -1, 0
-		for i, s := range shards {
-			if i == self {
-				continue
-			}
-			if n := s.size(); n > best {
-				victim, best = i, n
-			}
-		}
-		if victim < 0 {
-			return 0, false
-		}
-		if idx, ok := shards[victim].popBack(); ok {
-			return idx, true
-		}
-		// Lost the race to the victim's owner; rescan.
 	}
 }

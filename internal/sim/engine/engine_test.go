@@ -200,9 +200,9 @@ func TestFailedJobsAreNotMemoized(t *testing.T) {
 }
 
 func TestConcurrentRunsShareMemo(t *testing.T) {
-	// Two sweeps with identical jobs race on one engine: jobs parked on the
-	// other run's in-flight execution must still be delivered before Run
-	// returns, and each unique job executes exactly once.
+	// Two sweeps with identical jobs race on one engine: a job whose twin
+	// is in flight in the other run waits for it and is delivered before
+	// Run returns, and each unique job executes exactly once.
 	eng := New(2)
 	jobs := testJobs("gcc", "twolf")
 	results := make([][]JobResult, 2)
@@ -229,6 +229,52 @@ func TestConcurrentRunsShareMemo(t *testing.T) {
 	}
 	if m := eng.Memo(); m.Misses != uint64(len(jobs)) {
 		t.Errorf("concurrent runs executed %d unique jobs, want %d", m.Misses, len(jobs))
+	}
+}
+
+// TestDuplicatesWithinOneRun: repeats of one job inside a single Run on a
+// two-worker pool execute once. Each repeat — a hit on the finished
+// execution or a wait on the one still in flight — carries the same
+// result, and progress still fires in job-index order.
+func TestDuplicatesWithinOneRun(t *testing.T) {
+	base := testJobs("gcc")
+	a, b := base[0], base[1]
+	jobs := []Job{a, a, b, a}
+	eng := New(2)
+	var got []int
+	rs, err := eng.Run(jobs, func(r JobResult) {
+		got = append(got, r.Index) // safe: emission is serialized
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Memo(); m.Misses != 2 || m.Hits != 2 {
+		t.Errorf("memo = %+v, want 2 misses and 2 hits", m)
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("progress order %v, want ascending job indices", got)
+		}
+	}
+	if len(got) != len(jobs) {
+		t.Fatalf("progress fired %d times for %d jobs", len(got), len(jobs))
+	}
+	for _, i := range []int{1, 3} {
+		if rs[i].Result.Stats != rs[0].Result.Stats {
+			t.Errorf("job %d stats differ from job 0's", i)
+		}
+	}
+	if rs[2].Memoized || rs[2].Result.Stats.Committed == 0 {
+		t.Error("job 2 (the only B) must execute")
+	}
+	// Jobs 0 and 1 race for A's memo entry; job 3 is handed out only after
+	// a worker finished one of them, so it always finds the entry.
+	if rs[0].Memoized == rs[1].Memoized {
+		t.Errorf("memoized = %v/%v for jobs 0/1, want exactly one executed",
+			rs[0].Memoized, rs[1].Memoized)
+	}
+	if !rs[3].Memoized {
+		t.Error("job 3 executed; want it served from A's memo entry")
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"svwsim/internal/pipeline"
@@ -53,37 +52,6 @@ func runOn(core *pipeline.Core, cfg Config, bench string, maxInsts uint64) (Resu
 		return Result{}, core, fmt.Errorf("%s on %s: %w", bench, cfg.Name, err)
 	}
 	return Result{Bench: bench, Config: cfg.Name, Stats: *core.Stats()}, core, nil
-}
-
-// RunContext is Run with cancellation: it returns ctx's error without
-// starting when ctx is already done, and abandons a run in progress when
-// ctx is cancelled mid-simulation (the abandoned goroutine still terminates
-// on the configuration's own MaxCycles bound, like a timed-out engine job).
-func RunContext(ctx context.Context, cfg Config, bench string, maxInsts uint64) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if ctx.Done() == nil {
-		return Run(cfg, bench, maxInsts)
-	}
-	type outcome struct {
-		res Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, err := Run(cfg, bench, maxInsts)
-		ch <- outcome{r, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
 }
 
 // Fingerprint is the memoization key for a job: the configuration with its

@@ -21,12 +21,12 @@
 // # The experiment engine
 //
 // Sweeps — ladders of configurations over benchmark sets — run on the
-// sharded, work-stealing engine in internal/sim/engine. Its contract, which
-// both CLIs expose through the -j, -timeout and -json flags:
+// engine in internal/sim/engine. Its contract, which both CLIs expose
+// through the -j, -timeout and -json flags:
 //
-//   - Parallelism: the job list is sharded round-robin over -j workers
-//     (0 = GOMAXPROCS); idle workers steal from the fullest shard, so slow
-//     configurations cannot strand queued work.
+//   - Parallelism: -j workers (0 = GOMAXPROCS) take jobs in job order from
+//     one shared queue, each claiming the next job as soon as it finishes
+//     one, so slow configurations cannot strand queued work.
 //   - Memoization: jobs are keyed by (configuration, benchmark, instruction
 //     budget) with display names ignored; semantically identical jobs —
 //     ladder baselines repeated across studies, the summary study's
