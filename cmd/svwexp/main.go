@@ -38,8 +38,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -50,32 +52,49 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "reproduce figure 5..8")
-	ssnwidth := flag.Bool("ssnwidth", false, "SSN width sensitivity (§3.6)")
-	ssbfupd := flag.Bool("ssbfupd", false, "SSBF update policy (§3.6)")
-	summary := flag.Bool("summary", false, "aggregate SVW re-execution reduction")
-	retports := flag.Bool("retports", false, "retirement-port ablation")
-	nlqsm := flag.Bool("nlqsm", false, "NLQsm invalidation mechanism demo")
-	all := flag.Bool("all", false, "run everything")
-	insts := flag.Uint64("insts", 0, "committed instructions per run (0 = config default)")
-	workers := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
-	jsonOut := flag.Bool("json", false, "machine-readable output")
-	progress := flag.Bool("progress", false, "stream per-job progress to stderr (in job order)")
-	stats := flag.Bool("stats", false, "report engine run/memo counters on stderr")
-	benchList := flag.String("benches", "", "comma-separated benchmark subset")
-	sampleWarmup := flag.Uint64("sample-warmup", 0,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is svwexp with its arguments and output streams made explicit; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("svwexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 0, "reproduce figure 5..8")
+	ssnwidth := fs.Bool("ssnwidth", false, "SSN width sensitivity (§3.6)")
+	ssbfupd := fs.Bool("ssbfupd", false, "SSBF update policy (§3.6)")
+	summary := fs.Bool("summary", false, "aggregate SVW re-execution reduction")
+	retports := fs.Bool("retports", false, "retirement-port ablation")
+	nlqsm := fs.Bool("nlqsm", false, "NLQsm invalidation mechanism demo")
+	all := fs.Bool("all", false, "run everything")
+	insts := fs.Uint64("insts", 0, "committed instructions per run (0 = config default)")
+	workers := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
+	jsonOut := fs.Bool("json", false, "machine-readable output")
+	progress := fs.Bool("progress", false, "stream per-job progress to stderr (in job order)")
+	stats := fs.Bool("stats", false, "report engine run/memo counters on stderr")
+	benchList := fs.String("benches", "", "comma-separated benchmark subset")
+	sampleWarmup := fs.Uint64("sample-warmup", 0,
 		"sampled simulation: detailed warm-up commits per window (counters reset after)")
-	sampleDetail := flag.Uint64("sample-detail", 0,
+	sampleDetail := fs.Uint64("sample-detail", 0,
 		"sampled simulation: measured commits per window (0 = exact simulation)")
-	samplePeriod := flag.Uint64("sample-period", 0,
+	samplePeriod := fs.Uint64("sample-period", 0,
 		"sampled simulation: committed instructions each window represents; "+
 			"the gap past warmup+detail is fast-forwarded functionally")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatalf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "svwexp: "+format+"\n", args...)
+		return 1
+	}
 
 	spec := pipeline.SampleSpec{Warmup: *sampleWarmup, Detail: *sampleDetail, Period: *samplePeriod}
 	if err := spec.Validate(); err != nil {
-		fatalf("%v", err)
+		return fatalf("%v", err)
 	}
 
 	benches := sim.AllBenches()
@@ -83,7 +102,7 @@ func main() {
 		benches = strings.Split(*benchList, ",")
 		for _, b := range benches {
 			if _, ok := workload.Get(b); !ok {
-				fatalf("unknown benchmark %q", b)
+				return fatalf("unknown benchmark %q", b)
 			}
 		}
 	}
@@ -96,7 +115,7 @@ func main() {
 			if r.Memoized {
 				src = "memo"
 			}
-			fmt.Fprintf(os.Stderr, "svwexp: [%s] %s on %-10s %-4s IPC=%.3f rex=%.1f%%\n",
+			fmt.Fprintf(stderr, "svwexp: [%s] %s on %-10s %-4s IPC=%.3f rex=%.1f%%\n",
 				r.Job.Study, r.Job.Config.Name, r.Job.Bench, src,
 				r.Result.IPC(), 100*r.Result.Stats.RexRate())
 		})
@@ -107,26 +126,26 @@ func main() {
 	if *benchList != "" {
 		fig8Benches = benches
 	}
+	// The first failure stops every later study.
+	var failed error
 	ran := false
 	run := func(cond bool, s sim.Study[sim.Report]) {
-		if !cond && !*all {
+		if failed != nil || (!cond && !*all) {
 			return
 		}
 		ran = true
 		rep, err := sim.Run(context.Background(), eng, s)
-		if err != nil {
-			fatalf("%v", err)
+		if err == nil && !*jsonOut {
+			rep.Print(stdout)
+		} else if err == nil {
+			err = rep.WriteJSON(stdout)
 		}
-		if !*jsonOut {
-			rep.Print(os.Stdout)
-		} else if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
+		failed = err
 	}
 	figure := func(f int) sim.Study[sim.Report] {
 		s, err := sim.FigureStudy(f, benches, *insts, spec)
-		if err != nil {
-			fatalf("%v", err)
+		if err != nil && failed == nil {
+			failed = err
 		}
 		return sim.Reported(s)
 	}
@@ -140,18 +159,17 @@ func main() {
 	run(*retports, sim.Reported(sim.RetPortsStudy(benches, *insts, spec)))
 	run(*nlqsm, sim.Reported(sim.NLQSMStudy(benches, *insts, spec)))
 
+	if failed != nil {
+		return fatalf("%v", failed)
+	}
 	if !ran {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	if *stats {
 		m := eng.Memo()
-		fmt.Fprintf(os.Stderr, "svwexp: engine executed %d unique jobs, served %d from memo\n",
+		fmt.Fprintf(stderr, "svwexp: engine executed %d unique jobs, served %d from memo\n",
 			m.Misses, m.Hits)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "svwexp: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

@@ -35,16 +35,18 @@ type Predictor struct {
 	chooser []uint8 // high = trust gshare
 	history uint64
 
-	btbTags   [][]uint64
-	btbTarget [][]uint64
-	btbLRU    [][]uint64
-	btbClock  uint64
+	btb      []btbEntry // BTBSets*BTBWays, set-major
+	btbClock uint64
 
 	ras    []uint64
 	rasTop int
 
 	// Stats
 	Branches, DirMispredicts, TargetMispredicts, BTBMisses uint64
+}
+
+type btbEntry struct {
+	tag, target, lru uint64
 }
 
 // New builds a predictor.
@@ -55,21 +57,29 @@ func New(cfg Config) *Predictor {
 		gshare:  make([]uint8, cfg.DirEntries),
 		chooser: make([]uint8, cfg.DirEntries),
 		ras:     make([]uint64, cfg.RASDepth),
+		btb:     make([]btbEntry, cfg.BTBSets*cfg.BTBWays),
 	}
+	p.Reset()
+	return p
+}
+
+// Config returns the predictor's geometry.
+func (p *Predictor) Config() Config { return p.cfg }
+
+// Reset returns every table to its untrained state in place: the result is
+// exactly the predictor New builds from the same configuration.
+func (p *Predictor) Reset() {
 	for i := range p.bimodal {
 		p.bimodal[i] = 1 // weakly not-taken
 		p.gshare[i] = 1
 		p.chooser[i] = 1
 	}
-	p.btbTags = make([][]uint64, cfg.BTBSets)
-	p.btbTarget = make([][]uint64, cfg.BTBSets)
-	p.btbLRU = make([][]uint64, cfg.BTBSets)
-	for i := range p.btbTags {
-		p.btbTags[i] = make([]uint64, cfg.BTBWays)
-		p.btbTarget[i] = make([]uint64, cfg.BTBWays)
-		p.btbLRU[i] = make([]uint64, cfg.BTBWays)
-	}
-	return p
+	p.history = 0
+	clear(p.btb)
+	p.btbClock = 0
+	clear(p.ras)
+	p.rasTop = 0
+	p.Branches, p.DirMispredicts, p.TargetMispredicts, p.BTBMisses = 0, 0, 0, 0
 }
 
 // Outcome reports how fetch fared on one control instruction.
@@ -168,7 +178,11 @@ func train(ctr uint8, up bool) uint8 {
 	return 0
 }
 
-func (p *Predictor) btbSet(pc uint64) int { return int(pc>>2) & (p.cfg.BTBSets - 1) }
+// btbSet returns the ways of pc's BTB set.
+func (p *Predictor) btbSet(pc uint64) []btbEntry {
+	s := (int(pc>>2) & (p.cfg.BTBSets - 1)) * p.cfg.BTBWays
+	return p.btb[s : s+p.cfg.BTBWays]
+}
 
 func (p *Predictor) btbLookup(pc, target uint64) bool {
 	t, ok := p.btbTargetFor(pc)
@@ -176,33 +190,31 @@ func (p *Predictor) btbLookup(pc, target uint64) bool {
 }
 
 func (p *Predictor) btbTargetFor(pc uint64) (uint64, bool) {
-	s := p.btbSet(pc)
-	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[s][w] == pc && p.btbTarget[s][w] != 0 {
+	ways := p.btbSet(pc)
+	for w := range ways {
+		if ways[w].tag == pc && ways[w].target != 0 {
 			p.btbClock++
-			p.btbLRU[s][w] = p.btbClock
-			return p.btbTarget[s][w], true
+			ways[w].lru = p.btbClock
+			return ways[w].target, true
 		}
 	}
 	return 0, false
 }
 
 func (p *Predictor) btbInsert(pc, target uint64) {
-	s := p.btbSet(pc)
+	ways := p.btbSet(pc)
 	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[s][w] == pc {
+	for w := range ways {
+		if ways[w].tag == pc {
 			victim = w
 			break
 		}
-		if p.btbLRU[s][w] < oldest {
-			victim, oldest = w, p.btbLRU[s][w]
+		if ways[w].lru < oldest {
+			victim, oldest = w, ways[w].lru
 		}
 	}
 	p.btbClock++
-	p.btbTags[s][victim] = pc
-	p.btbTarget[s][victim] = target
-	p.btbLRU[s][victim] = p.btbClock
+	ways[victim] = btbEntry{tag: pc, target: target, lru: p.btbClock}
 }
 
 func (p *Predictor) push(ret uint64) {

@@ -49,15 +49,20 @@ func (b *Bus) Acquire(now uint64, bytes int) uint64 {
 	return b.freeAt
 }
 
+// line is one way of one set.
+type line struct {
+	tag   uint64
+	stamp uint64 // LRU stamp
+	valid bool
+}
+
 // Cache is one timing cache level.
 type Cache struct {
 	cfg       Config
 	sets      int
 	lineShift uint
 
-	tags  [][]uint64
-	valid [][]bool
-	stamp [][]uint64 // LRU stamps
+	lines []line // sets*Ways, set-major
 	clock uint64
 
 	lower  *Cache // next level; nil means misses go to memory
@@ -92,16 +97,24 @@ func New(cfg Config, lower *Cache, bus *Bus, memLat int) *Cache {
 		bus:       bus,
 		memLat:    memLat,
 		mshr:      make(map[uint64]uint64),
-	}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.stamp = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.stamp[i] = make([]uint64, cfg.Ways)
+		lines:     make([]line, sets*cfg.Ways),
 	}
 	return c
+}
+
+// Reset empties the cache in place: the result is exactly the cache New
+// builds with the same arguments.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	clear(c.mshr)
+	c.clock = 0
+	c.Accesses, c.Misses, c.Prefetches = 0, 0, 0
+}
+
+// ways returns the ways of addr's set.
+func (c *Cache) ways(addr uint64) []line {
+	s := c.set(addr) * c.cfg.Ways
+	return c.lines[s : s+c.cfg.Ways]
 }
 
 // Config returns the cache geometry.
@@ -125,11 +138,12 @@ func (c *Cache) tag(addr uint64) uint64 {
 
 // lookup probes for addr and refreshes LRU on hit.
 func (c *Cache) lookup(addr uint64) bool {
-	s, t := c.set(addr), c.tag(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == t {
+	t := c.tag(addr)
+	ways := c.ways(addr)
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == t {
 			c.clock++
-			c.stamp[s][w] = c.clock
+			ways[w].stamp = c.clock
 			return true
 		}
 	}
@@ -138,21 +152,19 @@ func (c *Cache) lookup(addr uint64) bool {
 
 // fill installs addr's line, evicting LRU.
 func (c *Cache) fill(addr uint64) {
-	s, t := c.set(addr), c.tag(addr)
+	ways := c.ways(addr)
 	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[s][w] {
+	for w := range ways {
+		if !ways[w].valid {
 			victim = w
 			break
 		}
-		if c.stamp[s][w] < oldest {
-			victim, oldest = w, c.stamp[s][w]
+		if ways[w].stamp < oldest {
+			victim, oldest = w, ways[w].stamp
 		}
 	}
 	c.clock++
-	c.tags[s][victim] = t
-	c.valid[s][victim] = true
-	c.stamp[s][victim] = c.clock
+	ways[victim] = line{tag: c.tag(addr), stamp: c.clock, valid: true}
 }
 
 // Access simulates a read or write of addr at cycle now and returns the cycle
@@ -241,9 +253,9 @@ func (c *Cache) ResetStats() {
 
 // Contains reports whether addr's line is resident (testing aid).
 func (c *Cache) Contains(addr uint64) bool {
-	s, t := c.set(addr), c.tag(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == t {
+	t := c.tag(addr)
+	for _, l := range c.ways(addr) {
+		if l.valid && l.tag == t {
 			return true
 		}
 	}
@@ -263,6 +275,22 @@ type Hierarchy struct {
 	ICache *Cache
 	DCache *Cache
 	L2     *Cache
+
+	cfg           HierarchyConfig
+	l2Bus, memBus *Bus
+}
+
+// Config returns the geometry the hierarchy was built with.
+func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
+
+// Reset empties every level and frees both buses in place: the result is
+// exactly the hierarchy NewHierarchy builds from the same configuration.
+func (h *Hierarchy) Reset() {
+	h.ICache.Reset()
+	h.DCache.Reset()
+	h.L2.Reset()
+	h.l2Bus.freeAt = 0
+	h.memBus.freeAt = 0
 }
 
 // ResetStats zeroes every level's access counters (tag state untouched).
@@ -307,5 +335,8 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		ICache: New(cfg.ICache, l2, l2bus, 0),
 		DCache: New(cfg.DCache, l2, l2bus, 0),
 		L2:     l2,
+		cfg:    cfg,
+		l2Bus:  l2bus,
+		memBus: memBus,
 	}
 }

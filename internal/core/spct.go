@@ -10,6 +10,7 @@ package core
 // re-execution-failure flush, the violated load's address indexes the SPCT to
 // recover the store PC, enabling full store-set training.
 type SPCT struct {
+	cfg          SPCTConfig
 	entries      []uint64
 	granuleShift uint
 
@@ -31,7 +32,7 @@ func NewSPCT(cfg SPCTConfig) *SPCT {
 	if cfg.Entries&(cfg.Entries-1) != 0 || cfg.Entries == 0 {
 		panic("core: SPCT entries must be a positive power of two")
 	}
-	t := &SPCT{entries: make([]uint64, cfg.Entries)}
+	t := &SPCT{cfg: cfg, entries: make([]uint64, cfg.Entries)}
 	if cfg.GranuleBytes == 0 {
 		cfg.GranuleBytes = 8
 	}
@@ -65,9 +66,12 @@ func (t *SPCT) Lookup(addr uint64) uint64 {
 	return t.entries[t.index(addr>>t.granuleShift)]
 }
 
-// Clear empties the table.
-func (t *SPCT) Clear() {
-	for i := range t.entries {
-		t.entries[i] = 0
-	}
+// Config returns the table's geometry.
+func (t *SPCT) Config() SPCTConfig { return t.cfg }
+
+// Reset empties the table and its counters in place: the result is exactly
+// the table NewSPCT builds from the same configuration.
+func (t *SPCT) Reset() {
+	clear(t.entries)
+	t.Updates, t.Lookups = 0, 0
 }

@@ -31,7 +31,8 @@ func DefaultSSBFConfig() SSBFConfig {
 // the re-execution pipeline's SVW stage and read by marked loads immediately
 // before their would-be data cache re-access.
 type SSBF struct {
-	cfg          SSBFConfig
+	cfg          SSBFConfig // as built, before defaults
+	lineBytes    int
 	granuleShift uint
 	primary      []SSN
 	secondary    []SSN          // DualHash only
@@ -43,14 +44,15 @@ type SSBF struct {
 
 // NewSSBF builds a filter.
 func NewSSBF(cfg SSBFConfig) *SSBF {
-	if cfg.GranuleBytes == 0 {
-		cfg.GranuleBytes = 8
+	f := &SSBF{cfg: cfg, lineBytes: cfg.LineBytes}
+	if f.lineBytes == 0 {
+		f.lineBytes = 64
 	}
-	if cfg.LineBytes == 0 {
-		cfg.LineBytes = 64
+	granule := cfg.GranuleBytes
+	if granule == 0 {
+		granule = 8
 	}
-	f := &SSBF{cfg: cfg}
-	for 1<<f.granuleShift != cfg.GranuleBytes {
+	for 1<<f.granuleShift != granule {
 		f.granuleShift++
 		if f.granuleShift > 12 {
 			panic("core: SSBF granule must be a power of two")
@@ -77,7 +79,7 @@ func NewSSBF(cfg SSBFConfig) *SSBF {
 	return f
 }
 
-// Config returns the filter organization.
+// Config returns the configuration the filter was built from.
 func (f *SSBF) Config() SSBFConfig { return f.cfg }
 
 func (f *SSBF) primaryIndex(granule uint64) int {
@@ -130,8 +132,8 @@ func (f *SSBF) updateGranule(g uint64, ssn SSN) {
 // an SSN one greater than the youngest in-flight store's, making every
 // in-flight load to the line appear vulnerable.
 func (f *SSBF) Invalidate(lineAddr uint64, ssnRenamePlus1 SSN) {
-	line := lineAddr &^ uint64(f.cfg.LineBytes-1)
-	f.Update(line, f.cfg.LineBytes, ssnRenamePlus1)
+	line := lineAddr &^ uint64(f.lineBytes-1)
+	f.Update(line, f.lineBytes, ssnRenamePlus1)
 }
 
 // Lookup returns the maximum SSN recorded for any granule spanned by
@@ -195,6 +197,14 @@ func (f *SSBF) Clear() {
 	for i := range f.secondary {
 		f.secondary[i] = 0
 	}
+}
+
+// Reset empties the filter and its counters in place: the result is
+// exactly the filter NewSSBF builds from the same configuration. (Clear,
+// the wrap flash-clear, keeps the counters.)
+func (f *SSBF) Reset() {
+	f.Clear()
+	f.Lookups, f.Positives, f.Updates = 0, 0, 0
 }
 
 // PositiveRate returns Positives/Lookups (diagnostics).

@@ -128,7 +128,7 @@ func TestSPCT(t *testing.T) {
 	if s.Lookup(0x2000) != 0xCCC || s.Lookup(0x2008) != 0xCCC {
 		t.Error("spanning SPCT update")
 	}
-	s.Clear()
+	s.Reset()
 	if s.Lookup(0x1000) != 0 {
 		t.Error("clear")
 	}

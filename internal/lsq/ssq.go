@@ -103,6 +103,14 @@ func NewSteering() *Steering {
 	return &Steering{loads: make(map[uint64]bool), stores: make(map[uint64]bool)}
 }
 
+// Reset untags every instruction and zeroes the counters in place: the
+// result is exactly the predictor NewSteering returns.
+func (s *Steering) Reset() {
+	clear(s.loads)
+	clear(s.stores)
+	s.LoadTags, s.StoreTags = 0, 0
+}
+
 // LoadSteered reports whether the load at pc should search the FSQ.
 func (s *Steering) LoadSteered(pc uint64) bool { return s.loads[pc] }
 

@@ -19,8 +19,15 @@ const (
 
 // Image is a sparse 64-bit byte-addressable memory. The zero value is an
 // empty image ready to use; unwritten bytes read as zero.
+//
+// An image made by CopyOnWrite reads through to a shared, read-only base
+// image until it writes a page; the first write to a page copies it from
+// the base. Every accessor sees the base through the image: reads, Clone,
+// PageAddrs, PageAt and Diff all describe the contents, not the pages the
+// image happens to own.
 type Image struct {
-	pages map[uint64]*[PageBytes]byte
+	pages map[uint64]*[PageBytes]byte // pages this image owns
+	base  *Image                      // read-only pages beneath, or nil
 }
 
 // New returns an empty image.
@@ -28,19 +35,37 @@ func New() *Image {
 	return &Image{pages: make(map[uint64]*[PageBytes]byte)}
 }
 
+// CopyOnWrite returns an image whose contents equal m's, sharing m's pages
+// until its first write to each. m must not be written while such an image
+// is in use, and must not itself be copy-on-write. One base may back many
+// images, read concurrently.
+func (m *Image) CopyOnWrite() *Image {
+	if m.base != nil {
+		panic("memimage: copy-on-write over a copy-on-write image")
+	}
+	return &Image{base: m}
+}
+
 func (m *Image) page(addr uint64, alloc bool) *[PageBytes]byte {
+	key := addr >> pageShift
+	if p := m.pages[key]; p != nil {
+		return p
+	}
+	var below *[PageBytes]byte
+	if m.base != nil {
+		below = m.base.pages[key]
+	}
+	if !alloc {
+		return below
+	}
 	if m.pages == nil {
-		if !alloc {
-			return nil
-		}
 		m.pages = make(map[uint64]*[PageBytes]byte)
 	}
-	key := addr >> pageShift
-	p := m.pages[key]
-	if p == nil && alloc {
-		p = new([PageBytes]byte)
-		m.pages[key] = p
+	p := new([PageBytes]byte)
+	if below != nil {
+		*p = *below
 	}
+	m.pages[key] = p
 	return p
 }
 
@@ -106,10 +131,11 @@ func (m *Image) Read32(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
 // Write32 writes a 32-bit word.
 func (m *Image) Write32(addr uint64, v uint32) { m.Write(addr, 4, uint64(v)) }
 
-// Clone returns a deep copy of the image. The timing core clones the initial
-// program image so speculative-commit state never aliases the oracle's.
+// Clone returns an independent copy of the image: the pages it owns are
+// copied, and a copy-on-write base is shared.
 func (m *Image) Clone() *Image {
 	c := New()
+	c.base = m.base
 	for k, p := range m.pages {
 		np := new([PageBytes]byte)
 		*np = *p
@@ -118,18 +144,37 @@ func (m *Image) Clone() *Image {
 	return c
 }
 
-// Pages reports how many pages have been touched (test/diagnostic aid).
-func (m *Image) Pages() int { return len(m.pages) }
-
-// PageAddrs returns the base address of every touched page in ascending
-// order — the deterministic iteration order checkpoint encoding needs.
-func (m *Image) PageAddrs() []uint64 {
-	addrs := make([]uint64, 0, len(m.pages))
+// keys returns the key of every touched page, the base's included, in
+// ascending order.
+func (m *Image) keys() []uint64 {
+	keys := make([]uint64, 0, len(m.pages))
 	for k := range m.pages {
-		addrs = append(addrs, k<<pageShift)
+		keys = append(keys, k)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
+	if m.base != nil {
+		for k := range m.base.pages {
+			if m.pages[k] == nil {
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// Pages reports how many pages have been touched, the base's included
+// (test/diagnostic aid).
+func (m *Image) Pages() int { return len(m.keys()) }
+
+// PageAddrs returns the base address of every touched page, the base's
+// included, in ascending order — the deterministic iteration order
+// checkpoint encoding needs.
+func (m *Image) PageAddrs() []uint64 {
+	keys := m.keys()
+	for i := range keys {
+		keys[i] <<= pageShift
+	}
+	return keys
 }
 
 // PageAt returns the backing array of the touched page containing addr, or
@@ -142,15 +187,19 @@ func (m *Image) PageAt(addr uint64) *[PageBytes]byte {
 // Diff returns the address of the first differing byte between two images,
 // or ok=false if they are identical. Unallocated pages compare as zero.
 func (m *Image) Diff(o *Image) (addr uint64, ok bool) {
+	var zero [PageBytes]byte
 	check := func(a, b *Image) (uint64, bool) {
-		for key, p := range a.pages {
+		for _, key := range a.keys() {
+			p := a.page(key<<pageShift, false)
 			q := b.page(key<<pageShift, false)
+			if q == nil {
+				q = &zero
+			}
+			if p == q || *p == *q {
+				continue
+			}
 			for i := range p {
-				var qb byte
-				if q != nil {
-					qb = q[i]
-				}
-				if p[i] != qb {
+				if p[i] != q[i] {
 					return key<<pageShift | uint64(i), true
 				}
 			}

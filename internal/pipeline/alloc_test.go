@@ -137,3 +137,32 @@ func TestSteadyStateCycleLoopAllocationFree(t *testing.T) {
 		t.Fatal("core made no progress; measurement is vacuous")
 	}
 }
+
+// TestCellTurnoverAllocatesLittle: a Reset to the configuration and
+// program the core last ran clears every structure in place, so what it
+// allocates is the run's oracle emulator and its two copy-on-write memory
+// images (3 objects today; the bound is 4). A whole cell — Reset plus Run —
+// adds only the pages the run writes and their maps (about 15 objects on
+// gcc at 10k instructions; the bound is 64). Either bound broken means a
+// structure is being rebuilt per cell again.
+func TestCellTurnoverAllocatesLittle(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	cfgs := allConfigs()
+	cfg := cfgs[len(cfgs)-1] // rle+ssq+svw: every substrate at once
+	cfg.MaxInsts = 10_000
+	p := workload.Cached("gcc")
+	c := runCore(t, cfg, p)
+	if n := testing.AllocsPerRun(20, func() { c.Reset(cfg, p) }); n > 4 {
+		t.Errorf("second Reset allocates %v objects, want <= 4", n)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		c.Reset(cfg, p)
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 64 {
+		t.Errorf("a cell (Reset + Run) allocates %v objects, want <= 64", n)
+	}
+}

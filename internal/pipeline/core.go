@@ -14,14 +14,17 @@ import (
 	"svwsim/internal/storesets"
 )
 
-// Core is one simulated machine bound to one program run.
+// Core is one simulated machine bound to one program run at a time; Reset
+// rebinds it to the next run, clearing its substrates in place (see Reset).
 //
 // The steady-state cycle loop is allocation-free: uops recycle through the
 // ROB ring, oracle records through the stream's arena, completion events
-// through the event wheel's buckets, and the load/store queues are
-// fixed-capacity rings. The only allocations after warm-up are amortized
-// growth events (wheel expansion under extreme bus contention) and
-// functional-memory page faults on first touch.
+// and timed wakes through the event wheel's buckets, scheduler waiters
+// through per-register lists truncated in place, and the load/store queues
+// are fixed-capacity rings. The only allocations after warm-up are
+// amortized growth events (a bucket or waiter list reaching a new
+// high-water mark, wheel expansion under extreme bus contention) and
+// copy-on-write page copies on a run's first write to a page.
 type Core struct {
 	cfg Config
 
@@ -48,8 +51,12 @@ type Core struct {
 	physVal  []uint64
 	readyAt  []uint64 // value-available cycle per phys reg
 
-	// Scheduler.
-	iq []uint64 // seqs of dispatched, un-issued instructions, age-ordered
+	// Scheduler (see issue.go): IQ occupancy, the ready list as a bitmap
+	// over ROB slots, and per physical register the uops waiting on its
+	// producer's issue.
+	iqLen   int
+	ready   []uint64
+	waiters [][]eventRec
 	// issueWake is the first cycle the next IQ scan can issue anything
 	// (see issue); asleepSS and asleepCommit count the loads the last scan
 	// left asleep on a store, by the wait counter each slept cycle charges.
@@ -90,7 +97,9 @@ type Core struct {
 	// giving it priority for the shared port, per the paper.
 	portsUsed int
 
-	// Substrates.
+	// Substrates this run uses (nil when the configuration has none), and
+	// every one the core has built (see Reset).
+	kept kept
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
 	ss   *storesets.StoreSets
@@ -233,27 +242,45 @@ func New(cfg Config, p *prog.Program) *Core {
 }
 
 // Reset rebinds the core to a configuration and a fresh instance of the
-// program, reusing every capacity-compatible allocation from the previous
-// run: the ROB ring, the load/store queue rings, the register files, the
-// event wheel, the oracle stream's record arena, and all scratch buffers.
+// program. Nothing of the previous run survives, but its allocations do:
+// the ROB ring, the load/store queue rings, the register files and waiter
+// lists, the event wheel, the oracle stream's record arena, the scratch
+// buffers, and every substrate the core has built (cache hierarchy,
+// branch predictor, store-sets, SPCT, SSBF, IT, SSQ steering and forwarding
+// buffers). A substrate whose geometry matches the new configuration is
+// cleared in place — its Reset is exactly equivalent to building it — and
+// only one whose geometry changed is built again. A substrate the new
+// configuration does not use is kept aside for a later run that does. The
+// program's memory images are copy-on-write over its shared initial image.
+//
 // A Reset core is observationally identical to a New one — same cycles,
 // same stats, byte-identical study output — which the determinism suite
-// asserts; the experiment engine relies on it to run one simulator per
-// worker instead of constructing one per job.
-//
-// Substrate predictors and caches (branch predictor, store-sets, SSBF,
-// SPCT, IT, cache hierarchy) are rebuilt from scratch: they carry trained
-// state whose full clearing is exactly equivalent to reconstruction, and
-// they are small compared to the core's rings.
+// asserts; the experiment engine relies on it to pool cores across runs
+// and engines instead of constructing one per job.
 func (c *Core) Reset(cfg Config, p *prog.Program) {
 	c.rebind(cfg, p, emu.New(p.NewImage(), p.Entry), p.NewImage(), false)
+}
+
+// kept holds every substrate and optional ring a core has built, whether
+// or not the current configuration uses it, so a later run of the same
+// geometry reuses it.
+type kept struct {
+	hier  *cache.Hierarchy
+	bp    *bpred.Predictor
+	ss    *storesets.StoreSets
+	spct  *core.SPCT
+	ssbf  *core.SSBF
+	it    *rle.Table
+	steer *lsq.Steering
+	fsq   *lsq.StoreQueue
+	fbs   []*lsq.FwdBuffer
 }
 
 // rebind is the body of Reset and ResetWindow. em is the oracle emulator,
 // already positioned where the run starts, and commitMem the matching
 // committed memory image. With warm set and a previous run to inherit
 // from, the trained substrates and the cycle counter carry over (see
-// ResetWindow); otherwise every substrate is built fresh.
+// ResetWindow); otherwise every substrate starts in its built state.
 func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *memimage.Image, warm bool) {
 	em.SetDecodeTable(p.Base, p.Decoded())
 
@@ -263,20 +290,86 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 		commitMem:     commitMem,
 		wrap:          core.WrapControl{Bits: cfg.SVW.SSNBits},
 		waitBranchSeq: ^uint64(0),
+		kept:          old.kept,
 	}
-	warm = warm && old.hier != nil
+	k := &c.kept
+	warm = warm && k.hier != nil
 	if warm {
-		c.hier, c.bp, c.ss, c.spct = old.hier, old.bp, old.ss, old.spct
-		c.hier.ResetStats()
-		c.bp.ResetStats()
-		c.ss.FlushInflight()
-		c.ss.ResetStats()
 		c.cycle, c.warmCycle = old.cycle, old.cycle
-	} else {
-		c.hier = cache.NewHierarchy(cfg.Mem)
-		c.bp = bpred.New(cfg.BP)
-		c.ss = storesets.New(cfg.SS)
-		c.spct = core.NewSPCT(cfg.SPCT)
+	}
+
+	// Substrates. A warm window keeps what they learned and restarts
+	// only their counters; the SSBF and IT, which hold SSNs and register
+	// numbers of the previous window, always start empty.
+	switch {
+	case k.hier == nil || k.hier.Config() != cfg.Mem:
+		k.hier = cache.NewHierarchy(cfg.Mem)
+	case warm:
+		k.hier.ResetStats()
+	default:
+		k.hier.Reset()
+	}
+	switch {
+	case k.bp == nil || k.bp.Config() != cfg.BP:
+		k.bp = bpred.New(cfg.BP)
+	case warm:
+		k.bp.ResetStats()
+	default:
+		k.bp.Reset()
+	}
+	switch {
+	case k.ss == nil || k.ss.Config() != cfg.SS:
+		k.ss = storesets.New(cfg.SS)
+	case warm:
+		k.ss.FlushInflight()
+		k.ss.ResetStats()
+	default:
+		k.ss.Reset()
+	}
+	switch {
+	case k.spct == nil || k.spct.Config() != cfg.SPCT:
+		k.spct = core.NewSPCT(cfg.SPCT)
+	case !warm:
+		k.spct.Reset()
+	}
+	c.hier, c.bp, c.ss, c.spct = k.hier, k.bp, k.ss, k.spct
+	if cfg.SVW.Enabled {
+		if k.ssbf == nil || k.ssbf.Config() != cfg.SVW.SSBF {
+			k.ssbf = core.NewSSBF(cfg.SVW.SSBF)
+		} else {
+			k.ssbf.Reset()
+		}
+		c.ssbf = k.ssbf
+	}
+	if cfg.RLE.Enabled {
+		if k.it == nil || k.it.Config() != cfg.RLE.IT {
+			k.it = rle.New(cfg.RLE.IT)
+		} else {
+			k.it.Reset()
+		}
+		c.it = k.it
+	}
+	if cfg.LSU == LSUSSQ {
+		switch {
+		case k.steer == nil:
+			k.steer = lsq.NewSteering()
+		case !warm:
+			k.steer.Reset()
+		}
+		c.steer = k.steer
+		k.fsq = resetStoreQueue(k.fsq, cfg.FSQSize)
+		c.fsq = k.fsq
+		if len(k.fbs) == cfg.DBanks {
+			for _, fb := range k.fbs {
+				fb.Reset(cfg.FBSize)
+			}
+		} else {
+			k.fbs = make([]*lsq.FwdBuffer, cfg.DBanks)
+			for i := range k.fbs {
+				k.fbs[i] = lsq.NewFwdBuffer(cfg.FBSize)
+			}
+		}
+		c.fbs = k.fbs
 	}
 
 	// Oracle stream: recycle the record arena.
@@ -298,31 +391,6 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 	// Load/store queue rings.
 	c.sq = resetStoreQueue(old.sq, cfg.SQSize)
 	c.lq = resetLoadQueue(old.lq, cfg.LQSize)
-	if cfg.LSU == LSUSSQ {
-		c.fsq = resetStoreQueue(old.fsq, cfg.FSQSize)
-		if warm && old.steer != nil {
-			c.steer = old.steer
-		} else {
-			c.steer = lsq.NewSteering()
-		}
-		if len(old.fbs) == cfg.DBanks {
-			c.fbs = old.fbs
-			for _, fb := range c.fbs {
-				fb.Reset(cfg.FBSize)
-			}
-		} else {
-			c.fbs = make([]*lsq.FwdBuffer, cfg.DBanks)
-			for i := range c.fbs {
-				c.fbs[i] = lsq.NewFwdBuffer(cfg.FBSize)
-			}
-		}
-	}
-	if cfg.SVW.Enabled {
-		c.ssbf = core.NewSSBF(cfg.SVW.SSBF)
-	}
-	if cfg.RLE.Enabled {
-		c.it = rle.New(cfg.RLE.IT)
-	}
 
 	// Event wheel and scratch buffers.
 	c.events = old.events
@@ -330,7 +398,6 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 	c.events.reset()
 	c.pendingSTD = old.pendingSTD[:0]
 	c.rexStoreBuf = old.rexStoreBuf[:0]
-	c.iq = resizeCap(old.iq, cfg.IQSize)
 	c.refWork = old.refWork[:0]
 	c.itScratch = old.itScratch[:0]
 	if len(old.bankBusy) == cfg.DBanks {
@@ -357,6 +424,14 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 	c.refCnt = resizeInts(old.refCnt, cfg.PhysRegs)
 	c.physVal = resizeU64s(old.physVal, cfg.PhysRegs)
 	c.readyAt = resizeU64s(old.readyAt, cfg.PhysRegs)
+	c.ready = resizeU64s(old.ready, (len(c.rob.buf)+63)/64)
+	c.waiters = old.waiters
+	if len(c.waiters) != cfg.PhysRegs {
+		c.waiters = make([][]eventRec, cfg.PhysRegs)
+	}
+	for i := range c.waiters {
+		c.waiters[i] = c.waiters[i][:0]
+	}
 	c.refCnt[0] = 1 << 30 // pinned
 	for i := range c.rmap {
 		c.rmap[i] = 0
@@ -384,13 +459,6 @@ func resetLoadQueue(q *lsq.LoadQueue, capacity int) *lsq.LoadQueue {
 		return q
 	}
 	return lsq.NewLoadQueue(capacity)
-}
-
-func resizeCap(s []uint64, capacity int) []uint64 {
-	if cap(s) >= capacity {
-		return s[:0]
-	}
-	return make([]uint64, 0, capacity)
 }
 
 func resizeInts(s []int, n int) []int {
@@ -598,7 +666,8 @@ func (c *Core) allocPhys() (int, bool) {
 	p := c.freeList[n-1]
 	c.freeList = c.freeList[:n-1]
 	c.refCnt[p] = 0
-	c.readyAt[p] = ^uint64(0)
+	c.readyAt[p] = never
+	c.waiters[p] = c.waiters[p][:0]
 	return p, true
 }
 
@@ -645,8 +714,7 @@ func (c *Core) setPhysValue(p int, v uint64, when uint64) {
 	if p > 0 {
 		c.physVal[p] = v
 		if c.readyAt[p] != when {
-			c.readyAt[p] = when
-			c.wakeIssue(c.cycle)
+			c.setReadyAt(p, when)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 func (c *Core) debugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle=%d robCount=%d iq=%d fetchQ=%d freeRegs=%d rexHead=%d drain=%v fetchStallTil=%d waitBranch=%d\n",
-		c.cycle, c.rob.size(), len(c.iq), c.fetchLen, len(c.freeList),
+		c.cycle, c.rob.size(), c.iqLen, c.fetchLen, len(c.freeList),
 		c.rexHead, c.drainPending, c.fetchStallTil, int64(c.waitBranchSeq))
 	fmt.Fprintf(&b, "lq=%d/%d sq=%d/%d rexBuf=%d\n",
 		c.lq.Len(), c.lq.Cap(), c.sq.Len(), c.sq.Cap(), len(c.rexStoreBuf))

@@ -24,14 +24,7 @@ func (c *Core) doFlush() {
 	}
 	c.lq.SquashYoungerOrEqual(keep + 1)
 
-	// Scheduler and rex state.
-	out := c.iq[:0]
-	for _, seq := range c.iq {
-		if seq <= keep {
-			out = append(out, seq)
-		}
-	}
-	c.iq = out
+	// Rex state.
 	bufOut := c.rexStoreBuf[:0]
 	for _, seq := range c.rexStoreBuf {
 		if seq <= keep {
@@ -57,6 +50,7 @@ func (c *Core) doFlush() {
 
 // squashUop releases one instruction's resources, youngest-first.
 func (c *Core) squashUop(u *uop) {
+	c.unqueue(u)
 	if u.itHandle >= 0 && c.it != nil {
 		// The entry survives for squash reuse; its reference keeps the
 		// destination register alive (limbo).

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"svwsim/internal/core"
 	"svwsim/internal/emu"
 	"svwsim/internal/isa"
@@ -38,28 +40,40 @@ const (
 )
 
 // issue selects oldest-first over the issue queue under the per-class port
-// limits. The scheduler sleeps between scans: a scan leaves in issueWake the
-// earliest cycle at which any entry it left queued could issue —
+// limits. Each dispatched, un-issued uop is in exactly one of three states:
 //
-//   - renameC+SchedDepth for an entry still in the schedule stages;
-//   - max(readyAt[src])−RegReadDepth once every producer has issued, never
-//     while one has not;
-//   - the next cycle for an entry that lost a port, a bank or the FSQ
-//     search port, and for every entry a full-width scan did not reach;
-//   - never for a uop asleep on an older store.
+//   - waiting: a source's producer has not issued (its readyAt is never).
+//     The uop is on that register's waiter list and counts such producers
+//     in unready (stores count only the address source; the data register
+//     is watched by writeback). startOp releases a register's waiters.
+//   - timed: every producer has issued, but the uop cannot issue before
+//     max(renameC+SchedDepth, operandsAt) — a future cycle. Its wake event
+//     sits on the event wheel (timedAt), and writeback moves it to ready
+//     when that cycle comes.
+//   - ready: on the ready list, the ROB-slot bitmap scanned oldest-first.
+//     A uop stays ready until it issues, even while it retries for a port
+//     or sleeps on an older store.
 //
-// Before that cycle issue returns at once. The events that can let an entry
-// issue sooner lower the wake cycle through wakeIssue: an IQ insert at
-// rename, a store's STD completion (storeDataReady) or commit
-// (commitStore), a changed readyAt (setPhysValue), and a flush. A readyAt
-// written by startOp needs no wake: its consumers are younger, so the scan
-// that issued the producer reaches them after the write.
+// Only ready uops are visited, so a scan sees exactly the uops a full
+// queue walk would find eligible, in the same order: select, port and bank
+// use are unchanged. A uop woken during a scan has an operand cycle of at
+// least cycle+1, so it joins the ready list after the scan, never inside it.
+// A readyAt that setPhysValue changes re-files the uops that read it.
 //
-// Counter invariant: a load asleep on a store is charged LoadWaitSS or
-// LoadWaitCommit once for every slept cycle, exactly as retrying it every
-// cycle would charge it. No uop issues before the wake cycle, so in each
-// slept cycle every asleep load would reach its wait check with all ports
-// free and find its store still pending.
+// Between scans the scheduler sleeps until issueWake: the next cycle after
+// a lost port, bank or FSQ search port or a full-width break, and never
+// otherwise. Whatever can make a uop issue sooner lowers the wake cycle
+// through wakeIssue: a uop becoming ready, a store's STD completion
+// (storeDataReady) or commit (commitStore), and a flush.
+//
+// Asleep loads. A load waiting on an older store's execution or commit
+// (u.waiting) stays on the ready list. A scan charges it LoadWaitSS or
+// LoadWaitCommit only when it reaches the load before a full-width break or
+// a taken load port, exactly as a full walk would. A slept cycle charges
+// every load the last scan left asleep once, by the same counters: no uop
+// issues before the wake cycle, so in each slept cycle every asleep load
+// would reach its wait check with all ports free and find its store still
+// pending.
 func (c *Core) issue() {
 	if c.cycle < c.issueWake {
 		c.stats.LoadWaitSS += c.asleepSS
@@ -72,63 +86,63 @@ func (c *Core) issue() {
 	ports := issuePorts{banks: c.bankBusy}
 	wake := never
 	var asleepSS, asleepCommit uint64
-	compact := false
-	for i, seq := range c.iq {
-		if ports.total >= c.cfg.TotalIssue {
-			wake = c.cycle + 1
-			break
-		}
-		u := c.uopAt(seq)
-		if u == nil || u.issued || u.completed {
-			c.iq[i] = ^uint64(0)
-			compact = true
-			continue
-		}
-		if at := u.renameC + uint64(c.cfg.SchedDepth); c.cycle < at {
-			// Queue is age ordered; everything younger is too new as well,
-			// but class ports may still find older candidates — just skip.
-			wake = min(wake, at)
-			continue
-		}
-		if at := c.operandsAt(u); c.cycle < at {
-			wake = min(wake, at)
-			continue
-		}
-		res := retry
-		switch u.class {
-		case isa.ClassIntALU:
-			res = c.tryIssueALU(u, &ports, 1)
-		case isa.ClassIntMul:
-			res = c.tryIssueALU(u, &ports, c.cfg.MulLat)
-		case isa.ClassBranch:
-			res = c.tryIssueBranch(u, &ports)
-		case isa.ClassLoad:
-			res = c.tryIssueLoad(u, &ports)
-		case isa.ClassStore:
-			res = c.tryIssueStore(u, &ports)
-		}
-		switch res {
-		case issued:
-			ports.total++
-			c.iq[i] = ^uint64(0)
-			compact = true
-		case retry:
-			wake = c.cycle + 1
-		case asleep:
-			if u.isLoad() {
-				switch u.waiting {
-				case waitStoreExec:
-					asleepSS++
-				case waitStoreCommit:
-					asleepCommit++
+	// The ready bitmap is indexed by ROB slot; oldest-first is slot order
+	// from the head, wrapping once.
+	lo, hi := c.rob.head, len(c.rob.buf)
+scan:
+	for pass := 0; pass < 2; pass, lo, hi = pass+1, 0, c.rob.head {
+		for i := c.nextReady(lo, hi); i < hi; i = c.nextReady(i+1, hi) {
+			if ports.total >= c.cfg.TotalIssue {
+				wake = c.cycle + 1
+				break scan
+			}
+			u := &c.rob.buf[i]
+			res := retry
+			switch u.class {
+			case isa.ClassIntALU:
+				res = c.tryIssueALU(u, &ports, 1)
+			case isa.ClassIntMul:
+				res = c.tryIssueALU(u, &ports, c.cfg.MulLat)
+			case isa.ClassBranch:
+				res = c.tryIssueBranch(u, &ports)
+			case isa.ClassLoad:
+				res = c.tryIssueLoad(u, &ports)
+			case isa.ClassStore:
+				res = c.tryIssueStore(u, &ports)
+			}
+			switch res {
+			case issued:
+				ports.total++
+				c.ready[i>>6] &^= 1 << (i & 63)
+				u.iqState = iqNone
+				c.iqLen--
+			case retry:
+				wake = c.cycle + 1
+			case asleep:
+				if u.isLoad() {
+					switch u.waiting {
+					case waitStoreExec:
+						asleepSS++
+					case waitStoreCommit:
+						asleepCommit++
+					}
 				}
 			}
 		}
 	}
-	if compact {
-		c.compactIQ()
-	}
 	c.issueWake, c.asleepSS, c.asleepCommit = wake, asleepSS, asleepCommit
+}
+
+// nextReady returns the first ROB slot in [from, to) on the ready list, or
+// to when there is none.
+func (c *Core) nextReady(from, to int) int {
+	for from < to {
+		if w := c.ready[from>>6] >> (from & 63); w != 0 {
+			return min(from+bits.TrailingZeros64(w), to)
+		}
+		from = (from | 63) + 1
+	}
+	return to
 }
 
 // wakeIssue lowers the scheduler's wake cycle to at: an event that may let
@@ -137,14 +151,96 @@ func (c *Core) wakeIssue(at uint64) {
 	c.issueWake = min(c.issueWake, at)
 }
 
-func (c *Core) compactIQ() {
-	out := c.iq[:0]
-	for _, seq := range c.iq {
-		if seq != ^uint64(0) {
-			out = append(out, seq)
+// dispatch enters a renamed uop into the issue queue: on the waiter list
+// of every source whose producer has not issued, or else timed or ready.
+func (c *Core) dispatch(u *uop) {
+	c.iqLen++
+	for i, n := 0, u.schedSrcs(); i < n; i++ {
+		if p := u.srcPhys[i]; c.readyAt[p] == never {
+			c.waiters[p] = append(c.waiters[p], eventRec{seq: u.seq, uid: u.uid})
+			u.unready++
 		}
 	}
-	c.iq = out
+	if u.unready > 0 {
+		u.iqState = iqWaiting
+		return
+	}
+	c.file(u)
+}
+
+// file places a uop whose producers have all issued: ready if it can issue
+// at the current cycle's scan (or, when that scan has run, the next one),
+// else timed until it can.
+func (c *Core) file(u *uop) {
+	at := max(u.renameC+uint64(c.cfg.SchedDepth), c.operandsAt(u))
+	if at > c.cycle {
+		u.iqState, u.timedAt = iqTimed, at
+		c.scheduleEvent(at, u)
+		return
+	}
+	c.makeReady(u)
+}
+
+// makeReady puts u on the ready list and wakes the scheduler.
+func (c *Core) makeReady(u *uop) {
+	i := c.rob.slot(u.seq)
+	c.ready[i>>6] |= 1 << (i & 63)
+	u.iqState = iqReady
+	c.wakeIssue(c.cycle)
+}
+
+// clearReady takes u off the ready list, if it is on it.
+func (c *Core) clearReady(u *uop) {
+	if u.iqState == iqReady {
+		i := c.rob.slot(u.seq)
+		c.ready[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// unqueue takes an un-issued uop out of the scheduler (flush).
+func (c *Core) unqueue(u *uop) {
+	c.clearReady(u)
+	if u.iqState != iqNone {
+		u.iqState = iqNone
+		c.iqLen--
+	}
+}
+
+// timedWake handles a timed uop's wake event; a uop re-filed since the
+// event was scheduled ignores it.
+func (c *Core) timedWake(u *uop) {
+	if u.iqState == iqTimed && u.timedAt == c.cycle {
+		c.makeReady(u)
+	}
+}
+
+// setReadyAt records the cycle p's value becomes available. The first time
+// (the producer's issue) it releases p's waiters. A later change re-files
+// every queued uop that reads p, since its wake cycle moved.
+func (c *Core) setReadyAt(p int, at uint64) {
+	old := c.readyAt[p]
+	c.readyAt[p] = at
+	if old == never {
+		for _, w := range c.waiters[p] {
+			u := c.uopAt(w.seq)
+			if u == nil || u.uid != w.uid {
+				continue // squashed since it registered
+			}
+			if u.unready--; u.unready == 0 {
+				c.file(u)
+			}
+		}
+		c.waiters[p] = c.waiters[p][:0]
+		return
+	}
+	for seq := c.rob.headSeq; !c.rob.empty() && seq <= c.rob.tailSeq(); seq++ {
+		u := c.uopAt(seq)
+		if (u.iqState != iqTimed && u.iqState != iqReady) || !u.reads(p) {
+			continue
+		}
+		c.clearReady(u)
+		c.file(u)
+	}
 }
 
 // operandsAt implements the wakeup rule: a consumer may issue at cycle t if
@@ -154,12 +250,8 @@ func (c *Core) compactIQ() {
 // generation as soon as the base register is ready (split STA/STD); the
 // data register is watched separately.
 func (c *Core) operandsAt(u *uop) uint64 {
-	n := u.nsrc
-	if u.isStore() {
-		n = 1 // address base only
-	}
 	var ready uint64
-	for i := 0; i < n; i++ {
+	for i, n := 0, u.schedSrcs(); i < n; i++ {
 		r := c.readyAt[u.srcPhys[i]]
 		if r == never {
 			return never
@@ -177,7 +269,7 @@ func (c *Core) startOp(u *uop, completeAt uint64) {
 	u.issueC = c.cycle
 	u.completeC = completeAt
 	if u.destPhys != noPhys {
-		c.readyAt[u.destPhys] = completeAt
+		c.setReadyAt(u.destPhys, completeAt)
 	}
 	c.scheduleEvent(completeAt, u)
 }

@@ -35,7 +35,7 @@ func (c *Core) rename() (moved bool) {
 		inst := d.Inst
 
 		// Structural stalls.
-		if c.rob.full() || len(c.iq) >= c.cfg.IQSize {
+		if c.rob.full() || c.iqLen >= c.cfg.IQSize {
 			return moved
 		}
 		if inst.IsLoad() && c.lq.Full() {
@@ -140,8 +140,7 @@ func (c *Core) rename() (moved bool) {
 			u.mispredict = true
 		}
 		if !u.completed {
-			c.iq = append(c.iq, u.seq)
-			c.wakeIssue(c.cycle + uint64(c.cfg.SchedDepth))
+			c.dispatch(u)
 		}
 	}
 	return moved

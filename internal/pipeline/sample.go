@@ -80,14 +80,14 @@ func ParseSampleSpec(v string) (SampleSpec, error) {
 // and the committed memory image is re-seeded from its memory), and the
 // trained microarchitectural substrates — cache tags, branch predictor,
 // store-set SSIT, SPCT, SSQ steering — carry over from the previous window
-// instead of being rebuilt cold, and the cycle counter keeps counting
+// instead of starting cold, and the cycle counter keeps counting
 // (cache MSHR and bus occupancy hold absolute cycles; a monotone clock
 // keeps them coherent). A window measured over stale-but-trained state
 // tracks the full run far more closely than a cold one: the substrates hold
 // history a short per-window warm-up cannot re-create. In-flight state does
 // not carry — the store-set LFST (which names live store sequence numbers)
 // is flushed, and the SSN-epoch-tagged SSBF and the
-// physical-register-referencing IT are rebuilt like every other reset.
+// physical-register-referencing IT are cleared like every other reset.
 // Substrate event counters reset so the window measures its own rates over
 // the warm state. cfg and p must describe the program the snapshot was
 // taken from (the decode table still comes from p).

@@ -33,6 +33,16 @@ const (
 
 const noPhys = -1
 
+// iqState is where a dispatched uop waits in the scheduler (see issue.go).
+type iqState uint8
+
+const (
+	iqNone    iqState = iota // not in the issue queue: never entered, or issued
+	iqWaiting                // a source's producer has not issued (unready > 0)
+	iqTimed                  // operands known; its wake event is on the wheel
+	iqReady                  // on the scanned ready list
+)
+
 // uop is one in-flight instruction: the ROB entry plus all renamed and
 // timing state the stages need.
 type uop struct {
@@ -59,6 +69,11 @@ type uop struct {
 	completeC uint64
 	issued    bool
 	completed bool
+
+	// Scheduler.
+	iqState iqState
+	unready uint8  // sources whose producer has not issued (iqWaiting)
+	timedAt uint64 // cycle of the pending wake event (iqTimed)
 
 	// Memory.
 	ssn       core.SSN // stores
@@ -99,6 +114,25 @@ type uop struct {
 func (u *uop) isLoad() bool   { return u.class == isa.ClassLoad }
 func (u *uop) isStore() bool  { return u.class == isa.ClassStore }
 func (u *uop) isBranch() bool { return u.class == isa.ClassBranch }
+
+// schedSrcs is the number of sources the scheduler waits on: a store's
+// address generation needs only its base register.
+func (u *uop) schedSrcs() int {
+	if u.isStore() {
+		return 1
+	}
+	return u.nsrc
+}
+
+// reads reports whether the scheduler waits on p for u.
+func (u *uop) reads(p int) bool {
+	for i, n := 0, u.schedSrcs(); i < n; i++ {
+		if u.srcPhys[i] == p {
+			return true
+		}
+	}
+	return false
+}
 
 // rob is a power-of-two ring buffer of uops indexed by contiguous sequence
 // numbers; the absence of wrong-path fetch means in-flight seqs are always
@@ -154,6 +188,10 @@ func (r *rob) popHead() {
 	r.count--
 	r.headSeq++
 }
+
+// slot returns the ring index of the in-flight seq; only valid for an
+// in-flight seq.
+func (r *rob) slot(seq uint64) int { return (r.head + int(seq-r.headSeq)) & r.mask }
 
 // at returns the in-flight uop with the given seq, or nil.
 func (r *rob) at(seq uint64) *uop {

@@ -14,7 +14,7 @@ func (c *Core) writeback() bool {
 	return c.scanPendingSTD() || evs != nil
 }
 
-// complete processes one completion event.
+// complete processes one event: a completion, or a timed uop's wake.
 func (c *Core) complete(ev eventRec) {
 	// The whole batch is processed even if a violation flush is requested
 	// mid-way: events for instructions older than the flush point must not
@@ -23,6 +23,10 @@ func (c *Core) complete(ev eventRec) {
 	u := c.uopAt(ev.seq)
 	if u == nil || u.uid != ev.uid {
 		return // the instance this event belonged to was squashed
+	}
+	if !u.issued {
+		c.timedWake(u)
+		return
 	}
 	if u.isStore() {
 		c.storeAddrResolved(u)

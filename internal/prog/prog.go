@@ -5,6 +5,7 @@ package prog
 
 import (
 	"fmt"
+	"sync"
 
 	"svwsim/internal/isa"
 	"svwsim/internal/memimage"
@@ -27,6 +28,9 @@ type Program struct {
 	Data  []Segment
 
 	decoded []isa.Inst // Decode(Code[i]), precomputed at Build
+
+	initOnce sync.Once
+	initial  *memimage.Image // code and data, shared read-only by NewImage
 }
 
 // Decoded returns the decode of each code word: decoded[i] is
@@ -56,16 +60,21 @@ type Segment struct {
 }
 
 // NewImage instantiates a fresh memory image holding the program. Each call
-// returns an independent image, so one Program can seed many runs.
+// returns an independent image, so one Program can seed many runs: the
+// images are copy-on-write over one read-only initial image the program
+// builds on first use, so a run copies only the pages it writes.
 func (p *Program) NewImage() *memimage.Image {
-	m := memimage.New()
-	for i, w := range p.Code {
-		m.Write32(p.Base+uint64(4*i), w)
-	}
-	for _, s := range p.Data {
-		m.WriteBytes(s.Addr, s.Bytes)
-	}
-	return m
+	p.initOnce.Do(func() {
+		m := memimage.New()
+		for i, w := range p.Code {
+			m.Write32(p.Base+uint64(4*i), w)
+		}
+		for _, s := range p.Data {
+			m.WriteBytes(s.Addr, s.Bytes)
+		}
+		p.initial = m
+	})
+	return p.initial.CopyOnWrite()
 }
 
 // Builder assembles a program. Methods panic on malformed input (unknown

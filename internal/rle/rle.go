@@ -111,7 +111,9 @@ func New(cfg Config) *Table {
 	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.Sets == 0 || cfg.Ways <= 0 {
 		panic("rle: IT sets must be a positive power of two, ways positive")
 	}
-	return &Table{cfg: cfg, entries: make([]Entry, cfg.Sets*cfg.Ways)}
+	// baseLive starts empty rather than nil so a Reset table, which keeps
+	// its capacity, is indistinguishable from a new one.
+	return &Table{cfg: cfg, entries: make([]Entry, cfg.Sets*cfg.Ways), baseLive: []uint16{}}
 }
 
 // Sig computes the operation signature for a load-shaped access: the load
@@ -291,6 +293,19 @@ func (t *Table) Clear() []Entry {
 		t.baseLive[i] = 0
 	}
 	return out
+}
+
+// Config returns the table's geometry.
+func (t *Table) Config() Config { return t.cfg }
+
+// Reset empties the table and its counters in place: the result is exactly
+// the table New builds from the same configuration. (Clear, the wrap
+// drain, hands the valid entries back and keeps the counters.)
+func (t *Table) Reset() {
+	clear(t.entries)
+	t.baseLive = t.baseLive[:0]
+	t.clock = 0
+	t.Hits, t.Misses, t.Inserts, t.Evictions, t.Invalidations = 0, 0, 0, 0, 0
 }
 
 // Len reports the number of valid entries (diagnostics).

@@ -64,6 +64,9 @@ func encodeCheckpoint(st emu.ArchState, p *prog.Program) []byte {
 	for _, addr := range st.Mem.PageAddrs() {
 		cur := st.Mem.PageAt(addr)
 		orig := base.PageAt(addr)
+		if cur == orig {
+			continue // a page the run never wrote, shared with the base
+		}
 		if orig == nil {
 			var zero [memimage.PageBytes]byte
 			if *cur != zero {

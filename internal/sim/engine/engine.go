@@ -17,6 +17,9 @@
 //     label is ignored — executes exactly once per Engine, however many
 //     sweeps ask for it. A job whose twin is still executing, in the same
 //     Run or a concurrent one, waits on that execution's done channel;
+//   - runs each worker's jobs on one simulator, Reset between jobs and
+//     drawn from a process-wide pool of idle cores, so a core outlives the
+//     run and the engine that built it (see idleCores);
 //   - delivers results and progress deterministically: Run's result slice
 //     is indexed by job position, and the optional progress callback fires
 //     in job-index order regardless of completion order, so -j 1 and -j N
@@ -196,10 +199,12 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			// Each worker owns one reusable simulator: cores are Reset
-			// between jobs instead of constructed per job (arena, rings and
-			// register files carry over; see pipeline.Core.Reset).
-			rn := &runner{}
+			// Each worker owns one reusable simulator for the run, taken
+			// from the process's idle cores and handed back when the run
+			// ends: cores are Reset between jobs instead of constructed
+			// per job (see pipeline.Core.Reset).
+			rn := &runner{core: takeCore()}
+			defer func() { putCore(rn.core) }()
 			for {
 				idx := int(cursor.Add(1)) - 1
 				if idx >= n {
@@ -330,6 +335,46 @@ func (e *Engine) runJob(core *pipeline.Core, j Job) (Result, *pipeline.Core, err
 	return runOn(core, j.Config, j.Bench, j.Insts)
 }
 
+// idleCores is the process-wide pool of simulators no run is using. A core
+// outlives the engine run that built it: the next run — of this engine or
+// of any other, such as svwd's per-batch engines or a study's fresh engine
+// — resets it instead of building one, keeping its substrates, rings and
+// arenas. A core abandoned by a timed-out job never returns. The pool
+// keeps at most GOMAXPROCS cores; a core returned past that is dropped.
+// It is not a sync.Pool: that one empties across garbage collections, and
+// its Get can miss a core another goroutine left in its own P's slot, so a
+// study's next engine would often build its cores again.
+var idleCores struct {
+	sync.Mutex
+	cores []*pipeline.Core
+}
+
+// takeCore returns an idle core, or nil when there is none.
+func takeCore() *pipeline.Core {
+	idleCores.Lock()
+	defer idleCores.Unlock()
+	n := len(idleCores.cores)
+	if n == 0 {
+		return nil
+	}
+	c := idleCores.cores[n-1]
+	idleCores.cores[n-1] = nil
+	idleCores.cores = idleCores.cores[:n-1]
+	return c
+}
+
+// putCore returns a core to the idle pool. nil is ignored.
+func putCore(c *pipeline.Core) {
+	if c == nil {
+		return
+	}
+	idleCores.Lock()
+	defer idleCores.Unlock()
+	if len(idleCores.cores) < runtime.GOMAXPROCS(0) {
+		idleCores.cores = append(idleCores.cores, c)
+	}
+}
+
 // runner is one worker's reusable simulator slot. It is owned by exactly
 // one worker goroutine; the timeout path hands its core to the run
 // goroutine and only takes it back through the result channel, so an
@@ -367,7 +412,8 @@ func (e *Engine) runWithTimeout(j Job, rn *runner) (Result, error) {
 		return o.res, o.err
 	case <-timer.C:
 		// The abandoned goroutine still terminates on the configuration's
-		// own MaxCycles bound; its core is lost with it.
+		// own MaxCycles bound; its core is lost with it and never reaches
+		// the idle pool.
 		return Result{}, fmt.Errorf("%s on %s: timed out after %v",
 			j.Bench, j.Config.Name, timeout)
 	}

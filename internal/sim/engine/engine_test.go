@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -293,5 +294,48 @@ func TestFingerprintIgnoresLabels(t *testing.T) {
 	if Fingerprint(a, "gcc", 1000) == Fingerprint(a, "twolf", 1000) ||
 		Fingerprint(a, "gcc", 1000) == Fingerprint(a, "gcc", 2000) {
 		t.Error("fingerprint must see bench and instruction budget")
+	}
+}
+
+// TestConcurrentEnginesShareIdleCores runs several engines at once, each
+// worker drawing its core from the process-wide idle pool and returning it
+// when its run ends, and requires every result to equal a fresh core's.
+// Afterwards the pool holds at least one core and no more than its bound.
+func TestConcurrentEnginesShareIdleCores(t *testing.T) {
+	jobs := testJobs("gcc", "twolf")
+	want := make([]Result, len(jobs))
+	for i, j := range jobs {
+		r, err := Run(j.Config, j.Bench, j.Insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				rs, err := New(2).Run(jobs, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range rs {
+					if rs[i].Result.Stats != want[i].Stats {
+						t.Errorf("job %d (%s on %s): pooled-core stats differ from a fresh core's",
+							i, jobs[i].Config.Name, jobs[i].Bench)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	idleCores.Lock()
+	n := len(idleCores.cores)
+	idleCores.Unlock()
+	if n == 0 || n > runtime.GOMAXPROCS(0) {
+		t.Errorf("idle pool holds %d cores, want 1..%d", n, runtime.GOMAXPROCS(0))
 	}
 }

@@ -54,10 +54,21 @@ func New(cfg Config) *StoreSets {
 		lfstSeq:   make([]uint64, cfg.LFSTEntries),
 		lfstValid: make([]bool, cfg.LFSTEntries),
 	}
-	for i := range s.ssit {
-		s.ssit[i] = invalidSet
-	}
+	s.Reset()
 	return s
+}
+
+// Config returns the predictor's geometry.
+func (s *StoreSets) Config() Config { return s.cfg }
+
+// Reset returns the predictor to its built state in place: the result is
+// exactly the predictor New builds from the same configuration. Unlike
+// the periodic Clear it also restarts set allocation and the counters.
+func (s *StoreSets) Reset() {
+	s.Clear()
+	clear(s.lfstSeq)
+	s.nextSet = 0
+	s.ResetStats()
 }
 
 func (s *StoreSets) index(pc uint64) int {
@@ -163,7 +174,8 @@ func (s *StoreSets) ResetStats() {
 	s.Trainings, s.Merges, s.LoadDeps, s.StoreDeps = 0, 0, 0, 0
 }
 
-// Clear empties the predictor (used by periodic-reset experiments).
+// Clear empties the predictor's tables (the periodic clear). Set
+// allocation continues from where it was, and the counters keep counting.
 func (s *StoreSets) Clear() {
 	for i := range s.ssit {
 		s.ssit[i] = invalidSet
