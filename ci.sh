@@ -8,7 +8,8 @@
 # dedupe stage (-j 1 and -j 4 byte-identical with pinned memo counts), an svwd
 # smoke stage that boots the daemon and byte-compares its responses
 # against the svwsim and svwexp CLIs, a sampled-simulation smoke stage
-# (determinism, key disjointness, checkpoint reuse), and a cluster smoke
+# (determinism, key disjointness, checkpoint reuse, a sampled ladder at
+# -j 1 and -j 4), and a cluster smoke
 # stage that does the same run/sweep comparison through svwctl fronting
 # two svwd children.
 #
@@ -205,6 +206,15 @@ grep -q 'ckpt-puts=[1-9]' "$tmp/sampled3.err"
 grep -q 'fast-forwards=0 ' "$tmp/sampled4.err"
 grep -q 'ckpt-hits=[1-9]' "$tmp/sampled4.err"
 "$tmp/svwstore" verify "$sampledir"
+
+# Sampled ladder determinism: a sampled Fig. 5 ladder shares each window's
+# oracle trace among its configurations; at -j 1 and -j 4 it must print the
+# same bytes.
+for j in 1 4; do
+    "$tmp/svwexp" -fig 5 -json -benches gcc,twolf -insts 50000 $sample_flags -j "$j" \
+        >"$tmp/sampled_fig5_j$j.json"
+done
+cmp "$tmp/sampled_fig5_j1.json" "$tmp/sampled_fig5_j4.json"
 
 # Cluster smoke: svwctl over two svwd children must serve the same run
 # and sweep byte-identically to svwsim -json — the fabric must be

@@ -26,8 +26,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -40,57 +42,70 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "gcc", "benchmark kernel(s), comma-separated (see -list)")
-	config := flag.String("config", "base-nlq", "machine configuration(s), comma-separated")
-	insts := flag.Uint64("insts", 300_000, "committed instructions to simulate")
-	workers := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-run wall-clock limit (0 = none)")
-	jsonOut := flag.Bool("json", false, "machine-readable output")
-	storeDir := flag.String("store-dir", "",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams; it returns the
+// exit status: 2 for bad usage, 1 for a failed run, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("svwsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "gcc", "benchmark kernel(s), comma-separated (see -list)")
+	config := fs.String("config", "base-nlq", "machine configuration(s), comma-separated")
+	insts := fs.Uint64("insts", 300_000, "committed instructions to simulate")
+	workers := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "per-run wall-clock limit (0 = none)")
+	jsonOut := fs.Bool("json", false, "machine-readable output")
+	storeDir := fs.String("store-dir", "",
 		"persistent result store directory shared with svwd/svwctl (empty = off): "+
 			"stored jobs are served from disk, fresh ones written back")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0,
+	storeMaxBytes := fs.Int64("store-max-bytes", 0,
 		"persistent store size cap in bytes, LRU-GCed past it (0 = 1GiB default)")
-	sampleWarmup := flag.Uint64("sample-warmup", 0,
+	sampleWarmup := fs.Uint64("sample-warmup", 0,
 		"sampled simulation: detailed warm-up commits per window (counters reset after)")
-	sampleDetail := flag.Uint64("sample-detail", 0,
+	sampleDetail := fs.Uint64("sample-detail", 0,
 		"sampled simulation: measured commits per window (0 = exact simulation)")
-	samplePeriod := flag.Uint64("sample-period", 0,
+	samplePeriod := fs.Uint64("sample-period", 0,
 		"sampled simulation: committed instructions each window represents; "+
 			"the gap past warmup+detail is fast-forwarded functionally")
-	stats := flag.Bool("stats", false,
+	stats := fs.Bool("stats", false,
 		"print engine sampling counters (fast-forwards, checkpoint hits) to stderr")
-	list := flag.Bool("list", false, "list benchmarks and configurations, then exit")
-	flag.Parse()
+	list := fs.Bool("list", false, "list benchmarks and configurations, then exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	spec := pipeline.SampleSpec{Warmup: *sampleWarmup, Detail: *sampleDetail, Period: *samplePeriod}
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "svwsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "svwsim: %v\n", err)
+		return 2
 	}
 
 	if *list {
-		fmt.Println("benchmarks:")
+		fmt.Fprintln(stdout, "benchmarks:")
 		for _, n := range workload.Names() {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
-		fmt.Println("configs:")
+		fmt.Fprintln(stdout, "configs:")
 		for _, n := range sim.ConfigNames() {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
-		return
+		return 0
 	}
 	var jobs []engine.Job
 	for _, cname := range strings.Split(*config, ",") {
 		cfg, ok := sim.ConfigByName(cname)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "svwsim: unknown config %q\n", cname)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "svwsim: unknown config %q\n", cname)
+			return 2
 		}
 		for _, b := range strings.Split(*bench, ",") {
 			if _, ok := workload.Get(b); !ok {
-				fmt.Fprintf(os.Stderr, "svwsim: unknown benchmark %q (try -list)\n", b)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "svwsim: unknown benchmark %q (try -list)\n", b)
+				return 2
 			}
 			jobs = append(jobs, engine.Job{Study: "svwsim", Label: cfg.Name,
 				Config: cfg, Bench: b, Insts: *insts, Sample: spec})
@@ -102,8 +117,8 @@ func main() {
 		var err error
 		st, err = store.Open(store.Options{Dir: *storeDir, MaxBytes: *storeMaxBytes})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "svwsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "svwsim: %v\n", err)
+			return 1
 		}
 	}
 
@@ -138,14 +153,14 @@ func main() {
 		}
 		rs, err := eng.Run(sub, nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "svwsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "svwsim: %v\n", err)
+			return 1
 		}
 		for s, r := range rs {
 			body, err := api.MarshalResult(r.Result)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "svwsim: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "svwsim: %v\n", err)
+				return 1
 			}
 			bodies[subIdx[s]] = body
 			if st != nil {
@@ -156,7 +171,7 @@ func main() {
 		sampleStats = eng.Sample()
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"svwsim: sample: fast-forwards=%d ff-insts=%d ckpt-hits=%d ckpt-misses=%d ckpt-puts=%d\n",
 			sampleStats.FastForwards, sampleStats.FastForwardInsts,
 			sampleStats.CheckpointHits, sampleStats.CheckpointMisses, sampleStats.CheckpointPuts)
@@ -164,43 +179,44 @@ func main() {
 
 	if *jsonOut {
 		for _, body := range bodies {
-			os.Stdout.Write(body)
+			stdout.Write(body)
 		}
-		return
+		return 0
 	}
 	for i, body := range bodies {
 		var res sim.Result
 		if err := json.Unmarshal(body, &res); err != nil {
-			fmt.Fprintf(os.Stderr, "svwsim: decoding result: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "svwsim: decoding result: %v\n", err)
+			return 1
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		printResult(&res)
+		printResult(stdout, &res)
 	}
+	return 0
 }
 
-func printResult(res *sim.Result) {
+func printResult(w io.Writer, res *sim.Result) {
 	s := &res.Stats
-	fmt.Printf("bench            %s\n", res.Bench)
-	fmt.Printf("config           %s\n", res.Config)
-	fmt.Printf("cycles           %d\n", s.Cycles)
-	fmt.Printf("committed        %d\n", s.Committed)
-	fmt.Printf("IPC              %.3f\n", s.IPC())
-	fmt.Printf("loads            %d\n", s.CommittedLoads)
-	fmt.Printf("stores           %d\n", s.CommittedStores)
-	fmt.Printf("marked loads     %d (%.1f%%)\n", s.MarkedLoads, 100*s.MarkedRate())
-	fmt.Printf("re-executed      %d (%.1f%%)\n", s.RexLoads, 100*s.RexRate())
-	fmt.Printf("SVW filtered     %d\n", s.RexFiltered)
-	fmt.Printf("rex failures     %d\n", s.RexFailures)
-	fmt.Printf("eliminated       %d (%.1f%%) [reuse %d, bypass %d]\n",
+	fmt.Fprintf(w, "bench            %s\n", res.Bench)
+	fmt.Fprintf(w, "config           %s\n", res.Config)
+	fmt.Fprintf(w, "cycles           %d\n", s.Cycles)
+	fmt.Fprintf(w, "committed        %d\n", s.Committed)
+	fmt.Fprintf(w, "IPC              %.3f\n", s.IPC())
+	fmt.Fprintf(w, "loads            %d\n", s.CommittedLoads)
+	fmt.Fprintf(w, "stores           %d\n", s.CommittedStores)
+	fmt.Fprintf(w, "marked loads     %d (%.1f%%)\n", s.MarkedLoads, 100*s.MarkedRate())
+	fmt.Fprintf(w, "re-executed      %d (%.1f%%)\n", s.RexLoads, 100*s.RexRate())
+	fmt.Fprintf(w, "SVW filtered     %d\n", s.RexFiltered)
+	fmt.Fprintf(w, "rex failures     %d\n", s.RexFailures)
+	fmt.Fprintf(w, "eliminated       %d (%.1f%%) [reuse %d, bypass %d]\n",
 		s.Eliminated, 100*s.ElimRate(), s.ElimReuse, s.ElimBypass)
-	fmt.Printf("order violations %d\n", s.OrderingViolations)
-	fmt.Printf("SQ/FSQ forwards  %d\n", s.SQForwards)
-	fmt.Printf("best-effort fwd  %d\n", s.BestEffortFwd)
-	fmt.Printf("mispredicts      %d (branch acc %.2f%%)\n", s.Mispredicts, 100*s.BranchAccuracy)
-	fmt.Printf("wrap drains      %d\n", s.WrapDrains)
-	fmt.Printf("I$/D$/L2 miss    %.2f%% / %.2f%% / %.2f%%\n",
+	fmt.Fprintf(w, "order violations %d\n", s.OrderingViolations)
+	fmt.Fprintf(w, "SQ/FSQ forwards  %d\n", s.SQForwards)
+	fmt.Fprintf(w, "best-effort fwd  %d\n", s.BestEffortFwd)
+	fmt.Fprintf(w, "mispredicts      %d (branch acc %.2f%%)\n", s.Mispredicts, 100*s.BranchAccuracy)
+	fmt.Fprintf(w, "wrap drains      %d\n", s.WrapDrains)
+	fmt.Fprintf(w, "I$/D$/L2 miss    %.2f%% / %.2f%% / %.2f%%\n",
 		100*s.ICacheMissRate, 100*s.DCacheMissRate, 100*s.L2MissRate)
 }

@@ -17,35 +17,6 @@ func loopImage() *memimage.Image {
 	return m
 }
 
-// TestStreamArenaRecyclesRecords pins the record arena: after Release, the
-// same heap records come back from Next with bumped generation stamps.
-func TestStreamArenaRecyclesRecords(t *testing.T) {
-	s := NewStream(New(loopImage(), 0))
-	first := s.Next()
-	gen := s.Gen(first)
-	for i := 0; i < 63; i++ {
-		s.Next()
-	}
-	s.Release(64) // everything delivered so far is dead
-	if s.Recycled() == 0 {
-		t.Fatal("release recycled nothing into the arena")
-	}
-	// Drain the free list; one of the recycled records must be `first`.
-	reused := false
-	for i := 0; i < 64; i++ {
-		d := s.Next()
-		if d == first {
-			reused = true
-			if s.Gen(d) <= gen {
-				t.Errorf("recycled record kept generation %d (was %d)", s.Gen(d), gen)
-			}
-		}
-	}
-	if !reused {
-		t.Error("no released record was recycled by subsequent Next calls")
-	}
-}
-
 // TestStreamSteadyStateZeroAlloc: with a bounded in-flight window (the ROB
 // pattern: fetch a batch, commit a batch, release), Next allocates nothing
 // once the window's high-water mark is reached.
@@ -72,22 +43,23 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamResetRecyclesWholeArena: Reset hands every record back for the
-// next run (the engine's per-worker simulator reuse path).
-func TestStreamResetRecyclesWholeArena(t *testing.T) {
+// TestStreamResetRestartsAtFirstRecord: Reset attaches the cursor to the
+// start of another trace, keeping its record ring (the engine's per-worker
+// simulator reuse path).
+func TestStreamResetRestartsAtFirstRecord(t *testing.T) {
 	s := NewStream(New(loopImage(), 0))
 	for i := 0; i < 100; i++ {
 		s.Next()
 	}
-	buffered := s.Buffered()
-	s.Reset(New(loopImage(), 0))
+	ring := len(s.ring)
+	s.Reset(NewTrace(New(loopImage(), 0)))
 	if s.Buffered() != 0 {
 		t.Errorf("buffered = %d after Reset, want 0", s.Buffered())
 	}
-	if s.Recycled() < buffered {
-		t.Errorf("recycled = %d after Reset, want >= %d", s.Recycled(), buffered)
-	}
 	if d := s.Next(); d == nil || d.Seq != 0 {
 		t.Fatalf("first record after Reset = %+v, want Seq 0", d)
+	}
+	if len(s.ring) != ring {
+		t.Errorf("ring of %d records rebuilt as %d on Reset", ring, len(s.ring))
 	}
 }

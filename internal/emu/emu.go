@@ -1,6 +1,7 @@
 // Package emu is the functional emulator. It executes ISA programs over a
 // memory image and produces the dynamic instruction record stream the timing
-// core consumes.
+// core consumes: a Trace records one emulator's committed path once, and
+// every timing run over that path reads it through its own Stream.
 //
 // The emulator is the oracle: every record carries the architecturally
 // correct result, effective address, store data, load value, and branch
@@ -32,10 +33,6 @@ type DynInst struct {
 	LoadVal  uint64 // loads: architecturally correct (extended) value
 
 	Result uint64 // value written to Dest, if any
-
-	// gen is the owning Stream's arena generation stamp (see Stream.Gen);
-	// zero for records not issued by a stream.
-	gen uint64
 }
 
 // String renders a compact trace line, useful in test failures.
@@ -124,15 +121,23 @@ func (e *Emulator) setReg(r isa.Reg, v uint64) {
 // Step executes one instruction and returns its record. After halt it keeps
 // returning the halt record without advancing, so callers can over-fetch.
 func (e *Emulator) Step() (DynInst, error) {
+	var d DynInst
+	err := e.step(&d)
+	return d, err
+}
+
+// step is Step writing the record into d, every field of which it sets.
+func (e *Emulator) step(d *DynInst) error {
 	inst := e.decode(e.PC)
-	d := DynInst{Seq: e.seq, PC: e.PC, Inst: inst, NextPC: e.PC + 4}
+	*d = DynInst{}
+	d.Seq, d.PC, d.Inst, d.NextPC = e.seq, e.PC, inst, e.PC+4
 
 	switch inst.Op {
 	case isa.OpNop:
 	case isa.OpHalt:
 		e.halted = true
 		d.NextPC = e.PC
-		return d, nil
+		return nil
 
 	case isa.OpAdd:
 		d.Result = e.reg(inst.Ra) + e.reg(inst.Rb)
@@ -214,7 +219,7 @@ func (e *Emulator) Step() (DynInst, error) {
 		d.NextPC = e.reg(inst.Ra)
 
 	default:
-		return d, &ErrBadOpcode{PC: e.PC, Word: e.Mem.Read32(e.PC)}
+		return &ErrBadOpcode{PC: e.PC, Word: e.Mem.Read32(e.PC)}
 	}
 
 	if inst.IsCondBranch() || inst.IsUncondDirect() {
@@ -225,7 +230,7 @@ func (e *Emulator) Step() (DynInst, error) {
 	e.setReg(inst.Dest(), d.Result)
 	e.PC = d.NextPC
 	e.seq++
-	return d, nil
+	return nil
 }
 
 // ExtendLoad applies the load's extension rule to raw bytes read from memory.

@@ -30,9 +30,12 @@ type ArchState struct {
 // numbered-from-the-snapshot stream contract above.
 func (e *Emulator) FastForward(n uint64) (uint64, error) {
 	start := e.seq
-	var err error
+	var (
+		d   DynInst
+		err error
+	)
 	for e.seq-start < n && !e.halted {
-		if _, err = e.Step(); err != nil {
+		if err = e.step(&d); err != nil {
 			break
 		}
 	}

@@ -2,109 +2,125 @@ package emu
 
 import "fmt"
 
-// Stream adapts an Emulator into a rewindable dynamic-instruction source.
+// Stream is one reader's rewindable cursor over a Trace: the dynamic
+// instruction source the timing core fetches from.
 //
 // The timing core has no wrong-path fetch: every fetched instruction is a
 // committed-path record. Flush recovery therefore reduces to rewinding the
-// stream to the squash point and re-delivering the same records. Stream keeps
-// every record from the oldest uncommitted instruction onward; Release frees
-// records once the timing core commits them.
+// cursor to the squash point and re-delivering the same records. The
+// cursor expands each compact trace record once, into a ring of DynInsts
+// it owns, and keeps every expanded record from the oldest unreleased one
+// onward: Rewind only moves the read position, and Release tells the trace
+// which records this reader no longer needs.
 //
-// Records live in a generation-stamped arena owned by the stream: they are
-// heap objects handed out as stable pointers — consumers hold them for an
-// instruction's whole in-flight lifetime, across buffer compaction — but
-// once Released they return to a free list and are recycled by later Next
-// calls instead of being reallocated. In steady state (the window of
-// in-flight instructions has reached its high-water mark) Next performs no
-// allocation at all. Each recycle bumps the record's generation stamp, so a
-// consumer that (incorrectly) holds a record past Release can detect the
-// reuse by comparing stamps taken before and after.
+// Records are handed out as stable pointers: a consumer may hold one for
+// as long as it has not released it. The ring grows when the window of
+// unreleased records outgrows it, moving no record, so in steady state
+// (the window has reached its high-water mark) Next allocates nothing.
 type Stream struct {
-	emu *Emulator
+	t *Trace
 
-	buf  []*DynInst // records [base, base+len) by Seq
-	base uint64     // Seq of buf[0]
-	pos  uint64     // Seq of the next record Next returns
-	err  error      // sticky emulator error
+	ring []*DynInst // expanded records, record seq at ring[seq&mask]
+	mask uint64
+	base uint64 // Seq of the oldest record not released
+	pos  uint64 // Seq of the next record Next returns
+	hi   uint64 // one past the newest expanded record
+	pc   uint64 // PC of record hi
+	err  error  // sticky emulator error
 
-	// The record arena: released records awaiting reuse, and the running
-	// generation counter stamped into each record as it is (re)issued.
-	free    []*DynInst
-	nextGen uint64
+	held uint64 // chunk index this reader still needs from; written under t.mu
+	ci   uint64 // index of ck, the chunk the last expansion read
+	ck   *chunk
 }
 
-// NewStream wraps e.
+// NewStream returns a cursor over a new trace of e.
 func NewStream(e *Emulator) *Stream {
-	return &Stream{emu: e}
+	s := new(Stream)
+	s.Reset(NewTrace(e))
+	return s
 }
 
-// Reset rebinds the stream to a fresh emulator, recycling the whole record
-// arena (buffered and free records alike) for the next run. Callers must no
-// longer hold pointers into the previous run's records.
-func (s *Stream) Reset(e *Emulator) {
-	s.free = append(s.free, s.buf...)
-	for i := range s.buf {
-		s.buf[i] = nil
+// Reset detaches the cursor from its trace and attaches it to the start of
+// t, keeping the ring for reuse. Callers must no longer hold records of the
+// previous trace. It reports false, leaving the cursor detached, when t
+// has already dropped its first records (see Trace).
+func (s *Stream) Reset(t *Trace) bool {
+	s.Detach()
+	s.base, s.pos, s.hi, s.held = 0, 0, 0, 0
+	s.err, s.ck = nil, nil
+	if !t.attach(s) {
+		return false
 	}
-	s.buf = s.buf[:0]
-	s.emu = e
-	s.base, s.pos = 0, 0
-	s.err = nil
+	s.t, s.pc = t, t.startPC
+	return true
+}
+
+// Detach ends the cursor's reading of its trace, so the trace can drop the
+// records it held for it. The records already expanded stay readable until
+// the next Reset; Next must not be called again before it. Detaching a
+// detached cursor does nothing.
+func (s *Stream) Detach() {
+	if s.t != nil {
+		s.t.detach(s)
+		s.t, s.ck = nil, nil
+	}
 }
 
 // Err returns the sticky emulator error, if any.
 func (s *Stream) Err() error { return s.err }
 
-// Gen returns the generation stamp of a record issued by this stream. The
-// stamp is bumped each time the underlying arena slot is recycled; holding a
-// record across Release and observing a changed stamp proves reuse.
-func (s *Stream) Gen(d *DynInst) uint64 { return d.gen }
-
-// alloc returns a record from the arena, recycling a released one if
-// available.
-func (s *Stream) alloc() *DynInst {
-	if n := len(s.free); n > 0 {
-		rec := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return rec
-	}
-	return new(DynInst)
-}
-
-// Next returns the next dynamic instruction record, generating it from the
-// emulator if it has not been produced before (or re-delivering it after a
-// Rewind). Returns nil after a halt record has been delivered at the current
-// position or on emulator error.
+// Next returns the next dynamic instruction record: re-delivered after a
+// Rewind, expanded from the trace otherwise, the trace recording it first
+// if no reader has needed it yet. Returns nil once the record at the
+// current position lies past the halt, or on emulator error.
 func (s *Stream) Next() *DynInst {
 	if s.err != nil {
 		return nil
 	}
-	idx := s.pos - s.base
-	if idx < uint64(len(s.buf)) {
-		d := s.buf[idx]
+	seq := s.pos
+	if seq < s.hi {
 		s.pos++
-		return d
+		return s.ring[seq&s.mask]
 	}
-	if s.emu.Halted() {
-		return nil
+	if seq >= s.t.n.Load() {
+		if ok, err := s.t.extend(seq); !ok {
+			s.err = err
+			return nil
+		}
 	}
-	d, err := s.emu.Step()
-	if err != nil {
-		s.err = err
-		return nil
+	if seq-s.base >= uint64(len(s.ring)) {
+		s.grow()
 	}
-	rec := s.alloc()
-	s.nextGen++
-	d.gen = s.nextGen
-	*rec = d
-	s.buf = append(s.buf, rec)
-	s.pos++
-	return rec
+	if ci := seq >> chunkShift; s.ck == nil || s.ci != ci {
+		s.ci, s.ck = ci, s.t.chunk(ci)
+	}
+	d := s.ring[seq&s.mask]
+	s.t.unpack(s.ck, seq, s.pc, d)
+	s.hi, s.pos, s.pc = seq+1, seq+1, d.NextPC
+	return d
 }
 
-// Rewind resets the stream so the next Next call returns the record with the
-// given Seq. The record must still be buffered (i.e. not released).
+// grow doubles the ring, keeping every unreleased record where it is in
+// memory and giving the new slots fresh records.
+func (s *Stream) grow() {
+	n := max(2*len(s.ring), 64)
+	ring := make([]*DynInst, n)
+	mask := uint64(n - 1)
+	for seq := s.base; seq < s.hi; seq++ {
+		ring[seq&mask] = s.ring[seq&s.mask]
+	}
+	fresh := make([]DynInst, n-int(s.hi-s.base))
+	for i := range ring {
+		if ring[i] == nil {
+			ring[i] = &fresh[0]
+			fresh = fresh[1:]
+		}
+	}
+	s.ring, s.mask = ring, mask
+}
+
+// Rewind moves the cursor so the next Next call returns the record with
+// the given Seq. The record must not have been released.
 func (s *Stream) Rewind(seq uint64) {
 	if seq < s.base || seq > s.pos {
 		panic(fmt.Sprintf("emu: rewind to %d outside buffered window [%d,%d]",
@@ -113,10 +129,10 @@ func (s *Stream) Rewind(seq uint64) {
 	s.pos = seq
 }
 
-// Release drops buffered records with Seq < seq; they can no longer be
-// rewound to and their arena slots become reusable by later Next calls.
-// Call with the Seq of the oldest uncommitted instruction. Compaction is
-// amortized: the shift happens only once at least half the buffer is dead.
+// Release drops records with Seq < seq: they can no longer be rewound to,
+// their ring slots are reused by later records, and the trace may drop the
+// chunks that held them once every other reader has passed them too. Call
+// with the Seq of the oldest uncommitted instruction.
 func (s *Stream) Release(seq uint64) {
 	if seq <= s.base {
 		return
@@ -124,25 +140,11 @@ func (s *Stream) Release(seq uint64) {
 	if seq > s.pos {
 		panic(fmt.Sprintf("emu: release past read position (%d > %d)", seq, s.pos))
 	}
-	n := seq - s.base
-	if n >= uint64(len(s.buf))/2 {
-		// Recycle the dead prefix into the arena free list, then shift the
-		// live suffix down. Both reuse existing backing arrays.
-		s.free = append(s.free, s.buf[:n]...)
-		keep := s.buf[n:]
-		next := s.buf[:0]
-		next = append(next, keep...)
-		// Nil out the tail so the slice holds no duplicate live pointers.
-		for i := len(next); i < len(s.buf); i++ {
-			s.buf[i] = nil
-		}
-		s.buf = next
-		s.base = seq
+	s.base = seq
+	if ci := seq >> chunkShift; ci > s.held && s.t != nil {
+		s.t.advance(s, ci)
 	}
 }
 
-// Buffered reports how many records are currently retained (diagnostics).
-func (s *Stream) Buffered() int { return len(s.buf) }
-
-// Recycled reports how many records sit on the arena free list (diagnostics).
-func (s *Stream) Recycled() int { return len(s.free) }
+// Buffered reports how many expanded records are retained (diagnostics).
+func (s *Stream) Buffered() int { return int(s.hi - s.base) }

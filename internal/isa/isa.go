@@ -173,25 +173,30 @@ type Inst struct {
 	Imm int64
 }
 
-// Class reports the functional-unit class of the instruction.
-func (i Inst) Class() Class {
-	switch i.Op {
-	case OpNop:
-		return ClassNop
-	case OpMul:
-		return ClassIntMul
-	case OpLdb, OpLdw, OpLdl, OpLdq:
-		return ClassLoad
-	case OpStb, OpStw, OpStl, OpStq:
-		return ClassStore
-	case OpBeq, OpBne, OpBlt, OpBge, OpBr, OpBsr, OpJmp:
-		return ClassBranch
-	case OpHalt:
-		return ClassHalt
-	default:
-		return ClassIntALU
+// Class reports the functional-unit class of the instruction. Every stage
+// of the timing core asks, so it is one table load.
+func (i Inst) Class() Class { return opClass[i.Op] }
+
+// opClass maps every opcode value to its class; values that name no
+// opcode are ALU operations, as the rest of the ISA treats them.
+var opClass = func() (t [256]Class) {
+	for op := range t {
+		t[op] = ClassIntALU
 	}
-}
+	t[OpNop] = ClassNop
+	t[OpMul] = ClassIntMul
+	for _, op := range []Op{OpLdb, OpLdw, OpLdl, OpLdq} {
+		t[op] = ClassLoad
+	}
+	for _, op := range []Op{OpStb, OpStw, OpStl, OpStq} {
+		t[op] = ClassStore
+	}
+	for _, op := range []Op{OpBeq, OpBne, OpBlt, OpBge, OpBr, OpBsr, OpJmp} {
+		t[op] = ClassBranch
+	}
+	t[OpHalt] = ClassHalt
+	return t
+}()
 
 // IsLoad reports whether the instruction reads data memory.
 func (i Inst) IsLoad() bool { return i.Class() == ClassLoad }
@@ -269,29 +274,34 @@ func (i Inst) WritesReg() bool { return i.Dest() != Zero }
 // SrcRegs returns the architectural source registers (at most two). Sources
 // equal to Zero are included; callers treat Zero as always-ready.
 func (i Inst) SrcRegs() (srcs [2]Reg, n int) {
-	switch i.Op {
-	case OpNop, OpHalt, OpBr, OpBsr:
-		return srcs, 0
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra,
-		OpCmpEq, OpCmpLt, OpCmpLe, OpCmpUlt:
-		srcs[0], srcs[1] = i.Ra, i.Rb
-		return srcs, 2
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpCmpEqi, OpCmpLti,
-		OpLda, OpLdah, OpLdb, OpLdw, OpLdl, OpLdq:
+	switch n = i.NumSrcs(); n {
+	case 2:
+		srcs[1] = i.Rb
+		fallthrough
+	case 1:
 		srcs[0] = i.Ra
-		return srcs, 1
-	case OpStb, OpStw, OpStl, OpStq:
-		srcs[0], srcs[1] = i.Ra, i.Rb // address base, data
-		return srcs, 2
-	case OpBeq, OpBne, OpBlt, OpBge:
-		srcs[0] = i.Ra
-		return srcs, 1
-	case OpJmp:
-		srcs[0] = i.Ra
-		return srcs, 1
 	}
-	return srcs, 0
+	return srcs, n
 }
+
+// NumSrcs is how many source registers SrcRegs returns: 0, 1 (Ra) or 2
+// (Ra, Rb).
+func (i Inst) NumSrcs() int { return int(opSrcs[i.Op]) }
+
+// opSrcs is how many source registers each opcode value reads: Ra, or Ra
+// and Rb (a store's address base and data). Values that name no opcode
+// read none.
+var opSrcs = func() (t [256]uint8) {
+	for _, op := range []Op{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra,
+		OpCmpEq, OpCmpLt, OpCmpLe, OpCmpUlt, OpStb, OpStw, OpStl, OpStq} {
+		t[op] = 2
+	}
+	for _, op := range []Op{OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpCmpEqi, OpCmpLti,
+		OpLda, OpLdah, OpLdb, OpLdw, OpLdl, OpLdq, OpBeq, OpBne, OpBlt, OpBge, OpJmp} {
+		t[op] = 1
+	}
+	return t
+}()
 
 func (i Inst) String() string {
 	switch i.Class() {

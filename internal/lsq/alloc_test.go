@@ -66,13 +66,14 @@ func TestLoadQueueSteadyStateZeroAlloc(t *testing.T) {
 	q := NewLoadQueue(128)
 	var seq uint64
 	requireZeroAllocs(t, "LoadQueue", func() {
+		var slot int
 		for i := 0; i < 8; i++ {
-			q.Push(LoadRec{Seq: seq, PC: seq, Addr: seq * 8, Size: 8})
+			if s := q.Push(LoadRec{Seq: seq, PC: seq, Addr: seq * 8, Size: 8}); i == 4 {
+				slot = s
+			}
 			seq++
 		}
-		if rec := q.Find(seq - 4); rec != nil {
-			rec.Issued = true
-		}
+		q.At(slot).Issued = true
 		q.SearchPremature(seq-8, (seq-4)*8, 8)
 		for i := 0; i < 8; i++ {
 			q.PopHead()

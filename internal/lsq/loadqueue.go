@@ -47,27 +47,25 @@ func (q *LoadQueue) Len() int   { return q.n }
 func (q *LoadQueue) Cap() int   { return q.cap }
 func (q *LoadQueue) Full() bool { return q.n >= q.cap }
 
-// Push allocates at the tail (dispatch order).
-func (q *LoadQueue) Push(rec LoadRec) {
+// Push allocates at the tail (dispatch order) and returns the entry's
+// slot: At(slot) is the entry for as long as it is in the queue, since
+// entries never move within the ring.
+func (q *LoadQueue) Push(rec LoadRec) int {
 	if q.Full() {
 		panic("lsq: load queue overflow")
 	}
 	if q.n > 0 && q.at(q.n-1).Seq >= rec.Seq {
 		panic("lsq: load queue push out of order")
 	}
+	slot := (q.head + q.n) & q.mask
 	q.n++
-	*q.at(q.n - 1) = rec
+	q.buf[slot] = rec
+	return slot
 }
 
-// Find returns the entry with the given seq, or nil.
-func (q *LoadQueue) Find(seq uint64) *LoadRec {
-	for i := 0; i < q.n; i++ {
-		if e := q.at(i); e.Seq == seq {
-			return e
-		}
-	}
-	return nil
-}
+// At returns the entry in slot, as returned by Push. The caller knows the
+// entry is still queued.
+func (q *LoadQueue) At(slot int) *LoadRec { return &q.buf[slot] }
 
 // PopHead removes the oldest entry (load commit).
 func (q *LoadQueue) PopHead() LoadRec {

@@ -5,13 +5,13 @@ import "testing"
 func TestLoadQueueBasics(t *testing.T) {
 	q := NewLoadQueue(4)
 	q.Push(LoadRec{Seq: 1})
-	q.Push(LoadRec{Seq: 2})
+	slot := q.Push(LoadRec{Seq: 2})
 	q.Push(LoadRec{Seq: 4})
 	if q.Len() != 3 || q.Cap() != 4 || q.Full() {
 		t.Fatal("geometry")
 	}
-	if q.Find(2) == nil || q.Find(3) != nil {
-		t.Error("find")
+	if q.At(slot).Seq != 2 {
+		t.Error("slot")
 	}
 	if n := q.SquashYoungerOrEqual(2); n != 2 {
 		t.Errorf("squashed %d", n)

@@ -146,9 +146,9 @@ func (q *StoreQueue) Cap() int { return q.cap }
 func (q *StoreQueue) Full() bool { return q.n >= q.cap }
 
 // Push allocates a store at the tail (dispatch order), with address and
-// data visibility initialized to "never". It panics if full; callers gate
-// dispatch on Full.
-func (q *StoreQueue) Push(rec StoreRec) {
+// data visibility initialized to "never", and returns its slot for At. It
+// panics if full; callers gate dispatch on Full.
+func (q *StoreQueue) Push(rec StoreRec) int {
 	if q.Full() {
 		panic("lsq: store queue overflow")
 	}
@@ -161,9 +161,16 @@ func (q *StoreQueue) Push(rec StoreRec) {
 	if q.n > 0 && q.at(q.n-1).Seq >= rec.Seq {
 		panic("lsq: store queue push out of order")
 	}
+	slot := (q.head + q.n) & q.mask
 	q.n++
-	*q.at(q.n - 1) = rec
+	q.buf[slot] = rec
+	return slot
 }
+
+// At returns the entry in slot, as Push returned it, while it is queued.
+// Remove moves younger entries, so a queue that removes from its middle
+// (the FSQ) finds entries with Find instead.
+func (q *StoreQueue) At(slot int) *StoreRec { return &q.buf[slot] }
 
 // Find returns the entry with the given seq, or nil.
 func (q *StoreQueue) Find(seq uint64) *StoreRec {

@@ -159,9 +159,7 @@ func (c *Core) commitOne(u *uop) {
 		c.rexHead = u.seq + 1
 	}
 	c.rob.popHead()
-	if !c.rob.empty() {
-		c.stream.Release(c.rob.headSeq)
-	}
+	c.stream.Release(u.seq + 1)
 	c.stats.Committed++
 	c.committedTotal++
 	if c.cfg.MaxInsts > 0 && c.committedTotal >= c.cfg.MaxInsts {

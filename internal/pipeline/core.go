@@ -18,7 +18,7 @@ import (
 // rebinds it to the next run, clearing its substrates in place (see Reset).
 //
 // The steady-state cycle loop is allocation-free: uops recycle through the
-// ROB ring, oracle records through the stream's arena, completion events
+// ROB ring, oracle records through the stream's ring, completion events
 // and timed wakes through the event wheel's buckets, scheduler waiters
 // through per-register lists truncated in place, and the load/store queues
 // are fixed-capacity rings. The only allocations after warm-up are
@@ -28,8 +28,10 @@ import (
 type Core struct {
 	cfg Config
 
-	// Oracle side: the functional emulator's record stream.
+	// Oracle side: the cursor over the run's trace of the functional
+	// emulator, and the core's own trace for runs that share none.
 	stream *emu.Stream
+	own    *emu.Trace
 
 	// Committed architectural memory: advanced only at store commit. Loads
 	// executing speculatively read this image (plus forwarding), which is
@@ -64,10 +66,10 @@ type Core struct {
 	asleepSS     uint64
 	asleepCommit uint64
 
-	// Completion events, bucketed by cycle on a reusable wheel.
-	events eventWheel
-	// Stores whose address resolved but whose data register is in flight.
-	pendingSTD []eventRec
+	// Completion events, bucketed by cycle on a reusable wheel, and the
+	// running count that orders the data halves of stores (see writeback).
+	events   eventWheel
+	stdOrder uint64
 
 	// Fetch: a fixed ring of FetchWidth*(FrontDepth+1) slots.
 	fetchQ        []fetchRec
@@ -123,6 +125,7 @@ type Core struct {
 	bankBusy  []bool      // per-cycle D$ bank occupancy (issue)
 	refWork   []int       // releaseRef work list
 	itScratch []rle.Entry // InvalidateByBase result buffer
+	stdDue    []*uop      // stores whose data arrives this cycle (writeback)
 }
 
 type eventRec struct {
@@ -242,23 +245,70 @@ func New(cfg Config, p *prog.Program) *Core {
 }
 
 // Reset rebinds the core to a configuration and a fresh instance of the
-// program. Nothing of the previous run survives, but its allocations do:
-// the ROB ring, the load/store queue rings, the register files and waiter
-// lists, the event wheel, the oracle stream's record arena, the scratch
-// buffers, and every substrate the core has built (cache hierarchy,
-// branch predictor, store-sets, SPCT, SSBF, IT, SSQ steering and forwarding
-// buffers). A substrate whose geometry matches the new configuration is
-// cleared in place — its Reset is exactly equivalent to building it — and
-// only one whose geometry changed is built again. A substrate the new
-// configuration does not use is kept aside for a later run that does. The
-// program's memory images are copy-on-write over its shared initial image.
+// program, whose oracle records the core emulates itself into its own
+// private trace. Nothing of the previous run survives, but its allocations
+// do: the ROB ring, the load/store queue rings, the register files and
+// waiter lists, the event wheel, the private trace's chunks and the
+// stream's record ring, the scratch buffers, and every substrate the core
+// has built (cache hierarchy, branch predictor, store-sets, SPCT, SSBF,
+// IT, SSQ steering and forwarding buffers). A substrate whose geometry
+// matches the new configuration is cleared in place — its Reset is exactly
+// equivalent to building it — and only one whose geometry changed is built
+// again. A substrate the new configuration does not use is kept aside for
+// a later run that does. The program's memory images are copy-on-write
+// over its shared initial image.
 //
 // A Reset core is observationally identical to a New one — same cycles,
 // same stats, byte-identical study output — which the determinism suite
 // asserts; the experiment engine relies on it to pool cores across runs
-// and engines instead of constructing one per job.
+// and engines instead of constructing one per job. The engine binds its
+// cores with ResetOn instead, to traces its jobs share.
 func (c *Core) Reset(cfg Config, p *prog.Program) {
-	c.rebind(cfg, p, emu.New(p.NewImage(), p.Entry), p.NewImage(), false)
+	c.rebind(cfg, p, c.privateTrace(newEmulator(p, nil)), nil)
+}
+
+// ResetOn is Reset (st == nil) or ResetWindow (st != nil) reading the
+// oracle records from tr, a trace of p from the program's entry or from st
+// that other cores may be reading too. Every configuration run over the
+// same program from the same start point reads the same committed path,
+// so one recording serves them all. If tr no longer holds its first record
+// (see emu.Trace), the core records its own private trace instead. The
+// core stops reading tr when Run returns.
+func (c *Core) ResetOn(cfg Config, p *prog.Program, tr *emu.Trace, st *emu.ArchState) {
+	c.rebind(cfg, p, tr, st)
+}
+
+// NewTrace returns an empty trace of p's committed path from the program's
+// entry (st == nil) or from the snapshot st, for ResetOn.
+func NewTrace(p *prog.Program, st *emu.ArchState) *emu.Trace {
+	return emu.NewTrace(newEmulator(p, st))
+}
+
+// newEmulator returns p's emulator at its entry or restored to st, with
+// p's decode table installed.
+func newEmulator(p *prog.Program, st *emu.ArchState) *emu.Emulator {
+	var em *emu.Emulator
+	if st == nil {
+		em = emu.New(p.NewImage(), p.Entry)
+	} else {
+		em = emu.New(nil, 0)
+		em.Restore(*st)
+	}
+	em.SetDecodeTable(p.Base, p.Decoded())
+	return em
+}
+
+// privateTrace restarts the core's own trace over em.
+func (c *Core) privateTrace(em *emu.Emulator) *emu.Trace {
+	if c.stream != nil {
+		c.stream.Detach()
+	}
+	if c.own == nil {
+		c.own = emu.NewTrace(em)
+	} else {
+		c.own.Reset(em)
+	}
+	return c.own
 }
 
 // kept holds every substrate and optional ring a core has built, whether
@@ -276,14 +326,17 @@ type kept struct {
 	fbs   []*lsq.FwdBuffer
 }
 
-// rebind is the body of Reset and ResetWindow. em is the oracle emulator,
-// already positioned where the run starts, and commitMem the matching
-// committed memory image. With warm set and a previous run to inherit
-// from, the trained substrates and the cycle counter carry over (see
-// ResetWindow); otherwise every substrate starts in its built state.
-func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *memimage.Image, warm bool) {
-	em.SetDecodeTable(p.Base, p.Decoded())
-
+// rebind is the body of Reset, ResetWindow and ResetOn. tr is the oracle
+// trace of p from the program's entry (st nil) or from the snapshot st,
+// which also seeds the committed memory image. From a snapshot, with a
+// previous run to inherit from, the trained substrates and the cycle
+// counter carry over (see ResetWindow); otherwise every substrate starts
+// in its built state.
+func (c *Core) rebind(cfg Config, p *prog.Program, tr *emu.Trace, st *emu.ArchState) {
+	commitMem, warm := p.NewImage(), false
+	if st != nil {
+		commitMem, warm = st.Mem.Clone(), true
+	}
 	old := *c
 	*c = Core{
 		cfg:           cfg,
@@ -291,6 +344,7 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 		wrap:          core.WrapControl{Bits: cfg.SVW.SSNBits},
 		waitBranchSeq: ^uint64(0),
 		kept:          old.kept,
+		own:           old.own,
 	}
 	k := &c.kept
 	warm = warm && k.hier != nil
@@ -372,12 +426,14 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 		c.fbs = k.fbs
 	}
 
-	// Oracle stream: recycle the record arena.
-	if old.stream != nil {
-		c.stream = old.stream
-		c.stream.Reset(em)
-	} else {
-		c.stream = emu.NewStream(em)
+	// Oracle stream: the cursor and its record ring are reused. A shared
+	// trace that already dropped its start cannot serve this run.
+	c.stream = old.stream
+	if c.stream == nil {
+		c.stream = new(emu.Stream)
+	}
+	if !c.stream.Reset(tr) {
+		c.stream.Reset(c.privateTrace(newEmulator(p, st)))
 	}
 
 	// ROB ring.
@@ -396,7 +452,7 @@ func (c *Core) rebind(cfg Config, p *prog.Program, em *emu.Emulator, commitMem *
 	c.events = old.events
 	c.events.init()
 	c.events.reset()
-	c.pendingSTD = old.pendingSTD[:0]
+	c.stdDue = old.stdDue[:0]
 	c.rexStoreBuf = old.rexStoreBuf[:0]
 	c.refWork = old.refWork[:0]
 	c.itScratch = old.itScratch[:0]
@@ -498,8 +554,10 @@ func (c *Core) CommittedTotal() uint64 { return c.committedTotal }
 
 // Run simulates until MaxInsts instructions commit, the program halts, or
 // MaxCycles elapse. It returns an error only for internal inconsistencies
-// (oracle stream errors), never for program behavior.
+// (oracle stream errors), never for program behavior. When it returns, the
+// core has stopped reading its trace.
 func (c *Core) Run() error {
+	defer c.stream.Detach()
 	for !c.done {
 		if c.cfg.MaxCycles > 0 && c.cycle >= c.cfg.MaxCycles {
 			return fmt.Errorf("pipeline: cycle limit %d hit at %d committed insts (deadlock?)\n%s",
@@ -592,10 +650,10 @@ func (c *Core) skipIdle(stall stallKind) {
 
 // idleUntil returns the first cycle, from the current one on, at which a
 // timed condition can let a stage act on the unchanged machine: the next
-// due event bucket, the issue wake cycle, the end of a fetch stall, the
-// front-end head reaching rename, the ROB head clearing the commit depth or
-// the rex pipe, a pending store's data arriving, a store-set clear or NLQsm
-// injection, or the cycle limit. A bound the step just taken had already
+// due event bucket (a store's data arriving among them), the issue wake
+// cycle, the end of a fetch stall, the front-end head reaching rename, the
+// ROB head clearing the commit depth or the rex pipe, a store-set clear or
+// NLQsm injection, or the cycle limit. A bound the step just taken had already
 // passed was not what held it back, and is ignored.
 func (c *Core) idleUntil() uint64 {
 	now := c.cycle
@@ -613,11 +671,6 @@ func (c *Core) idleUntil() uint64 {
 	if u := c.rob.headUop(); u != nil {
 		bound(u.completeC + c.cfg.commitLat())
 		bound(u.rexDoneAt)
-	}
-	for _, ev := range c.pendingSTD {
-		if u := c.uopAt(ev.seq); u != nil && u.uid == ev.uid {
-			bound(c.readyAt[u.srcPhys[1]])
-		}
 	}
 	to = min(to, nextDue(now, c.cfg.SS.ClearInterval))
 	if c.cfg.NLQSM.Enabled {
@@ -706,15 +759,4 @@ func (c *Core) releaseRef(p int) {
 		}
 	}
 	c.refWork = work[:0]
-}
-
-// setPhysValue records the value produced into p (used by squash reuse and
-// eliminated-load verification).
-func (c *Core) setPhysValue(p int, v uint64, when uint64) {
-	if p > 0 {
-		c.physVal[p] = v
-		if c.readyAt[p] != when {
-			c.setReadyAt(p, when)
-		}
-	}
 }

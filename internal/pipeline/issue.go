@@ -58,7 +58,8 @@ const (
 // queue walk would find eligible, in the same order: select, port and bank
 // use are unchanged. A uop woken during a scan has an operand cycle of at
 // least cycle+1, so it joins the ready list after the scan, never inside it.
-// A readyAt that setPhysValue changes re-files the uops that read it.
+// A register's readyAt is written once, when its producer issues, so a
+// filed uop never needs filing again.
 //
 // Between scans the scheduler sleeps until issueWake: the next cycle after
 // a lost port, bank or FSQ search port or a full-width break, and never
@@ -214,33 +215,26 @@ func (c *Core) timedWake(u *uop) {
 	}
 }
 
-// setReadyAt records the cycle p's value becomes available. The first time
-// (the producer's issue) it releases p's waiters. A later change re-files
-// every queued uop that reads p, since its wake cycle moved.
+// setReadyAt records the cycle p's value becomes available, at its
+// producer's issue, and releases p's waiters: a queued uop whose last
+// unissued producer this was is filed, and a store whose address has
+// resolved waits on the wheel for its data to arrive (see writeback).
 func (c *Core) setReadyAt(p int, at uint64) {
-	old := c.readyAt[p]
 	c.readyAt[p] = at
-	if old == never {
-		for _, w := range c.waiters[p] {
-			u := c.uopAt(w.seq)
-			if u == nil || u.uid != w.uid {
-				continue // squashed since it registered
-			}
-			if u.unready--; u.unready == 0 {
-				c.file(u)
-			}
+	for _, w := range c.waiters[p] {
+		u := c.uopAt(w.seq)
+		if u == nil || u.uid != w.uid {
+			continue // squashed since it registered
 		}
-		c.waiters[p] = c.waiters[p][:0]
-		return
-	}
-	for seq := c.rob.headSeq; !c.rob.empty() && seq <= c.rob.tailSeq(); seq++ {
-		u := c.uopAt(seq)
-		if (u.iqState != iqTimed && u.iqState != iqReady) || !u.reads(p) {
+		if u.issued {
+			c.scheduleEvent(at, u)
 			continue
 		}
-		c.clearReady(u)
-		c.file(u)
+		if u.unready--; u.unready == 0 {
+			c.file(u)
+		}
 	}
+	c.waiters[p] = c.waiters[p][:0]
 }
 
 // operandsAt implements the wakeup rule: a consumer may issue at cycle t if
@@ -322,10 +316,9 @@ func (c *Core) tryIssueStore(u *uop, p *issuePorts) issueResult {
 			dataAt = r
 		}
 	}
-	if rec := c.sq.Find(u.seq); rec != nil {
-		rec.Addr, rec.Size, rec.AddrKnownAt = d.EffAddr, d.MemBytes, addrAt
-		rec.Data, rec.DataKnownAt = d.StoreVal, dataAt
-	}
+	rec := c.sq.At(u.sqSlot)
+	rec.Addr, rec.Size, rec.AddrKnownAt = d.EffAddr, d.MemBytes, addrAt
+	rec.Data, rec.DataKnownAt = d.StoreVal, dataAt
 	if u.inFSQ {
 		if rec := c.fsq.Find(u.seq); rec != nil {
 			rec.Addr, rec.Size, rec.AddrKnownAt = d.EffAddr, d.MemBytes, addrAt
@@ -453,10 +446,9 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) issueResult {
 	p.loads++
 
 	// Update the LQ view for the conventional ordering search.
-	if rec := c.lq.Find(u.seq); rec != nil {
-		rec.Issued = true
-		rec.FwdSeq, rec.FwdOK = u.fwdSeq, u.fwdOK
-	}
+	rec := c.lq.At(u.lqSlot)
+	rec.Issued = true
+	rec.FwdSeq, rec.FwdOK = u.fwdSeq, u.fwdOK
 	c.startOp(u, completeAt)
 	return issued
 }

@@ -59,11 +59,14 @@ func (c *Core) rename() (moved bool) {
 			steeredStore = true
 		}
 
-		// Source renaming (before destination).
-		srcs, nsrc := inst.SrcRegs()
+		// Source renaming (before destination): Ra, then Rb.
+		nsrc := inst.NumSrcs()
 		var srcPhys [2]int
-		for i := 0; i < nsrc; i++ {
-			srcPhys[i] = c.rmap[srcs[i]]
+		if nsrc > 0 {
+			srcPhys[0] = c.rmap[inst.Ra]
+		}
+		if nsrc > 1 {
+			srcPhys[1] = c.rmap[inst.Rb]
 		}
 
 		// RLE integration decision (needs renamed base; loads only).
@@ -159,7 +162,7 @@ func (c *Core) renameStore(u *uop, steered bool) {
 	u.ssSet = set
 
 	rec := lsq.StoreRec{Seq: u.seq, PC: u.dyn.PC, SSN: u.ssn}
-	c.sq.Push(rec)
+	u.sqSlot = c.sq.Push(rec)
 	if steered {
 		c.fsq.Push(rec)
 		u.inFSQ = true
@@ -196,7 +199,7 @@ func (c *Core) renameLoad(u *uop, itEntry *rle.Entry, itEntryHandle int) {
 		}
 	}
 
-	c.lq.Push(lsq.LoadRec{Seq: u.seq, PC: u.dyn.PC, Addr: u.dyn.EffAddr, Size: u.dyn.MemBytes})
+	u.lqSlot = c.lq.Push(lsq.LoadRec{Seq: u.seq, PC: u.dyn.PC, Addr: u.dyn.EffAddr, Size: u.dyn.MemBytes})
 
 	if c.cfg.SVW.Enabled {
 		u.svw = core.DispatchSVW(c.ssnRetire)
@@ -246,7 +249,7 @@ func (c *Core) eliminateLoad(u *uop, e *rle.Entry, handle int) {
 	} else {
 		u.svw = e.SSN
 	}
-	c.lq.Push(lsq.LoadRec{
+	u.lqSlot = c.lq.Push(lsq.LoadRec{
 		Seq: u.seq, PC: u.dyn.PC,
 		Addr: u.dyn.EffAddr, Size: u.dyn.MemBytes,
 		Eliminated: true,

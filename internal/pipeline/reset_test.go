@@ -7,6 +7,7 @@ import (
 	"svwsim/internal/bpred"
 	"svwsim/internal/cache"
 	"svwsim/internal/core"
+	"svwsim/internal/emu"
 	"svwsim/internal/lsq"
 	"svwsim/internal/rle"
 	"svwsim/internal/storesets"
@@ -46,5 +47,33 @@ func TestResetLeavesSubstratesAsBuilt(t *testing.T) {
 				t.Errorf("%s: %s after Reset differs from a new one", cfg.Name, s.name)
 			}
 		}
+	}
+}
+
+// TestResetOnFallsBackWhenStartDropped: a core bound to a shared trace
+// that has already dropped its first records records its own, with the
+// same results as Reset.
+func TestResetOnFallsBackWhenStartDropped(t *testing.T) {
+	cfg := allConfigs()[0]
+	cfg.MaxInsts, cfg.WarmupInsts = 5_000, 0
+	p := workload.Cached("gcc")
+	tr := NewTrace(p, nil)
+	s := new(emu.Stream)
+	s.Reset(tr)
+	for i := uint64(0); i < 3_000; i++ {
+		s.Next()
+		s.Release(i)
+	}
+	if new(emu.Stream).Reset(tr) {
+		t.Fatal("the trace still holds its first records; the fallback went unexercised")
+	}
+	c := new(Core)
+	c.ResetOn(cfg, p, tr, nil)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Detach()
+	if ref := runCore(t, cfg, p); *ref.Stats() != *c.Stats() {
+		t.Errorf("fallback run differs from a private one:\n got %+v\nwant %+v", *c.Stats(), *ref.Stats())
 	}
 }

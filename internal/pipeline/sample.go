@@ -94,9 +94,7 @@ func ParseSampleSpec(v string) (SampleSpec, error) {
 //
 // On a fresh Core (no previous window) every substrate is built fresh.
 func (c *Core) ResetWindow(cfg Config, p *prog.Program, st emu.ArchState) {
-	em := emu.New(nil, 0)
-	em.Restore(st)
-	c.rebind(cfg, p, em, st.Mem.Clone(), true)
+	c.rebind(cfg, p, c.privateTrace(newEmulator(p, &st)), &st)
 }
 
 // scaleCounter computes v*num/den in 128-bit intermediate precision with

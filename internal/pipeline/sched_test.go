@@ -21,6 +21,12 @@ import (
 //     event is on the wheel; a ready uop can issue at the next scan.
 //   - The ready list holds exactly the ready uops, oldest first, and the
 //     three counts add up to the occupancy rename checks against IQSize.
+//   - An issued uop's destination register becomes ready at the uop's
+//     completion cycle: readyAt is written once, at issue, and no later
+//     step moves it.
+//   - A store whose address resolved but whose data half has not is on
+//     its data register's waiter list while that producer has not issued,
+//     and has a wake event on the wheel for the data's arrival after.
 func checkScheduler(c *Core) error {
 	var waiting, timed, ready int
 	for seq := c.rob.headSeq; !c.rob.empty() && seq <= c.rob.tailSeq(); seq++ {
@@ -34,6 +40,15 @@ func checkScheduler(c *Core) error {
 		}
 		if onList != (u.iqState == iqReady) {
 			return fmt.Errorf("seq %d: on ready list %v in state %d", seq, onList, u.iqState)
+		}
+		if u.issued && u.destPhys != noPhys && c.readyAt[u.destPhys] != u.completeC {
+			return fmt.Errorf("seq %d: completes at %d, but its register p%d is ready at %d",
+				seq, u.completeC, u.destPhys, c.readyAt[u.destPhys])
+		}
+		if u.isStore() && u.addrKnown && !u.completed {
+			if err := checkStoreData(c, u); err != nil {
+				return err
+			}
 		}
 		if !queued {
 			continue
@@ -108,6 +123,33 @@ func checkScheduler(c *Core) error {
 	return nil
 }
 
+// checkStoreData checks that a store waiting for its data half will be
+// woken: on the data register's waiter list while its producer has not
+// issued, else by an event on the wheel at the data's arrival cycle.
+func checkStoreData(c *Core, u *uop) error {
+	p := u.srcPhys[1]
+	at := c.readyAt[p]
+	if at == never {
+		for _, w := range c.waiters[p] {
+			if w == (eventRec{seq: u.seq, uid: u.uid}) {
+				return nil
+			}
+		}
+		return fmt.Errorf("seq %d: store waits for p%d, but is not on its waiter list", u.seq, p)
+	}
+	if at < c.cycle {
+		return fmt.Errorf("seq %d: store data arrived at %d, before cycle %d, but its data half is pending", u.seq, at, c.cycle)
+	}
+	if s := &c.events.slots[at&c.events.mask]; s.cycle == at {
+		for _, ev := range s.evs {
+			if ev == (eventRec{seq: u.seq, uid: u.uid}) {
+				return nil
+			}
+		}
+	}
+	return fmt.Errorf("seq %d: store data arrives at %d, but no wake event is on the wheel", u.seq, at)
+}
+
 // runChecked runs cfg on p as Run does, checking the scheduler after every
 // step, and requires the same statistics as an unchecked run.
 func runChecked(t *testing.T, cfg Config, p *prog.Program) *Core {
@@ -171,51 +213,76 @@ func TestSchedulerInvariants(t *testing.T) {
 	}
 }
 
-// TestChangedReadyAtRefilesConsumers drives the re-file path no benchmark
-// reaches: when setPhysValue moves a register's ready cycle, every queued
-// uop that reads it must move with it — a ready uop whose operands now
-// arrive later goes back to timed, and a timed one whose operands arrive
-// sooner becomes ready.
+// TestChangedReadyAtRefilesConsumers checks the one change a register's
+// readyAt makes — from never to its producer's completion cycle, at the
+// producer's issue — against every uop that waited on it: a queued uop
+// whose last unissued producer it was is filed, timed for
+// max(renameC+SchedDepth, operandsAt) or ready if that cycle has come, and a
+// store whose address resolved before its data gets a wake event for the
+// data's arrival (checkScheduler verifies the event).
 func TestChangedReadyAtRefilesConsumers(t *testing.T) {
 	cfg := allConfigs()[0]
 	cfg.MaxInsts, cfg.WarmupInsts = 5_000, 0
 	c := New(cfg, workload.Cached("gcc"))
-	// consumer finds a queued uop in state st reading a register whose
-	// producer has issued.
-	consumer := func(st iqState) (*uop, int) {
+	type watch struct {
+		u   *uop
+		uid uint64
+		p   int
+	}
+	var watched []watch
+	seen := map[iqState]int{}
+	stores := 0
+	for steps := 0; !c.done && (seen[iqTimed] == 0 || seen[iqReady] == 0 || stores == 0); steps++ {
+		if steps > 100_000 {
+			t.Fatalf("no consumer released: filed %v, stores %d", seen, stores)
+		}
+		watched = watched[:0]
 		for seq := c.rob.headSeq; !c.rob.empty() && seq <= c.rob.tailSeq(); seq++ {
 			u := c.uopAt(seq)
-			for i, n := 0, u.schedSrcs(); u.iqState == st && i < n; i++ {
-				if p := u.srcPhys[i]; p > 0 && c.readyAt[p] != never {
-					return u, p
+			if u.iqState == iqWaiting {
+				for i, n := 0, u.schedSrcs(); i < n; i++ {
+					if p := u.srcPhys[i]; c.readyAt[p] == never {
+						watched = append(watched, watch{u, u.uid, p})
+					}
 				}
 			}
-		}
-		return nil, 0
-	}
-	moved := map[iqState]bool{}
-	for steps := 0; !c.done && len(moved) < 2; steps++ {
-		if steps > 100_000 {
-			t.Fatal("no queued consumer to re-file")
+			if u.isStore() && u.addrKnown && !u.completed && c.readyAt[u.srcPhys[1]] == never {
+				watched = append(watched, watch{u, u.uid, u.srcPhys[1]})
+			}
 		}
 		c.step()
-		if u, p := consumer(iqReady); u != nil && !moved[iqReady] {
-			later := c.cycle + uint64(c.cfg.RegReadDepth) + 5
-			c.setPhysValue(p, c.physVal[p], later)
-			if u.iqState != iqTimed || u.timedAt < c.cycle+5 {
-				t.Fatalf("ready uop %d stayed %d (timed for %d) after its operand moved to %d",
-					u.seq, u.iqState, u.timedAt, later)
-			}
-			moved[iqReady] = true
-		} else if u, p := consumer(iqTimed); u != nil && !moved[iqTimed] {
-			c.setPhysValue(p, c.physVal[p], 0)
-			if at := c.operandsAt(u); at <= c.cycle && u.renameC+uint64(c.cfg.SchedDepth) <= c.cycle && u.iqState != iqReady {
-				t.Fatalf("timed uop %d stayed %d after its operands became ready", u.seq, u.iqState)
-			}
-			moved[iqTimed] = true
-		}
 		if err := checkScheduler(c); err != nil {
 			t.Fatalf("cycle %d: %v", c.cycle, err)
+		}
+		for _, w := range watched {
+			u := w.u
+			if u.uid != w.uid || c.readyAt[w.p] == never {
+				continue // squashed, or its producer has not issued
+			}
+			if u.isStore() && u.addrKnown {
+				if !u.completed {
+					stores++
+				}
+				continue
+			}
+			if u.issued || c.operandsAt(u) == never {
+				continue // another producer is still pending
+			}
+			want := max(u.renameC+uint64(c.cfg.SchedDepth), c.operandsAt(u))
+			switch u.iqState {
+			case iqTimed:
+				if u.timedAt != want {
+					t.Fatalf("cycle %d: uop %d timed for %d, want %d", c.cycle, u.seq, u.timedAt, want)
+				}
+			case iqReady:
+				if want > c.cycle {
+					t.Fatalf("cycle %d: uop %d ready before its issue cycle %d", c.cycle, u.seq, want)
+				}
+			default:
+				t.Fatalf("cycle %d: uop %d stayed in state %d after p%d became ready at %d",
+					c.cycle, u.seq, u.iqState, w.p, c.readyAt[w.p])
+			}
+			seen[u.iqState]++
 		}
 	}
 	for i := 0; i < 2_000 && !c.done; i++ {

@@ -79,7 +79,10 @@ type uop struct {
 	ssn       core.SSN // stores
 	ssSet     int32    // store-set id (stores)
 	addrKnown bool     // stores: STA has resolved
+	stdOrder  uint64   // stores: rank of the STA resolution (see writeback)
 	inFSQ     bool     // store allocated an FSQ entry
+	lqSlot    int      // loads: the load queue slot (see lsq.LoadQueue.At)
+	sqSlot    int      // stores: the store queue slot (see lsq.StoreQueue.At)
 	waitSeq   uint64
 	waiting   waitKind
 	execValue uint64 // load value observed at execute (possibly stale)
@@ -124,16 +127,6 @@ func (u *uop) schedSrcs() int {
 	return u.nsrc
 }
 
-// reads reports whether the scheduler waits on p for u.
-func (u *uop) reads(p int) bool {
-	for i, n := 0, u.schedSrcs(); i < n; i++ {
-		if u.srcPhys[i] == p {
-			return true
-		}
-	}
-	return false
-}
-
 // rob is a power-of-two ring buffer of uops indexed by contiguous sequence
 // numbers; the absence of wrong-path fetch means in-flight seqs are always
 // contiguous. Entries are the uop arena: push recycles a slot in place, and
@@ -174,9 +167,13 @@ func (r *rob) push(seq uint64) *uop {
 	}
 	idx := (r.head + r.count) & r.mask
 	r.count++
-	r.buf[idx] = uop{seq: seq, destPhys: noPhys, oldDestPhys: noPhys,
-		itHandle: -1, elimHandle: -1, rexDoneAt: ^uint64(0)}
-	return &r.buf[idx]
+	u := &r.buf[idx]
+	*u = uop{}
+	u.seq = seq
+	u.destPhys, u.oldDestPhys = noPhys, noPhys
+	u.itHandle, u.elimHandle = -1, -1
+	u.rexDoneAt = ^uint64(0)
+	return u
 }
 
 // popHead retires the oldest entry.

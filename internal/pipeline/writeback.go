@@ -4,26 +4,48 @@ package pipeline
 // stores' addresses/data known, run the conventional LQ ordering search, and
 // resolve branches.
 
-// writeback reports whether it had anything to do: a due event bucket or a
-// store whose data arrived.
+// writeback reports whether it had anything to do: a due event bucket.
+//
+// A store whose address resolves before its data register has a value
+// waits for the data on that register's waiter list, until its producer
+// issues, and then on the wheel, until the value arrives. Its data half
+// completes after every other event of that cycle, in the order the
+// stores' addresses resolved (stdOrder).
 func (c *Core) writeback() bool {
 	evs := c.events.take(c.cycle)
+	due := c.stdDue[:0]
 	for _, ev := range evs {
-		c.complete(ev)
+		// The whole batch is processed even if a violation flush is
+		// requested mid-way: events for instructions older than the flush
+		// point must not be lost, and state published for
+		// about-to-be-squashed instructions is reclaimed by the flush
+		// itself.
+		u := c.uopAt(ev.seq)
+		if u == nil || u.uid != ev.uid {
+			continue // the instance this event belonged to was squashed
+		}
+		if u.isStore() && u.addrKnown {
+			due = append(due, u)
+			continue
+		}
+		c.complete(u)
 	}
-	return c.scanPendingSTD() || evs != nil
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && due[j].stdOrder < due[j-1].stdOrder; j-- {
+			due[j], due[j-1] = due[j-1], due[j]
+		}
+	}
+	for _, u := range due {
+		c.storeDataReady(u)
+	}
+	c.stdDue = due[:0]
+	return evs != nil
 }
 
-// complete processes one event: a completion, or a timed uop's wake.
-func (c *Core) complete(ev eventRec) {
-	// The whole batch is processed even if a violation flush is requested
-	// mid-way: events for instructions older than the flush point must not
-	// be lost, and state published for about-to-be-squashed instructions is
-	// reclaimed by the flush itself.
-	u := c.uopAt(ev.seq)
-	if u == nil || u.uid != ev.uid {
-		return // the instance this event belonged to was squashed
-	}
+// complete processes one event: a completion, or a timed uop's wake. A
+// register's value becomes available at the completion cycle startOp
+// already published in readyAt.
+func (c *Core) complete(u *uop) {
 	if !u.issued {
 		c.timedWake(u)
 		return
@@ -38,33 +60,12 @@ func (c *Core) complete(ev eventRec) {
 		if u.isLoad() {
 			v = u.execValue // possibly stale; that is the point
 		}
-		c.setPhysValue(u.destPhys, v, u.completeC)
+		c.physVal[u.destPhys] = v
 	}
 	if u.isBranch() && u.mispredict && c.waitBranchSeq == u.seq {
 		c.waitBranchSeq = ^uint64(0)
 		c.fetchStallTil = u.completeC + 1
 	}
-}
-
-// scanPendingSTD completes the data half of stores whose address has
-// resolved but whose data register was still in flight, reporting whether
-// any did.
-func (c *Core) scanPendingSTD() bool {
-	out := c.pendingSTD[:0]
-	for _, ev := range c.pendingSTD {
-		u := c.uopAt(ev.seq)
-		if u == nil || u.uid != ev.uid {
-			continue // squashed
-		}
-		if c.readyAt[u.srcPhys[1]] <= c.cycle {
-			c.storeDataReady(u)
-			continue
-		}
-		out = append(out, ev)
-	}
-	done := len(out) < len(c.pendingSTD)
-	c.pendingSTD = out
-	return done
 }
 
 // storeAddrResolved fires at STA resolution (the address was published to
@@ -85,11 +86,18 @@ func (c *Core) storeAddrResolved(u *uop) {
 			c.requestFlush(ld.Seq - 1)
 		}
 	}
-	if c.readyAt[u.srcPhys[1]] <= c.cycle {
+	p := u.srcPhys[1]
+	switch at := c.readyAt[p]; {
+	case at <= c.cycle:
 		c.storeDataReady(u)
 		return
+	case at == never:
+		c.waiters[p] = append(c.waiters[p], eventRec{seq: u.seq, uid: u.uid})
+	default:
+		c.scheduleEvent(at, u)
 	}
-	c.pendingSTD = append(c.pendingSTD, eventRec{seq: u.seq, uid: u.uid})
+	c.stdOrder++
+	u.stdOrder = c.stdOrder
 }
 
 // storeDataReady completes a store's data half (STD): the forwarding value
@@ -102,11 +110,10 @@ func (c *Core) storeDataReady(u *uop) {
 	if c.cycle > u.completeC {
 		u.completeC = c.cycle
 	}
-	if rec := c.sq.Find(u.seq); rec != nil {
-		rec.Data = d.StoreVal
-		if rec.DataKnownAt > c.cycle {
-			rec.DataKnownAt = c.cycle
-		}
+	rec := c.sq.At(u.sqSlot)
+	rec.Data = d.StoreVal
+	if rec.DataKnownAt > c.cycle {
+		rec.DataKnownAt = c.cycle
 	}
 	if u.inFSQ {
 		if rec := c.fsq.Find(u.seq); rec != nil {

@@ -80,29 +80,46 @@ type Table struct {
 	entries []Entry // sets*ways, set-major
 	clock   uint64
 
-	// baseLive[p] counts valid entries whose BasePhys is p, so the
-	// register-free invalidation sweep (InvalidateByBase, called for every
-	// freed physical register) can skip the table scan entirely when no
-	// entry depends on the register — the overwhelmingly common case.
-	baseLive []uint16
+	// The valid entries are chained per base register, in table order:
+	// byBase[p] is the first entry whose BasePhys is p (-1: none) and
+	// next[i] the entry after i in its chain. The register-free
+	// invalidation (InvalidateByBase, called for every freed physical
+	// register) walks only the freed register's chain.
+	byBase []int32
+	next   []int32
 
 	// Stats
 	Hits, Misses, Inserts, Evictions, Invalidations uint64
 }
 
-func (t *Table) incBase(p int) {
+// link adds the valid entry i to its base register's chain.
+func (t *Table) link(i int) {
+	p := t.entries[i].BasePhys
 	if p < 0 {
 		return
 	}
-	for p >= len(t.baseLive) {
-		t.baseLive = append(t.baseLive, 0)
+	for p >= len(t.byBase) {
+		t.byBase = append(t.byBase, -1)
 	}
-	t.baseLive[p]++
+	at := &t.byBase[p]
+	for *at >= 0 && int(*at) < i {
+		at = &t.next[*at]
+	}
+	t.next[i] = *at
+	*at = int32(i)
 }
 
-func (t *Table) decBase(p int) {
-	if p >= 0 && p < len(t.baseLive) {
-		t.baseLive[p]--
+// unlink removes entry i, about to become invalid, from its chain.
+func (t *Table) unlink(i int) {
+	p := t.entries[i].BasePhys
+	if p < 0 || p >= len(t.byBase) {
+		return
+	}
+	for at := &t.byBase[p]; *at >= 0; at = &t.next[*at] {
+		if int(*at) == i {
+			*at = t.next[i]
+			return
+		}
 	}
 }
 
@@ -111,9 +128,10 @@ func New(cfg Config) *Table {
 	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.Sets == 0 || cfg.Ways <= 0 {
 		panic("rle: IT sets must be a positive power of two, ways positive")
 	}
-	// baseLive starts empty rather than nil so a Reset table, which keeps
+	// byBase starts empty rather than nil so a Reset table, which keeps
 	// its capacity, is indistinguishable from a new one.
-	return &Table{cfg: cfg, entries: make([]Entry, cfg.Sets*cfg.Ways), baseLive: []uint16{}}
+	n := cfg.Sets * cfg.Ways
+	return &Table{cfg: cfg, entries: make([]Entry, n), byBase: []int32{}, next: make([]int32, n)}
 }
 
 // Sig computes the operation signature for a load-shaped access: the load
@@ -190,18 +208,19 @@ func (t *Table) Insert(e Entry) (handle int, evicted Entry, wasEvicted bool) {
 			victim, oldest = w, slot.stamp
 		}
 	}
-	slot := t.slot(s, victim)
+	handle = s*t.cfg.Ways + victim
+	slot := &t.entries[handle]
 	if slot.Valid {
 		evicted, wasEvicted = *slot, true
 		t.Evictions++
-		t.decBase(slot.BasePhys)
+		t.unlink(handle)
 	}
 	t.clock++
 	e.Valid = true
 	e.stamp = t.clock
 	*slot = e
-	t.incBase(e.BasePhys)
-	return s*t.cfg.Ways + victim, evicted, wasEvicted
+	t.link(handle)
+	return handle, evicted, wasEvicted
 }
 
 // Get returns the entry at handle, or nil if it has been replaced since.
@@ -230,9 +249,9 @@ func (t *Table) InvalidateHandle(handle int, sig uint64) (Entry, bool) {
 		return Entry{}, false
 	}
 	t.Invalidations++
+	t.unlink(handle)
 	out := *e
 	e.Valid = false
-	t.decBase(e.BasePhys)
 	return out, true
 }
 
@@ -243,18 +262,16 @@ func (t *Table) InvalidateHandle(handle int, sig uint64) (Entry, bool) {
 // path allocation-free — and returned so the owner can release their
 // DestPhys references.
 func (t *Table) InvalidateByBase(p int, buf []Entry) []Entry {
-	if p < 0 || p >= len(t.baseLive) || t.baseLive[p] == 0 {
+	if p < 0 || p >= len(t.byBase) {
 		return buf
 	}
-	for i := range t.entries {
+	for i := t.byBase[p]; i >= 0; i = t.next[i] {
 		e := &t.entries[i]
-		if e.Valid && e.BasePhys == p {
-			t.Invalidations++
-			buf = append(buf, *e)
-			e.Valid = false
-			t.decBase(p)
-		}
+		t.Invalidations++
+		buf = append(buf, *e)
+		e.Valid = false
 	}
+	t.byBase[p] = -1
 	return buf
 }
 
@@ -272,9 +289,9 @@ func (t *Table) EvictOne() (Entry, bool) {
 	if victim < 0 {
 		return Entry{}, false
 	}
+	t.unlink(victim)
 	e := t.entries[victim]
 	t.entries[victim].Valid = false
-	t.decBase(e.BasePhys)
 	t.Evictions++
 	return e, true
 }
@@ -289,8 +306,8 @@ func (t *Table) Clear() []Entry {
 			t.entries[i].Valid = false
 		}
 	}
-	for i := range t.baseLive {
-		t.baseLive[i] = 0
+	for i := range t.byBase {
+		t.byBase[i] = -1
 	}
 	return out
 }
@@ -303,7 +320,8 @@ func (t *Table) Config() Config { return t.cfg }
 // drain, hands the valid entries back and keeps the counters.)
 func (t *Table) Reset() {
 	clear(t.entries)
-	t.baseLive = t.baseLive[:0]
+	clear(t.next)
+	t.byBase = t.byBase[:0]
 	t.clock = 0
 	t.Hits, t.Misses, t.Inserts, t.Evictions, t.Invalidations = 0, 0, 0, 0, 0
 }

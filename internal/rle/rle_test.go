@@ -139,6 +139,47 @@ func TestInvalidateByBase(t *testing.T) {
 	}
 }
 
+// TestInvalidateByBaseMatchesScan drives a small table through random
+// inserts, evictions and invalidations and checks every InvalidateByBase
+// against a walk of the whole table: the same entries, in table order
+// (the owner frees their registers in that order).
+func TestInvalidateByBaseMatchesScan(t *testing.T) {
+	it := New(Config{Sets: 4, Ways: 2})
+	rng := uint64(1)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for step := 0; step < 20_000; step++ {
+		switch next(5) {
+		case 0, 1:
+			base := next(6)
+			it.Insert(Entry{Sig: Sig(isa.OpLdq, base, int64(next(8))), DestPhys: next(50), BasePhys: base})
+		case 2:
+			it.InvalidateHandle(next(8), it.entries[next(8)].Sig)
+		case 3:
+			it.EvictOne()
+		default:
+			p := next(6)
+			var want []Entry
+			for _, e := range it.entries {
+				if e.Valid && e.BasePhys == p {
+					want = append(want, e)
+				}
+			}
+			got := it.InvalidateByBase(p, nil)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: invalidated %d entries of p%d, want %d", step, len(got), p, len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: entry %d = %+v, want %+v", step, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestInvalidateHandle(t *testing.T) {
 	it := newIT()
 	sig := Sig(isa.OpLdq, 5, 16)

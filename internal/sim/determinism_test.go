@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -201,5 +202,72 @@ func TestSweepMemoization(t *testing.T) {
 	}
 	if m2.Hits != unique {
 		t.Errorf("repeated sweep hits = %d, want %d", m2.Hits, unique)
+	}
+}
+
+// TestSharedTracesMatchPrivate: a job that replays the engine's shared
+// oracle trace produces byte-identical results to one that emulates its
+// own. Every registry configuration runs on gcc, twolf and mcf in one
+// sweep, configuration-major so each kernel's trace serves 15 jobs while
+// later ones are queued, at -j 1 and -j 4; the private references run one
+// job at a time with engine.Run. Flush-heavy raw-NLQ twolf runs longer, so
+// rewinds across trace chunks are covered. Sampled sweeps share each
+// window's trace the same way; their references run each job on an engine
+// of its own.
+func TestSharedTracesMatchPrivate(t *testing.T) {
+	const insts = 8_000
+	spec := pipeline.SampleSpec{Warmup: 500, Detail: 500, Period: 3_000}
+	var exact, sampled []engine.Job
+	for _, name := range ConfigNames() {
+		cfg, _ := ConfigByName(name)
+		for _, bench := range []string{"gcc", "twolf", "mcf"} {
+			exact = append(exact, engine.Job{Config: cfg, Bench: bench, Insts: insts})
+			sampled = append(sampled, engine.Job{Config: cfg, Bench: bench, Insts: 4 * insts, Sample: spec})
+		}
+	}
+	nlq, _ := ConfigByName("nlq")
+	exact = append(exact, engine.Job{Config: nlq, Bench: "twolf", Insts: 30_000})
+
+	render := func(rs []engine.JobResult) []string {
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			b, err := json.Marshal(r.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = string(b)
+		}
+		return out
+	}
+	want := make([]string, 0, len(exact)+len(sampled))
+	for _, j := range exact {
+		r, err := engine.Run(j.Config, j.Bench, j.Insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, render([]engine.JobResult{{Result: r}})[0])
+	}
+	if s := want[len(exact)-1]; !strings.Contains(s, `"RexFlushes":`) || strings.Contains(s, `"RexFlushes":0,`) {
+		t.Fatalf("raw-NLQ twolf flushed nothing; the rewind path went unchecked: %s", s)
+	}
+	for _, j := range sampled {
+		rs, err := engine.New(1).Run([]engine.Job{j}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, render(rs)[0])
+	}
+	for _, workers := range []int{1, 4} {
+		eng := engine.New(workers)
+		rs, err := eng.Run(append(append([]engine.Job{}, exact...), sampled...), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range render(rs) {
+			if got != want[i] {
+				t.Errorf("-j %d job %d (%s on %s): shared-trace result differs\n got %s\nwant %s",
+					workers, i, rs[i].Job.Config.Name, rs[i].Job.Bench, got, want[i])
+			}
+		}
 	}
 }

@@ -20,6 +20,8 @@
 //   - runs each worker's jobs on one simulator, Reset between jobs and
 //     drawn from a process-wide pool of idle cores, so a core outlives the
 //     run and the engine that built it (see idleCores);
+//   - emulates each committed path once: every job that runs a program from
+//     the same start point replays one shared oracle trace (traces.go);
 //   - delivers results and progress deterministically: Run's result slice
 //     is indexed by job position, and the optional progress callback fires
 //     in job-index order regardless of completion order, so -j 1 and -j N
@@ -96,6 +98,7 @@ type Engine struct {
 	misses uint64
 	ckpt   CheckpointStore // warm-state checkpoints for sampled runs (nil = none)
 	sample SampleStats
+	traces map[traceKey]*sharedTrace // oracle traces queued or running jobs read
 }
 
 // memoEntry is one key's execution. done is closed once it completes;
@@ -108,7 +111,8 @@ type memoEntry struct {
 
 // New returns an engine with the given worker count (<= 0 = GOMAXPROCS).
 func New(workers int) *Engine {
-	return &Engine{workers: workers, memo: make(map[string]*memoEntry)}
+	return &Engine{workers: workers, memo: make(map[string]*memoEntry),
+		traces: make(map[traceKey]*sharedTrace)}
 }
 
 // SetTimeout bounds each job's wall-clock execution (0 = none). A timed-out
@@ -176,6 +180,13 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 		e.mu.Unlock()
 	}
 
+	// Every job pins the oracle traces it will read before any starts, so
+	// a trace keeps its first records until its last reader has attached.
+	pins := make([]*jobTraces, n)
+	for i, j := range jobs {
+		pins[i] = e.pinTraces(j)
+	}
+
 	var (
 		wg     sync.WaitGroup
 		cursor atomic.Int64 // next job index to hand out
@@ -219,11 +230,12 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, progress func(JobRe
 						sp.SetAttr("outcome", "cancelled")
 						sp.End()
 					}
+					pins[idx].done()
 					out[idx] = JobResult{Index: idx, Job: jobs[idx], Err: err}
 					emit(idx)
 					continue
 				}
-				e.execute(tr, self, idx, jobs[idx], out, emit, rn)
+				e.execute(tr, self, idx, jobs[idx], pins[idx], out, emit, rn)
 			}
 		}(w)
 	}
@@ -253,8 +265,9 @@ func jobSpan(tr *trace.Trace, idx, worker int, j Job) trace.Span {
 // execute runs one job through the memo table, storing its result in
 // out[idx] and emitting it. A job identical to an execution already in
 // flight — in this Run or a concurrent one — waits for that execution to
-// finish and takes its result.
-func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job,
+// finish and takes its result. jt holds the job's trace pins; the job's
+// execution gives them up, or execute does when nothing executes.
+func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job, jt *jobTraces,
 	out []JobResult, emit func(int), rn *runner) {
 	var sp trace.Span
 	if tr != nil {
@@ -265,7 +278,7 @@ func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job,
 		// silently skip the per-instruction callbacks. Always execute.
 		sp.SetAttr("memo", "bypass")
 		start := time.Now()
-		res, err := e.runWithTimeout(j, rn)
+		res, err := e.runWithTimeout(j, jt, rn)
 		out[idx] = JobResult{Index: idx, Job: j, Result: res, Err: err,
 			Elapsed: time.Since(start)}
 		emit(idx)
@@ -279,6 +292,7 @@ func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job,
 	if ok {
 		e.hits++
 		e.mu.Unlock()
+		jt.done()
 		select {
 		case <-ent.done:
 			sp.SetAttr("memo", "hit")
@@ -309,7 +323,7 @@ func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job,
 		}
 	}
 	start := time.Now()
-	res, err := e.runWithTimeout(j, rn)
+	res, err := e.runWithTimeout(j, jt, rn)
 	ent.res, ent.err = res, err
 	if err != nil {
 		// Failures (including timeouts) are not cached: a later identical
@@ -327,12 +341,14 @@ func (e *Engine) execute(tr *trace.Trace, worker, idx int, j Job,
 	sp.End()
 }
 
-// runJob dispatches one job to the exact or sampled leaf executor.
-func (e *Engine) runJob(core *pipeline.Core, j Job) (Result, *pipeline.Core, error) {
+// runJob dispatches one job to the exact or sampled leaf executor and
+// then gives up the job's remaining trace pins.
+func (e *Engine) runJob(core *pipeline.Core, j Job, jt *jobTraces) (Result, *pipeline.Core, error) {
+	defer jt.done()
 	if j.Sample.Enabled() {
-		return e.runSampledOn(core, j.Config, j.Bench, j.Insts, j.Sample)
+		return e.runSampledOn(core, j.Config, j.Bench, j.Insts, j.Sample, jt)
 	}
-	return runOn(core, j.Config, j.Bench, j.Insts)
+	return runOn(core, j.Config, j.Bench, j.Insts, jt)
 }
 
 // idleCores is the process-wide pool of simulators no run is using. A core
@@ -383,12 +399,12 @@ type runner struct {
 	core *pipeline.Core
 }
 
-func (e *Engine) runWithTimeout(j Job, rn *runner) (Result, error) {
+func (e *Engine) runWithTimeout(j Job, jt *jobTraces, rn *runner) (Result, error) {
 	e.mu.Lock()
 	timeout := e.timeout
 	e.mu.Unlock()
 	if timeout <= 0 {
-		res, core, err := e.runJob(rn.core, j)
+		res, core, err := e.runJob(rn.core, j, jt)
 		rn.core = core
 		return res, err
 	}
@@ -401,7 +417,7 @@ func (e *Engine) runWithTimeout(j Job, rn *runner) (Result, error) {
 	rn.core = nil
 	ch := make(chan outcome, 1)
 	go func() {
-		res, c, err := e.runJob(core, j)
+		res, c, err := e.runJob(core, j, jt)
 		ch <- outcome{res, c, err}
 	}()
 	timer := time.NewTimer(timeout)
@@ -413,7 +429,7 @@ func (e *Engine) runWithTimeout(j Job, rn *runner) (Result, error) {
 	case <-timer.C:
 		// The abandoned goroutine still terminates on the configuration's
 		// own MaxCycles bound; its core is lost with it and never reaches
-		// the idle pool.
+		// the idle pool, and it gives up its trace pins when it ends.
 		return Result{}, fmt.Errorf("%s on %s: timed out after %v",
 			j.Bench, j.Config.Name, timeout)
 	}

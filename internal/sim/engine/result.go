@@ -26,7 +26,7 @@ func (r *Result) IPC() float64 { return r.Stats.IPC() }
 // executor and may be called directly for one-off runs; only Engine.Run
 // memoizes.
 func Run(cfg Config, bench string, maxInsts uint64) (Result, error) {
-	res, _, err := runOn(nil, cfg, bench, maxInsts)
+	res, _, err := runOn(nil, cfg, bench, maxInsts, nil)
 	return res, err
 }
 
@@ -34,8 +34,9 @@ func Run(cfg Config, bench string, maxInsts uint64) (Result, error) {
 // one is built); the simulator actually used is returned so the caller can
 // keep it for the next job — pipeline.Core.Reset guarantees a reused core
 // is observationally identical to a fresh one. The benchmark program comes
-// from the process-wide build cache.
-func runOn(core *pipeline.Core, cfg Config, bench string, maxInsts uint64) (Result, *pipeline.Core, error) {
+// from the process-wide build cache, and the oracle records from the job's
+// shared trace (jt nil: the core's private one).
+func runOn(core *pipeline.Core, cfg Config, bench string, maxInsts uint64, jt *jobTraces) (Result, *pipeline.Core, error) {
 	p := workload.Cached(bench)
 	if maxInsts > 0 {
 		cfg.MaxInsts = maxInsts
@@ -43,11 +44,7 @@ func runOn(core *pipeline.Core, cfg Config, bench string, maxInsts uint64) (Resu
 			cfg.WarmupInsts = maxInsts / 5
 		}
 	}
-	if core == nil {
-		core = pipeline.New(cfg, p)
-	} else {
-		core.Reset(cfg, p)
-	}
+	core = jt.bind(core, cfg, p, bench, 0, nil)
 	if err := core.Run(); err != nil {
 		return Result{}, core, fmt.Errorf("%s on %s: %w", bench, cfg.Name, err)
 	}

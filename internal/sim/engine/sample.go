@@ -95,9 +95,10 @@ func SampledFingerprint(cfg Config, bench string, insts uint64, spec pipeline.Sa
 // runSampledOn executes one sampled job: detailed windows of
 // spec.Warmup+spec.Detail commits every spec.Period instructions, the gaps
 // covered functionally, counters scaled back to the full budget. Like
-// runOn, core may be nil and the core in use is returned for reuse.
+// runOn, core may be nil and the core in use is returned for reuse, and
+// each window reads the job's shared trace of its path.
 func (e *Engine) runSampledOn(core *pipeline.Core, cfg Config, bench string,
-	maxInsts uint64, spec pipeline.SampleSpec) (Result, *pipeline.Core, error) {
+	maxInsts uint64, spec pipeline.SampleSpec, jt *jobTraces) (Result, *pipeline.Core, error) {
 	fail := func(err error) (Result, *pipeline.Core, error) {
 		return Result{}, core, fmt.Errorf("%s on %s: %w", bench, cfg.Name, err)
 	}
@@ -132,23 +133,16 @@ func (e *Engine) runSampledOn(core *pipeline.Core, cfg Config, bench string,
 			window = rem
 		}
 		wcfg.MaxInsts = window
-		if skip == 0 {
-			if core == nil {
-				core = pipeline.New(wcfg, p)
-			} else {
-				core.Reset(wcfg, p)
-			}
-		} else {
-			if core == nil {
-				core = new(pipeline.Core)
-			}
+		var from *emu.ArchState // the program's entry for the first window
+		if skip > 0 {
+			from = &cur
 			// The cycle counter continues across windows (ResetWindow), so
 			// the deadlock detector gets a fresh allowance per window.
 			if cfg.MaxCycles > 0 {
 				wcfg.MaxCycles = cfg.MaxCycles + core.Cycle()
 			}
-			core.ResetWindow(wcfg, p, cur)
 		}
+		core = jt.bind(core, wcfg, p, bench, skip, from)
 		if err := core.Run(); err != nil {
 			return fail(err)
 		}
