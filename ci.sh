@@ -281,10 +281,11 @@ grep -q '^svwctl_jobs_total' "$tmp/ctl_metrics.txt"
 
 # Trace smoke: all three daemons ran with -slow-ms 0, so every traced
 # request logged a slow_request line and bumped the slow counter. The
-# slowest coordinator trace's ID must also appear on one of the backends'
-# /debug/traces — the same request, correlated end to end.
+# slowest svwctl trace shows its forwards to the backends, and its ID must
+# also appear on one of the backends' /debug/traces — the same request,
+# correlated end to end.
 "$tmp/svwload" -trace-top 5 -url "http://$ctl" >"$tmp/ctl_traces.out"
-grep -q '^  dispatch ' "$tmp/ctl_traces.out"
+grep -q '^  forward ' "$tmp/ctl_traces.out"
 tid=$(sed -n 's/^trace id=\([^ ]*\) .*/\1/p' "$tmp/ctl_traces.out" | head -1)
 test -n "$tid"
 "$tmp/svwload" -trace-top 64 -url "http://$b1" >"$tmp/backend_traces.out"
@@ -337,13 +338,13 @@ wait "$b1_pid" "$b2_pid"
 trap 'rm -rf "$tmp"' EXIT
 
 # Sharded-store smoke: two svwd with SEPARATE persistent store dirs and
-# -peer-learn behind svwctl. The coordinator's sweep lands each cell's
-# entry on its rendezvous store owner (routing and ownership share the
-# hash); a repeat of the same sweep DIRECT at one backend must stay
-# byte-identical with ZERO new engine executions — every cell that backend
-# does not own arrives over the peer-read protocol — and SIGTERM must
-# drain both write-behind queues so the two directories together hold
-# exactly one verified entry per cell.
+# -peer-learn behind svwctl. svwctl's sweep lands each cell's entry on its
+# rendezvous owner, and teaches both daemons the membership; a repeat of
+# the same sweep DIRECT at one backend must stay byte-identical with ZERO
+# new engine executions — the cells that backend does not own arrive from
+# their owner in ONE forwarded batch — and SIGTERM must drain both
+# write-behind queues so the two directories together hold exactly one
+# verified entry per cell.
 sdir1="$tmp/shard1"
 sdir2="$tmp/shard2"
 "$tmp/svwd" -addr 127.0.0.1:0 -j 2 -grace 0 -store-dir "$sdir1" -peer-learn \
@@ -376,20 +377,30 @@ shard_configs=ssq,nlq,rle,ssq+svw,nlq+svw,rle+svw,base-ssq,base-nlq
     >>"$tmp/s_want.json"
 cmp "$tmp/s_got.json" "$tmp/s_want.json"
 
-# Repeat the sweep DIRECT at backend 1. (A repeat through the coordinator
-# is all memory hits — routing and ownership share the hash — so only a
-# direct sweep exercises the peer-read path.)
+# Repeat the sweep DIRECT at backend 1. (A repeat through svwctl is all
+# memory hits at the owners, so only a direct sweep exercises svwd's own
+# forwarding.)
+s2_sweeps() {
+    "$tmp/svwload" -metrics -url "http://$s2" |
+        sed -n 's|^svw_http_requests_total{code="200",endpoint="/v1/sweep"} ||p'
+}
 "$tmp/svwload" -stats -url "http://$s1" >"$tmp/s1_before.json"
 misses_before=$(sed -n 's/.*"memo_misses": \([0-9]*\).*/\1/p' "$tmp/s1_before.json")
-"$tmp/svwload" -smoke -url "http://$s1" \
-    -configs "$shard_configs" -benches gcc,twolf -insts "$smoke_insts" >"$tmp/s_direct.json"
-cmp "$tmp/s_direct.json" "$tmp/s_want.json"
+s2_before=$(s2_sweeps)
+curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d "{\"configs\":[\"$(echo "$shard_configs" | sed 's/,/","/g')\"],\"benches\":[\"gcc\",\"twolf\"],\"insts\":$smoke_insts}" \
+    "http://$s1/v1/sweep" >"$tmp/s_direct.json"
+"$tmp/svwsim" -json -config "$shard_configs" -bench gcc,twolf -insts "$smoke_insts" \
+    >"$tmp/s_direct_want.json"
+cmp "$tmp/s_direct.json" "$tmp/s_direct_want.json"
 
-# The repeat fetched at least one entry from the peer and computed nothing.
+# The repeat served at least one cell from the peer, computed nothing, and
+# sent the peer exactly one /v1/sweep: one forward per owner.
 "$tmp/svwload" -stats -url "http://$s1" >"$tmp/s1_after.json"
 grep -Eq '"peer_hits": [1-9]' "$tmp/s1_after.json"
 misses_after=$(sed -n 's/.*"memo_misses": \([0-9]*\).*/\1/p' "$tmp/s1_after.json")
 test "$misses_before" = "$misses_after"
+test "$(($(s2_sweeps) - s2_before))" -eq 1
 
 kill -TERM "$sctl_pid"
 wait "$sctl_pid"
@@ -398,8 +409,9 @@ wait "$s1_pid" "$s2_pid"
 trap 'rm -rf "$tmp"' EXIT
 
 # Write-behind drained on SIGTERM: one entry per swept cell, split across
-# the two shards (peer reads promote to memory only, so no entry is ever
-# duplicated onto a non-owner's disk), and both directories verify clean.
+# the two shards (an owner's answer is never stored by its requester, so
+# no entry is ever duplicated onto a non-owner's disk), and both
+# directories verify clean.
 n1=$("$tmp/svwstore" ls "$sdir1" | sed -n 's/^\([0-9][0-9]*\) entries,.*/\1/p')
 n2=$("$tmp/svwstore" ls "$sdir2" | sed -n 's/^\([0-9][0-9]*\) entries,.*/\1/p')
 test "$((n1 + n2))" -eq 16

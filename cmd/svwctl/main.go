@@ -1,11 +1,11 @@
 // Command svwctl fronts a pool of svwd backends as one horizontally
-// scaled simulation service. It serves the same JSON/HTTP surface as a
-// single svwd (run, sweep, stats, healthz, configs, benches, studies), so
-// clients — svwload, curl, dashboards — point at either interchangeably.
-// See internal/cluster for the fabric semantics: rendezvous routing on
-// the engine memo key (backend cache affinity), bounded per-backend
-// concurrency, retry-on-another-backend, optional hedging, and health
-// probing.
+// scaled simulation service: it is an svwd whose members are the backends
+// and which owns no keys itself (see internal/cluster). It serves the same
+// JSON/HTTP surface as a single svwd, so clients — svwload, curl,
+// dashboards — point at either interchangeably. Each cell goes to its
+// rendezvous owner down svwd's own routing path: one batch per owner, and
+// a failed owner's cells walk on to the next backend, the failed one
+// marked down for a second.
 //
 // Usage:
 //
@@ -20,7 +20,7 @@
 //
 // The backend pool is dynamic: SIGHUP re-reads -backends-file (one URL
 // per line, # comments) and reconciles the pool to the union of -backends
-// and the file — new members are added and probed, absent ones drain out.
+// and the file — new members are added, absent ones drain out.
 // With -debug-addr set, the same reconciliation is reachable over HTTP as
 // GET/POST /admin/backends on the debug listener (never the serving
 // port).
@@ -43,6 +43,7 @@ import (
 	"svwsim/internal/debugserver"
 	"svwsim/internal/pipeline"
 	"svwsim/internal/rendezvous"
+	"svwsim/internal/server"
 )
 
 // backendSet is the desired pool: the union of the -backends flag and the
@@ -84,27 +85,14 @@ func main() {
 		"file of svwd base URLs (one per line, # comments); re-read on SIGHUP "+
 			"and reconciled with -backends, so the pool grows and shrinks "+
 			"without a restart")
-	conc := flag.Int("backend-conc", cluster.DefaultBackendConcurrency,
-		"max in-flight sweep batches (a run is a one-cell batch) per backend")
-	attempts := flag.Int("max-attempts", 0,
-		"max forwarding attempts per job across backends (0 = 2x backend count)")
-	hedge := flag.Duration("hedge", 0,
-		"hedge a straggling job or sweep batch onto its fallback backend after this delay (0 = off)")
 	headerTimeout := flag.Duration("response-header-timeout", 0,
-		"per-attempt wait for a backend's response headers before retrying the "+
-			"next ranked backend; svwd answers only after computing, so keep it "+
-			"above the longest expected job or sweep batch (the cells of one sweep "+
-			"one backend owns) (0 = 2m default, negative = no bound)")
-	healthEvery := flag.Duration("health-interval", time.Second,
-		"background backend health probe period (0 = passive health only)")
-	maxBody := flag.Int64("max-body", cluster.DefaultMaxBodyBytes, "max request body bytes")
-	maxSweep := flag.Int("max-sweep", cluster.DefaultMaxSweepJobs, "max jobs in one sweep matrix")
-	storeDir := flag.String("store-dir", "",
-		"coordinator-side persistent result store directory (empty = none): "+
-			"computed results are written through to it and served from it when "+
-			"no backend can take a job")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0,
-		"persistent store size cap in bytes, LRU-GCed past it (0 = 1GiB default)")
+		"per-forward wait for a backend's response headers before its cells "+
+			"walk on to the next backend; svwd answers a buffered batch only "+
+			"after computing it, so keep it above the longest expected batch "+
+			"(the cells of one sweep one backend owns) (0 = 2m default, "+
+			"negative = no bound)")
+	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes")
+	maxSweep := flag.Int("max-sweep", server.DefaultMaxSweepJobs, "max jobs in one sweep matrix")
 	grace := flag.Duration("grace", time.Second,
 		"delay between advertising 503 on healthz and closing the listener")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain window")
@@ -119,7 +107,7 @@ func main() {
 			"empty = off; never exposed on the serving port")
 	sampleWarmup := flag.Uint64("sample-warmup", 0,
 		"fabric-wide default sampled simulation: warm-up commits per detailed "+
-			"window, stamped onto forwarded requests that carry no sample spec")
+			"window, for requests that carry no sample spec")
 	sampleDetail := flag.Uint64("sample-detail", 0,
 		"fabric-wide default sampled simulation: measured commits per window (0 = exact)")
 	samplePeriod := flag.Uint64("sample-period", 0,
@@ -133,14 +121,9 @@ func main() {
 	}
 	c, err := cluster.New(cluster.Options{
 		Backends:              urls,
-		BackendConcurrency:    *conc,
-		MaxAttempts:           *attempts,
-		HedgeAfter:            *hedge,
 		ResponseHeaderTimeout: *headerTimeout,
 		MaxBodyBytes:          *maxBody,
 		MaxSweepJobs:          *maxSweep,
-		StoreDir:              *storeDir,
-		StoreMaxBytes:         *storeMaxBytes,
 		TraceBufferSize:       *traceBuf,
 		SlowLogEnabled:        *slowMS >= 0,
 		SlowLogThreshold:      time.Duration(*slowMS) * time.Millisecond,
@@ -172,17 +155,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	// Seed real health marks before taking traffic, then keep probing in
-	// the background so idle recovery doesn't wait for a fail-open retry.
-	healthy := c.ProbeAll(ctx)
-	fmt.Fprintf(os.Stderr, "svwctl: %d/%d backends healthy\n", healthy, len(urls))
-	if *healthEvery > 0 {
-		go c.HealthLoop(ctx, *healthEvery)
-	}
-
 	// SIGHUP reload: reconcile the pool to the current -backends ∪
-	// -backends-file set. Removed members drain (in-flight jobs finish on
-	// the snapshot they ranked under); added ones are probed immediately.
+	// -backends-file set. Removed members drain (walks already under way
+	// finish over the members they started with).
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
@@ -197,8 +172,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "svwctl: reload: %v\n", err)
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "svwctl: reload: +%v -%v (%d/%d healthy)\n",
-				added, removed, c.ProbeAll(ctx), len(c.Backends()))
+			fmt.Fprintf(os.Stderr, "svwctl: reload: +%v -%v (%d backends)\n",
+				added, removed, len(c.Backends()))
 		}
 	}()
 
@@ -208,7 +183,7 @@ func main() {
 		os.Exit(1)
 	}
 	// Stdout, unbuffered: scripts (ci.sh's cluster smoke stage) parse the
-	// bound address to reach a coordinator started on port 0.
+	// bound address to reach an svwctl started on port 0.
 	fmt.Printf("svwctl: listening on %s\n", ln.Addr())
 
 	srv := &http.Server{
@@ -239,5 +214,6 @@ func main() {
 		}
 		srv.Close()
 	}
+	c.Close()
 	fmt.Fprintln(os.Stderr, "svwctl: stopped")
 }

@@ -33,6 +33,7 @@ import (
 
 	"svwsim/internal/debugserver"
 	"svwsim/internal/pipeline"
+	"svwsim/internal/rendezvous"
 	"svwsim/internal/server"
 )
 
@@ -73,18 +74,19 @@ func main() {
 			"buffered and flushed in batches by a background writer, drained on "+
 			"shutdown (0 = synchronous write per result)")
 	peers := flag.String("peers", "",
-		"comma-separated fabric member URLs for the sharded persistent store "+
-			"(each memo key's entry lives on its rendezvous owner; other members "+
-			"fetch it over GET /v1/store/{key} before recomputing); empty = no "+
-			"static membership")
+		"comma-separated fabric member URLs, this daemon's own included (each "+
+			"memo key is owned by its rendezvous winner, and a cell this daemon "+
+			"misses goes to its owner, one batch per owner); empty = no static "+
+			"membership")
 	peerSelf := flag.String("peer-self", "",
-		"this daemon's own URL within -peers (how it recognizes keys it owns)")
+		"this daemon's own URL within -peers (how it recognizes keys it owns); "+
+			"required with -peers")
 	peerLearn := flag.Bool("peer-learn", false,
-		"adopt fabric membership from a fronting svwctl's forwarded requests "+
-			"(X-Svw-Peers/X-Svw-Peer-Self headers); headers are trusted at face "+
-			"value, enable only on trusted networks")
+		"adopt fabric membership from forwarded batches (X-Svw-Peers/"+
+			"X-Svw-Peer-Self headers); headers are trusted at face value, enable "+
+			"only on trusted networks")
 	peerTimeout := flag.Duration("peer-read-timeout", 0,
-		"per-fetch budget for peer store reads (0 = 2s default)")
+		"per-fetch budget for checkpoint reads from peers (0 = 2s default)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes")
 	maxSweep := flag.Int("max-sweep", server.DefaultMaxSweepJobs, "max jobs in one sweep matrix")
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
@@ -120,6 +122,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "svwd: -client-weights: %v\n", err)
 		os.Exit(2)
 	}
+	members, err := parsePeers(*peers, *peerSelf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "svwd: %v\n", err)
+		os.Exit(2)
+	}
 
 	s, err := server.New(server.Options{
 		Workers:             *workers,
@@ -128,7 +135,7 @@ func main() {
 		StoreDir:            *storeDir,
 		StoreMaxBytes:       *storeMaxBytes,
 		StoreWriteBehind:    *storeWriteBehind,
-		Peers:               splitPeers(*peers),
+		Peers:               members,
 		PeerSelf:            *peerSelf,
 		PeerLearn:           *peerLearn,
 		PeerReadTimeout:     *peerTimeout,
@@ -208,10 +215,18 @@ func main() {
 	fmt.Fprintln(os.Stderr, "svwd: stopped")
 }
 
-// splitPeers parses the -peers list ("" = none).
-func splitPeers(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
+// parsePeers parses -peers and -peer-self. A member list needs this
+// daemon's own URL in it: without one svwd would own no keys and route
+// every cell elsewhere, computing nothing.
+func parsePeers(peers, self string) ([]string, error) {
+	if strings.TrimSpace(peers) == "" {
+		return nil, nil
 	}
-	return strings.Split(s, ",")
+	members := strings.Split(peers, ",")
+	for _, m := range members {
+		if self != "" && rendezvous.Normalize(m) == rendezvous.Normalize(self) {
+			return members, nil
+		}
+	}
+	return nil, fmt.Errorf("-peers needs -peer-self naming this daemon's own URL among them (got %q)", self)
 }

@@ -25,3 +25,20 @@ func TestParseClientWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePeersNeedsSelf: a member list without this daemon's own URL in
+// it would make svwd a router that never computes, so it is refused.
+func TestParsePeersNeedsSelf(t *testing.T) {
+	if m, err := parsePeers("", ""); err != nil || m != nil {
+		t.Errorf("no peers: got %v, %v; want nil, nil", m, err)
+	}
+	m, err := parsePeers("http://a:1,http://b:2", "http://b:2/")
+	if err != nil || len(m) != 2 {
+		t.Errorf("self among peers: got %v, %v", m, err)
+	}
+	for _, self := range []string{"", "http://c:3"} {
+		if _, err := parsePeers("http://a:1,http://b:2", self); err == nil {
+			t.Errorf("-peer-self %q: no error", self)
+		}
+	}
+}

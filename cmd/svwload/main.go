@@ -1,13 +1,12 @@
 // Command svwload drives a running simulation service — a single svwd
-// daemon or an svwctl coordinator fronting several, interchangeably: the
+// daemon or svwctl fronting several, interchangeably: the
 // repository's service-level benchmark. It fires N concurrent clients at
 // /v1/sweep with a repeated config × bench matrix and reports throughput,
 // latency percentiles, admission rejections, and the service's cache hit
 // rate over the run (from /v1/stats deltas) — the workload the ISCA
 // evaluation matrix generates when it is served remotely instead of run
-// locally. Pointed at a coordinator (-url to svwctl), the /v1/stats
-// cluster section is also reported: backend health, retries and hedges
-// over the run.
+// locally. Pointed at svwctl, the /v1/stats cluster section is also
+// reported: backend health, jobs and retries over the run.
 //
 // Usage:
 //
@@ -426,24 +425,18 @@ func (l *loader) runLoad(clients, iters int) error {
 		after.Engine.MemoHits-before.Engine.MemoHits,
 		after.Engine.MemoMisses-before.Engine.MemoMisses)
 	if cl := after.Cluster; cl != nil {
-		var jobs, retries, hedges uint64
+		jobs, retries := cl.Jobs, cl.Retries
 		if b := before.Cluster; b != nil {
-			jobs, retries, hedges = cl.Jobs-b.Jobs, cl.Retries-b.Retries, cl.Hedges-b.Hedges
-		} else {
-			jobs, retries, hedges = cl.Jobs, cl.Retries, cl.Hedges
+			jobs, retries = cl.Jobs-b.Jobs, cl.Retries-b.Retries
 		}
-		fmt.Printf("  cluster       %d/%d backends healthy, +%d jobs, +%d retries, +%d hedges\n",
-			cl.BackendsHealthy, cl.BackendsTotal, jobs, retries, hedges)
+		fmt.Printf("  cluster       %d/%d backends healthy, +%d jobs, +%d retries\n",
+			cl.BackendsHealthy, cl.BackendsTotal, jobs, retries)
 		var backendDisk uint64
 		for _, b := range cl.Backends {
 			backendDisk += b.DiskHits
 		}
 		if backendDisk > 0 {
 			fmt.Printf("  backend disk  %d jobs served from backend disk tiers\n", backendDisk)
-		}
-		if cl.Store != nil {
-			fmt.Printf("  coord store   %d memory / %d disk hits served coordinator-side, %d entries on disk\n",
-				cl.Store.Hits, cl.Store.DiskHits, cl.Store.DiskEntries)
 		}
 	}
 	return nil

@@ -1,10 +1,10 @@
 // Package api is the wire contract of the svw simulation services: the
 // request/response shapes and the exact JSON encoding shared by the svwd
-// backend (internal/server) and the svwctl coordinator (internal/cluster).
-// Both layers serve the same /v1 surface from these types, so a client —
-// svwload, curl, a dashboard — cannot tell a single backend from a fabric
-// of them, and the two implementations cannot drift apart: there is only
-// one definition of every body that crosses the wire.
+// daemon (internal/server) and svwctl (internal/cluster, an svwd that owns
+// no keys). Every process of a fabric serves the same /v1 surface from
+// these types, so a client — svwload, curl, a dashboard — cannot tell a
+// single daemon from a fabric of them: there is only one definition of
+// every body that crosses the wire.
 //
 // /v1/run and /v1/sweep bodies use exactly the `svwsim -json` encoding
 // (MarshalResult), so any service response can be byte-compared against
@@ -35,10 +35,9 @@ import (
 // the result: "memory" (the in-process LRU), "disk" (the persistent
 // tier), "peer" (a peer backend's store), or "miss" (freshly computed).
 // On a buffered /v1/sweep response it lists every cell's tier,
-// comma-separated in cell order. A fronting coordinator reads it to
-// observe backend cache effectiveness without parsing bodies, propagates
-// it verbatim, and surfaces per-backend memory/disk hit counts in its
-// /v1/stats cluster section.
+// comma-separated in cell order. A cell another member answered is
+// "peer" to its requester; the requester counts the member's own tiers
+// from this header in its per-member stats.
 const CacheHeader = "X-Svwd-Cache"
 
 // The CacheHeader values. These are store.Origin's String() spellings —
@@ -54,9 +53,7 @@ const (
 // SampleHeader is set on /v1/run and /v1/sweep responses to name the
 // sampling spec the request resolved to: "exact", or the spec's w:d:p
 // spelling. A request that carries no spec resolves against the serving
-// process's own default, so a fronting coordinator checks this header
-// against the spec it keyed the cells under before it stores a result
-// under that key.
+// process's own default.
 const SampleHeader = "X-Svwd-Sample"
 
 // SampleName is SampleHeader's value for spec.
@@ -67,18 +64,25 @@ func SampleName(spec pipeline.SampleSpec) string {
 	return spec.String()
 }
 
-// PeersHeader carries the fabric's member URLs (comma-separated,
-// normalized, including the receiver) on coordinator-forwarded requests.
-// A backend started with -peer-learn adopts the list as its store-owner
-// election set — the coordinator's membership snapshot IS the sharding
-// map, pushed along with the work itself so no separate gossip channel
-// exists to drift from it. PeerSelfHeader names the URL the coordinator
-// addressed the receiver by, which is how a backend learns its own
-// identity inside that list without being configured with it.
+// PeersHeader carries the sender's member URLs (comma-separated,
+// normalized, including the receiver) on forwarded batches. A daemon
+// started with -peer-learn adopts the list as its owner election set —
+// the sender's membership IS the sharding map, pushed along with the work
+// itself so no separate gossip channel exists to drift from it.
+// PeerSelfHeader names the URL the sender addressed the receiver by,
+// which is how a daemon learns its own identity inside that list without
+// being configured with it.
 const (
 	PeersHeader    = "X-Svw-Peers"
 	PeerSelfHeader = "X-Svw-Peer-Self"
 )
+
+// ForwardedHeader marks a cells-form /v1/sweep one fabric member sends the
+// owner of its cells. The receiver resolves a marked batch from its own
+// tiers or engine and never forwards it again, and takes the batch's
+// sampling spec as already resolved: a marked batch without one is exact,
+// whatever the receiver's own default.
+const ForwardedHeader = "X-Svw-Forwarded"
 
 // DeadlineHeader carries the client's latency budget in whole
 // milliseconds. Both services derive the request context with that
@@ -95,9 +99,9 @@ const ClientHeader = "X-Svw-Client"
 
 // TraceHeader carries the request's trace ID across every layer seam:
 // generated at the first traced edge when the client did not send one,
-// echoed on the response, and forwarded verbatim by the coordinator to
-// its backends — so one ID looks a request up on the coordinator's and a
-// backend's GET /debug/traces alike. (The constant lives in
+// echoed on the response, and sent verbatim with every forwarded batch —
+// so one ID looks a request up on the requester's and an owner's GET
+// /debug/traces alike. (The constant lives in
 // internal/trace, below this package; re-exported here with the rest of
 // the wire contract.)
 const TraceHeader = trace.Header
@@ -149,7 +153,7 @@ func (r *RunRequest) Sweep() SweepRequest {
 // config × bench matrix that flattens into a job list config-major
 // (configs outer, benches inner), the same order `svwsim -config a,b
 // -bench x,y` runs; or an explicit Cells list, run in the order given —
-// how svwctl sends each backend the cells it owns. Insts and the Sample*
+// how a fabric member sends each owner the cells it owns. Insts and the Sample*
 // fields apply to every cell either way (see RunRequest).
 type SweepRequest struct {
 	Configs      []string    `json:"configs,omitempty"`
@@ -265,9 +269,9 @@ type BenchesResponse struct {
 
 // HealthResponse is the body of GET /v1/healthz. Status is "ok" while
 // serving and "draining" (with HTTP 503) once shutdown has begun, so load
-// balancers stop routing new work during the drain. The coordinator adds
-// "degraded" (503) when no backend is healthy, and reports pool counts in
-// the Backends* fields (omitted by single-node svwd).
+// balancers stop routing new work during the drain. svwctl adds
+// "degraded" (503) when every backend is marked down, and reports pool
+// counts in the Backends* fields (omitted by svwd).
 type HealthResponse struct {
 	Status          string  `json:"status"`
 	UptimeS         float64 `json:"uptime_s"`
@@ -277,7 +281,7 @@ type HealthResponse struct {
 
 // StatsResponse is the body of GET /v1/stats. From svwd the Cluster field
 // is absent; from svwctl the Cache/Engine/Admission sections are sums over
-// the backend pool and Cluster carries the coordinator's own counters, so
+// the backend pool and Cluster carries svwctl's own routing counters, so
 // tooling written against one shape (svwload) reads both.
 type StatsResponse struct {
 	UptimeS   float64       `json:"uptime_s"`
@@ -287,8 +291,8 @@ type StatsResponse struct {
 	Cluster   *ClusterStats `json:"cluster,omitempty"`
 }
 
-// CacheStats is the /v1/stats view of a tiered result store (or, from the
-// coordinator, the pool-wide sum). It is the one definition of the cache
+// CacheStats is the /v1/stats view of a tiered result store (or, from
+// svwctl, the pool-wide sum). It is the one definition of the cache
 // counters: server, cluster and svwload all read and write this struct,
 // so the layers cannot drift apart. Hits counts memory-tier hits;
 // DiskHits counts results served from the persistent tier. The Disk*
@@ -349,7 +353,7 @@ func StoreCacheStats(st store.Stats) CacheStats {
 	}
 }
 
-// Add accumulates o into s field by field — the coordinator's pool-wide
+// Add accumulates o into s field by field — svwctl's pool-wide
 // aggregation. Living next to the struct, it cannot silently miss a field
 // the way per-caller summing loops can.
 func (s *CacheStats) Add(o CacheStats) {
@@ -418,58 +422,50 @@ func (s *GateStats) Add(o GateStats) {
 	s.Rejected += o.Rejected
 }
 
-// ClusterStats is the coordinator's own /v1/stats section: fabric-level
-// counters plus the per-backend breakdown. Jobs counts each client job
-// exactly once however many forwarding attempts it took — retries and
-// hedges are accounted separately, never as extra jobs.
+// ClusterStats is svwctl's own /v1/stats section: its routing counters
+// plus the per-backend breakdown. Jobs counts each cell a backend answered
+// exactly once, however many forwards it took.
 type ClusterStats struct {
-	BackendsTotal   int `json:"backends_total"`
+	BackendsTotal int `json:"backends_total"`
+	// BackendsHealthy counts the backends not marked down by a failed
+	// forward.
 	BackendsHealthy int `json:"backends_healthy"`
-	// Runs / Sweeps count client requests; Jobs counts sweep cells plus
-	// runs, each exactly once.
+	// Runs / Sweeps count client requests; Jobs counts the cells backends
+	// answered, JobErrors the cells no backend could.
 	Runs      uint64 `json:"runs"`
 	Sweeps    uint64 `json:"sweeps"`
 	Jobs      uint64 `json:"jobs"`
 	JobErrors uint64 `json:"job_errors"`
-	// Retries counts failover attempts beyond the first of each
-	// forwarding walk (a hedge's own first attempt is accounted under
-	// Hedges, not Retries); Hedges counts speculative duplicates launched
-	// for stragglers, HedgeWins the hedges whose response was used.
-	Retries   uint64 `json:"retries"`
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
-	// Store is the coordinator's own result store (set only when svwctl
-	// runs with -store-dir): jobs it served directly from the persistent
-	// tier when no backend could, and the tier's occupancy.
-	Store    *CacheStats           `json:"store,omitempty"`
+	// Retries counts cell moves to the next backend of their walk after a
+	// failed forward. Hedges is always 0: svwctl no longer hedges, and the
+	// field stays only for tooling that reads it.
+	Retries  uint64                `json:"retries"`
+	Hedges   uint64                `json:"hedges"`
 	Backends []ClusterBackendStats `json:"backends"`
 }
 
 // ClusterBackendStats is one backend's row in ClusterStats.
 type ClusterBackendStats struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// InFlight is the coordinator's current in-flight requests to this
-	// backend (bounded by its per-backend concurrency limit).
+	URL string `json:"url"`
+	// Healthy is false while a failed forward's down mark lasts.
+	Healthy bool `json:"healthy"`
+	// InFlight is the forwards to this backend currently in flight.
 	InFlight int `json:"in_flight"`
-	// Requests counts forwarded requests including retries and hedges;
-	// Errors the ones that failed (connection errors and 5xx).
+	// Requests counts forwarded batches; Errors the ones that failed.
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
-	// JobsOK counts jobs whose winning response came from this backend;
-	// CacheHits the subset the backend answered from its memory tier,
-	// DiskHits from its disk tier, and PeerHits from a peer's store over
-	// the sharded-store read protocol (all via CacheHeader).
+	// JobsOK counts cells the backend answered; CacheHits the subset it
+	// served from its memory tier, DiskHits from its disk tier, PeerHits
+	// from another member (all via CacheHeader).
 	JobsOK    uint64 `json:"jobs_ok"`
 	CacheHits uint64 `json:"cache_hits"`
 	DiskHits  uint64 `json:"disk_hits"`
 	PeerHits  uint64 `json:"peer_hits"`
-	// HealthFlaps counts health-state transitions (healthy <-> unhealthy)
-	// the coordinator has observed for this backend — a flapping backend
-	// has a high count with few lasting errors.
+	// HealthFlaps counts the down marks a forward put on a backend that
+	// was up.
 	HealthFlaps uint64 `json:"health_flaps"`
-	// LastError is the most recent probe or forwarding error (empty while
-	// the backend is error-free).
+	// LastError is the most recent forwarding error (empty once a forward
+	// succeeds).
 	LastError string `json:"last_error,omitempty"`
 }
 
@@ -480,14 +476,13 @@ type SweepEvent struct {
 	Index  int    `json:"index"`
 	Config string `json:"config"`
 	Bench  string `json:"bench"`
-	// Cached: served from the result store, no engine involvement (on the
-	// coordinator: the serving backend's store, via CacheHeader). Origin
-	// says which tier ("memory", "disk" or "peer"); it is empty for
-	// computed jobs.
+	// Cached: served from a result store or another member, no engine
+	// involvement here. Origin says which tier ("memory", "disk" or
+	// "peer"); it is empty for computed jobs.
 	Cached bool   `json:"cached"`
 	Origin string `json:"origin,omitempty"`
-	// Backend is the URL of the backend that served the job; set only by
-	// the coordinator (single-node svwd omits it).
+	// Backend is the URL of the member that answered a forwarded job
+	// (omitted for jobs served here).
 	Backend string `json:"backend,omitempty"`
 	// Error is set instead of Result when the job failed (or was cancelled).
 	Error string `json:"error,omitempty"`
@@ -605,8 +600,8 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // MarshalResult encodes an engine result exactly as `svwsim -json` does:
 // indented JSON plus a trailing newline. Both service layers store and
-// serve results in this form, so cache hits, fresh runs, coordinator
-// merges and the CLI are all byte-identical.
+// serve results in this form, so cache hits, fresh runs, forwarded cells
+// and the CLI are all byte-identical.
 func MarshalResult(res engine.Result) ([]byte, error) {
 	b, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"net/http"
 
 	"svwsim/internal/api"
+	"svwsim/internal/rendezvous"
+	"svwsim/internal/server"
 )
 
 // The membership admin surface. It mounts on the -debug-addr listener
@@ -12,9 +14,9 @@ import (
 // serving port is reachable by anything that can submit jobs.
 
 // AdminBackendsRequest is the body of POST /admin/backends: a delta
-// against the current pool. Adds apply before removes, already-present
-// adds and absent removes are no-ops, and a change that would empty the
-// pool is refused with 400.
+// against the current pool. Removes win over adds, already-present adds
+// and absent removes are no-ops, and a change that would empty the pool
+// is refused with 400.
 type AdminBackendsRequest struct {
 	Add    []string `json:"add,omitempty"`
 	Remove []string `json:"remove,omitempty"`
@@ -43,39 +45,39 @@ func (c *Coordinator) AdminHandler() http.Handler {
 	})
 	mux.HandleFunc("POST /admin/backends", func(w http.ResponseWriter, r *http.Request) {
 		var req AdminBackendsRequest
-		if !api.DecodeBody(w, r, c.maxBody, &req) {
+		if !api.DecodeBody(w, r, server.DefaultMaxBodyBytes, &req) {
 			return
 		}
 		if len(req.Add) == 0 && len(req.Remove) == 0 {
 			api.WriteError(w, http.StatusBadRequest, "empty membership change: need add or remove")
 			return
 		}
-		added, removed, err := c.members.reconcile(req.Add, req.Remove)
+		drop := map[string]bool{}
+		for _, u := range dedupe(req.Remove) {
+			drop[u] = true
+		}
+		var want []string
+		for _, u := range append(c.Backends(), req.Add...) {
+			if !drop[rendezvous.Normalize(u)] {
+				want = append(want, u)
+			}
+		}
+		added, removed, err := c.SetBackends(want)
 		if err != nil {
 			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		for _, u := range added {
-			c.metrics.ensureBackend(u)
-		}
-		// Probe the changed pool right away so a just-added backend takes
-		// traffic (or is marked down) before the next health tick.
-		c.ProbeAll(r.Context())
 		api.WriteJSON(w, http.StatusOK, c.adminBackendsResponse(added, removed))
 	})
 	return mux
 }
 
 func (c *Coordinator) adminBackendsResponse(added, removed []string) AdminBackendsResponse {
-	resp := AdminBackendsResponse{Added: added, Removed: removed}
-	if resp.Added == nil {
-		resp.Added = []string{}
+	if added == nil {
+		added = []string{}
 	}
-	if resp.Removed == nil {
-		resp.Removed = []string{}
+	if removed == nil {
+		removed = []string{}
 	}
-	for _, b := range c.members.snapshot() {
-		resp.Backends = append(resp.Backends, b.stats())
-	}
-	return resp
+	return AdminBackendsResponse{Added: added, Removed: removed, Backends: c.clusterStats().Backends}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -39,7 +38,7 @@ func owners(t *testing.T, f *fabric, configs, benches []string) []int {
 	return out
 }
 
-// backendRequests sums the coordinator's per-backend request counters.
+// backendRequests sums svwctl's per-backend request counters.
 func backendRequests(st api.StatsResponse) uint64 {
 	var n uint64
 	for _, b := range st.Cluster.Backends {
@@ -78,8 +77,8 @@ func TestWarmSweepOneRequestPerOwner(t *testing.T) {
 	if hits := after.Cache.Hits - before.Cache.Hits; hits != njobs {
 		t.Fatalf("warm sweep got %d backend cache hits, want %d", hits, njobs)
 	}
-	// Like svwd, the coordinator lists each cell's serving tier.
-	wantTiers := strings.TrimSuffix(strings.Repeat(api.CacheMemory+",", int(njobs)), ",")
+	// Like svwd, svwctl lists each cell's serving tier: a backend's answer.
+	wantTiers := strings.TrimSuffix(strings.Repeat(api.CachePeer+",", int(njobs)), ",")
 	if h := w.Header().Get(api.CacheHeader); h != wantTiers {
 		t.Fatalf("%s = %q, want %q", api.CacheHeader, h, wantTiers)
 	}
@@ -107,7 +106,7 @@ func cutBatches(h http.Handler) http.Handler {
 
 // TestSweepSurvivesBatchCutMidBody: an owner that cuts its batch reply off
 // mid-body still yields a byte-identical sweep. Only that batch's cells
-// are retried, each on its own, and every cell is one job.
+// move, regrouped by their next backend, and every cell is one job.
 func TestSweepSurvivesBatchCutMidBody(t *testing.T) {
 	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
 		if i == 0 {
@@ -116,11 +115,16 @@ func TestSweepSurvivesBatchCutMidBody(t *testing.T) {
 		return h
 	})
 	configs := sim.ConfigNames()
-	cut, distinct := 0, map[int]bool{}
-	for _, o := range owners(t, f, configs, faultBenches) {
-		distinct[o] = true
-		if o == 0 {
-			cut++
+	urls := []string{f.backends[0].URL, f.backends[1].URL, f.backends[2].URL}
+	cut, distinct, next := 0, map[int]bool{}, map[string]bool{}
+	for _, c := range configs {
+		for _, b := range faultBenches {
+			o := owners(t, f, []string{c}, []string{b})[0]
+			distinct[o] = true
+			if o == 0 {
+				cut++
+				next[rendezvous.Rank(urls, jobKey(t, c, b))[1]] = true
+			}
 		}
 	}
 	if cut == 0 {
@@ -142,48 +146,13 @@ func TestSweepSurvivesBatchCutMidBody(t *testing.T) {
 	if st.Cluster.Retries != uint64(cut) {
 		t.Fatalf("retries %d, want %d: exactly the cut batch's cells, once each", st.Cluster.Retries, cut)
 	}
-	// One batch per owner, plus one one-cell batch per re-walked cell.
-	if got, want := backendRequests(st), uint64(len(distinct)+cut); got != want {
+	// One batch per owner, plus one per next backend of the cut cells.
+	if got, want := backendRequests(st), uint64(len(distinct)+len(next)); got != want {
 		t.Fatalf("%d backend requests, want %d", got, want)
 	}
 	for _, b := range st.Cluster.Backends {
 		if b.URL == f.backends[0].URL && (b.JobsOK != 0 || b.Requests != 1) {
 			t.Fatalf("cutting backend: %d jobs won over %d requests, want 0 over its 1 batch", b.JobsOK, b.Requests)
 		}
-	}
-}
-
-// TestHedgeOncePerBatch: with HedgeAfter set, a straggling batch is hedged
-// once as a whole, not once per cell.
-func TestHedgeOncePerBatch(t *testing.T) {
-	f, _ := newStragglerFabric(t)
-	var cells []api.SweepCell
-	var want []byte
-	for _, c := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
-		for _, b := range faultBenches {
-			if len(cells) < 3 && owners(t, f, []string{c}, []string{b})[0] == 0 {
-				cells = append(cells, api.SweepCell{Config: c, Bench: b})
-				want = append(want, refRunBody(t, c, b)...)
-			}
-		}
-	}
-	if len(cells) < 2 {
-		t.Skip("fewer than two probe cells owned by the straggler")
-	}
-	body, _ := json.Marshal(api.SweepRequest{Cells: cells, Insts: testInsts})
-	w := f.do("POST", "/v1/sweep", string(body), nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", w.Code, w.Body)
-	}
-	if !bytes.Equal(w.Body.Bytes(), want) {
-		t.Fatal("hedged batch differs from the reference")
-	}
-	st := f.stats(t)
-	if st.Cluster.Hedges != 1 || st.Cluster.HedgeWins != 1 {
-		t.Fatalf("hedges %d wins %d, want 1/1 for one straggling batch of %d cells",
-			st.Cluster.Hedges, st.Cluster.HedgeWins, len(cells))
-	}
-	if st.Cluster.Jobs != uint64(len(cells)) || st.Cluster.Retries != 0 {
-		t.Fatalf("jobs %d retries %d, want %d/0", st.Cluster.Jobs, st.Cluster.Retries, len(cells))
 	}
 }

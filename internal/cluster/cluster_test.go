@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"svwsim/internal/api"
+	"svwsim/internal/pipeline"
 	"svwsim/internal/server"
 	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
@@ -25,9 +26,9 @@ const testInsts = 5_000
 // representative bench subset, kept small enough for the race-enabled run.
 var equivalenceBenches = []string{"gcc", "twolf"}
 
-// fabric is a coordinator over n real in-process svwd backends, each an
-// httptest server speaking actual HTTP (so transport-level faults —
-// connection kills, 503 wrappers — behave like production).
+// fabric is svwctl over n real in-process svwd backends, each an httptest
+// server speaking actual HTTP (so transport-level faults — connection
+// kills, 503 wrappers — behave like production).
 type fabric struct {
 	c        *Coordinator
 	backends []*httptest.Server
@@ -58,7 +59,7 @@ func newFabric(t *testing.T, n int, opts Options, wrap func(i int, h http.Handle
 	}
 	// Runs after the backends close (LIFO): drop pooled keep-alive
 	// connections so server teardown never waits on them.
-	t.Cleanup(c.client.CloseIdleConnections)
+	t.Cleanup(func() { c.Close() })
 	f.c = c
 	return f
 }
@@ -250,16 +251,18 @@ func TestClusterSweepEquivalence(t *testing.T) {
 }
 
 // TestClusterSSEOrderingAndPayloads: the streamed sweep arrives in
-// job-index order with each payload byte-identical to the reference, and
-// the repeat pass reports backend cache hits through the fabric.
+// job-index order with each payload byte-identical to the reference and
+// attributed to the backend that answered it (tier peer: a backend's
+// answer), and the repeat pass is served from the backends' stores.
 func TestClusterSSEOrderingAndPayloads(t *testing.T) {
 	f := newFabric(t, 3, Options{}, nil)
 	configs := []string{"ssq", "ssq+svw", "nlq", "rle"}
 	benches := []string{"gcc", "twolf"}
 	body := sweepBody(configs, benches)
 	hdr := map[string]string{"Accept": "text/event-stream"}
+	n := len(configs) * len(benches)
 
-	check := func(wantCached bool) {
+	check := func() {
 		t.Helper()
 		w := f.do("POST", "/v1/sweep", body, hdr)
 		if w.Code != http.StatusOK {
@@ -269,7 +272,6 @@ func TestClusterSSEOrderingAndPayloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(configs) * len(benches)
 		if len(events) != n+1 {
 			t.Fatalf("got %d events, want %d results + done", len(events), n)
 		}
@@ -290,8 +292,8 @@ func TestClusterSSEOrderingAndPayloads(t *testing.T) {
 			if data.Backend == "" {
 				t.Fatalf("event %d: no backend attribution", i)
 			}
-			if data.Cached != wantCached {
-				t.Fatalf("event %d: cached=%v, want %v", i, data.Cached, wantCached)
+			if !data.Cached || data.Origin != api.CachePeer {
+				t.Fatalf("event %d: cached=%v origin=%q, want a backend's answer (peer)", i, data.Cached, data.Origin)
 			}
 			// Event payloads ride inside a JSON envelope, which compacts
 			// the embedded RawMessage; compare against the compacted
@@ -312,16 +314,22 @@ func TestClusterSSEOrderingAndPayloads(t *testing.T) {
 		if err := json.Unmarshal(last.Data, &done); err != nil {
 			t.Fatal(err)
 		}
-		want := api.SweepDone{Jobs: n, CacheHits: 0, CacheMisses: n}
-		if wantCached {
-			want = api.SweepDone{Jobs: n, CacheHits: n, CacheMisses: 0}
-		}
-		if done != want {
+		if want := (api.SweepDone{Jobs: n, CacheHits: n, PeerHits: n}); done != want {
 			t.Fatalf("done %+v, want %+v", done, want)
 		}
 	}
-	check(false) // first pass: computed across the pool
-	check(true)  // second pass: served by the backends' LRUs via affinity
+	// First pass: computed across the pool; second: served by the
+	// backends' memory tiers via affinity.
+	for pass, tier := range []func(api.CacheStats) uint64{
+		func(c api.CacheStats) uint64 { return c.Misses },
+		func(c api.CacheStats) uint64 { return c.Hits },
+	} {
+		before := f.stats(t)
+		check()
+		if got := tier(f.stats(t).Cache) - tier(before.Cache); got != uint64(n) {
+			t.Fatalf("pass %d: backends served %d cells from the expected tier, want %d", pass, got, n)
+		}
+	}
 }
 
 // TestClusterRunAndRegistryEndpoints: /v1/run through the fabric matches
@@ -338,16 +346,26 @@ func TestClusterRunAndRegistryEndpoints(t *testing.T) {
 	if !bytes.Equal(w.Body.Bytes(), refRunBody(t, "ssq+svw", "gcc")) {
 		t.Fatal("run body differs from svwsim -json reference")
 	}
-	if h := w.Header().Get(api.CacheHeader); h != "miss" {
-		t.Fatalf("first run %s=%q, want miss", api.CacheHeader, h)
+	if h := w.Header().Get(api.CacheHeader); h != api.CachePeer {
+		t.Fatalf("run %s=%q, want peer (a backend's answer)", api.CacheHeader, h)
+	}
+	// memoryHits sums the cells backends answered from their memory tier.
+	memoryHits := func() (n uint64) {
+		for _, b := range f.stats(t).Cluster.Backends {
+			n += b.CacheHits
+		}
+		return n
+	}
+	if n := memoryHits(); n != 0 {
+		t.Fatalf("first run answered from a backend's memory tier %d times, want computed", n)
 	}
 	// Repeat: same backend via affinity, served by its LRU.
 	w2 := f.do("POST", "/v1/run", runReq, nil)
 	if !bytes.Equal(w2.Body.Bytes(), w.Body.Bytes()) {
 		t.Fatal("repeated run differs")
 	}
-	if h := w2.Header().Get(api.CacheHeader); h != api.CacheMemory {
-		t.Fatalf("repeat run %s=%q, want memory (affinity broken)", api.CacheHeader, h)
+	if n := memoryHits(); n != 1 {
+		t.Fatalf("repeat run: %d backend memory hits, want 1 (affinity broken)", n)
 	}
 	// A case-insensitive alias routes and encodes identically.
 	alias := fmt.Sprintf(`{"config":"SSQ+SVW","bench":"gcc","insts":%d}`, testInsts)
@@ -355,8 +373,8 @@ func TestClusterRunAndRegistryEndpoints(t *testing.T) {
 	if !bytes.Equal(w3.Body.Bytes(), w.Body.Bytes()) {
 		t.Fatal("aliased config run differs")
 	}
-	if h := w3.Header().Get(api.CacheHeader); h != api.CacheMemory {
-		t.Fatalf("aliased run %s=%q, want memory (canonicalization broke affinity)", api.CacheHeader, h)
+	if n := memoryHits(); n != 2 {
+		t.Fatalf("aliased run: %d backend memory hits, want 2 (canonicalization broke affinity)", n)
 	}
 
 	for _, path := range []string{"/v1/configs", "/v1/benches"} {
@@ -376,9 +394,9 @@ func TestClusterRunAndRegistryEndpoints(t *testing.T) {
 	}
 }
 
-// TestClusterStudyProxy: study endpoints route through the fabric and
-// return the backend's figure JSON verbatim, with repeats served cell by
-// cell from the same backend's store.
+// TestClusterStudyProxy: a study through the fabric resolves its cells at
+// their owners — the §3.6 rungs travel by name — and repeats are served
+// cell by cell from the backends' stores.
 func TestClusterStudyProxy(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
 	path := fmt.Sprintf("/v1/studies/ssn?benches=gcc&bits=8,0&insts=%d", testInsts)
@@ -407,7 +425,7 @@ func TestClusterStudyProxy(t *testing.T) {
 		t.Fatalf("study repeat got %d backend cell hits and %d new misses, want 2 and 0",
 			hits, after.Cache.Misses-before.Cache.Misses)
 	}
-	// Backend validation errors proxy through verbatim.
+	// Validation errors are svwctl's own, as svwd's.
 	if w := f.do("GET", "/v1/studies/ladder?benches=gcc", "", nil); w.Code != http.StatusBadRequest {
 		t.Errorf("ladder without fig: HTTP %d, want 400", w.Code)
 	}
@@ -465,8 +483,9 @@ func TestNewRejectsBadPools(t *testing.T) {
 	}
 }
 
-// TestHealthzStates: ok with a healthy pool, degraded (503) when every
-// backend is down, draining (503) once shutdown begins.
+// TestHealthzStates: ok with a healthy pool, degraded (503) once failed
+// forwards have marked every backend down, draining (503) once shutdown
+// begins.
 func TestHealthzStates(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
 	w := f.do("GET", "/v1/healthz", "", nil)
@@ -484,8 +503,9 @@ func TestHealthzStates(t *testing.T) {
 	for _, ts := range f.backends {
 		ts.Close()
 	}
-	if n := f.c.ProbeAll(t.Context()); n != 0 {
-		t.Fatalf("ProbeAll over closed backends: %d healthy", n)
+	run := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
+	if w := f.do("POST", "/v1/run", run, nil); w.Code != http.StatusBadGateway {
+		t.Fatalf("run over closed backends: HTTP %d, want 502", w.Code)
 	}
 	if w := f.do("GET", "/v1/healthz", "", nil); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("all-down healthz HTTP %d, want 503", w.Code)
@@ -498,5 +518,50 @@ func TestHealthzStates(t *testing.T) {
 	}
 	if w.Code != http.StatusServiceUnavailable || h.Status != "draining" {
 		t.Fatalf("draining healthz HTTP %d status %q", w.Code, h.Status)
+	}
+}
+
+// TestForwardedBatchCarriesTheSpec: svwctl resolves each cell's sampling
+// spec — its own default for a request without one — and the batch it
+// forwards carries that spec, so a backend never applies a default of its
+// own to it: the backend's store files the result under the key svwctl
+// planned. An exact svwctl in front of a sampling backend gets exact
+// results; a sampling svwctl gets the same bytes the backend answers
+// directly.
+func TestForwardedBatchCarriesTheSpec(t *testing.T) {
+	spec := pipeline.SampleSpec{Warmup: 1000, Detail: 1000, Period: 5000}
+	runReq := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
+	srv, err := server.New(server.Options{Workers: 2, MaxConcurrentJobs: -1, DefaultSample: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	direct, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(runReq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, _ := io.ReadAll(direct.Body)
+	direct.Body.Close()
+	if direct.StatusCode != http.StatusOK || bytes.Equal(sampled, refRunBody(t, "ssq", "gcc")) {
+		t.Fatalf("direct run HTTP %d: the backend's sampling default did not apply; the case proves nothing", direct.StatusCode)
+	}
+	for _, tc := range []struct {
+		name string
+		ctl  pipeline.SampleSpec
+		want []byte
+	}{
+		{"exact svwctl", pipeline.SampleSpec{}, refRunBody(t, "ssq", "gcc")},
+		{"sampling svwctl", spec, sampled},
+	} {
+		c, err := New(Options{Backends: []string{ts.URL}, DefaultSample: tc.ctl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		f := &fabric{c: c, backends: []*httptest.Server{ts}}
+		if w := f.do("POST", "/v1/run", runReq, nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), tc.want) {
+			t.Errorf("%s: HTTP %d, body matches want: %v", tc.name, w.Code, bytes.Equal(w.Body.Bytes(), tc.want))
+		}
 	}
 }

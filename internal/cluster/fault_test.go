@@ -13,20 +13,19 @@ import (
 	"svwsim/internal/sim"
 )
 
-// Fault injection: the coordinator's equivalence claim is only believable
-// if it holds while backends are failing underneath it. These tests break
+// Fault injection: the fabric's equivalence claim is only believable if
+// it holds while backends are failing underneath it. These tests break
 // one backend mid-sweep — politely (503s) and rudely (killed listener) —
-// and require the merged output to stay complete, job-index ordered and
+// and require the output to stay complete, job-index ordered and
 // byte-identical to the reference, with every job accounted exactly once.
 
 // faultBenches keeps the fault sweeps heavy enough that a backend dies
 // mid-flight with work outstanding, light enough for -race CI.
 var faultBenches = []string{"gcc", "twolf"}
 
-// failAfterN passes job requests (runs and cell batches) through to the
-// real svwd handler until they have carried n cells, then answers every
-// later one with 503 — a backend that falls over mid-sweep but keeps its
-// socket open.
+// failAfterN passes cell batches through to the real svwd handler until
+// they have carried n cells, then answers every later one with 503 — a
+// backend that falls over mid-sweep but keeps its socket open.
 func failAfterN(n int64, h http.Handler) http.Handler {
 	var served int64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -40,7 +39,7 @@ func failAfterN(n int64, h http.Handler) http.Handler {
 
 // TestSweepSurvives503MidSweep: one of three backends starts 503ing after
 // its first few jobs. The sweep must still complete byte-identical to the
-// reference, every job retried onto a survivor, and the stats must count
+// reference, every job moved onto a survivor, and the stats must count
 // each job exactly once — on the coordinator AND summed across the
 // backends' own caches (the no-double-count contract).
 func TestSweepSurvives503MidSweep(t *testing.T) {
@@ -97,12 +96,10 @@ func TestSweepSurvives503MidSweep(t *testing.T) {
 	}
 }
 
-// TestSweepSSESurvivesBackendKill: a backend's listener is torn down
-// after a handful of jobs, mid-sweep, with the client streaming. Events
-// must still arrive complete, in job-index order, error-free and with
-// payloads matching the reference.
-func TestSweepSSESurvivesBackendKill(t *testing.T) {
-	const killAfter = 2
+// killingFabric is a 3-backend fabric whose first backend is torn down
+// once its batches have carried killAfter cells: open connections die
+// with rude RSTs, later dials are refused.
+func killingFabric(t *testing.T, killAfter int64) *fabric {
 	var (
 		kill       sync.Once
 		killTarget atomic.Pointer[httptest.Server]
@@ -114,9 +111,8 @@ func TestSweepSSESurvivesBackendKill(t *testing.T) {
 		var served int64
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if cells := jobCells(r); cells > 0 && atomic.AddInt64(&served, int64(cells)) > killAfter {
-				// Kill the whole backend: open connections die with rude
-				// RSTs, later dials are refused. Close blocks until
-				// handlers return, so run it from the side.
+				// Close blocks until handlers return, so run it from the
+				// side.
 				kill.Do(func() {
 					ts := killTarget.Load()
 					go func() {
@@ -125,7 +121,7 @@ func TestSweepSSESurvivesBackendKill(t *testing.T) {
 					}()
 				})
 				// Answer 503 in case the teardown loses the race with this
-				// response; either way the coordinator must retry the job.
+				// response; either way the cells must walk on.
 				api.WriteError(w, http.StatusServiceUnavailable, "backend killed")
 				return
 			}
@@ -133,6 +129,35 @@ func TestSweepSSESurvivesBackendKill(t *testing.T) {
 		})
 	})
 	killTarget.Store(f.backends[0])
+	return f
+}
+
+// TestSweepSurvivesBackendKill: a backend's listener is torn down
+// mid-sweep under a buffered sweep. The body must still be byte-identical
+// to the reference, every job counted once.
+func TestSweepSurvivesBackendKill(t *testing.T) {
+	f := killingFabric(t, 2)
+	configs := sim.ConfigNames()
+	w := f.do("POST", "/v1/sweep", sweepBody(configs, faultBenches), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), refSweepBody(t, configs, faultBenches)) {
+		t.Fatal("sweep body differs from reference after a backend kill")
+	}
+	st := f.stats(t)
+	n := uint64(len(configs) * len(faultBenches))
+	if st.Cluster.Retries == 0 || st.Cluster.Jobs != n || st.Cluster.JobErrors != 0 {
+		t.Fatalf("retries %d, jobs %d, errors %d; want > 0, %d, 0", st.Cluster.Retries, st.Cluster.Jobs, st.Cluster.JobErrors, n)
+	}
+}
+
+// TestSweepSSESurvivesBackendKill: a backend's listener is torn down
+// after a handful of jobs, mid-sweep, with the client streaming. Events
+// must still arrive complete, in job-index order, error-free and with
+// payloads matching the reference.
+func TestSweepSSESurvivesBackendKill(t *testing.T) {
+	f := killingFabric(t, 2)
 
 	configs := sim.ConfigNames()
 	w := f.do("POST", "/v1/sweep", sweepBody(configs, faultBenches),
@@ -221,30 +246,27 @@ func TestRunFailsOverFromDeadBackend(t *testing.T) {
 }
 
 // TestSweepSaturatedPoolReturns429: when every backend refuses with 429,
-// the coordinator's sweep answers 429 + Retry-After exactly like a
-// single saturated svwd — not a 500. The fabric must be indistinguishable
-// from one daemon even in its failure statuses. The sweep's cells share
-// one owner, so they go out as one multi-cell batch; once it is refused,
-// each cell must re-walk as a one-cell batch along its rendezvous order,
-// and be refused by every backend there too.
+// the sweep answers 429 + Retry-After exactly like a single saturated svwd
+// — not a 500. The fabric must be indistinguishable from one daemon even
+// in its failure statuses. The sweep's cells share one owner, so they go
+// out as one batch; once it is refused they walk on together to the next
+// backend, which refuses them too.
 func TestSweepSaturatedPoolReturns429(t *testing.T) {
 	var refusedBatches, refusedCells atomic.Int64
 	saturated := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch n := jobCells(r); {
-			case n > 1:
-				refusedBatches.Add(1)
-			case n == 1:
-				refusedCells.Add(1)
-			default:
+			n := jobCells(r)
+			if n == 0 {
 				h.ServeHTTP(w, r)
 				return
 			}
+			refusedBatches.Add(1)
+			refusedCells.Add(int64(n))
 			w.Header().Set("Retry-After", "1")
 			api.WriteError(w, http.StatusTooManyRequests, "admission gate saturated")
 		})
 	}
-	f := newFabric(t, 2, Options{MaxAttempts: 2}, saturated)
+	f := newFabric(t, 2, Options{}, saturated)
 	var cells []api.SweepCell
 	for _, c := range sim.ConfigNames() {
 		if len(cells) < 2 && owners(t, f, []string{c}, []string{"gcc"})[0] == 0 {
@@ -262,17 +284,19 @@ func TestSweepSaturatedPoolReturns429(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	// Each cell's walk spends its whole budget: both backends, once each.
-	if got, want := refusedCells.Load(), int64(2*len(cells)); refusedBatches.Load() != 1 || got != want {
-		t.Errorf("refused %d multi-cell batches and %d one-cell attempts, want 1 and %d: "+
-			"the batch, or its cells' re-walks along the rendezvous order, never ran",
-			refusedBatches.Load(), got, want)
+	// The batch's walk spans the pool: both backends, once each.
+	if got, want := refusedCells.Load(), int64(2*len(cells)); refusedBatches.Load() != 2 || got != want {
+		t.Errorf("refused %d batches carrying %d cells, want 2 carrying %d: "+
+			"the batch did not walk the pool together", refusedBatches.Load(), got, want)
+	}
+	// Saturation is not sickness: neither backend is marked down.
+	if st := f.stats(t); st.Cluster.BackendsHealthy != 2 {
+		t.Errorf("%d backends healthy after 429s, want 2", st.Cluster.BackendsHealthy)
 	}
 }
 
-// TestAllBackendsDown: with the whole pool dead the coordinator reports a
-// clean 502 per request and a degraded healthz — it does not hang or
-// panic.
+// TestAllBackendsDown: with the whole pool dead svwctl reports a clean
+// 502 per request and a degraded healthz — it does not hang or panic.
 func TestAllBackendsDown(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
 	for _, ts := range f.backends {
@@ -283,8 +307,9 @@ func TestAllBackendsDown(t *testing.T) {
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("run over dead pool: HTTP %d, want 502", w.Code)
 	}
-	if f.c.ProbeAll(t.Context()) != 0 {
-		t.Fatal("probes found a healthy backend in a closed pool")
+	if st := f.stats(t); st.Cluster.BackendsHealthy != 0 || st.Cluster.JobErrors != 1 {
+		t.Fatalf("%d backends healthy, %d job errors after the run, want 0 and 1",
+			st.Cluster.BackendsHealthy, st.Cluster.JobErrors)
 	}
 	if w := f.do("GET", "/v1/healthz", "", nil); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz over dead pool: HTTP %d, want 503", w.Code)

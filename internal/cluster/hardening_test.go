@@ -10,8 +10,8 @@ import (
 )
 
 // TestClusterMetricsEndpoint exercises svwctl's scrape surface: the shared
-// per-endpoint request series plus the coordinator's dispatch counters and
-// the per-backend breakdown.
+// per-endpoint request series plus svwctl's routing counters and the
+// per-backend breakdown.
 func TestClusterMetricsEndpoint(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
 	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
@@ -44,9 +44,9 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestClusterDeadlineReturns504 pins coordinator deadline propagation: a
-// budget the backends cannot meet yields 504, and the aborted forward must
-// not be mistaken for a backend failure (no health penalty).
+// TestClusterDeadlineReturns504 pins deadline propagation through svwctl:
+// a budget the backends cannot meet yields 504, and the aborted forward
+// must not be mistaken for a backend failure (no down mark).
 func TestClusterDeadlineReturns504(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
 	// ~100k instructions: far beyond a 1ms budget on any hardware, small
@@ -56,7 +56,7 @@ func TestClusterDeadlineReturns504(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("run HTTP %d, want 504 (%s)", w.Code, w.Body)
 	}
-	if got := f.c.healthyCount(); got != 2 {
+	if got := f.stats(t).Cluster.BackendsHealthy; got != 2 {
 		t.Fatalf("%d backends healthy after a deadline abort, want 2", got)
 	}
 	w = f.do("POST", "/v1/run", body, map[string]string{api.DeadlineHeader: "nope"})

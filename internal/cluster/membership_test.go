@@ -2,15 +2,16 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"svwsim/internal/rendezvous"
 	"svwsim/internal/server"
 	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
@@ -21,46 +22,69 @@ import (
 // with near certainty, small enough for the race-enabled run.
 var membershipConfigs = []string{"base-nlq", "nlq", "nlq+svw", "base-ssq", "ssq", "ssq+svw"}
 
-func TestErrHTTPStatusText(t *testing.T) {
-	if got := errHTTPStatus(http.StatusNotFound).Error(); got != "HTTP 404 Not Found" {
-		t.Errorf("standard code: %q", got)
-	}
-	// The regression: http.StatusText(599) is "", which used to make the
-	// whole error message blank in /v1/stats.
-	if got := errHTTPStatus(599).Error(); got != "HTTP 599" {
-		t.Errorf("non-standard code: %q", got)
-	}
-}
-
-// TestProbeSurfacesNonStandardStatus drives the 599 path end to end: the
-// probe marks the backend down and /v1/stats carries a non-empty
-// last_error naming the code.
-func TestProbeSurfacesNonStandardStatus(t *testing.T) {
-	f := newFabric(t, 1, Options{}, func(i int, h http.Handler) http.Handler {
+// statusFabric is a fabric whose backends answer every cell batch with
+// the given statuses, one per backend.
+func statusFabric(t *testing.T, codes ...int) *fabric {
+	return newFabric(t, len(codes), Options{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/healthz" {
-				w.WriteHeader(599)
+			if jobCells(r) > 0 {
+				w.WriteHeader(codes[i])
 				return
 			}
 			h.ServeHTTP(w, r)
 		})
 	})
-	if healthy := f.c.ProbeAll(context.Background()); healthy != 0 {
-		t.Fatalf("ProbeAll = %d healthy, want 0", healthy)
+}
+
+// TestErrHTTPStatusText: a backend's non-200 answer is named by its code
+// in last_error, with the status text when the code has one.
+func TestErrHTTPStatusText(t *testing.T) {
+	f := statusFabric(t, http.StatusNotFound, 599)
+	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
+	if w := f.do("POST", "/v1/run", body, nil); w.Code != http.StatusBadGateway {
+		t.Fatalf("run: HTTP %d, want 502", w.Code)
+	}
+	want := map[string]string{
+		f.backends[0].URL: "HTTP 404 Not Found",
+		// The regression: http.StatusText(599) is "", which used to make
+		// the whole error message blank in /v1/stats.
+		f.backends[1].URL: "HTTP 599",
+	}
+	for _, b := range f.stats(t).Cluster.Backends {
+		if b.LastError != want[b.URL] {
+			t.Errorf("%s: last_error = %q, want %q", b.URL, b.LastError, want[b.URL])
+		}
+	}
+}
+
+// TestProbeSurfacesNonStandardStatus drives the 599 path end to end: the
+// failed forward — svwctl's only probe of a backend — marks it down,
+// healthz turns degraded, and /v1/stats carries a last_error naming the
+// code until the mark lapses.
+func TestProbeSurfacesNonStandardStatus(t *testing.T) {
+	f := statusFabric(t, 599)
+	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
+	if w := f.do("POST", "/v1/run", body, nil); w.Code != http.StatusBadGateway {
+		t.Fatalf("run: HTTP %d, want 502", w.Code)
 	}
 	st := f.stats(t)
 	if len(st.Cluster.Backends) != 1 {
 		t.Fatalf("want 1 backend in stats, got %d", len(st.Cluster.Backends))
 	}
-	if got := st.Cluster.Backends[0].LastError; got != "HTTP 599" {
-		t.Errorf("last_error = %q, want %q", got, "HTTP 599")
+	if b := st.Cluster.Backends[0]; b.Healthy || b.HealthFlaps != 1 || b.LastError != "HTTP 599" {
+		t.Errorf("backend healthy=%v flaps=%d last_error=%q, want down, 1 flap, %q",
+			b.Healthy, b.HealthFlaps, b.LastError, "HTTP 599")
+	}
+	if w := f.do("GET", "/v1/healthz", "", nil); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("healthz with the only backend down: HTTP %d, want 503", w.Code)
 	}
 }
 
-// TestProbesReuseConnections is the connection-churn regression: probes
-// and proxied stats fetches must drain response bodies before closing, so
-// sequential rounds ride one keep-alive connection instead of redialing
-// every time. Dials are counted with the test server's ConnState hook.
+// TestProbesReuseConnections is the connection-churn regression: forwards
+// and stats fetches must read response bodies to EOF before closing, so
+// sequential rounds ride one keep-alive connection per client instead of
+// redialing every time. Dials are counted with the test server's
+// ConnState hook.
 func TestProbesReuseConnections(t *testing.T) {
 	srv, err := server.New(server.Options{Workers: 2, MaxConcurrentJobs: -1})
 	if err != nil {
@@ -80,26 +104,24 @@ func TestProbesReuseConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.client.CloseIdleConnections)
+	t.Cleanup(func() { c.Close() })
 
-	ctx := context.Background()
+	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
 	for i := 0; i < 8; i++ {
-		if healthy := c.ProbeAll(ctx); healthy != 1 {
-			t.Fatalf("probe round %d: %d healthy, want 1", i, healthy)
+		for _, req := range []*http.Request{
+			httptest.NewRequest("POST", "/v1/run", strings.NewReader(body)),
+			httptest.NewRequest("GET", "/v1/stats", nil),
+		} {
+			w := httptest.NewRecorder()
+			c.Handler().ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("round %d %s: HTTP %d", i, req.URL.Path, w.Code)
+			}
 		}
 	}
-	// The aggregated stats fetch reads each backend's /v1/stats through
-	// the same client; its body must be drained too.
-	for i := 0; i < 4; i++ {
-		r := httptest.NewRequest("GET", "/v1/stats", nil)
-		w := httptest.NewRecorder()
-		c.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			t.Fatalf("stats round %d: HTTP %d", i, w.Code)
-		}
-	}
-	if n := atomic.LoadInt64(&dials); n != 1 {
-		t.Errorf("%d dials for 12 sequential probe/stats rounds, want 1 (bodies not drained before close?)", n)
+	// One connection for the forwards, one for the stats fetches.
+	if n := atomic.LoadInt64(&dials); n != 2 {
+		t.Errorf("%d dials for 8 sequential forward/stats rounds, want 2 (bodies not drained before close?)", n)
 	}
 }
 
@@ -118,8 +140,6 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	f.c.ProbeAll(context.Background())
-
 	jobs := len(membershipConfigs) * len(equivalenceBenches)
 	body := sweepBody(membershipConfigs, equivalenceBenches)
 	resp := make(chan *httptest.ResponseRecorder, 1)
@@ -127,8 +147,8 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 
 	recv(t, sawJob, "backend job") // at least one job is in flight on the 3-backend snapshot
 	removed := f.backends[2].URL
-	if err := f.c.RemoveBackend(removed); err != nil {
-		t.Fatalf("RemoveBackend: %v", err)
+	if _, _, err := f.c.SetBackends([]string{f.backends[0].URL, f.backends[1].URL}); err != nil {
+		t.Fatalf("SetBackends: %v", err)
 	}
 
 	w := recv(t, resp, "sweep response")
@@ -162,7 +182,6 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 // from the original backends' caches (minimal remap).
 func TestMembershipAddRecoversAffinity(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
-	f.c.ProbeAll(context.Background())
 
 	body := sweepBody(membershipConfigs, equivalenceBenches)
 	want := refSweepBody(t, membershipConfigs, equivalenceBenches)
@@ -176,11 +195,9 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	if err := f.c.AddBackend(ts.URL); err != nil {
-		t.Fatalf("AddBackend: %v", err)
-	}
-	if healthy := f.c.ProbeAll(context.Background()); healthy != 3 {
-		t.Fatalf("after add: %d healthy, want 3", healthy)
+	added, _, err := f.c.SetBackends(append(f.c.Backends(), ts.URL))
+	if err != nil || len(added) != 1 || added[0] != ts.URL {
+		t.Fatalf("SetBackends added %v, %v; want [%s]", added, err, ts.URL)
 	}
 
 	if w := f.do("POST", "/v1/sweep", body, nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
@@ -190,7 +207,7 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 	// Expected remap: the cells whose rendezvous walk now tops out at the
 	// new member. Everything else must have been a cache hit on its
 	// original backend.
-	pool := f.c.members.snapshot()
+	pool := f.c.Backends()
 	moved := 0
 	for _, cname := range membershipConfigs {
 		cfg, ok := sim.ConfigByName(cname)
@@ -199,7 +216,7 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 		}
 		for _, bench := range equivalenceBenches {
 			key := engine.Fingerprint(cfg, bench, testInsts)
-			if pool[rank(pool, key)[0]].url == ts.URL {
+			if rendezvous.Rank(pool, key)[0] == ts.URL {
 				moved++
 			}
 		}
@@ -225,13 +242,12 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 }
 
 // TestClusterRunDogpile: N identical concurrent cold /v1/run requests
-// through a store-backed coordinator compute the job once. The coordinator
-// forwards every request — rendezvous routing sends them all to the key's
-// one owner — and that backend's cell resolver coalesces them: one engine
-// execution, the other N-1 joining its flight or hitting its store.
+// through svwctl compute the job once. svwctl forwards every request —
+// rendezvous routing sends them all to the key's one owner — and that
+// backend's cell resolver coalesces them: one engine execution, the other
+// N-1 joining its flight or hitting its store.
 func TestClusterRunDogpile(t *testing.T) {
-	f := newFabric(t, 1, Options{StoreDir: t.TempDir()}, nil)
-	f.c.ProbeAll(context.Background())
+	f := newFabric(t, 1, Options{}, nil)
 	before := f.stats(t)
 
 	const n = 6

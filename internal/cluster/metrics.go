@@ -7,83 +7,45 @@ import (
 	"svwsim/internal/metrics"
 )
 
-// clusterMetrics is svwctl's scrape surface (GET /metrics): the shared
-// per-endpoint HTTP series plus func-backed views over the coordinator's
-// own dispatch counters and the per-backend breakdown — retries, hedges
-// and health flaps per backend URL, so a dashboard sees which member of
-// the fabric is misbehaving without parsing /v1/stats JSON.
+// clusterMetrics adds svwctl's series to its server's scrape surface
+// (GET /metrics): func-backed views over the routing counters and the
+// per-backend breakdown — forwards, errors, down marks per backend URL, so
+// a dashboard sees which member of the fabric is misbehaving without
+// parsing /v1/stats JSON.
 type clusterMetrics struct {
-	reg  *metrics.Registry
-	http *metrics.HTTP
-	c    *Coordinator
-
-	// slow counts requests past the -slow-ms threshold per traced
-	// endpoint (the trace subsystem's OnSlow hook feeds it).
-	slow map[string]*metrics.Counter
+	reg *metrics.Registry
+	c   *Coordinator
 
 	// seen tracks which backend URLs already have per-backend series. The
 	// pool is mutable, so the series resolve the backend by URL at scrape
-	// time (a removed member scrapes as zeros; re-adding it resumes real
-	// values) — they must not capture *backend pointers, which would pin a
-	// departed member's counters forever.
+	// time: a removed member scrapes as zeros, and a member that rejoins
+	// resumes from zero.
 	mu   sync.Mutex
 	seen map[string]bool
 }
 
-// onSlow bumps svw_slow_requests_total for one slow-logged request.
-func (m *clusterMetrics) onSlow(endpoint string) {
-	if c, ok := m.slow[endpoint]; ok {
-		c.Inc()
-	}
-}
-
-// newClusterMetrics builds the registry over a fully constructed pool.
 func newClusterMetrics(c *Coordinator) *clusterMetrics {
-	reg := metrics.NewRegistry()
-	m := &clusterMetrics{reg: reg, http: metrics.NewHTTP(reg), c: c, seen: make(map[string]bool)}
-
-	// Registered eagerly for the traced endpoints so the series scrape as
-	// 0 before the first slow request, like every other counter here.
-	m.slow = make(map[string]*metrics.Counter)
-	for _, ep := range []string{"/v1/run", "/v1/sweep", "/v1/studies"} {
-		m.slow[ep] = reg.Counter("svw_slow_requests_total",
-			"Requests slower than the -slow-ms threshold, by endpoint.",
-			metrics.Label{Key: "endpoint", Value: ep})
+	reg := c.srv.Registry()
+	m := &clusterMetrics{reg: reg, c: c, seen: make(map[string]bool)}
+	counter := func(name, help string, read func(api.ClusterStats) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return read(c.clusterStats()) })
 	}
-
-	coord := func(name, help string, fn func() uint64) {
-		reg.CounterFunc(name, help, fn)
-	}
-	locked := func(read func() uint64) func() uint64 {
-		return func() uint64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return read()
-		}
-	}
-	coord("svwctl_runs_total", "Client /v1/run requests.", locked(func() uint64 { return c.runs }))
-	coord("svwctl_sweeps_total", "Client /v1/sweep requests.", locked(func() uint64 { return c.sweeps }))
-	coord("svwctl_jobs_total", "Client jobs completed (each counted once).",
-		locked(func() uint64 { return c.jobs }))
-	coord("svwctl_job_errors_total", "Client jobs that failed terminally.",
-		locked(func() uint64 { return c.jobErrors }))
-	coord("svwctl_retries_total", "Forwarding attempts beyond each walk's first.",
-		locked(func() uint64 { return c.retries }))
-	coord("svwctl_hedges_total", "Speculative duplicate attempts launched for stragglers.",
-		locked(func() uint64 { return c.hedges }))
-	coord("svwctl_hedge_wins_total", "Hedged attempts whose response was used.",
-		locked(func() uint64 { return c.hedgeWins }))
-	reg.GaugeFunc("svwctl_backends_healthy", "Backends currently presumed healthy.",
-		func() float64 { return float64(c.healthyCount()) })
-
-	for _, b := range c.members.snapshot() {
-		m.ensureBackend(b.url)
-	}
+	counter("svwctl_runs_total", "Client /v1/run requests.",
+		func(st api.ClusterStats) uint64 { return st.Runs })
+	counter("svwctl_sweeps_total", "Client /v1/sweep requests.",
+		func(st api.ClusterStats) uint64 { return st.Sweeps })
+	counter("svwctl_jobs_total", "Cells a backend answered (each counted once).",
+		func(st api.ClusterStats) uint64 { return st.Jobs })
+	counter("svwctl_job_errors_total", "Cells no backend could answer.",
+		func(st api.ClusterStats) uint64 { return st.JobErrors })
+	counter("svwctl_retries_total", "Cell moves to the next backend after a failed forward.",
+		func(st api.ClusterStats) uint64 { return st.Retries })
+	reg.GaugeFunc("svwctl_backends_healthy", "Backends not marked down.",
+		func() float64 { return float64(c.clusterStats().BackendsHealthy) })
 	return m
 }
 
-// ensureBackend registers the per-backend series for url once. Called for
-// the boot-time pool and from every successful AddBackend; the metrics
+// ensureBackend registers the per-backend series for url once. The
 // registry dedups re-registration, and the closures look the member up by
 // URL each scrape so membership churn never leaves them reading a stale
 // pool entry.
@@ -94,47 +56,39 @@ func (m *clusterMetrics) ensureBackend(url string) {
 		return
 	}
 	m.seen[url] = true
-
-	// stats resolves the CURRENT member with this URL at scrape time; a
-	// removed backend reads as the zero value (counter reset — the usual
-	// Prometheus restart semantics) until it rejoins.
 	stats := func() api.ClusterBackendStats {
-		if b := m.c.members.get(url); b != nil {
-			return b.stats()
+		for _, b := range m.c.clusterStats().Backends {
+			if b.URL == url {
+				return b
+			}
 		}
 		return api.ClusterBackendStats{}
 	}
 	l := metrics.Label{Key: "backend", Value: url}
-	m.reg.CounterFunc("svwctl_backend_requests_total",
-		"Requests forwarded to the backend, including retries and hedges.",
-		func() uint64 { return stats().Requests }, l)
-	m.reg.CounterFunc("svwctl_backend_errors_total",
-		"Forwarded requests that failed (transport errors and 5xx).",
-		func() uint64 { return stats().Errors }, l)
-	m.reg.GaugeFunc("svwctl_backend_in_flight",
-		"Coordinator requests currently in flight to the backend.",
+	counter := func(name, help string, read func(api.ClusterBackendStats) uint64) {
+		m.reg.CounterFunc(name, help, func() uint64 { return read(stats()) }, l)
+	}
+	counter("svwctl_backend_requests_total", "Batches forwarded to the backend.",
+		func(b api.ClusterBackendStats) uint64 { return b.Requests })
+	counter("svwctl_backend_errors_total", "Forwarded batches that failed.",
+		func(b api.ClusterBackendStats) uint64 { return b.Errors })
+	m.reg.GaugeFunc("svwctl_backend_in_flight", "Forwards currently in flight to the backend.",
 		func() float64 { return float64(stats().InFlight) }, l)
-	m.reg.GaugeFunc("svwctl_backend_healthy",
-		"Whether the backend is currently presumed healthy (0/1).",
+	m.reg.GaugeFunc("svwctl_backend_healthy", "Whether the backend is not marked down (0/1).",
 		func() float64 {
 			if stats().Healthy {
 				return 1
 			}
 			return 0
 		}, l)
-	m.reg.CounterFunc("svwctl_backend_health_flaps_total",
-		"Health-state transitions observed for the backend.",
-		func() uint64 { return stats().HealthFlaps }, l)
-	m.reg.CounterFunc("svwctl_backend_jobs_ok_total",
-		"Jobs whose winning response came from the backend.",
-		func() uint64 { return stats().JobsOK }, l)
-	m.reg.CounterFunc("svwctl_backend_cache_hits_total",
-		"Winning responses the backend served from its memory tier.",
-		func() uint64 { return stats().CacheHits }, l)
-	m.reg.CounterFunc("svwctl_backend_disk_hits_total",
-		"Winning responses the backend served from its disk tier.",
-		func() uint64 { return stats().DiskHits }, l)
-	m.reg.CounterFunc("svwctl_backend_peer_hits_total",
-		"Winning responses the backend fetched from a peer's store.",
-		func() uint64 { return stats().PeerHits }, l)
+	counter("svwctl_backend_health_flaps_total", "Down marks a failed forward put on the backend while it was up.",
+		func(b api.ClusterBackendStats) uint64 { return b.HealthFlaps })
+	counter("svwctl_backend_jobs_ok_total", "Cells the backend answered.",
+		func(b api.ClusterBackendStats) uint64 { return b.JobsOK })
+	counter("svwctl_backend_cache_hits_total", "Cells the backend answered from its memory tier.",
+		func(b api.ClusterBackendStats) uint64 { return b.CacheHits })
+	counter("svwctl_backend_disk_hits_total", "Cells the backend answered from its disk tier.",
+		func(b api.ClusterBackendStats) uint64 { return b.DiskHits })
+	counter("svwctl_backend_peer_hits_total", "Cells the backend answered from another member.",
+		func(b api.ClusterBackendStats) uint64 { return b.PeerHits })
 }

@@ -28,7 +28,8 @@ func sweepKeys(t *testing.T, insts uint64) []string {
 	return keys
 }
 
-// TestRankGolden pins the rendezvous ranking for fixed inputs. The
+// TestRankGolden pins the rendezvous ranking svwctl and every svwd walk
+// cells in (rendezvous.Rank) for fixed inputs. The
 // expected orders were computed by this same implementation and are
 // asserted verbatim: because the hash is unseeded FNV-1a, any process on
 // any platform must reproduce them exactly — the determinism the fabric
@@ -50,18 +51,9 @@ func TestRankGolden(t *testing.T) {
 		{"{SVW:{Bits:12}}|gcc|30000", []string{"http://10.0.0.3:7411", "http://10.0.0.1:7411", "http://10.0.0.2:7411"}},
 		{"{SVW:{Bits:12}}|twolf|30000", []string{"http://10.0.0.2:7411", "http://10.0.0.3:7411", "http://10.0.0.1:7411"}},
 	}
-	pool := make([]*backend, len(urls))
-	for i, u := range urls {
-		pool[i] = &backend{url: u}
-	}
 	for _, c := range cases {
 		if got := rendezvous.Rank(urls, c.key); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("rank(%q):\n got %v\nwant %v", c.key, got, c.want)
-		}
-		for j, idx := range rank(pool, c.key) {
-			if pool[idx].url != c.want[j] {
-				t.Errorf("pool rank(%q)[%d] = %s, want %s", c.key, j, pool[idx].url, c.want[j])
-			}
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,11 +14,11 @@ import (
 	"svwsim/internal/rendezvous"
 )
 
-// Regression: the built-in backend client used to have no response-header
+// Regression: the forwarding client used to have no response-header
 // timeout, so a backend that accepted the connection and then hung — wedged
 // process, half-dead VM — pinned the job (and the client) forever instead
-// of failing the attempt. With the bound set, the walk must give up on the
-// hung backend and retry onto the next ranked one.
+// of failing the forward. With the bound set, the cell must give up on the
+// hung backend and walk on to the next ranked one.
 func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
 	f := newFabric(t, 2, Options{ResponseHeaderTimeout: 300 * time.Millisecond},
 		func(i int, h http.Handler) http.Handler {
@@ -44,8 +46,8 @@ func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
 			})
 		})
 
-	// A job homed on the hung backend, so the first attempt stalls waiting
-	// for headers and the retry walks to the healthy one.
+	// A job homed on the hung backend, so the first forward stalls waiting
+	// for headers and the cell walks on to the healthy one.
 	var cfg string
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
@@ -81,18 +83,36 @@ func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
 	}
 }
 
-// peersHeader is the membership snapshot svwd peer-learning trusts; it must
-// be empty below two members (a singleton fabric has no peers to read from)
-// and a stable comma join above.
+// TestPeersHeader: every forwarded batch is marked, and carries svwctl's
+// members and the URL the backend was addressed by — the membership
+// payload a -peer-learn backend adopts as its sharding map.
 func TestPeersHeader(t *testing.T) {
-	if got := peersHeader(nil); got != "" {
-		t.Fatalf("empty pool: %q", got)
+	var mu sync.Mutex
+	got := map[string]http.Header{}
+	f := newFabric(t, 2, Options{}, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if jobCells(r) > 0 {
+				mu.Lock()
+				got[r.Host] = r.Header.Clone()
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	w := f.do("POST", "/v1/sweep", sweepBody(membershipConfigs, equivalenceBenches), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d: %s", w.Code, w.Body)
 	}
-	if got := peersHeader([]*backend{{url: "http://a"}}); got != "" {
-		t.Fatalf("singleton pool advertises %q, want nothing", got)
+	members := strings.Join(f.c.Backends(), ",")
+	if len(got) == 0 {
+		t.Fatal("no backend saw a batch")
 	}
-	pool := []*backend{{url: "http://a"}, {url: "http://b"}, {url: "http://c"}}
-	if got := peersHeader(pool); got != "http://a,http://b,http://c" {
-		t.Fatalf("3-member pool: %q", got)
+	for host, hdr := range got {
+		if hdr.Get(api.ForwardedHeader) == "" || hdr.Get(api.PeersHeader) != members ||
+			hdr.Get(api.PeerSelfHeader) != "http://"+host {
+			t.Errorf("batch to %s: %s=%q %s=%q %s=%q, want marked, %q, %q", host,
+				api.ForwardedHeader, hdr.Get(api.ForwardedHeader), api.PeersHeader, hdr.Get(api.PeersHeader),
+				api.PeerSelfHeader, hdr.Get(api.PeerSelfHeader), members, "http://"+host)
+		}
 	}
 }

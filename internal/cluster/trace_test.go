@@ -8,13 +8,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"svwsim/internal/api"
 	"svwsim/internal/rendezvous"
 )
 
-// coordTrace looks one trace up on the coordinator's /debug/traces.
+// coordTrace looks one trace up on svwctl's /debug/traces.
 func coordTrace(t *testing.T, f *fabric, id string) api.TraceJSON {
 	t.Helper()
 	w := f.do("GET", "/debug/traces?id="+id, "", nil)
@@ -58,11 +57,11 @@ func countSpans(tj api.TraceJSON) map[string]int {
 	return names
 }
 
-// TestClusterTraceCorrelation is the tentpole's acceptance test: one
-// client trace ID, sent with a sweep through the coordinator, shows up on
-// the coordinator's /debug/traces (dispatch/attempt/merge spans) AND on
-// the serving backends' /debug/traces with the stage spans — gate wait,
-// store probe (with its tier), engine run — recorded under the same ID.
+// TestClusterTraceCorrelation: one client trace ID, sent with a sweep
+// through svwctl, shows up on svwctl's /debug/traces (store probe plus one
+// forward span per owner) AND on the serving backends' /debug/traces with
+// the stage spans — gate wait, store probe (with its tier), engine run —
+// recorded under the same ID.
 func TestClusterTraceCorrelation(t *testing.T) {
 	f := newFabric(t, 2, Options{}, nil)
 	req, _ := json.Marshal(api.SweepRequest{
@@ -72,8 +71,7 @@ func TestClusterTraceCorrelation(t *testing.T) {
 		t.Fatalf("sweep: HTTP %d: %s", w.Code, w.Body.String())
 	}
 
-	// Coordinator side: one dispatch per distinct owner of the 4 cells,
-	// each with at least one attempt child, merged once.
+	// svwctl's side: one forward per distinct owner of the 4 cells.
 	urls := []string{f.backends[0].URL, f.backends[1].URL}
 	owners := map[string]bool{}
 	for _, cname := range []string{"ssq", "ssq+svw"} {
@@ -86,12 +84,12 @@ func TestClusterTraceCorrelation(t *testing.T) {
 		t.Fatalf("coordinator trace: endpoint=%s done=%v", ct.Endpoint, ct.Done)
 	}
 	names := countSpans(ct)
-	if names["dispatch"] != len(owners) || names["attempt"] < len(owners) || names["merge"] != 1 {
-		t.Fatalf("coordinator spans: %v, want %d dispatches", names, len(owners))
+	if names["forward"] != len(owners) || names["store_probe"] != 1 {
+		t.Fatalf("svwctl spans: %v, want %d forwards", names, len(owners))
 	}
 	for _, sp := range ct.Spans {
-		if sp.Name == "attempt" && sp.Attrs["backend"] == "" {
-			t.Fatalf("attempt span without backend attr: %v", sp.Attrs)
+		if sp.Name == "forward" && (!owners[sp.Attrs["member"]] || sp.Attrs["status"] != "200") {
+			t.Fatalf("forward span attrs %v, want an owner and status 200", sp.Attrs)
 		}
 	}
 
@@ -122,13 +120,13 @@ func TestClusterTraceCorrelation(t *testing.T) {
 		}
 	}
 	if found == 0 {
-		t.Fatal("no backend recorded the coordinator's trace ID")
+		t.Fatal("no backend recorded svwctl's trace ID")
 	}
 }
 
-// TestRetryTraceFollowsToWinningBackend: the primary backend 503s, the
-// job retries onto the fallback, and the fallback's trace carries the
-// coordinator's trace ID; the coordinator's trace shows both attempts.
+// TestRetryTraceFollowsToWinningBackend: the owner 503s, the cell walks on
+// to the next backend, and that backend's trace carries svwctl's trace ID;
+// svwctl's trace shows both forwards.
 func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 	f := newFabric(t, 2, Options{}, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
@@ -143,8 +141,8 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 		})
 	})
 
-	// A job homed on the failing backend, so the first attempt 503s and
-	// the retry walks to the healthy one.
+	// A job homed on the failing backend, so the first forward 503s and
+	// the cell walks on to the healthy one.
 	var cfg string
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
@@ -163,12 +161,11 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 		t.Fatalf("run: HTTP %d: %s", w.Code, w.Body.String())
 	}
 
-	// Coordinator: one dispatch, two attempts — the 503 and the winner —
-	// the second marked as a retry.
+	// svwctl: two forwards — the 503 and the winner, the second at hop 1.
 	ct := coordTrace(t, f, "retry-run-1")
 	var failed, won, retries int
 	for _, sp := range ct.Spans {
-		if sp.Name != "attempt" {
+		if sp.Name != "forward" {
 			continue
 		}
 		switch sp.Attrs["status"] {
@@ -176,16 +173,16 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 			failed++
 		case "200":
 			won++
-			if sp.Attrs["backend"] != f.backends[1].URL {
-				t.Fatalf("winning attempt on %s, want %s", sp.Attrs["backend"], f.backends[1].URL)
+			if sp.Attrs["member"] != f.backends[1].URL {
+				t.Fatalf("winning forward to %s, want %s", sp.Attrs["member"], f.backends[1].URL)
 			}
 		}
-		if sp.Attrs["retry"] != "" {
+		if sp.Attrs["hop"] != "" {
 			retries++
 		}
 	}
-	if failed == 0 || won != 1 || retries == 0 {
-		t.Fatalf("attempt spans: %d failed / %d won / %d retries; trace %+v", failed, won, retries, ct)
+	if failed != 1 || won != 1 || retries != 1 {
+		t.Fatalf("forward spans: %d failed / %d won / %d at a later hop; trace %+v", failed, won, retries, ct)
 	}
 
 	// The winning backend's own trace carries the same ID.
@@ -202,71 +199,9 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 	}
 }
 
-// TestHedgeTraceMarksAbandonedAttempt: a straggling primary gets hedged;
-// the dispatch span synchronously records winner=hedge/abandoned=primary,
-// and the abandoned primary's attempt span eventually observes its
-// cancellation and is marked outcome=abandoned (it may land after the
-// request finishes — the ring keeps the live trace, so polling sees it).
-func TestHedgeTraceMarksAbandonedAttempt(t *testing.T) {
-	f, cfg := newStragglerFabric(t)
-
-	body, _ := json.Marshal(api.RunRequest{Config: cfg, Bench: "gcc", Insts: testInsts})
-	hdr := map[string]string{api.TraceHeader: "hedge-run-1"}
-	if w := f.do("POST", "/v1/run", string(body), hdr); w.Code != http.StatusOK {
-		t.Fatalf("run: HTTP %d: %s", w.Code, w.Body.String())
-	}
-
-	// Synchronous markers, written before dispatch returned.
-	ct := coordTrace(t, f, "hedge-run-1")
-	var dispatch api.SpanJSON
-	var haveDispatch bool
-	for _, sp := range ct.Spans {
-		if sp.Name == "dispatch" {
-			dispatch, haveDispatch = sp, true
-		}
-	}
-	if !haveDispatch {
-		t.Fatalf("no dispatch span: %+v", ct)
-	}
-	if dispatch.Attrs["hedged"] != "true" || dispatch.Attrs["winner"] != "hedge" ||
-		dispatch.Attrs["abandoned"] != "primary" {
-		t.Fatalf("dispatch attrs: %v", dispatch.Attrs)
-	}
-	if dispatch.Attrs["backend"] != f.backends[1].URL {
-		t.Fatalf("winning backend attr %q, want the fast one %q",
-			dispatch.Attrs["backend"], f.backends[1].URL)
-	}
-
-	// The hedge winner's spans carry the trace ID on its backend.
-	if _, ok := backendTrace(t, f.backends[1], "hedge-run-1"); !ok {
-		t.Fatal("hedge-winning backend did not record the trace ID")
-	}
-
-	// The losing primary attempt observes its cancellation asynchronously:
-	// poll the coordinator's ring until the abandoned marking lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ct := coordTrace(t, f, "hedge-run-1")
-		abandoned := false
-		for _, sp := range ct.Spans {
-			if sp.Name == "attempt" && sp.Attrs["walk"] == "primary" &&
-				sp.Attrs["outcome"] == "abandoned" {
-				abandoned = true
-			}
-		}
-		if abandoned {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("primary attempt never marked abandoned; trace %+v", ct)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestClusterSlowLogAndCounter: with slow logging at threshold 0 every
-// traced coordinator request emits one slow_request line and bumps
-// svw_slow_requests_total on the coordinator's /metrics.
+// traced svwctl request emits one slow_request line and bumps
+// svw_slow_requests_total on svwctl's /metrics.
 func TestClusterSlowLogAndCounter(t *testing.T) {
 	var buf syncBuffer
 	f := newFabric(t, 2, Options{
@@ -290,7 +225,7 @@ func TestClusterSlowLogAndCounter(t *testing.T) {
 	}
 	w := f.do("GET", "/metrics", "", nil)
 	if want := `svw_slow_requests_total{endpoint="/v1/run"} 1`; !strings.Contains(w.Body.String(), want) {
-		t.Fatalf("coordinator metrics missing %q", want)
+		t.Fatalf("svwctl metrics missing %q", want)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package rendezvous implements highest-random-weight (rendezvous)
 // hashing over string member identities. It is the single placement
-// function for the whole fabric: the svwctl coordinator routes jobs with
-// it (internal/cluster), and every svwd backend elects the store owner
-// for a memo key with it (internal/server), so both sides agree on which
-// member holds a key's persistent entry without exchanging any state
-// beyond the member list itself.
+// function for the whole fabric: every svwd, svwctl included, sends a
+// cell to its owner and walks a failed owner's cells on in this order
+// (internal/server), so all of them agree on which member holds a key's
+// persistent entry without exchanging any state beyond the member list
+// itself.
 //
 // The hash is unseeded FNV-1a over member + 0x00 + key, so the ranking
 // is a pure function of (member set, key) — stable across processes,
@@ -31,9 +31,8 @@ func Score(member, key string) uint64 {
 // Normalize canonicalizes a member URL: surrounding space and trailing
 // slashes are insignificant, so "http://h:1/" and " http://h:1" name the
 // member "http://h:1". A member's normalized URL is its hash input on
-// every side of the fabric — coordinator routing, backend store-owner
-// election, and svwctl's configured pool — so all of them normalize
-// through here.
+// every side of the fabric — learned and configured member lists and
+// svwctl's pool alike — so all of them normalize through here.
 func Normalize(u string) string {
 	return strings.TrimRight(strings.TrimSpace(u), "/")
 }

@@ -8,12 +8,11 @@ import (
 
 // serverCheckpoints is the engine's checkpoint view of the server's
 // sharded store: a probe walks the local tiers first, then the key's
-// rendezvous owner over the same GET /v1/store/{key} read path results
-// use — a fabric member fast-forwards each skip point once and every
-// peer restores the warm state instead of re-emulating it. Peer-served
-// checkpoints are promoted into the local memory tier only, like peer
-// result reads, so the persistent copy stays where the sharding map says
-// it lives.
+// rendezvous owner over GET /v1/store/{key} — a fabric member
+// fast-forwards each skip point once and every peer restores the warm
+// state instead of re-emulating it. Peer-served checkpoints are promoted
+// into the local memory tier only, so the persistent copy stays where the
+// sharding map says it lives.
 type serverCheckpoints struct{ s *Server }
 
 func (c serverCheckpoints) GetCheckpoint(key string) ([]byte, bool) {
@@ -24,7 +23,7 @@ func (c serverCheckpoints) GetCheckpoint(key string) ([]byte, bool) {
 	}
 	// The engine probes mid-job with no request context in scope;
 	// peerFetch bounds the read with its own peer timeout.
-	if val, ok := c.s.peerFetch(context.Background(), nil, key); ok {
+	if val, ok := c.s.peerFetch(context.Background(), key); ok {
 		c.s.store.PutMemory(key, val)
 		c.s.store.AccountGet(store.OriginPeer)
 		return val, true

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"svwsim/internal/api"
 	"svwsim/internal/sim/engine"
 )
 
@@ -12,7 +13,8 @@ import (
 // fast-forward warm state, and a sampled run of a DIFFERENT config at
 // another member restores that state over the peer-read protocol instead
 // of re-emulating — zero fast-forward legs on the second member, the
-// checkpoint counted as a peer hit.
+// checkpoint counted as a peer hit. The runs are sent as forwarded
+// batches, so each computes where it is sent whoever owns its result key.
 func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	// One fast-forward leg: windows at skip 0 and 4000 of a 8000-inst run,
 	// so exactly one checkpoint key exists and the test can pin the warm
@@ -32,13 +34,14 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	peer := 1 - owner
 
 	runBody := func(config string) string {
-		return fmt.Sprintf(`{"config":%q,"bench":%q,"insts":%d,"sample_warmup":%d,"sample_detail":%d,"sample_period":%d}`,
+		return fmt.Sprintf(`{"cells":[{"config":%q,"bench":%q}],"insts":%d,"sample_warmup":%d,"sample_detail":%d,"sample_period":%d}`,
 			config, bench, testInsts, warmup, detail, period)
 	}
+	forwarded := map[string]string{api.ForwardedHeader: "1"}
 
 	// Warm run at the checkpoint's owner: it must emulate the leg once and
 	// persist the warm state into its own store.
-	if w := do(f.servers[owner], "POST", "/v1/run", runBody("ssq"), nil); w.Code != http.StatusOK {
+	if w := do(f.servers[owner], "POST", "/v1/sweep", runBody("ssq"), forwarded); w.Code != http.StatusOK {
 		t.Fatalf("warm run HTTP %d: %s", w.Code, w.Body)
 	}
 	sm := f.servers[owner].engineStats()
@@ -51,7 +54,7 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	// everywhere, so the engine runs — but the fast-forward leg must be
 	// served by the owner's checkpoint over GET /v1/store/{key}.
 	before := cacheStats(t, f.servers[peer])
-	if w := do(f.servers[peer], "POST", "/v1/run", runBody("nlq"), nil); w.Code != http.StatusOK {
+	if w := do(f.servers[peer], "POST", "/v1/sweep", runBody("nlq"), forwarded); w.Code != http.StatusOK {
 		t.Fatalf("peer run HTTP %d: %s", w.Code, w.Body)
 	}
 	sm = f.servers[peer].engineStats()
@@ -66,7 +69,7 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 
 	// The fetched checkpoint was promoted to the peer member's memory
 	// tier: a third config's sampled run there stays entirely local.
-	if w := do(f.servers[peer], "POST", "/v1/run", runBody("rle"), nil); w.Code != http.StatusOK {
+	if w := do(f.servers[peer], "POST", "/v1/sweep", runBody("rle"), forwarded); w.Code != http.StatusOK {
 		t.Fatalf("third run HTTP %d: %s", w.Code, w.Body)
 	}
 	sm = f.servers[peer].engineStats()

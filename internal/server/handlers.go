@@ -22,8 +22,8 @@ import (
 
 // --- shared helpers ------------------------------------------------------
 
-// The JSON and SSE encodings live in internal/api, shared with the svwctl
-// coordinator; the wrappers below keep handler call sites short.
+// The JSON and SSE encodings live in internal/api, shared with svwctl;
+// the wrappers below keep handler call sites short.
 
 func writeJSON(w http.ResponseWriter, status int, v any)    { api.WriteJSON(w, status, v) }
 func writeBody(w http.ResponseWriter, status int, b []byte) { api.WriteBody(w, status, b) }
@@ -65,9 +65,10 @@ func clientID(r *http.Request) string {
 var errGateSaturated = errors.New("admission gate saturated")
 
 // writeResolveError maps a failed resolve onto the client response: 429
-// when the gate refused the work, nothing when the client itself is gone
-// (no one left to write to), 504 when the request's own deadline budget
-// (api.DeadlineHeader) expired, 500 otherwise.
+// when the gate — this server's, or every member's a cell walked — refused
+// the work, nothing when the client itself is gone (no one left to write
+// to), 504 when the request's own deadline budget (api.DeadlineHeader)
+// expired, 502 when no member could serve a cell, 500 otherwise.
 func writeResolveError(w http.ResponseWriter, r *http.Request, err error, what string) {
 	switch {
 	case errors.Is(err, errGateSaturated):
@@ -78,6 +79,8 @@ func writeResolveError(w http.ResponseWriter, r *http.Request, err error, what s
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout,
 			"%s: deadline exceeded (%s budget)", what, api.DeadlineHeader)
+	case errors.Is(err, errUnreachable):
+		writeError(w, http.StatusBadGateway, "%s: %v", what, err)
 	default:
 		writeError(w, http.StatusInternalServerError, "%s: %v", what, err)
 	}
@@ -152,36 +155,42 @@ type cell struct {
 	// job.Config.Name whoever computed it.
 	body []byte
 	// origin is the store tier that served the cell; OriginMiss when this
-	// request computed it or waited on another request's flight.
+	// request computed it or waited on another request's flight, and
+	// OriginPeer when another member answered it.
 	origin store.Origin
 	// flight is the cell's singleflight slot when it missed the store:
 	// led by this request when owned, another request's otherwise.
 	flight *store.Flight
 	owned  bool
-	err    error
-}
-
-// computed is one owned cell's engine outcome, already encoded.
-type computed struct {
-	body []byte
+	// lands marks a cell resolved in the background (led here, or sent to
+	// its owner): its index arrives on resolve's landed channel once its
+	// body or err is final.
+	lands bool
+	// walk is a routed cell's member order and hop its place in it (see
+	// peers.go); from names the member that answered it.
+	walk []*member
+	hop  int
+	from string
 	err  error
 }
 
 // resolve is svwd's one path from engine jobs to served result bytes;
 // /v1/run, both /v1/sweep forms and /v1/studies all reach the store, the
-// admission gate and the engine only through it. Per cell, in order:
+// fabric, the admission gate and the engine only through it. Per cell, in
+// order:
 //
-//  1. probe the store: memory, local disk, then the key's owner over the
-//     peer-read protocol (peers.go);
-//  2. claim the cell's singleflight slot: lead its computation, or wait on
-//     the concurrent request already computing it;
-//  3. admit the led cells through the gate (refused: errGateSaturated,
+//  1. probe the local store tiers: memory, then disk;
+//  2. send a miss another member owns to that owner (route, peers.go),
+//     unless the request is itself a forwarded batch;
+//  3. claim the other misses' singleflight slots: lead the computation, or
+//     wait on the concurrent request already computing it;
+//  4. admit the led cells through the gate (refused: errGateSaturated,
 //     and the claimed flights fail with it);
-//  4. run the led cells on one batch engine in the background, each
+//  5. run the led cells on one batch engine in the background, each
 //     encoded and published to its flight the moment it finishes — never
 //     held for this request's own emission, so two requests each waiting
 //     on cells the other leads cannot deadlock;
-//  5. deliver the cells in job order and account them as served.
+//  6. deliver the cells in job order and account them as served.
 //
 // With emit nil, cells are delivered all at once: resolve returns them
 // when every cell resolved, and the first failed cell fails the request.
@@ -200,13 +209,7 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 		c := &cells[i]
 		c.index, c.job = i, jobs[i]
 		c.key = engine.SampledFingerprint(c.job.Config, c.job.Bench, c.job.Insts, c.job.Sample)
-		if c.body, c.origin = s.store.Get(c.key); c.origin != store.OriginMiss {
-			continue
-		}
-		if body, ok := s.peerFetch(ctx, tr, c.key); ok {
-			s.store.PutMemory(c.key, body)
-			c.body, c.origin = body, store.OriginPeer
-		}
+		c.body, c.origin = s.store.Get(c.key)
 	}
 	if sp.Active() {
 		annotateProbe(sp, cells)
@@ -214,28 +217,41 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 	sp.End()
 	s.metrics.storeProbe.Observe(time.Since(t0))
 
-	var owned []*cell
+	self, members, urls := s.peers.snapshot()
+	if r.Header.Get(api.ForwardedHeader) != "" {
+		members = nil
+	}
+	now := time.Now()
+	var routed, owned []*cell
 	for i := range cells {
-		if c := &cells[i]; c.origin == store.OriginMiss && s.claim(c) {
+		c := &cells[i]
+		if c.origin != store.OriginMiss {
+			continue
+		}
+		if len(members) > 0 {
+			if w := walk(members, urls, c.key, now); w[0].url != self {
+				c.walk, c.lands = w, true
+				routed = append(routed, c)
+				continue
+			}
+		}
+		if s.claim(c) {
+			c.lands = true
 			owned = append(owned, c)
 		}
 	}
 
-	var results chan computed
+	landed := make(chan int, len(routed)+len(owned))
 	if len(owned) > 0 {
-		release, ok := s.admit(tr, r, len(owned))
+		release, ok := s.lead(tr, r, owned)
 		if !ok {
-			for _, c := range owned {
-				c.flight.Complete(nil, errGateSaturated, false)
-			}
 			return nil, errGateSaturated
 		}
 		defer release()
-		results = make(chan computed, len(owned))
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			s.compute(ctx, tr, owned, results)
+			s.compute(ctx, tr, owned, landed)
 		}()
 		// The gate units go back once the run has finished. A request whose
 		// context ended does not wait: its run skips every queued job and
@@ -246,20 +262,40 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job
 			}
 		}()
 	}
+	if len(routed) > 0 {
+		// Forwards still in flight when resolve returns early are
+		// cancelled, and waited for: they write into cells.
+		rctx, cancel := context.WithCancel(ctx)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.route(rctx, tr, r, self, urls, routed, landed)
+		}()
+		defer func() {
+			cancel()
+			<-done
+		}()
+	}
 
 	if open != nil {
 		if err := open(); err != nil {
 			return nil, err
 		}
 	}
+	have := make([]bool, len(cells))
 	for i := range cells {
 		c := &cells[i]
 		switch {
-		case c.owned:
-			select {
-			case o := <-results:
-				c.body, c.err = o.body, o.err
-			case <-ctx.Done():
+		case c.lands:
+			for !have[i] {
+				select {
+				case j := <-landed:
+					have[j] = true
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			if c.err != nil && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
 		case c.flight != nil:
@@ -306,6 +342,19 @@ func (s *Server) claim(c *cell) bool {
 	return true
 }
 
+// lead admits the cells this request leads through the gate. Refused,
+// each fails with errGateSaturated, and so does its flight.
+func (s *Server) lead(tr *trace.Trace, r *http.Request, owned []*cell) (release func(), ok bool) {
+	release, ok = s.admit(tr, r, len(owned))
+	if !ok {
+		for _, c := range owned {
+			c.flight.Complete(nil, errGateSaturated, false)
+			c.err = errGateSaturated
+		}
+	}
+	return release, ok
+}
+
 // admit takes n gate units for r's client, timing the acquire.
 func (s *Server) admit(tr *trace.Trace, r *http.Request, n int) (release func(), ok bool) {
 	t0 := time.Now()
@@ -317,11 +366,11 @@ func (s *Server) admit(tr *trace.Trace, r *http.Request, n int) (release func(),
 }
 
 // compute runs the owned cells on a batch engine, encoding each result
-// and completing its flight from the ordered progress callback, then
-// sending it to results (buffered for every owned cell: sends never
-// block). Owned flights the run never delivered are abandoned before it
-// returns.
-func (s *Server) compute(ctx context.Context, tr *trace.Trace, owned []*cell, results chan<- computed) {
+// into its cell and completing its flight from the ordered progress
+// callback, then landing it (landed has room for every owned cell: sends
+// never block). Owned cells the run never delivered land failed, their
+// flights abandoned, before it returns.
+func (s *Server) compute(ctx context.Context, tr *trace.Trace, owned []*cell, landed chan<- int) {
 	sub := make([]engine.Job, len(owned))
 	for k, c := range owned {
 		sub[k] = c.job
@@ -338,18 +387,21 @@ func (s *Server) compute(ctx context.Context, tr *trace.Trace, owned []*cell, re
 	// local tiers first, then the key's rendezvous owner over the
 	// peer-read path — so one fast-forward serves the whole fabric.
 	eng.SetCheckpointStore(serverCheckpoints{s})
+	delivered := make([]bool, len(owned))
 	_, err := eng.RunContext(ctx, sub, func(jr engine.JobResult) {
-		o := computed{err: jr.Err}
-		if o.err == nil {
+		c := owned[jr.Index]
+		c.err = jr.Err
+		if c.err == nil {
 			if !enc.Active() {
 				enc = tr.Start("encode")
 			}
 			t := time.Now()
-			o.body, o.err = marshalResult(jr.Result)
+			c.body, c.err = marshalResult(jr.Result)
 			encTime += time.Since(t)
 		}
-		owned[jr.Index].flight.Complete(o.body, o.err, o.err == nil)
-		results <- o
+		c.flight.Complete(c.body, c.err, c.err == nil)
+		delivered[jr.Index] = true
+		landed <- c.index
 	})
 	s.countEngine(eng)
 	enc.End()
@@ -361,9 +413,43 @@ func (s *Server) compute(ctx context.Context, tr *trace.Trace, owned []*cell, re
 	if err == nil {
 		err = store.ErrFlightAbandoned
 	}
-	for _, c := range owned {
-		c.flight.Complete(nil, err, false) // no-op once completed
+	for k, c := range owned {
+		if !delivered[k] {
+			c.flight.Complete(nil, err, false)
+			c.err = err
+			landed <- c.index
+		}
 	}
+}
+
+// computeHere resolves routed cells whose walk reached this server: each
+// is claimed like a probe miss, the led ones admitted together and run on
+// one batch engine, the others awaited or served late from the store.
+// Each lands once final.
+func (s *Server) computeHere(ctx context.Context, tr *trace.Trace, r *http.Request, cells []*cell, landed chan<- int) {
+	var owned []*cell
+	for _, c := range cells {
+		if s.claim(c) {
+			owned = append(owned, c)
+			continue
+		}
+		if c.flight != nil {
+			c.body, c.err = s.await(ctx, tr, r, c)
+		}
+		landed <- c.index
+	}
+	if len(owned) == 0 {
+		return
+	}
+	release, ok := s.lead(tr, r, owned)
+	if !ok {
+		for _, c := range owned {
+			landed <- c.index
+		}
+		return
+	}
+	defer release()
+	s.compute(ctx, tr, owned, landed)
 }
 
 // await resolves a cell from the flight another request leads. If that
@@ -385,16 +471,13 @@ func (s *Server) await(ctx context.Context, tr *trace.Trace, r *http.Request, c 
 			}
 			continue
 		}
-		release, ok := s.admit(tr, r, 1)
+		release, ok := s.lead(tr, r, []*cell{c})
 		if !ok {
-			c.flight.Complete(nil, errGateSaturated, false)
 			return nil, errGateSaturated
 		}
-		results := make(chan computed, 1)
-		s.compute(ctx, tr, []*cell{c}, results)
+		s.compute(ctx, tr, []*cell{c}, make(chan int, 1))
 		release()
-		o := <-results
-		return o.body, o.err
+		return c.body, c.err
 	}
 }
 
@@ -412,7 +495,6 @@ func annotateProbe(sp trace.Span, cells []cell) {
 	sp.SetAttr("jobs", strconv.Itoa(len(cells)))
 	sp.SetAttr("hits", strconv.Itoa(len(cells)-n[store.OriginMiss]))
 	sp.SetAttr("disk_hits", strconv.Itoa(n[store.OriginDisk]))
-	sp.SetAttr("peer_hits", strconv.Itoa(n[store.OriginPeer]))
 	sp.SetAttr("misses", strconv.Itoa(n[store.OriginMiss]))
 }
 
@@ -482,7 +564,12 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		return
 	}
 	defer cancel()
-	jobs, err := req.Plan(s.defaultSample, s.maxSweepJobs)
+	// A forwarded batch carries its spec already resolved by its sender.
+	def := s.defaultSample
+	if r.Header.Get(api.ForwardedHeader) != "" {
+		def = pipeline.SampleSpec{}
+	}
+	jobs, err := req.Plan(def, s.maxSweepJobs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -521,7 +608,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		return err
 	}
 	_, err := s.resolve(ctx, r, jobs, open, func(c *cell) error {
-		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench}
+		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench, Backend: c.from}
 		if c.origin != store.OriginMiss {
 			ev.Cached, ev.Origin = true, c.origin.String()
 		}
@@ -657,7 +744,6 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	if !s.checkCells(w, len(st.Jobs)) {
 		return
 	}
-	s.observePeers(r)
 	ctx, cancel, ok := api.RequestContext(w, r)
 	if !ok {
 		return

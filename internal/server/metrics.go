@@ -17,7 +17,7 @@ type serverMetrics struct {
 	http *metrics.HTTP
 
 	// Per-stage latency: where a request's time actually goes. store_probe
-	// covers store lookups, store_peer owner-over-HTTP fetches, gate_wait
+	// covers store lookups, store_peer checkpoint reads from owners, gate_wait
 	// the admission acquire, engine_run the simulation work, encode the
 	// marshalling of results the request computed.
 	storeProbe *metrics.Histogram

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -15,63 +20,182 @@ import (
 	"svwsim/internal/trace"
 )
 
-// The sharded persistent store. Each engine memo key has exactly one
-// store owner in the fabric: the rendezvous winner (internal/rendezvous,
-// the same hash svwctl routes jobs with) among the live backend URLs.
-// Because routing and ownership share the hash, a key's jobs normally
-// land on its owner and persist there; any backend asked for a key it
-// does not own probes memory → local disk → the owner over HTTP
-// (GET /v1/store/{key}) before paying a recompute. The peer answer is
-// the checksummed on-disk entry encoding, validated with the same
-// parseEntry path as a local file — a corrupt or mismatched peer answer
-// degrades to a miss, never a wrong answer — and a validated fetch is
-// promoted into the local memory tier only, so the persistent copy stays
-// exactly where the sharding map says it lives.
+// The fabric. Each engine memo key has exactly one owner among the
+// members: its rendezvous winner (internal/rendezvous). resolve sends the
+// cells it cannot serve from its own tiers to their owners — the cells of
+// one owner together, as one cells-form /v1/sweep marked with
+// api.ForwardedHeader, the owners concurrently — and an owner resolves a
+// marked batch from its own tiers or engine, never forwarding it again.
+// The batch carries each cell's machine by the name it rebuilds from
+// (sim.ConfigByName), and the resolved sampling spec.
 //
-// Membership can be static (-peers/-peer-self flags) or learned: with
-// PeerLearn, the coordinator's forwarded requests carry the pool
-// snapshot (api.PeersHeader) plus the URL the receiver was addressed by
-// (api.PeerSelfHeader), and the backend adopts that as its election set.
-// Only enable learning on networks where everything that can reach the
-// serving port is trusted — the header is taken at face value, like
-// every other header on this port.
+// A forward that fails — transport error, non-200, a reply that does not
+// split into its cells, the response header timeout — marks its member
+// down for downFor and moves its cells to the next member of their own
+// walks (rendezvous order, down members last), regrouped by that member.
+// A 429 moves the cells without the mark: a busy member is not a sick
+// one. A cell whose walk reaches this server is computed here, so a
+// failing owner costs a recompute, never a wrong answer; a server that is
+// not a member (svwctl) fails the cell once its walk runs out. Owner
+// answers are served as tier peer and never promoted into the local
+// memory tier, so each result lives in one store: its owner's.
+//
+// Membership is static (Options.Peers/PeerSelf) or learned: with
+// PeerLearn, every forwarded batch carries its sender's members
+// (api.PeersHeader) and the URL it addressed the receiver by
+// (api.PeerSelfHeader), and the receiver adopts them. Only enable
+// learning on networks where everything that can reach the serving port
+// is trusted — the headers are taken at face value, like every other
+// header on this port.
+//
+// Checkpoints are not cells: the engine probes for them mid-job, and a
+// miss reads the key's owner over GET /v1/store/{key} (peerFetch), the
+// checksummed on-disk entry encoding, validated like a local file.
 
-// DefaultPeerReadTimeout bounds one peer store read when Options leaves
-// PeerReadTimeout zero. Peer reads are disk/memory lookups on the owner,
-// never computations, so a short budget is right: past it the requester
-// just computes locally.
+// DefaultPeerReadTimeout bounds one checkpoint read from a peer when
+// Options leaves PeerReadTimeout zero. Peer reads are disk/memory lookups
+// on the owner, never computations, so a short budget is right: past it
+// the requester just fast-forwards itself.
 const DefaultPeerReadTimeout = 2 * time.Second
+
+// DefaultForwardHeaderTimeout bounds how long a forward waits for its
+// owner's response headers when Options leaves ForwardHeaderTimeout zero.
+// An owner answers a buffered batch only after computing all of it, so
+// the bound must sit above the longest legitimate batch; it exists to
+// reclaim a cell from a member that accepted the connection and then hung.
+const DefaultForwardHeaderTimeout = 2 * time.Minute
+
+// downFor is how long a failed forward marks its member down.
+const downFor = time.Second
 
 // maxPeerEntryBytes bounds one fetched peer entry (header + key + value).
 const maxPeerEntryBytes = 16 << 20
 
-// peerSet is the server's current view of the fabric membership, guarded
-// for concurrent observe/view. members and self are normalized URLs.
+// errUnreachable fails a cell whose walk ran out without a member
+// answering it (HTTP 502).
+var errUnreachable = errors.New("no member could serve the cell")
+
+// member is one fabric member's forwarding state as this server sees it.
+type member struct {
+	url string
+
+	mu        sync.Mutex
+	downUntil time.Time
+	lastErr   error
+	inFlight  int
+	stats     api.ClusterBackendStats // counters only; see snapshot
+}
+
+// down reports whether a failed forward's mark still holds at now.
+func (m *member) down(now time.Time) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return now.Before(m.downUntil)
+}
+
+// begin accounts one forward to the member starting.
+func (m *member) begin() {
+	m.mu.Lock()
+	m.inFlight++
+	m.stats.Requests++
+	m.mu.Unlock()
+}
+
+// fail ends a forward that got no answer: err nil for one abandoned with
+// its request, which says nothing of the member; mark puts the member
+// down for downFor.
+func (m *member) fail(err error, mark bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.inFlight--
+	if err == nil {
+		return
+	}
+	m.stats.Errors++
+	m.lastErr = err
+	if !mark {
+		return
+	}
+	now := time.Now()
+	if !now.Before(m.downUntil) {
+		m.stats.HealthFlaps++
+	}
+	m.downUntil = now.Add(downFor)
+}
+
+// answered ends a forward the member answered, counting each cell under
+// the member's own serving tier.
+func (m *member) answered(tiers []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.inFlight--
+	m.downUntil, m.lastErr = time.Time{}, nil
+	m.stats.JobsOK += uint64(len(tiers))
+	for _, t := range tiers {
+		switch t {
+		case api.CacheMemory:
+			m.stats.CacheHits++
+		case api.CacheDisk:
+			m.stats.DiskHits++
+		case api.CachePeer:
+			m.stats.PeerHits++
+		}
+	}
+}
+
+// snapshot reads the member's row of the svwctl stats section.
+func (m *member) snapshot(now time.Time) api.ClusterBackendStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.stats
+	st.URL, st.InFlight, st.Healthy = m.url, m.inFlight, !now.Before(m.downUntil)
+	if m.lastErr != nil {
+		st.LastError = m.lastErr.Error()
+	}
+	return st
+}
+
+// peerSet is the server's current view of the fabric membership. members
+// and self are normalized URLs; the members slice is copy-on-write.
 type peerSet struct {
 	mu      sync.Mutex
 	self    string
-	members []string
-	joined  string // last adopted PeersHeader value, for a cheap no-change path
+	members []*member
+	urls    []string // members' URLs, same order
+	joined  string   // last adopted PeersHeader value, for a cheap no-change path
 }
 
-// set replaces the membership view from a configured list.
-func (p *peerSet) set(members []string, self string) {
-	norm := make([]string, 0, len(members))
-	for _, m := range members {
-		if m = rendezvous.Normalize(m); m != "" {
-			norm = append(norm, m)
-		}
-	}
+// set replaces the membership view. A member that stays keeps its state.
+func (p *peerSet) set(urls []string, self string) {
 	p.mu.Lock()
-	p.members = norm
+	defer p.mu.Unlock()
+	p.setLocked(urls, strings.Join(urls, ","))
 	p.self = rendezvous.Normalize(self)
-	p.joined = strings.Join(norm, ",")
-	p.mu.Unlock()
 }
 
-// observe adopts a membership payload from a forwarded request's headers.
-// An unchanged header (the common case: every forwarded request carries
-// the same snapshot) costs two string compares under the lock.
+func (p *peerSet) setLocked(raw []string, joined string) {
+	old := make(map[string]*member, len(p.members))
+	for _, m := range p.members {
+		old[m.url] = m
+	}
+	p.members, p.urls = nil, nil
+	for _, u := range raw {
+		if u = rendezvous.Normalize(u); u == "" {
+			continue
+		}
+		m := old[u]
+		if m == nil {
+			m = &member{url: u}
+		}
+		p.members = append(p.members, m)
+		p.urls = append(p.urls, u)
+	}
+	p.joined = joined
+}
+
+// observe adopts a membership payload from a forwarded batch's headers.
+// An unchanged header (the common case: every batch carries the same
+// members) costs two string compares under the lock.
 func (p *peerSet) observe(r *http.Request) {
 	raw := r.Header.Get(api.PeersHeader)
 	if raw == "" {
@@ -79,46 +203,214 @@ func (p *peerSet) observe(r *http.Request) {
 	}
 	self := rendezvous.Normalize(r.Header.Get(api.PeerSelfHeader))
 	p.mu.Lock()
-	if raw == p.joined && (self == "" || self == p.self) {
-		p.mu.Unlock()
-		return
+	defer p.mu.Unlock()
+	if raw != p.joined {
+		p.setLocked(strings.Split(raw, ","), raw)
 	}
-	members := make([]string, 0, strings.Count(raw, ",")+1)
-	for _, m := range strings.Split(raw, ",") {
-		if m = rendezvous.Normalize(m); m != "" {
-			members = append(members, m)
-		}
-	}
-	p.members = members
-	p.joined = raw
 	if self != "" {
 		p.self = self
 	}
-	p.mu.Unlock()
 }
 
-// view snapshots (self, members). The slice is shared — callers must not
-// mutate it (set/observe replace it wholesale, never append in place).
+// view snapshots (self, member URLs). The slice is shared — callers must
+// not mutate it (set/observe replace it wholesale, never append in place).
 func (p *peerSet) view() (string, []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.self, p.members
+	return p.self, p.urls
 }
 
-// observePeers learns membership from a forwarded request when learning
-// is enabled.
+// snapshot returns self, the members and their URLs, all shared.
+func (p *peerSet) snapshot() (string, []*member, []string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.self, p.members, p.urls
+}
+
+// walk is key's member order: rendezvous order, with the members marked
+// down at now moved last in that same order.
+func walk(members []*member, urls []string, key string, now time.Time) []*member {
+	out := make([]*member, 0, len(members))
+	var down []*member
+	for _, i := range rendezvous.Order(urls, key) {
+		if m := members[i]; m.down(now) {
+			down = append(down, m)
+		} else {
+			out = append(out, m)
+		}
+	}
+	return append(out, down...)
+}
+
+// observePeers learns membership from a forwarded batch when learning is
+// enabled.
 func (s *Server) observePeers(r *http.Request) {
 	if s.peerLearn {
 		s.peers.observe(r)
 	}
 }
 
-// peerFetch asks key's store owner for its entry, returning the
-// validated value bytes. ok=false on every other outcome — no usable
-// membership, self-owned key, owner down, 404, or an entry that fails
-// validation — and the caller computes locally, exactly as if the disk
-// tier had missed.
-func (s *Server) peerFetch(ctx context.Context, tr *trace.Trace, key string) ([]byte, bool) {
+// route resolves the cells other members own, landing each cell's index on
+// landed once its body or error is final (see the fabric notes above).
+// Every cell arrives with its walk and at hop 0.
+func (s *Server) route(ctx context.Context, tr *trace.Trace, r *http.Request, self string, urls []string, cells []*cell, landed chan<- int) {
+	var wg sync.WaitGroup
+	var send func(cells []*cell, last error)
+	send = func(cells []*cell, last error) {
+		var here []*cell
+		var batches [][]*cell
+		for _, c := range cells {
+			switch {
+			case c.hop == len(c.walk):
+				c.err = last
+				if !errors.Is(last, errGateSaturated) {
+					c.err = fmt.Errorf("%w: %v", errUnreachable, last)
+				}
+				s.countRouted(0, 1, 0)
+				landed <- c.index
+			case c.walk[c.hop].url == self:
+				here = append(here, c)
+			default:
+				batches = addToBatch(batches, c)
+			}
+		}
+		for _, b := range batches {
+			wg.Add(1)
+			go func(b []*cell) {
+				defer wg.Done()
+				err := s.forward(ctx, tr, urls, b)
+				switch {
+				case err == nil:
+					s.countRouted(uint64(len(b)), 0, 0)
+				case ctx.Err() != nil:
+					for _, c := range b {
+						c.err = ctx.Err()
+					}
+					s.countRouted(0, uint64(len(b)), 0)
+				default:
+					for _, c := range b {
+						c.hop++
+					}
+					s.countRouted(0, 0, uint64(len(b)))
+					send(b, err)
+					return
+				}
+				for _, c := range b {
+					landed <- c.index
+				}
+			}(b)
+		}
+		if len(here) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.computeHere(ctx, tr, r, here, landed)
+			}()
+		}
+	}
+	send(cells, nil)
+	wg.Wait()
+}
+
+// addToBatch files c with the cells bound for the same member at the same
+// budget and sampling spec (one forwarded request carries one of each).
+func addToBatch(batches [][]*cell, c *cell) [][]*cell {
+	for i, b := range batches {
+		if h := b[0]; h.walk[h.hop] == c.walk[c.hop] && h.job.Insts == c.job.Insts && h.job.Sample == c.job.Sample {
+			batches[i] = append(b, c)
+			return batches
+		}
+	}
+	return append(batches, []*cell{c})
+}
+
+// forward sends one batch of cells to the member at their current hop as
+// a marked cells-form /v1/sweep and, when the member answers with every
+// cell, fills in each cell's body as tier peer.
+func (s *Server) forward(ctx context.Context, tr *trace.Trace, urls []string, cells []*cell) error {
+	m := cells[0].walk[cells[0].hop]
+	req := api.SweepRequest{Cells: make([]api.SweepCell, len(cells)), Insts: cells[0].job.Insts}
+	for k, c := range cells {
+		req.Cells[k] = api.SweepCell{Config: c.job.Config.Name, Bench: c.job.Bench}
+	}
+	req.SetSample(cells[0].job.Sample)
+	body, _ := json.Marshal(req) // strings and integers always encode
+
+	sp := tr.Start("forward")
+	sp.SetAttr("member", m.url)
+	sp.SetAttr("cells", strconv.Itoa(len(cells)))
+	if hop := cells[0].hop; hop > 0 {
+		sp.SetAttr("hop", strconv.Itoa(hop))
+	}
+	defer sp.End()
+	m.begin()
+	fail := func(err error, mark bool) error {
+		sp.SetAttr("error", err.Error())
+		if ctx.Err() != nil {
+			m.fail(nil, false)
+			return ctx.Err()
+		}
+		m.fail(err, mark)
+		return fmt.Errorf("%s: %w", m.url, err)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/sweep", bytes.NewReader(body))
+	if err != nil {
+		return fail(err, true)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(api.ForwardedHeader, "1")
+	hreq.Header.Set(api.PeersHeader, strings.Join(urls, ","))
+	hreq.Header.Set(api.PeerSelfHeader, m.url)
+	if id := tr.ID(); id != "" {
+		hreq.Header.Set(trace.Header, id)
+	}
+	resp, err := s.peerClient.Do(hreq)
+	if err != nil {
+		return fail(err, true)
+	}
+	// ReadAll consumes the body to EOF, so Close hands the connection back
+	// to the keep-alive pool.
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
+	switch {
+	case err != nil:
+		return fail(err, true)
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return fail(errGateSaturated, false)
+	case resp.StatusCode != http.StatusOK:
+		return fail(httpStatusError(resp.StatusCode), true)
+	}
+	got, err := api.SplitResults(reply, len(cells))
+	tiers := strings.Split(resp.Header.Get(api.CacheHeader), ",")
+	if err == nil && len(tiers) != len(cells) {
+		err = fmt.Errorf("%s lists %d tiers for %d cells", api.CacheHeader, len(tiers), len(cells))
+	}
+	if err != nil {
+		return fail(err, true)
+	}
+	for k, c := range cells {
+		c.body, c.origin, c.from = got[k], store.OriginPeer, m.url
+	}
+	m.answered(tiers)
+	return nil
+}
+
+// httpStatusError names a member's non-200 answer. It always carries the
+// numeric code: http.StatusText alone is "" for non-standard codes (a 599
+// from a middlebox), which would leave a blank last_error in the stats.
+func httpStatusError(code int) error {
+	if text := http.StatusText(code); text != "" {
+		return fmt.Errorf("HTTP %d %s", code, text)
+	}
+	return fmt.Errorf("HTTP %d", code)
+}
+
+// peerFetch asks key's owner for its stored entry, returning the validated
+// value bytes. ok=false on every other outcome — no usable membership,
+// self-owned key, owner down, 404, or an entry that fails validation — and
+// the caller carries on as if its own disk tier had missed.
+func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 	self, members := s.peers.view()
 	if self == "" || len(members) < 2 {
 		return nil, false
@@ -128,15 +420,7 @@ func (s *Server) peerFetch(ctx context.Context, tr *trace.Trace, key string) ([]
 		return nil, false
 	}
 	t0 := time.Now()
-	sp := tr.Start("store_peer")
-	sp.SetAttr("owner", owner)
-	outcome := "error"
-	defer func() {
-		sp.SetAttr("outcome", outcome)
-		sp.End()
-		s.metrics.storePeer.Observe(time.Since(t0))
-	}()
-
+	defer func() { s.metrics.storePeer.Observe(time.Since(t0)) }()
 	fctx, cancel := context.WithTimeout(ctx, s.peerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
@@ -153,30 +437,22 @@ func (s *Server) peerFetch(ctx context.Context, tr *trace.Trace, key string) ([]
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		outcome = "miss"
 		return nil, false
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerEntryBytes))
 	if err != nil {
 		return nil, false
 	}
-	val, ok := store.DecodeEntry(raw, key)
-	if !ok {
-		// The owner answered, but with bytes that fail the entry's own
-		// integrity checks (or a different key): treat as a miss and
-		// recompute rather than serve what cannot be trusted.
-		outcome = "corrupt"
-		return nil, false
-	}
-	outcome = "hit"
-	return val, true
+	// Bytes that fail the entry's own integrity checks (or name a
+	// different key) are a miss: recompute rather than trust them.
+	return store.DecodeEntry(raw, key)
 }
 
 // handleStoreGet is the peer-read protocol: GET /v1/store/{key} answers
 // with the checksummed entry encoding for any key this server's store
 // holds (either tier), 404 otherwise. Lookups here touch no hit/miss
 // counters — the requesting peer accounts the serve on its side, so a
-// fetched result is counted exactly once in the fabric.
+// fetched entry is counted exactly once in the fabric.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if key == "" {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"svwsim/internal/api"
@@ -23,6 +24,7 @@ import (
 type shardedFabric struct {
 	servers []*Server
 	urls    []string
+	dirs    []string
 	tss     []*httptest.Server
 }
 
@@ -42,9 +44,10 @@ func newShardedFabric(t *testing.T, n int) *shardedFabric {
 		f.urls = append(f.urls, "http://"+ln.Addr().String())
 	}
 	for i := 0; i < n; i++ {
+		f.dirs = append(f.dirs, t.TempDir())
 		s := newTestServer(Options{
 			Workers:          2,
-			StoreDir:         t.TempDir(),
+			StoreDir:         f.dirs[i],
 			StoreWriteBehind: 64,
 			Peers:            f.urls,
 			PeerSelf:         f.urls[i],
@@ -118,8 +121,8 @@ func sweepReq(configs, benches []string) string {
 // The sharded-store headline: after every cell is computed at its store
 // owner, a full-registry sweep at ONE member is byte-identical to the
 // `svwsim -json` encoding with ZERO engine executions — self-owned cells
-// come from its own tiers and everything else over the peer-read
-// protocol — and no cell is counted twice anywhere in the fabric.
+// come from its own tiers and everything else from its owner, one batch
+// per owner — and each process counts each cell it served once.
 func TestShardedSweepEquivalenceOverPeerReads(t *testing.T) {
 	configs := sim.ConfigNames()
 	benches := []string{"gcc", "twolf"}
@@ -141,7 +144,7 @@ func TestShardedSweepEquivalenceOverPeerReads(t *testing.T) {
 	}
 	if m := s0.engineStats(); m.MemoMisses != memoBefore.MemoMisses {
 		t.Fatalf("member 0 executed %d jobs during the sweep, want 0 — "+
-			"every non-owned cell should be a peer read", m.MemoMisses-memoBefore.MemoMisses)
+			"every non-owned cell should come from its owner", m.MemoMisses-memoBefore.MemoMisses)
 	}
 
 	st := cacheStats(t, s0)
@@ -153,18 +156,25 @@ func TestShardedSweepEquivalenceOverPeerReads(t *testing.T) {
 		t.Fatalf("member 0 memory hits = %d, want %d (its own warm cells): %+v",
 			st.Hits, owned[0], st)
 	}
-	// Fabric-wide, each cell is accounted exactly twice: once as its warm
-	// compute (a miss on its owner) and once as the sweep's serve on
-	// member 0. Any double count — the owner also accounting the peer
-	// read, say — breaks this sum.
+	// Fabric-wide, each process counts what it served its own client,
+	// once: every cell's warm compute (a miss on its owner), the sweep's
+	// serve on member 0, and each owner's answer to member 0's batch. Any
+	// double count — a batch counted per cell twice, say — breaks this sum.
 	var total int
 	for _, s := range f.servers {
 		cs := cacheStats(t, s)
 		total += int(cs.Hits + cs.DiskHits + cs.PeerHits + cs.Misses)
 	}
-	if total != 2*cells {
-		t.Fatalf("fabric-wide accounted serves = %d, want %d (warm + sweep, once each)",
-			total, 2*cells)
+	if want := 3*cells - owned[0]; total != want {
+		t.Fatalf("fabric-wide accounted serves = %d, want %d (warm + sweep + owners' batches, once each)",
+			total, want)
+	}
+	// One forward per owner: the members 0 sent cells to saw one batch each.
+	for i, s := range f.servers[1:] {
+		scrape := do(s, "GET", "/metrics", "", nil).Body.String()
+		if one := `svw_http_requests_total{code="200",endpoint="/v1/sweep"} 1` + "\n"; owned[i+1] > 0 && !strings.Contains(scrape, one) {
+			t.Fatalf("member %d did not answer member 0's cells as exactly one sweep:\n%s", i+1, scrape)
+		}
 	}
 
 	// An SSE sweep at another member labels each cell's event with its
@@ -203,9 +213,10 @@ func TestShardedSweepEquivalenceOverPeerReads(t *testing.T) {
 }
 
 // Killing a store owner mid-fabric must cost recomputes, never wrong
-// answers: cells owned by the dead member fall back to local compute, the
-// sweep stays byte-identical, and the serving member's accounting still
-// sums to one count per cell.
+// answers: cells owned by the dead member walk on to their next member —
+// computed here when that is this member, answered by the other member
+// otherwise — the sweep stays byte-identical, and the serving member's
+// accounting still sums to one count per cell.
 func TestShardedSweepSurvivesDeadOwner(t *testing.T) {
 	configs := []string{"ssq", "ssq+svw", "nlq", "rle"}
 	benches := []string{"gcc", "twolf"}
@@ -234,17 +245,122 @@ func TestShardedSweepSurvivesDeadOwner(t *testing.T) {
 		t.Fatal("sweep with a dead owner differs from the reference encoding")
 	}
 
+	// A dead-owned cell's next member is its second in rendezvous order.
+	wantPeer, wantMiss := owned[3-dead], 0
+	for _, cname := range configs {
+		cfg, _ := sim.ConfigByName(cname)
+		for _, bench := range benches {
+			rank := rendezvous.Rank(f.urls, engine.Fingerprint(cfg, bench, testInsts))
+			switch {
+			case rank[0] != f.urls[dead]:
+			case rank[1] == f.urls[0]:
+				wantMiss++
+			default:
+				wantPeer++
+			}
+		}
+	}
 	after := cacheStats(t, s0)
-	alive := 3 - dead // the other non-serving member
 	dHits := int(after.Hits - before.Hits)
 	dPeer := int(after.PeerHits - before.PeerHits)
 	dMiss := int(after.Misses - before.Misses)
-	if dHits != owned[0] || dPeer != owned[alive] || dMiss != owned[dead] {
+	if dHits != owned[0] || dPeer != wantPeer || dMiss != wantMiss {
 		t.Fatalf("sweep deltas hits/peer/miss = %d/%d/%d, want %d/%d/%d (ownership %v)",
-			dHits, dPeer, dMiss, owned[0], owned[alive], owned[dead], owned)
+			dHits, dPeer, dMiss, owned[0], wantPeer, wantMiss, owned)
 	}
 	if dHits+dPeer+dMiss != cells {
 		t.Fatalf("sweep accounted %d serves for %d cells", dHits+dPeer+dMiss, cells)
+	}
+}
+
+// A cold sweep sent straight to one member computes every cell at its
+// owner: once the write-behind queues drain (Close, as on SIGTERM), each
+// entry sits on its owner's disk and on no other.
+func TestColdDirectSweepLandsOnOwners(t *testing.T) {
+	configs := []string{"ssq", "ssq+svw", "nlq", "rle", "base-ssq", "rle+svw"}
+	benches := []string{"gcc", "twolf"}
+	f := newShardedFabric(t, 2)
+	w := do(f.servers[0], "POST", "/v1/sweep", sweepReq(configs, benches), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("sweep HTTP %d: %s", w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), refSweepBody(t, configs, benches)) {
+		t.Fatal("cold direct sweep differs from the svwsim -json encoding")
+	}
+	want := make([]map[string]bool, 2)
+	for i := range want {
+		want[i] = map[string]bool{}
+	}
+	for _, cname := range configs {
+		cfg, _ := sim.ConfigByName(cname)
+		for _, bench := range benches {
+			key := engine.Fingerprint(cfg, bench, testInsts)
+			want[f.ownerIndex(key)][key] = true
+		}
+	}
+	if len(want[1]) == 0 {
+		t.Skip("member 0 owns every cell; nothing was forwarded")
+	}
+	for i, s := range f.servers {
+		s.Close()
+		entries, err := store.ScanDir(f.dirs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]bool{}
+		for _, e := range entries {
+			got[e.Key] = true
+		}
+		if len(got) != len(want[i]) {
+			t.Errorf("member %d holds %d entries on disk, want the %d it owns", i, len(got), len(want[i]))
+		}
+		for key := range got {
+			if !want[i][key] {
+				t.Errorf("member %d holds %s, owned by the other member", i, key)
+			}
+		}
+	}
+}
+
+// A member whose every peer is down serves what its own tiers hold and
+// computes the rest: the sweep stays byte-identical, and each dead peer
+// asked for a cell is marked down by its failed forward.
+func TestShardedSweepWithEveryPeerDown(t *testing.T) {
+	configs := []string{"ssq", "ssq+svw", "nlq", "rle"}
+	benches := []string{"gcc", "twolf"}
+	cells := len(configs) * len(benches)
+	f := newShardedFabric(t, 3)
+	owned := f.warm(t, configs, benches)
+	if owned[0] == cells {
+		t.Skipf("member 0 owns all %d cells; no peer would be asked", cells)
+	}
+	f.tss[1].Close()
+	f.tss[2].Close()
+
+	s0 := f.servers[0]
+	before := cacheStats(t, s0)
+	w := do(s0, "POST", "/v1/sweep", sweepReq(configs, benches), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("sweep with every peer down: HTTP %d: %s", w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), refSweepBody(t, configs, benches)) {
+		t.Fatal("sweep with every peer down differs from the reference encoding")
+	}
+	after := cacheStats(t, s0)
+	if hits, miss := after.Hits-before.Hits, after.Misses-before.Misses; int(hits) != owned[0] || int(miss) != cells-owned[0] {
+		t.Fatalf("served %d from memory and computed %d, want %d and %d", hits, miss, owned[0], cells-owned[0])
+	}
+	rs, rows := s0.Routing()
+	if rs.Answered != 0 || rs.Failed != 0 || rs.Moved == 0 {
+		t.Fatalf("routing %+v, want only moves", rs)
+	}
+	// The down mark may have lapsed by now (it lasts a second); the flap
+	// it counted stays.
+	for _, b := range rows[1:] {
+		if b.Errors > 0 && (b.HealthFlaps == 0 || b.JobsOK != 0) {
+			t.Errorf("peer %s: %d down marks, %d jobs after %d failed forwards, want marked down with none",
+				b.URL, b.HealthFlaps, b.JobsOK, b.Errors)
+		}
 	}
 }
 

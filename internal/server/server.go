@@ -2,7 +2,7 @@
 // simulation service (the svwd daemon):
 //
 //	GET  /v1/healthz             liveness (503 while draining)
-//	GET  /v1/store/{key}         peer-read protocol: one checksummed store entry
+//	GET  /v1/store/{key}         one checksummed store entry (checkpoint reads)
 //	GET  /v1/configs             configuration registry listing
 //	GET  /v1/benches             benchmark kernel listing
 //	GET  /v1/stats               cache / engine / admission counters
@@ -23,10 +23,12 @@
 //     the engine's memo key (engine.Fingerprint): a bounded in-memory LRU,
 //     optionally backed by a persistent disk tier (Options.StoreDir) so a
 //     restarted daemon answers previously computed work without touching
-//     the engine, with the cell's rendezvous owner probed over HTTP when
-//     the fabric membership is known (peers.go) — hit/disk-hit/miss
-//     counters are on /v1/stats and the serving tier is named in the
-//     X-Svwd-Cache response header;
+//     the engine — hit/disk-hit/miss counters are on /v1/stats and the
+//     serving tier is named in the X-Svwd-Cache response header;
+//   - the fabric (peers.go): when the membership is known, a cell another
+//     member owns goes to that owner, one batch per owner, and a failed
+//     owner's cells walk on to the next member — svwctl is a Server whose
+//     members are the backends and which is not one of them itself;
 //   - a per-cell singleflight, so concurrent requests needing the same
 //     uncomputed cell run it once;
 //   - an admission gate bounding concurrently admitted engine jobs,
@@ -52,6 +54,7 @@ import (
 	"time"
 
 	"svwsim/internal/api"
+	"svwsim/internal/metrics"
 	"svwsim/internal/pipeline"
 	"svwsim/internal/sim/engine"
 	"svwsim/internal/store"
@@ -94,23 +97,27 @@ type Options struct {
 	// synchronously per result. Drained by Close; 0 keeps writes
 	// synchronous.
 	StoreWriteBehind int
-	// Peers statically configures the fabric member URLs for store-owner
-	// election (the sharded persistent store; see peers.go). Every member
-	// list entry is a backend base URL, normally including this server's
-	// own (PeerSelf). Empty disables peer reads unless PeerLearn adopts a
-	// membership payload.
+	// Peers statically configures the fabric member URLs that own the
+	// keys (see peers.go): each cell this server misses goes to its
+	// rendezvous owner among them. Empty routes nothing unless PeerLearn
+	// adopts a membership payload.
 	Peers []string
 	// PeerSelf is this server's own URL within Peers — how it recognizes
-	// keys it owns itself.
+	// keys it owns itself. A server that is not one of its Peers owns no
+	// keys and computes nothing it can route (svwctl).
 	PeerSelf string
 	// PeerLearn adopts the membership payload (api.PeersHeader /
-	// api.PeerSelfHeader) a fronting coordinator attaches to forwarded
-	// requests, so backends learn the sharding map from the work itself.
-	// Headers are trusted at face value; enable only on trusted networks.
+	// api.PeerSelfHeader) forwarded batches carry, so members learn the
+	// sharding map from the work itself. Headers are trusted at face
+	// value; enable only on trusted networks.
 	PeerLearn bool
-	// PeerReadTimeout bounds one peer store read
+	// PeerReadTimeout bounds one checkpoint read from a peer
 	// (0 = DefaultPeerReadTimeout).
 	PeerReadTimeout time.Duration
+	// ForwardHeaderTimeout bounds how long a forwarded batch waits for
+	// its owner's response headers before the owner counts as failed
+	// (0 = DefaultForwardHeaderTimeout, < 0 = no bound).
+	ForwardHeaderTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// MaxSweepJobs bounds one sweep's flattened matrix
@@ -165,12 +172,14 @@ type Server struct {
 	start        time.Time
 	draining     atomic.Bool
 
-	// Sharded-store state (peers.go): the membership view for store-owner
-	// election and the client peer reads go out on.
+	// Fabric state (peers.go): the membership view, the client forwards
+	// and checkpoint reads go out on, and the routing counters.
 	peers       *peerSet
 	peerLearn   bool
 	peerTimeout time.Duration
 	peerClient  *http.Client
+	routeMu     sync.Mutex
+	routed      RouteStats
 
 	// defaultSample is applied to requests that carry no sampling spec of
 	// their own (Options.DefaultSample).
@@ -223,6 +232,14 @@ func New(opts Options) (*Server, error) {
 	if peerTimeout <= 0 {
 		peerTimeout = DefaultPeerReadTimeout
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = forwardConns
+	switch t := opts.ForwardHeaderTimeout; {
+	case t == 0:
+		tr.ResponseHeaderTimeout = DefaultForwardHeaderTimeout
+	case t > 0:
+		tr.ResponseHeaderTimeout = t
+	}
 	s := &Server{
 		workers:       opts.Workers,
 		jobTimeout:    opts.JobTimeout,
@@ -235,7 +252,7 @@ func New(opts Options) (*Server, error) {
 		peers:         &peerSet{},
 		peerLearn:     opts.PeerLearn,
 		peerTimeout:   peerTimeout,
-		peerClient:    &http.Client{},
+		peerClient:    &http.Client{Transport: tr},
 		defaultSample: opts.DefaultSample,
 	}
 	s.peers.set(opts.Peers, opts.PeerSelf)
@@ -249,6 +266,53 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
+
+// forwardConns is how many idle connections to each member the forwarding
+// client keeps.
+const forwardConns = 8
+
+// RouteStats counts the cells a server sent to other members.
+type RouteStats struct {
+	Answered uint64 // cells a member answered
+	Failed   uint64 // cells no member answered, or whose request ended first
+	Moved    uint64 // cell moves to the next member after a failed forward
+}
+
+// countRouted adds to the routing counters.
+func (s *Server) countRouted(answered, failed, moved uint64) {
+	s.routeMu.Lock()
+	s.routed.Answered += answered
+	s.routed.Failed += failed
+	s.routed.Moved += moved
+	s.routeMu.Unlock()
+}
+
+// Routing snapshots the routing counters and each member's forwarding
+// state, in membership order.
+func (s *Server) Routing() (RouteStats, []api.ClusterBackendStats) {
+	s.routeMu.Lock()
+	rs := s.routed
+	s.routeMu.Unlock()
+	_, members, _ := s.peers.snapshot()
+	now := time.Now()
+	rows := make([]api.ClusterBackendStats, len(members))
+	for i, m := range members {
+		rows[i] = m.snapshot(now)
+	}
+	return rs, rows
+}
+
+// SetPeers replaces the members cells are routed to, keeping PeerSelf. A
+// member that stays keeps its forwarding state; in-flight walks finish
+// over the members they started with.
+func (s *Server) SetPeers(urls []string) {
+	self, _ := s.peers.view()
+	s.peers.set(urls, self)
+}
+
+// Registry is the server's metrics registry (GET /metrics), for an
+// embedding process to add its own series to.
+func (s *Server) Registry() *metrics.Registry { return s.metrics.reg }
 
 // countEngine adds a finished batch engine's counters into the server's
 // lifetime totals.
@@ -276,7 +340,7 @@ func (s *Server) engineStats() api.EngineStats {
 
 // Close releases the server's background resources: the store's
 // write-behind queue is drained (every completed result lands on disk)
-// and the peer-read client's idle connections are closed. Call it on
+// and the forwarding client's idle connections are closed. Call it on
 // graceful shutdown, after the HTTP server has stopped accepting work.
 func (s *Server) Close() error {
 	s.peerClient.CloseIdleConnections()

@@ -3,7 +3,7 @@ package server
 import "svwsim/internal/api"
 
 // The request and response shapes of the svwd HTTP API live in
-// internal/api, shared with the svwctl coordinator so the two layers
+// internal/api, shared with svwctl so the two layers
 // serve literally the same wire types and cannot drift. The aliases keep
 // the server package's historical names usable.
 //

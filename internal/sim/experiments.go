@@ -265,10 +265,7 @@ func Fig8Study(benches []string, insts uint64, spec pipeline.SampleSpec) Study[*
 	var jobs []engine.Job
 	for _, v := range vars {
 		for _, bench := range benches {
-			cfg := SSQ(SVWUpd)
-			cfg.SVW.SSBF = v.Cfg
-			cfg.Name = "ssq+svw/" + v.Label
-			jobs = append(jobs, job("fig8-ssbf", v.Label, cfg, bench, insts, spec))
+			jobs = append(jobs, job("fig8-ssbf", v.Label, fig8Rung(v), bench, insts, spec))
 		}
 	}
 	return Study[*Fig8Result]{Jobs: jobs, Reduce: func(rs []Result) *Fig8Result {
@@ -302,9 +299,7 @@ func SSNWidthStudy(benches []string, bits []int, insts uint64, spec pipeline.Sam
 	var jobs []engine.Job
 	for _, b := range bits {
 		for _, bench := range benches {
-			cfg := SSQ(SVWUpd)
-			cfg.SVW.SSNBits = b
-			cfg.Name = fmt.Sprintf("ssq+svw/ssn%d", b)
+			cfg := ssnRung(b)
 			jobs = append(jobs, job("ssn-width", cfg.Name, cfg, bench, insts, spec))
 		}
 	}
@@ -323,6 +318,30 @@ func SSNWidthStudy(benches []string, bits []int, insts uint64, spec pipeline.Sam
 	}}
 }
 
+// The rungs the §3.6 and Fig. 8 studies derive from ssq+svw, each named
+// "ssq+svw/<rung>" so ConfigByName rebuilds it from its name.
+
+func fig8Rung(v SSBFVariant) pipeline.Config {
+	cfg := SSQ(SVWUpd)
+	cfg.SVW.SSBF = v.Cfg
+	cfg.Name = "ssq+svw/" + v.Label
+	return cfg
+}
+
+func ssnRung(bits int) pipeline.Config {
+	cfg := SSQ(SVWUpd)
+	cfg.SVW.SSNBits = bits
+	cfg.Name = fmt.Sprintf("ssq+svw/ssn%d", bits)
+	return cfg
+}
+
+func atomicRung() pipeline.Config {
+	cfg := SSQ(SVWUpd)
+	cfg.SVW.SpeculativeSSBF = false
+	cfg.Name = "ssq+svw/atomic"
+	return cfg
+}
+
 // SSBFUpdateResult compares speculative vs atomic SSBF update policies.
 type SSBFUpdateResult struct {
 	Benches            []string
@@ -338,9 +357,7 @@ func SSBFUpdateStudy(benches []string, insts uint64, spec pipeline.SampleSpec) S
 		cfg := SSQ(SVWUpd)
 		cfg.SVW.SpeculativeSSBF = true
 		jobs = append(jobs, job("ssbf-update", "spec", cfg, bench, insts, spec))
-		cfg.SVW.SpeculativeSSBF = false
-		cfg.Name = "ssq+svw/atomic"
-		jobs = append(jobs, job("ssbf-update", "atomic", cfg, bench, insts, spec))
+		jobs = append(jobs, job("ssbf-update", "atomic", atomicRung(), bench, insts, spec))
 	}
 	return Study[*SSBFUpdateResult]{Jobs: jobs, Reduce: func(rs []Result) *SSBFUpdateResult {
 		out := &SSBFUpdateResult{Benches: benches}

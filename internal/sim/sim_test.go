@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"svwsim/internal/pipeline"
 	"svwsim/internal/sim/engine"
 )
 
@@ -112,5 +113,43 @@ func TestSpeedupSigns(t *testing.T) {
 func TestAllBenches(t *testing.T) {
 	if len(AllBenches()) != 16 {
 		t.Error("bench list")
+	}
+}
+
+// TestStudyJobsRebuildFromTheirNames pins what lets a fabric member send a
+// study cell to its owner by name: every job of every study svwd serves,
+// and every registry machine, rebuilds from its own Config.Name into the
+// same machine (same memo key) under the same display name.
+func TestStudyJobsRebuildFromTheirNames(t *testing.T) {
+	benches := []string{"gcc"}
+	var jobs []engine.Job
+	for _, fig := range []int{5, 6, 7} {
+		fs, err := FigureStudy(fig, benches, 1000, pipeline.SampleSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, fs.Jobs...)
+	}
+	jobs = append(jobs, Fig8Study(benches, 1000, pipeline.SampleSpec{}).Jobs...)
+	jobs = append(jobs, SSNWidthStudy(benches, []int{8, 10, 12, 16, 0}, 1000, pipeline.SampleSpec{}).Jobs...)
+	jobs = append(jobs, SSBFUpdateStudy(benches, 1000, pipeline.SampleSpec{}).Jobs...)
+	for _, name := range ConfigNames() {
+		cfg, _ := ConfigByName(name)
+		jobs = append(jobs, engine.Job{Config: cfg, Bench: "gcc"})
+	}
+	for _, j := range jobs {
+		got, ok := ConfigByName(j.Config.Name)
+		if !ok {
+			t.Errorf("%s (%s): name does not resolve", j.Config.Name, j.Study)
+			continue
+		}
+		if got.Name != j.Config.Name || engine.Fingerprint(got, "gcc", 1000) != engine.Fingerprint(j.Config, "gcc", 1000) {
+			t.Errorf("%s (%s) rebuilds as a different machine %q", j.Config.Name, j.Study, got.Name)
+		}
+	}
+	for _, bad := range []string{"ssq+svw/ssn-1", "ssq+svw/ssnx", "ssq+svw/", "ssq+svw/nope", "nlq/ssn8"} {
+		if _, ok := ConfigByName(bad); ok {
+			t.Errorf("%q resolved", bad)
+		}
 	}
 }

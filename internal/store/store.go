@@ -1,8 +1,7 @@
 // Package store is the unified content-addressed result store: one cache
 // subsystem shared by every layer of the serving stack. In svwd it is the
 // only result cache, and its per-key flights (flight.go) the only
-// singleflight; the svwctl coordinator keeps one for its pool-down read
-// fallback, and svwsim reads and pre-warms the same on-disk tier, so a
+// singleflight; svwsim reads and pre-warms the same on-disk tier, so a
 // result computed anywhere is a lookup everywhere.
 //
 // A Store is two tiers behind one Get/Put:

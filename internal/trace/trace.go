@@ -11,11 +11,11 @@
 // engine's steady-state cycle loop is untouched either way.
 //
 // Concurrency: a Trace accumulates spans from many goroutines (engine
-// workers, coordinator dispatch walks, hedge attempts) under one mutex.
-// Spans may finish — or even start — after the request that owns the
-// trace has completed (an abandoned hedge observes its cancellation
-// late); the ring holds the live object, so /debug/traces reflects those
-// stragglers whenever they land.
+// workers, concurrent forwards) under one mutex. Spans may finish — or
+// even start — after the request that owns the trace has completed (an
+// abandoned engine job observes its cancellation late); the ring holds the
+// live object, so /debug/traces reflects those stragglers whenever they
+// land.
 package trace
 
 import (
@@ -118,7 +118,7 @@ func (t *Trace) Endpoint() string {
 
 // Finish closes the trace, fixing its duration; later calls return the
 // same duration. Spans may still be appended afterwards (a straggling
-// hedge attempt); they are kept and visible on /debug/traces.
+// engine job); they are kept and visible on /debug/traces.
 func (t *Trace) Finish() time.Duration {
 	if t == nil {
 		return 0
