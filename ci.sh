@@ -170,9 +170,15 @@ wait "$svwd2_pid"
 trap 'rm -rf "$tmp"' EXIT
 
 # Store admin smoke: the directory the warm restart just served from must
+# hold exactly the gcc and twolf results, filed by svwsim and served by
+# svwd under one compact key form (<bench>|<insts>|<config SHA-256>), must
 # pass a full offline checksum walk, and a gc under the default cap must
 # find nothing to collect and leave the directory still verifying clean.
-"$tmp/svwstore" ls "$storedir" | grep -q ' entries, '
+"$tmp/svwstore" ls "$storedir" >"$tmp/svwstore_ls.out"
+grep -q '^2 entries, ' "$tmp/svwstore_ls.out"
+sed '$d' "$tmp/svwstore_ls.out" | awk '{print $3}' | sort >"$tmp/store_keys"
+test "$(cut -d'|' -f1 "$tmp/store_keys" | tr '\n' ' ')" = "gcc twolf "
+test "$(grep -Ec "^(gcc|twolf)\|$smoke_insts\|[0-9a-f]{64}\$" "$tmp/store_keys")" = 2
 "$tmp/svwstore" verify "$storedir"
 "$tmp/svwstore" gc "$storedir" >"$tmp/svwstore_gc.out"
 grep -q '^removed 0 entries' "$tmp/svwstore_gc.out"

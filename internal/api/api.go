@@ -586,9 +586,11 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	WriteBody(w, status, append(b, '\n'))
 }
 
-// WriteBody writes pre-serialized JSON bytes.
+// WriteBody writes pre-serialized JSON bytes. It declares their length, so
+// a reader can size its buffer once and the reply is not chunked.
 func WriteBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }

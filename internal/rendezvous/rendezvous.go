@@ -13,19 +13,31 @@
 package rendezvous
 
 import (
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
-// Score is one member's rendezvous weight for a key. The 0x00 separator
-// keeps ("ab","c") and ("a","bc") distinct.
+// FNV-1a's 64-bit parameters (hash/fnv).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// Score is one member's rendezvous weight for a key: FNV-1a, as
+// hash/fnv's New64a computes it, over member, a 0x00 byte and key. The
+// separator keeps ("ab","c") and ("a","bc") distinct. It hashes the
+// strings in place, so scoring allocates nothing.
 func Score(member, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(member))
-	h.Write([]byte{0}) // separate member from key
-	h.Write([]byte(key))
-	return h.Sum64()
+	h := uint64(fnvOffset)
+	for i := 0; i < len(member); i++ {
+		h = (h ^ uint64(member[i])) * fnvPrime
+	}
+	h *= fnvPrime // the separator: h ^ 0x00 == h
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime
+	}
+	return h
 }
 
 // Normalize canonicalizes a member URL: surrounding space and trailing
@@ -48,15 +60,14 @@ func Order(members []string, key string) []int {
 		order[i] = i
 		scores[i] = Score(m, key)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
 		}
-		if members[ia] != members[ib] {
-			return members[ia] < members[ib]
+		if c := strings.Compare(members[a], members[b]); c != 0 {
+			return c
 		}
-		return ia < ib
+		return a - b
 	})
 	return order
 }

@@ -2,6 +2,7 @@ package rendezvous
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
@@ -87,5 +88,26 @@ func TestNormalizedSpellingsRankIdentically(t *testing.T) {
 				t.Fatalf("key %q: %q ranks %v, want %v", key, s, got, want)
 			}
 		}
+	}
+}
+
+// TestScoreIsFNV1a pins the placement hash: every member of a fabric must
+// score keys alike, so Score stays hash/fnv's New64a over member, 0x00, key.
+func TestScoreIsFNV1a(t *testing.T) {
+	for _, tc := range [][2]string{{"", ""}, {"http://h:1", "gcc|10000|ab12"}, {"ab", "c"}, {"a", "bc"}} {
+		h := fnv.New64a()
+		h.Write([]byte(tc[0] + "\x00" + tc[1]))
+		if got, want := Score(tc[0], tc[1]), h.Sum64(); got != want {
+			t.Errorf("Score(%q, %q) = %#x, want FNV-1a %#x", tc[0], tc[1], got, want)
+		}
+	}
+}
+
+func BenchmarkOrder(b *testing.B) {
+	ms := members(2)
+	key := "gcc|10000|1ebd853f4bdda330a630f9608c77c8a6b2c521e004fac6b60d9ffb08f759b885"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Order(ms, key)
 	}
 }

@@ -584,7 +584,11 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		writeResolveError(w, r, err, what+" failed")
 		return
 	}
-	var body []byte
+	n := 0
+	for i := range resolved {
+		n += len(resolved[i].body)
+	}
+	body := make([]byte, 0, n)
 	tiers := make([]string, len(resolved))
 	for i := range resolved {
 		body = append(body, resolved[i].body...)

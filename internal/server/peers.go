@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,7 +33,8 @@ import (
 // A forward that fails — transport error, non-200, a reply that does not
 // split into its cells, the response header timeout — marks its member
 // down for downFor and moves its cells to the next member of their own
-// walks (rendezvous order, down members last), regrouped by that member.
+// walks (rendezvous order, down members last — including those marked
+// since the walk was built), regrouped by that member.
 // A 429 moves the cells without the mark: a busy member is not a sick
 // one. A cell whose walk reaches this server is computed here, so a
 // failing owner costs a recompute, never a wrong answer; a server that is
@@ -67,6 +69,10 @@ const DefaultForwardHeaderTimeout = 2 * time.Minute
 
 // downFor is how long a failed forward marks its member down.
 const downFor = time.Second
+
+// maxPresizedReply bounds the buffer a forward allocates up front for its
+// owner's declared reply length; a longer reply grows as it arrives.
+const maxPresizedReply = 16 << 20
 
 // maxPeerEntryBytes bounds one fetched peer entry (header + key + value).
 const maxPeerEntryBytes = 16 << 20
@@ -230,16 +236,29 @@ func (p *peerSet) snapshot() (string, []*member, []string) {
 // walk is key's member order: rendezvous order, with the members marked
 // down at now moved last in that same order.
 func walk(members []*member, urls []string, key string, now time.Time) []*member {
-	out := make([]*member, 0, len(members))
+	order := rendezvous.Order(urls, key)
+	out := make([]*member, len(order))
+	for k, i := range order {
+		out[k] = members[i]
+	}
+	downLast(out, now)
+	return out
+}
+
+// downLast moves the members of ms marked down at now behind the others,
+// in place, keeping the order within each group.
+func downLast(ms []*member, now time.Time) {
 	var down []*member
-	for _, i := range rendezvous.Order(urls, key) {
-		if m := members[i]; m.down(now) {
+	k := 0
+	for _, m := range ms {
+		if m.down(now) {
 			down = append(down, m)
 		} else {
-			out = append(out, m)
+			ms[k] = m
+			k++
 		}
 	}
-	return append(out, down...)
+	copy(ms[k:], down)
 }
 
 // observePeers learns membership from a forwarded batch when learning is
@@ -252,11 +271,33 @@ func (s *Server) observePeers(r *http.Request) {
 
 // route resolves the cells other members own, landing each cell's index on
 // landed once its body or error is final (see the fabric notes above).
-// Every cell arrives with its walk and at hop 0.
+// Every cell arrives with its walk and at hop 0. A cell moving on after a
+// failed forward first waits out this request's forwards still in flight
+// to its next member, then puts the members marked down since its walk
+// was built behind the rest of it: a dead member costs the request one
+// failed forward, not one per walk it sits in.
 func (s *Server) route(ctx context.Context, tr *trace.Trace, r *http.Request, self string, urls []string, cells []*cell, landed chan<- int) {
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	ended := sync.NewCond(&mu)
+	busy := map[*member]int{} // this request's forwards in flight, per member
 	var send func(cells []*cell, last error)
 	send = func(cells []*cell, last error) {
+		if last != nil {
+			busyNext := func(c *cell) bool { return c.hop < len(c.walk) && busy[c.walk[c.hop]] > 0 }
+			mu.Lock()
+			for {
+				now := time.Now()
+				for _, c := range cells {
+					downLast(c.walk[c.hop:], now)
+				}
+				if !slices.ContainsFunc(cells, busyNext) {
+					break
+				}
+				ended.Wait()
+			}
+			mu.Unlock()
+		}
 		var here []*cell
 		var batches [][]*cell
 		for _, c := range cells {
@@ -274,11 +315,21 @@ func (s *Server) route(ctx context.Context, tr *trace.Trace, r *http.Request, se
 				batches = addToBatch(batches, c)
 			}
 		}
+		// Every batch is counted in flight before any can fail and look.
+		mu.Lock()
+		for _, b := range batches {
+			busy[b[0].walk[b[0].hop]]++
+		}
+		mu.Unlock()
 		for _, b := range batches {
 			wg.Add(1)
 			go func(b []*cell) {
 				defer wg.Done()
 				err := s.forward(ctx, tr, urls, b)
+				mu.Lock()
+				busy[b[0].walk[b[0].hop]]--
+				ended.Broadcast()
+				mu.Unlock()
 				switch {
 				case err == nil:
 					s.countRouted(uint64(len(b)), 0, 0)
@@ -368,10 +419,8 @@ func (s *Server) forward(ctx context.Context, tr *trace.Trace, urls []string, ce
 	if err != nil {
 		return fail(err, true)
 	}
-	// ReadAll consumes the body to EOF, so Close hands the connection back
-	// to the keep-alive pool.
 	defer resp.Body.Close()
-	reply, err := io.ReadAll(resp.Body)
+	reply, err := readReply(resp)
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
 	switch {
 	case err != nil:
@@ -394,6 +443,20 @@ func (s *Server) forward(ctx context.Context, tr *trace.Trace, urls []string, ce
 	}
 	m.answered(tiers)
 	return nil
+}
+
+// readReply reads resp's body to EOF, so Close hands the connection back to
+// the keep-alive pool. A declared length sizes the buffer once (the spare
+// MinRead bytes take the read that sees EOF); without one the buffer grows
+// as the body arrives.
+func readReply(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresizedReply {
+		return io.ReadAll(resp.Body)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // httpStatusError names a member's non-200 answer. It always carries the

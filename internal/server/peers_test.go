@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -354,9 +355,32 @@ func TestShardedSweepWithEveryPeerDown(t *testing.T) {
 	if rs.Answered != 0 || rs.Failed != 0 || rs.Moved == 0 {
 		t.Fatalf("routing %+v, want only moves", rs)
 	}
+	// A dead peer is asked once: as some cell's owner, or as the next
+	// member of a cell whose owner failed first. Once it has failed, every
+	// walk still holding it puts it last, behind member 0. A peer ahead of
+	// member 0 in no cell's walk is never asked.
+	asked := make([]bool, len(f.urls))
+	for _, cname := range configs {
+		cfg, _ := sim.ConfigByName(cname)
+		for _, bench := range benches {
+			for _, u := range rendezvous.Rank(f.urls, engine.Fingerprint(cfg, bench, testInsts)) {
+				if u == f.urls[0] {
+					break
+				}
+				asked[slices.Index(f.urls, u)] = true
+			}
+		}
+	}
 	// The down mark may have lapsed by now (it lasts a second); the flap
 	// it counted stays.
-	for _, b := range rows[1:] {
+	for i, b := range rows[1:] {
+		want := uint64(0)
+		if asked[i+1] {
+			want = 1
+		}
+		if b.Errors != want {
+			t.Errorf("peer %s: %d failed forwards, want %d", b.URL, b.Errors, want)
+		}
 		if b.Errors > 0 && (b.HealthFlaps == 0 || b.JobsOK != 0) {
 			t.Errorf("peer %s: %d down marks, %d jobs after %d failed forwards, want marked down with none",
 				b.URL, b.HealthFlaps, b.JobsOK, b.Errors)

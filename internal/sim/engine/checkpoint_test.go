@@ -62,14 +62,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointKeyDisjoint: checkpoint keys live in their own namespace —
-// an engine memo key renders a struct and starts with '{', never "ckpt|".
+// an engine memo key starts with its benchmark's name, and no benchmark is
+// named so that its keys start with "ckpt|".
 func TestCheckpointKeyDisjoint(t *testing.T) {
 	key := CheckpointKey("gcc", 40_000)
 	if !strings.HasPrefix(key, CheckpointKeyPrefix) {
 		t.Fatalf("checkpoint key %q lacks prefix", key)
 	}
-	memo := Fingerprint(Config{}, "gcc", 40_000)
-	if strings.HasPrefix(memo, CheckpointKeyPrefix) {
-		t.Fatalf("memo key %q collides with checkpoint namespace", memo)
+	for _, bench := range workload.Names() {
+		if memo := Fingerprint(Config{}, bench, 40_000); strings.HasPrefix(memo, CheckpointKeyPrefix) {
+			t.Fatalf("memo key %q collides with checkpoint namespace", memo)
+		}
 	}
 }

@@ -50,13 +50,3 @@ func runOn(core *pipeline.Core, cfg Config, bench string, maxInsts uint64, jt *j
 	}
 	return Result{Bench: bench, Config: cfg.Name, Stats: *core.Stats()}, core, nil
 }
-
-// Fingerprint is the memoization key for a job: the configuration with its
-// display name and trace hook stripped (neither affects simulation), plus
-// the benchmark and instruction budget. Two jobs with equal fingerprints
-// produce identical Stats, so the engine runs only the first.
-func Fingerprint(cfg Config, bench string, insts uint64) string {
-	cfg.Name = ""
-	cfg.TraceCommit = nil
-	return fmt.Sprintf("%+v|%s|%d", cfg, bench, insts)
-}

@@ -80,10 +80,11 @@ func (s storeCheckpoints) GetCheckpoint(key string) ([]byte, bool) {
 func (s storeCheckpoints) PutCheckpoint(key string, val []byte) { s.st.Put(key, val) }
 
 // SampledFingerprint is the memo key for a possibly-sampled job. With an
-// empty spec it is byte-identical to Fingerprint, so exact results keep
-// their existing memo and store keys; an enabled spec appends a
-// "|sample:w:d:p" suffix, so sampled results can never collide with exact
-// ones (or with a different spec's).
+// empty spec it is byte-identical to Fingerprint, so exact results share
+// one key whichever entry point runs them; an enabled spec appends a
+// "|sample:w:d:p" suffix (<bench>|<insts>|<config digest>|sample:w:d:p),
+// so sampled results can never collide with exact ones (or with a
+// different spec's).
 func SampledFingerprint(cfg Config, bench string, insts uint64, spec pipeline.SampleSpec) string {
 	key := Fingerprint(cfg, bench, insts)
 	if spec.Enabled() {
