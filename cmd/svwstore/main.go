@@ -18,6 +18,9 @@
 //	svwstore prune -older-than DUR DIR    delete entries not accessed for
 //	                                      DUR (e.g. 720h)
 //
+// Exit status: 0 success, 1 a failed command (verification included), 2
+// bad usage.
+//
 // Run it against a live directory freely: writers land entries by atomic
 // rename, and a daemon whose indexed entry disappears degrades to a miss
 // and a recompute, never an error.
@@ -27,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -34,57 +38,77 @@ import (
 	"svwsim/internal/store"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+const usage = `usage:
   svwstore ls DIR
   svwstore verify [-delete] DIR
   svwstore gc [-max-bytes N] DIR
   svwstore prune -older-than DUR DIR
-`)
-}
+`
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is svwstore with its arguments and output streams made explicit; it
+// returns the exit status: 0 success, 1 a failed command (verification
+// included), 2 bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		fmt.Fprint(stderr, usage)
+		return 2
 	}
-	var err error
-	switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+	var cmd func(*flag.FlagSet, []string, io.Writer) error
+	switch args[0] {
 	case "ls":
-		err = cmdLS(args)
+		cmd = cmdLS
 	case "verify":
-		err = cmdVerify(args)
+		cmd = cmdVerify
 	case "gc":
-		err = cmdGC(args)
+		cmd = cmdGC
 	case "prune":
-		err = cmdPrune(args)
+		cmd = cmdPrune
 	case "help", "-h", "-help", "--help":
-		usage()
-		return
+		fmt.Fprint(stdout, usage)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "svwstore: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "svwstore: unknown command %q\n%s", args[0], usage)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "svwstore: %v\n", err)
-		os.Exit(1)
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	err := cmd(fs, args[1:], stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		fmt.Fprintf(stderr, "svwstore: %v\n%s", err, usage)
+		return 2
+	default:
+		fmt.Fprintf(stderr, "svwstore: %v\n", err)
+		return 1
 	}
 }
 
-// dirArg extracts the one positional DIR argument after flag parsing.
-func dirArg(fs *flag.FlagSet) (string, error) {
+// errUsage marks a command line the command cannot run.
+var errUsage = errors.New("bad usage")
+
+// parseDir parses a command's flags and returns its one positional DIR
+// argument.
+func parseDir(fs *flag.FlagSet, args []string) (string, error) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return "", err
+		}
+		return "", fmt.Errorf("%s: %w", fs.Name(), errUsage)
+	}
 	if fs.NArg() != 1 {
-		usage()
-		return "", fmt.Errorf("%s: want exactly one directory argument", fs.Name())
+		return "", fmt.Errorf("%s: want exactly one directory argument: %w", fs.Name(), errUsage)
 	}
 	return fs.Arg(0), nil
 }
 
-func cmdLS(args []string) error {
-	fs := flag.NewFlagSet("ls", flag.ExitOnError)
-	fs.Parse(args)
-	dir, err := dirArg(fs)
+func cmdLS(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	dir, err := parseDir(fs, args)
 	if err != nil {
 		return err
 	}
@@ -99,17 +123,15 @@ func cmdLS(args []string) error {
 		if e.Err != nil {
 			key = fmt.Sprintf("<%v>", e.Err)
 		}
-		fmt.Printf("%s  %10d  %s\n", e.ModTime.Format(time.RFC3339), e.Size, key)
+		fmt.Fprintf(stdout, "%s  %10d  %s\n", e.ModTime.Format(time.RFC3339), e.Size, key)
 	}
-	fmt.Printf("%d entries, %d bytes\n", len(entries), total)
+	fmt.Fprintf(stdout, "%d entries, %d bytes\n", len(entries), total)
 	return nil
 }
 
-func cmdVerify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
+func cmdVerify(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	del := fs.Bool("delete", false, "delete entries that fail verification")
-	fs.Parse(args)
-	dir, err := dirArg(fs)
+	dir, err := parseDir(fs, args)
 	if err != nil {
 		return err
 	}
@@ -129,14 +151,14 @@ func cmdVerify(args []string) error {
 		} else {
 			corrupt++
 		}
-		fmt.Printf("%s: %s: %v\n", kind, e.Name, e.Err)
+		fmt.Fprintf(stdout, "%s: %s: %v\n", kind, e.Name, e.Err)
 		if *del {
 			if err := os.Remove(filepath.Join(dir, e.Name)); err != nil {
 				return err
 			}
 		}
 	}
-	fmt.Printf("%d entries: %d ok, %d corrupt, %d stale-version\n",
+	fmt.Fprintf(stdout, "%d entries: %d ok, %d corrupt, %d stale-version\n",
 		len(entries), len(entries)-corrupt-stale, corrupt, stale)
 	if (corrupt > 0 || stale > 0) && !*del {
 		return errors.New("verification failed (rerun with -delete to drop bad entries)")
@@ -144,39 +166,35 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
-func cmdGC(args []string) error {
-	fs := flag.NewFlagSet("gc", flag.ExitOnError)
+func cmdGC(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	maxBytes := fs.Int64("max-bytes", 0, "size cap to enforce (0 = the 1 GiB default)")
-	fs.Parse(args)
-	dir, err := dirArg(fs)
+	dir, err := parseDir(fs, args)
 	if err != nil {
 		return err
 	}
 	removed, remaining, err := store.GCDir(dir, *maxBytes)
 	for _, e := range removed {
-		fmt.Printf("removed %s (%d bytes, last access %s)\n",
+		fmt.Fprintf(stdout, "removed %s (%d bytes, last access %s)\n",
 			e.Name, e.Size, e.ModTime.Format(time.RFC3339))
 	}
-	fmt.Printf("removed %d entries, %d bytes remain\n", len(removed), remaining)
+	fmt.Fprintf(stdout, "removed %d entries, %d bytes remain\n", len(removed), remaining)
 	return err
 }
 
-func cmdPrune(args []string) error {
-	fs := flag.NewFlagSet("prune", flag.ExitOnError)
+func cmdPrune(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	olderThan := fs.Duration("older-than", 0, "delete entries not accessed for this long (required)")
-	fs.Parse(args)
-	dir, err := dirArg(fs)
+	dir, err := parseDir(fs, args)
 	if err != nil {
 		return err
 	}
 	if *olderThan <= 0 {
-		return errors.New("prune: -older-than must be a positive duration")
+		return fmt.Errorf("prune: -older-than must be a positive duration: %w", errUsage)
 	}
 	removed, err := store.PruneDir(dir, time.Now().Add(-*olderThan))
 	for _, e := range removed {
-		fmt.Printf("removed %s (%d bytes, last access %s)\n",
+		fmt.Fprintf(stdout, "removed %s (%d bytes, last access %s)\n",
 			e.Name, e.Size, e.ModTime.Format(time.RFC3339))
 	}
-	fmt.Printf("removed %d entries\n", len(removed))
+	fmt.Fprintf(stdout, "removed %d entries\n", len(removed))
 	return err
 }

@@ -224,6 +224,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`svw_stage_seconds_bucket{stage="engine_run",le="`,
 		`svw_store_requests_total{tier="miss"} 1`,
 		`svw_store_requests_total{tier="memory"} 0`,
+		"\nsvw_store_promotion_evictions_total 0\n",
+		"\nsvw_store_disk_corrupt_total 0\n",
 		`svw_engine_memo_misses_total 1`,
 	} {
 		if !strings.Contains(text, want) {

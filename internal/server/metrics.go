@@ -103,6 +103,12 @@ func newServerMetrics(s *Server, clientWeights map[string]int) *serverMetrics {
 		func() float64 { return float64(s.store.Stats().Disk.Bytes) })
 	reg.CounterFunc("svw_store_evictions_total", "Result store memory-tier evictions.",
 		func() uint64 { return s.store.Stats().Evictions })
+	reg.CounterFunc("svw_store_promotion_evictions_total",
+		"Result store memory-tier evictions forced by disk-hit promotions.",
+		func() uint64 { return s.store.Stats().PromotionEvictions })
+	reg.CounterFunc("svw_store_disk_corrupt_total",
+		"Result store disk-tier entries dropped by validation (header, checksum, key).",
+		func() uint64 { return s.store.Stats().Disk.Corrupt })
 	reg.CounterFunc("svw_store_coalesced_total",
 		"Singleflight waits: requests that shared an in-flight identical computation.",
 		func() uint64 { return s.store.Stats().Coalesced })

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"svwsim/internal/api"
@@ -179,6 +180,10 @@ func TestCorruptStoreEntriesRecomputed(t *testing.T) {
 	st := cacheStats(t, s2)
 	if st.DiskCorrupt != 2 {
 		t.Fatalf("stats %+v, want 2 corrupt entries detected", st)
+	}
+	scrape := do(s2, "GET", "/metrics", "", nil).Body.String()
+	if !strings.Contains(scrape, "\nsvw_store_disk_corrupt_total 2\n") {
+		t.Fatalf("/metrics does not count the 2 corrupt entries:\n%s", scrape)
 	}
 	// The recomputed entries were written back: a fresh restart is warm
 	// again.

@@ -20,10 +20,12 @@ import (
 
 // ScanEntry describes one entry file found by ScanDir.
 type ScanEntry struct {
-	Name    string    // file name under the directory
-	Key     string    // embedded store key ("" when unreadable)
-	Size    int64     // whole file size (header + key + value)
-	ModTime time.Time // last access (reads bump mtime best-effort)
+	Name string // file name under the directory
+	Key  string // embedded store key ("" when unreadable)
+	Size int64  // whole file size (header + key + value)
+	// ModTime is the last access at one-minute resolution: writes set the
+	// mtime, and reads refresh it best-effort, at most once a minute.
+	ModTime time.Time
 	// Err classifies the entry: nil = valid, wraps ErrStaleVersion for a
 	// well-formed entry from another format version, anything else is
 	// corruption (bad magic, truncation, checksum or filename mismatch).

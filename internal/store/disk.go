@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -28,12 +30,18 @@ import (
 //	20     k     key bytes (verbatim engine memo key)
 //	20+k   v     value bytes
 //
-// Readers validate everything — magic, version, lengths against the file
-// size, checksum, and that the stored key matches the requested one (a
+// Readers validate everything — magic, version, lengths against the bytes
+// read, checksum, and that the stored key matches the requested one (a
 // SHA-256 collision or a renamed file would otherwise serve the wrong
 // result). Any mismatch means the entry is ignored and deleted, never
 // misread: a truncated write, a bit flip, or an entry from an older
 // schema version all degrade to a cache miss and a recompute.
+//
+// A warm read is one open, one read and one close: the index knows the
+// entry's size, so Get reads exactly that many bytes into one buffer and
+// returns the value as a subslice of it. An entry's mtime records its last
+// access at one-minute resolution (touchEvery): reads refresh it at most
+// once a minute, which is all the restart-surviving GC order needs.
 //
 // diskVersion is also the invalidation knob for *payload* semantics: the
 // store key (engine.Fingerprint) covers configuration, benchmark and
@@ -67,9 +75,18 @@ type DiskStats struct {
 	WriteErrors uint64
 }
 
+// touchEvery bounds how stale an entry's mtime may get while it is being
+// read: a Get refreshes the mtime only when this process last set it more
+// than touchEvery ago, so a hot entry costs one utimensat a minute rather
+// than one per hit.
+const touchEvery = time.Minute
+
 // diskFile is the in-memory index record for one on-disk entry.
 type diskFile struct {
 	size int64
+	// touched is when this process last set (or, on open, observed) the
+	// entry's mtime.
+	touched time.Time
 }
 
 // Disk is the persistent tier: one checksummed file per key under dir,
@@ -82,7 +99,7 @@ type Disk struct {
 	maxBytes int64
 
 	mu    sync.Mutex
-	index *LRU[diskFile] // file name -> size, recency = access order
+	index *LRU[*diskFile] // file name -> record, recency = access order
 	total int64
 
 	evictions   uint64
@@ -93,8 +110,8 @@ type Disk struct {
 // OpenDisk opens (creating if needed) a disk tier rooted at dir. Leftover
 // temp files from a crashed writer are removed; existing entries are
 // indexed oldest-access-first using file mtimes, so the GC's LRU order
-// survives a restart (reads bump mtime best-effort). maxBytes <= 0 falls
-// back to DefaultDiskMaxBytes.
+// survives a restart (reads bump mtime best-effort, at most once per
+// touchEvery). maxBytes <= 0 falls back to DefaultDiskMaxBytes.
 func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultDiskMaxBytes
@@ -130,9 +147,9 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 		files = append(files, scanned{name: name, size: info.Size(), mtime: info.ModTime()})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	d := &Disk{dir: dir, maxBytes: maxBytes, index: NewLRU[diskFile]()}
+	d := &Disk{dir: dir, maxBytes: maxBytes, index: NewLRU[*diskFile]()}
 	for _, f := range files {
-		d.index.Put(f.name, diskFile{size: f.size}) // Put order = recency order
+		d.index.Put(f.name, &diskFile{size: f.size, touched: f.mtime}) // Put order = recency order
 		d.total += f.size
 	}
 	d.gcLocked()
@@ -148,15 +165,36 @@ func fileName(key string) string {
 	return hex.EncodeToString(sum[:]) + diskSuffix
 }
 
+// entryPath returns the path of key's entry file — dir, a slash, then
+// fileName(key) — in one allocation; the file name is its suffix after
+// len(d.dir)+1 bytes.
+func (d *Disk) entryPath(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return d.dir + "/" + string(hx[:]) + diskSuffix
+}
+
 // Get returns the stored value for key, or false on miss. A file that
 // fails validation — wrong magic, unknown version, bad lengths, checksum
 // mismatch, or a stored key that differs from the requested one — is
 // deleted and reported as a miss, so corruption costs a recompute, never
 // a wrong answer.
+//
+// An indexed entry is read with one open, one read of its indexed size
+// and one close, and the value returned aliases that one buffer. The
+// entry's mtime is refreshed only when this process last set it more than
+// touchEvery ago, or when the entry is adopted.
 func (d *Disk) Get(key string) ([]byte, bool) {
-	name := fileName(key)
-	path := filepath.Join(d.dir, name)
-	raw, err := os.ReadFile(path)
+	path := d.entryPath(key)
+	name := path[len(d.dir)+1:]
+	d.mu.Lock()
+	size := int64(-1)
+	if f, ok := d.index.Peek(name); ok {
+		size = f.size
+	}
+	d.mu.Unlock()
+	raw, err := readEntry(path, size)
 	if err != nil {
 		if os.IsNotExist(err) {
 			// Deindex only a confirmed-absent file; a transient read error
@@ -188,30 +226,82 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 		d.mu.Unlock()
 		return nil, false
 	}
-	if _, indexed := d.index.Get(name); !indexed {
+	now := time.Now()
+	f, indexed := d.index.Get(name)
+	if indexed {
+		// Another instance may have rewritten the entry at another size;
+		// keep the byte total true to what was just read.
+		d.total += int64(len(raw)) - f.size
+		f.size = int64(len(raw))
+	} else {
 		// Another instance (or a pre-restart run) wrote it; adopt it — and
 		// GC immediately. Adoption used to skip the GC, so a daemon reading
 		// a shared directory grew its tier unboundedly past maxBytes until
 		// the next local Put happened to trigger one. The adopted entry is
-		// the index's newest, so it survives the sweep itself.
-		d.index.Put(name, diskFile{size: int64(len(raw))})
+		// the index's newest, so it survives the sweep itself. Its zero
+		// touched time makes this read refresh the mtime.
+		f = &diskFile{size: int64(len(raw))}
+		d.index.Put(name, f)
 		d.total += int64(len(raw))
 		d.gcLocked()
 	}
+	touch := now.Sub(f.touched) > touchEvery
+	if touch {
+		f.touched = now
+	}
 	d.mu.Unlock()
-	// Bump mtime so access recency survives a restart; best-effort, and
-	// outside the lock so a slow filesystem cannot stall other requests.
-	now := time.Now()
-	os.Chtimes(path, now, now)
+	if touch {
+		// Bump mtime so access recency survives a restart; best-effort, and
+		// outside the lock so a slow filesystem cannot stall other requests.
+		os.Chtimes(path, now, now)
+	}
 	return val, true
+}
+
+// readEntry reads the entry file at path. With the size the index holds
+// for it (size >= 0), that is one open, one read into a buffer of size+1
+// bytes, and one close: it reads on only while fewer than size bytes have
+// arrived and the file has not ended. A full buffer means the file grew
+// behind the index (another instance rewrote it), and the read starts over
+// with os.ReadFile, as it does for an entry the index does not know
+// (size < 0).
+func readEntry(path string, size int64) ([]byte, error) {
+	if size < 0 {
+		return os.ReadFile(path)
+	}
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return nil, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	buf := make([]byte, size+1)
+	n := 0
+	for {
+		m, err := syscall.Read(fd, buf[n:])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			syscall.Close(fd)
+			return nil, &os.PathError{Op: "read", Path: path, Err: err}
+		}
+		n += m
+		if m == 0 || int64(n) >= size {
+			break
+		}
+	}
+	syscall.Close(fd)
+	if n == len(buf) {
+		return os.ReadFile(path)
+	}
+	return buf[:n], nil
 }
 
 // Put stores val under key: encoded to a temp file in the same directory,
 // then renamed into place, so readers only ever observe complete entries.
 // Oversized tiers shed least-recently-accessed entries afterwards.
 func (d *Disk) Put(key string, val []byte) error {
-	name := fileName(key)
-	path := filepath.Join(d.dir, name)
+	path := d.entryPath(key)
+	name := path[len(d.dir)+1:]
 	buf := encodeEntry(key, val)
 
 	if err := d.writeFile(path, buf); err != nil {
@@ -220,11 +310,12 @@ func (d *Disk) Put(key string, val []byte) error {
 		d.mu.Unlock()
 		return err
 	}
+	now := time.Now()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.dropLocked(name) // replacing: retire the old size before adding the new
-	d.index.Put(name, diskFile{size: int64(len(buf))})
+	d.index.Put(name, &diskFile{size: int64(len(buf)), touched: now})
 	d.total += int64(len(buf))
 	d.gcLocked()
 	return nil
@@ -328,30 +419,37 @@ var ErrStaleVersion = errors.New("store: entry from a different format version")
 // check passes. An error wrapping ErrStaleVersion means a valid entry
 // from another schema version; any other error means corruption.
 func parseEntry(raw []byte) (key string, val []byte, err error) {
+	k, val, err := splitEntry(raw)
+	return string(k), val, err
+}
+
+// splitEntry checks raw's magic, version, lengths and checksum, and
+// returns its key and value as subslices of raw; the value is full
+// capacity, so raw's backing array becomes the value's own.
+func splitEntry(raw []byte) (key, val []byte, err error) {
 	if len(raw) < diskHeaderSize || string(raw[0:4]) != diskMagic {
-		return "", nil, errors.New("bad magic or truncated header")
+		return nil, nil, errors.New("bad magic or truncated header")
 	}
 	if v := binary.LittleEndian.Uint32(raw[4:8]); v != diskVersion {
-		return "", nil, fmt.Errorf("%w: version %d (want %d)", ErrStaleVersion, v, diskVersion)
+		return nil, nil, fmt.Errorf("%w: version %d (want %d)", ErrStaleVersion, v, diskVersion)
 	}
 	keyLen := int64(binary.LittleEndian.Uint32(raw[8:12]))
 	valLen := int64(binary.LittleEndian.Uint32(raw[12:16]))
 	if int64(len(raw)) != diskHeaderSize+keyLen+valLen {
-		return "", nil, errors.New("length mismatch: truncated or padded")
+		return nil, nil, errors.New("length mismatch: truncated or padded")
 	}
 	if crc32.ChecksumIEEE(raw[diskHeaderSize:]) != binary.LittleEndian.Uint32(raw[16:20]) {
-		return "", nil, errors.New("checksum mismatch")
+		return nil, nil, errors.New("checksum mismatch")
 	}
-	val = make([]byte, valLen)
-	copy(val, raw[diskHeaderSize+keyLen:])
-	return string(raw[diskHeaderSize : diskHeaderSize+keyLen]), val, nil
+	return raw[diskHeaderSize : diskHeaderSize+keyLen], raw[diskHeaderSize+keyLen : len(raw) : len(raw)], nil
 }
 
 // decodeEntry validates raw against the format and wantKey, returning the
-// value on success. Stale-version entries are ignored, not guessed at.
+// value on success without a copy: it aliases raw. Stale-version entries
+// are ignored, not guessed at.
 func decodeEntry(raw []byte, wantKey string) ([]byte, bool) {
-	key, val, err := parseEntry(raw)
-	if err != nil || key != wantKey {
+	key, val, err := splitEntry(raw)
+	if err != nil || string(key) != wantKey {
 		return nil, false
 	}
 	return val, true
@@ -368,6 +466,13 @@ func EncodeEntry(key string, val []byte) []byte { return encodeEntry(key, val) }
 // version, length or checksum mismatch, or a different embedded key — is
 // (nil, false): a peer answer that fails here degrades to a cache miss,
 // never a wrong answer.
+//
+// Unlike the disk tier's own reads, the value is a copy: raw is the
+// caller's buffer, not the store's.
 func DecodeEntry(raw []byte, wantKey string) ([]byte, bool) {
-	return decodeEntry(raw, wantKey)
+	val, ok := decodeEntry(raw, wantKey)
+	if !ok {
+		return nil, false
+	}
+	return bytes.Clone(val), true
 }

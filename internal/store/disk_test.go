@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func openDisk(t *testing.T, dir string, maxBytes int64) *Disk {
@@ -291,5 +292,104 @@ func TestDiskGetMissingFileDeindexes(t *testing.T) {
 	}
 	if st := d.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("deleted entry still indexed: %+v", st)
+	}
+}
+
+// Two instances share a directory and B rewrites an entry A has indexed
+// at another size. A's sized read must still serve B's bytes: a longer
+// file overflows the indexed size and falls back to a whole-file read, a
+// shorter one simply reads short. Neither is corruption. The "empty" case
+// has A index an empty file at open (size 0), which a sized read must
+// still find grown.
+func TestDiskSizedReadFollowsRewrites(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		old  []byte // what A indexes: its own Put of old, or nil for an empty file
+		val  []byte // B's rewrite
+	}{
+		{"longer", bytes.Repeat([]byte("a"), 100), bytes.Repeat([]byte("L"), 300)},
+		{"shorter", bytes.Repeat([]byte("a"), 100), []byte("s")},
+		{"empty", nil, []byte("v")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			key := "gcc|10000|shared"
+			if c.old == nil {
+				if err := os.WriteFile(filepath.Join(dir, fileName(key)), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a := openDisk(t, dir, 0)
+			if c.old != nil {
+				if err := a.Put(key, c.old); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := openDisk(t, dir, 0)
+			if err := b.Put(key, c.val); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := a.Get(key)
+			if !ok || !bytes.Equal(got, c.val) {
+				t.Fatalf("A.Get after B's rewrite = %q, %v, want B's %d bytes", got, ok, len(c.val))
+			}
+			st := a.Stats()
+			if st.Corrupt != 0 {
+				t.Fatalf("rewrite counted as corruption: %+v", st)
+			}
+			if want := int64(len(encodeEntry(key, c.val))); st.Bytes != want {
+				t.Fatalf("A's byte total %d, want %d (the size it just read)", st.Bytes, want)
+			}
+			entryPath(t, a, key) // the file survives
+			if got, ok := a.Get(key); !ok || !bytes.Equal(got, c.val) {
+				t.Fatalf("second A.Get = %q, %v", got, ok)
+			}
+		})
+	}
+}
+
+// Reads refresh an entry's mtime at most once per touchEvery: an entry
+// whose mtime this process set long ago is bumped by the next Get, and a
+// Get within touchEvery of that leaves the mtime alone.
+func TestDiskGetTouchesOncePerInterval(t *testing.T) {
+	dir := t.TempDir()
+	key := "gcc|10000|touched"
+	if err := openDisk(t, dir, 0).Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fileName(key))
+	mtime := func() time.Time {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.ModTime()
+	}
+	aged := time.Now().Add(-2 * touchEvery).Truncate(time.Second)
+	if err := os.Chtimes(path, aged, aged); err != nil {
+		t.Fatal(err)
+	}
+	// A restart seeds each entry's last touch from its scanned mtime.
+	d := openDisk(t, dir, 0)
+	before := time.Now().Add(-time.Second)
+	if _, ok := d.Get(key); !ok {
+		t.Fatal("miss")
+	}
+	if mt := mtime(); mt.Before(before) {
+		t.Fatalf("mtime %v after reading an entry aged past touchEvery, want >= %v", mt, before)
+	}
+	// Mark the file, then read again within touchEvery: no utimensat.
+	marker := time.Now().Add(-touchEvery / 2).Truncate(time.Second)
+	if err := os.Chtimes(path, marker, marker); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := d.Get(key); !ok {
+			t.Fatal("miss")
+		}
+	}
+	if mt := mtime(); !mt.Equal(marker) {
+		t.Fatalf("mtime %v after Gets within touchEvery, want it left at %v", mt, marker)
 	}
 }

@@ -13,11 +13,12 @@
 //     restarts and cross-process sharing cost a read instead of a
 //     re-simulation.
 //
-// Get consults memory first, then disk; a disk hit is promoted into
-// memory. Put writes through to both tiers. Lookups never touch the
-// hit/miss counters — callers that actually serve the bytes record the
-// outcome with Account, so probes on requests that end up rejected
-// cannot skew the rates (the same contract the server's old LRU had).
+// Get consults memory first, then the write-behind queue and disk; a
+// disk hit is promoted into memory. Put writes through to both tiers.
+// Lookups never touch the hit/miss counters — callers that actually
+// serve the bytes record the outcome with Account, so probes on requests
+// that end up rejected cannot skew the rates (the same contract the
+// server's old LRU had).
 package store
 
 import "sync"
@@ -163,9 +164,11 @@ func (s *Store) Flush() {
 func (s *Store) HasDisk() bool { return s.disk != nil }
 
 // Get returns the bytes under key and the tier that held them; a disk hit
-// is promoted into the memory tier. Counters are untouched — callers that
-// serve the result record it via Account. Callers must not mutate the
-// returned slice.
+// is promoted into the memory tier. An entry still waiting in the
+// write-behind queue is a disk hit too: the store accepted it, so
+// evicting it from memory before its write lands must not lose it.
+// Counters are untouched — callers that serve the result record it via
+// Account. Callers must not mutate the returned slice.
 func (s *Store) Get(key string) ([]byte, Origin) {
 	s.mu.Lock()
 	if val, ok := s.mem.Get(key); ok {
@@ -176,7 +179,14 @@ func (s *Store) Get(key string) ([]byte, Origin) {
 	if s.disk == nil {
 		return nil, OriginMiss
 	}
-	val, ok := s.disk.Get(key)
+	var val []byte
+	var ok bool
+	if s.wb != nil {
+		val, ok = s.wb.get(key)
+	}
+	if !ok {
+		val, ok = s.disk.Get(key)
+	}
 	if !ok {
 		return nil, OriginMiss
 	}

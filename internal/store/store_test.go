@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"svwsim/internal/raceflag"
 )
 
 func openStore(t *testing.T, opts Options) *Store {
@@ -174,27 +177,62 @@ func TestStoreDiskWriteErrorCounted(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrent hammers a tiered store from many goroutines; under
-// -race this is the package's data-race gate.
+// TestStoreConcurrent hammers a tiered store from many goroutines, with
+// synchronous and with write-behind disk writes; under -race this is the
+// package's data-race gate.
 func TestStoreConcurrent(t *testing.T) {
-	s := openStore(t, Options{MemoryEntries: 16, Dir: t.TempDir()})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				key := fmt.Sprintf("k%d", i%32)
-				s.Put(key, []byte(key))
-				if v, o := s.Get(key); o != OriginMiss && !bytes.Equal(v, []byte(key)) {
-					t.Errorf("key %s returned %q", key, v)
+	for _, wb := range []int{0, 8} {
+		s := openStore(t, Options{MemoryEntries: 16, Dir: t.TempDir(), WriteBehind: wb})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					key := fmt.Sprintf("k%d", i%32)
+					s.Put(key, []byte(key))
+					if v, o := s.Get(key); o != OriginMiss && !bytes.Equal(v, []byte(key)) {
+						t.Errorf("key %s returned %q", key, v)
+					}
+					s.AccountGet(OriginMemory)
 				}
-				s.AccountGet(OriginMemory)
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		s.Close()
+		if st := s.Stats(); st.Entries > 16 {
+			t.Fatalf("write-behind %d: memory tier exceeded capacity: %+v", wb, st)
+		}
 	}
-	wg.Wait()
-	if st := s.Stats(); st.Entries > 16 {
-		t.Fatalf("memory tier exceeded capacity: %+v", st)
+}
+
+// A warm disk hit through Store.Get — path, sized read into one buffer,
+// in-place decode, promotion into a 1-entry memory tier — stays within 8
+// allocations (it takes 6). Whole-file reads with a copying decode and
+// a per-hit mtime bump took 15.
+func TestStoreDiskHitAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	s := openStore(t, Options{MemoryEntries: 1, Dir: t.TempDir()})
+	payload := bytes.Repeat([]byte("r"), 1024)
+	keys := []string{
+		"gcc|300000|" + strings.Repeat("a", 64),
+		"gcc|300000|" + strings.Repeat("b", 64),
+	}
+	for _, k := range keys {
+		s.Put(k, payload)
+	}
+	i := 0
+	// Alternating keys evict each other from the memory tier, so every
+	// Get is served by the disk tier.
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, o := s.Get(keys[i%2]); o != OriginDisk {
+			t.Fatalf("Get %d: origin %v, want disk", i, o)
+		}
+		i++
+	})
+	if allocs > 8 {
+		t.Fatalf("warm disk hit: %.1f allocs, want <= 8", allocs)
 	}
 }

@@ -23,17 +23,20 @@ import "sync"
 //     absorbed synchronous write error;
 //   - drains on Close: Close wakes the flusher, waits for every queued
 //     entry to land, then stops it. Writers arriving after Close fall
-//     back to synchronous Puts, so a racing completion is never lost.
+//     back to synchronous Puts, so a racing completion is never lost;
+//   - readable until landed: get finds a key from its enqueue until its
+//     Disk.Put lands, queued or claimed by the flusher, so a result the
+//     memory tier has already evicted is still served (read-your-writes).
 type writeBehind struct {
 	disk     *Disk
 	capacity int
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*wbEntry
-	pending  map[string]*wbEntry // queued (not yet claimed) entries by key
-	inFlight int                 // entries claimed by the flusher, not yet landed
-	closed   bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*wbEntry
+	pending map[string]*wbEntry // queued (not yet claimed) entries by key
+	landing map[string]*wbEntry // entries claimed by the flusher, not yet landed
+	closed  bool
 
 	flushes uint64 // batches landed (each = one directory sync)
 	drops   uint64 // writes rejected by a full queue
@@ -50,6 +53,7 @@ func newWriteBehind(disk *Disk, capacity int) *writeBehind {
 	w := &writeBehind{
 		disk:    disk,
 		pending: make(map[string]*wbEntry),
+		landing: make(map[string]*wbEntry),
 		done:    make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -84,43 +88,69 @@ func (w *writeBehind) enqueue(key string, val []byte) {
 	w.mu.Unlock()
 }
 
+// get returns the newest value enqueued under key that is not yet on
+// disk: a queued entry first (it supersedes a claimed one), then one the
+// flusher has claimed but not landed.
+func (w *writeBehind) get(key string) ([]byte, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e, ok := w.pending[key]; ok {
+		return e.val, true
+	}
+	if e, ok := w.landing[key]; ok {
+		return e.val, true
+	}
+	return nil, false
+}
+
 // run is the flusher: claim the whole queue, land it, sync the directory
 // once, repeat. Exits only when closed AND drained.
 func (w *writeBehind) run() {
 	defer close(w.done)
-	w.mu.Lock()
 	for {
-		for len(w.queue) == 0 && !w.closed {
-			w.cond.Wait()
-		}
-		if len(w.queue) == 0 {
-			w.mu.Unlock()
+		batch := w.claim()
+		if len(batch) == 0 {
 			return
 		}
-		batch := w.queue
-		w.queue = nil
-		for _, e := range batch {
-			delete(w.pending, e.key)
-		}
-		w.inFlight = len(batch)
-		w.mu.Unlock()
-
 		for _, e := range batch {
 			w.disk.Put(e.key, e.val) // failures absorbed: counted in DiskStats.WriteErrors
 		}
 		w.disk.SyncDir()
-
-		w.mu.Lock()
-		w.inFlight = 0
-		w.flushes++
-		w.cond.Broadcast() // wake Flush waiters (and the next batch check)
+		w.landed()
 	}
+}
+
+// claim waits for queued entries and claims all of them for one batch,
+// moving them from pending to landing. It returns nil once the queue is
+// closed and drained.
+func (w *writeBehind) claim() []*wbEntry {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.queue) == 0 && !w.closed {
+		w.cond.Wait()
+	}
+	batch := w.queue
+	w.queue = nil
+	for _, e := range batch {
+		delete(w.pending, e.key)
+		w.landing[e.key] = e
+	}
+	return batch
+}
+
+// landed retires the claimed batch once every entry of it is on disk.
+func (w *writeBehind) landed() {
+	w.mu.Lock()
+	clear(w.landing)
+	w.flushes++
+	w.cond.Broadcast() // wake Flush waiters
+	w.mu.Unlock()
 }
 
 // flush blocks until everything enqueued so far has landed on disk.
 func (w *writeBehind) flush() {
 	w.mu.Lock()
-	for len(w.queue) > 0 || w.inFlight > 0 {
+	for len(w.queue) > 0 || len(w.landing) > 0 {
 		w.cond.Wait()
 	}
 	w.mu.Unlock()
@@ -150,7 +180,7 @@ func (w *writeBehind) stats() WriteBehindStats {
 	defer w.mu.Unlock()
 	return WriteBehindStats{
 		Enabled: true,
-		Depth:   len(w.queue) + w.inFlight,
+		Depth:   len(w.queue) + len(w.landing),
 		Flushes: w.flushes,
 		Drops:   w.drops,
 	}

@@ -14,6 +14,7 @@ func newStoppedWriteBehind(d *Disk, capacity int) *writeBehind {
 		disk:     d,
 		capacity: capacity,
 		pending:  make(map[string]*wbEntry),
+		landing:  make(map[string]*wbEntry),
 		done:     make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -174,5 +175,76 @@ func TestEntryWireRoundTrip(t *testing.T) {
 	}
 	if _, ok := DecodeEntry(nil, key); ok {
 		t.Fatal("empty reply decoded")
+	}
+}
+
+// Read-your-writes: a result the store accepted must stay servable while
+// its disk write is still queued, even after the memory tier has evicted
+// it. Each miss here would be a needless re-simulation.
+func TestStoreGetServesQueuedWrites(t *testing.T) {
+	s := openStore(t, Options{MemoryEntries: 1, Dir: t.TempDir(), WriteBehind: 64})
+	defer s.Close()
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		val := []byte(fmt.Sprintf("val-%d", i))
+		s.Put(key, val)
+		s.Put(key+"x", []byte("evicts key from the 1-entry memory tier"))
+		got, o := s.Get(key)
+		if o != OriginDisk || !bytes.Equal(got, val) {
+			t.Fatalf("Get %s right after Put = %q, %v, want %q from the disk tier", key, got, o, val)
+		}
+		s.Flush() // keep the queue from filling: a full queue drops by design
+	}
+	if st := s.Stats(); st.WriteBehind.Drops != 0 {
+		t.Fatalf("write-behind dropped %d writes", st.WriteBehind.Drops)
+	}
+}
+
+// An entry the flusher has claimed stays readable until its Disk.Put
+// lands; a newer enqueue of the same key supersedes it.
+func TestWriteBehindClaimedEntriesReadable(t *testing.T) {
+	d := openDisk(t, t.TempDir(), 0)
+	w := newStoppedWriteBehind(d, 8)
+	w.enqueue("a", []byte("v1"))
+	batch := w.claim()
+	if got, ok := w.get("a"); !ok || string(got) != "v1" {
+		t.Fatalf("claimed entry: %q, %v, want v1", got, ok)
+	}
+	w.enqueue("a", []byte("v2"))
+	if got, ok := w.get("a"); !ok || string(got) != "v2" {
+		t.Fatalf("re-enqueued entry: %q, %v, want the newer v2", got, ok)
+	}
+	for _, e := range batch {
+		if err := d.Put(e.key, e.val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.landed()
+	if got, ok := w.get("a"); !ok || string(got) != "v2" {
+		t.Fatalf("after the claimed batch landed: %q, %v, want the queued v2", got, ok)
+	}
+	go w.run()
+	w.close()
+	if _, ok := w.get("a"); ok {
+		t.Fatal("entry still in the queue after the drain")
+	}
+	if got, ok := d.Get("a"); !ok || string(got) != "v2" {
+		t.Fatalf("on disk after the drain: %q, %v, want v2", got, ok)
+	}
+}
+
+// DecodeEntry serves the peer wire path, whose buffer belongs to the
+// caller: the value must not alias it.
+func TestDecodeEntryCopies(t *testing.T) {
+	raw := EncodeEntry("k", []byte("value"))
+	got, ok := DecodeEntry(raw, "k")
+	if !ok {
+		t.Fatal("decode failed")
+	}
+	for i := range raw {
+		raw[i] = 0
+	}
+	if string(got) != "value" {
+		t.Fatalf("value changed with the wire buffer: %q", got)
 	}
 }
