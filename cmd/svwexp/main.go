@@ -153,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	run(*fig == 6, figure(6))
 	run(*fig == 7, figure(7))
 	run(*fig == 8, sim.Reported(sim.Fig8Study(fig8Benches, *insts, spec)))
-	run(*ssnwidth, sim.Reported(sim.SSNWidthStudy(benches, []int{8, 10, 12, 16, 0}, *insts, spec)))
+	run(*ssnwidth, sim.Reported(sim.SSNWidthStudy(benches, sim.SSNWidths(), *insts, spec)))
 	run(*ssbfupd, sim.Reported(sim.SSBFUpdateStudy(benches, *insts, spec)))
 	run(*summary, sim.Reported(sim.SummaryStudy(benches, *insts, spec)))
 	run(*retports, sim.Reported(sim.RetPortsStudy(benches, *insts, spec)))

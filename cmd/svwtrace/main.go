@@ -6,12 +6,15 @@
 //
 //	go run ./cmd/svwtrace -bench gcc -config ssq+svw -start 20000 -n 40
 //
-// Flags mirror cmd/svwsim's configuration names.
+// Flags mirror cmd/svwsim's configuration names. Exit status: 0 success,
+// 1 a failed run, 2 bad usage or an unknown config or benchmark.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,25 +24,41 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "gcc", "benchmark kernel")
-	config := flag.String("config", "ssq+svw", "machine configuration")
-	start := flag.Uint64("start", 20_000, "first committed instruction to trace")
-	n := flag.Uint64("n", 40, "instructions to trace")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is svwtrace with its arguments and output streams made explicit; it
+// returns the exit status: 0 success, 1 a failed run, 2 bad usage or an
+// unknown config or benchmark.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("svwtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "gcc", "benchmark kernel")
+	config := fs.String("config", "ssq+svw", "machine configuration")
+	start := fs.Uint64("start", 20_000, "first committed instruction to trace")
+	n := fs.Uint64("n", 40, "instructions to trace")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg, ok := sim.ConfigByName(*config)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "svwtrace: unknown config %q\n", *config)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "svwtrace: unknown config %q\n", *config)
+		return 2
 	}
 	if _, ok := workload.Get(*bench); !ok {
-		fmt.Fprintf(os.Stderr, "svwtrace: unknown benchmark %q\n", *bench)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "svwtrace: unknown benchmark %q\n", *bench)
+		return 2
 	}
+	// cfg is this run's own copy: the limits and the trace hook set here
+	// never reach another lookup of the same name.
 	cfg.MaxInsts = *start + *n + 1000
 	cfg.WarmupInsts = 0
 
-	fmt.Printf("%8s %-26s %9s %9s %9s %9s %9s %9s  flags\n",
+	fmt.Fprintf(stdout, "%8s %-26s %9s %9s %9s %9s %9s %9s  flags\n",
 		"seq", "instruction", "fetch", "rename", "issue", "complete", "rex", "commit")
 	traced := uint64(0)
 	var base uint64
@@ -68,7 +87,7 @@ func main() {
 		if r.Forwarded {
 			flags = append(flags, "fwd")
 		}
-		fmt.Printf("%8d %-26s %9d %9d %9d %9d %9s %9d  %s\n",
+		fmt.Fprintf(stdout, "%8d %-26s %9d %9d %9d %9d %9s %9d  %s\n",
 			r.Seq, r.Text,
 			r.FetchC-base, r.RenameC-base, r.IssueC-base,
 			r.CompleteC-base, rex, r.CommitC-base,
@@ -78,7 +97,8 @@ func main() {
 	p := workload.BuildByName(*bench)
 	core := pipeline.New(cfg, p)
 	if err := core.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "svwtrace: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "svwtrace: %v\n", err)
+		return 1
 	}
+	return 0
 }

@@ -216,13 +216,28 @@ func (r *SweepRequest) SetSample(spec pipeline.SampleSpec) {
 	r.SampleWarmup, r.SampleDetail, r.SamplePeriod = spec.Warmup, spec.Detail, spec.Period
 }
 
+// PlannedCell is one cell of a planned request: the engine job and the
+// memo key its result lives under in every store tier and on the fabric.
+type PlannedCell struct {
+	Job engine.Job
+	Key string
+}
+
 // Plan validates the request and returns its cells as engine jobs in job
-// order. The sampling spec is the request's own when enabled, else
-// defaultSample, and every job carries it resolved, so the spec that keys
-// a cell is the spec that runs it. The checks run in a fixed order —
-// form, the maxJobs bound, the spec, then each cell's config and bench —
-// and an error's text is the 400 message both services answer with.
-func (r *SweepRequest) Plan(defaultSample pipeline.SampleSpec, maxJobs int) ([]engine.Job, error) {
+// order, each with its key. The sampling spec is the request's own when
+// enabled, else defaultSample, and every job carries it resolved, so the
+// spec that keys a cell is the spec that runs it. The checks run in a
+// fixed order — form, the maxJobs bound, the spec, then each cell's config
+// and bench — and an error's text is the 400 message both services answer
+// with.
+//
+// Each cell's machine comes from sim.MachineByName, so a cell named by a
+// registry, display or standard study-rung name costs a table lookup and
+// its key is assembled from the machine's cached digest, never hashed.
+// That holds at every hop: a forwarded batch names its cells' machines,
+// and the owner plans it here again, re-deriving each key from the name
+// rather than taking one off the wire.
+func (r *SweepRequest) Plan(defaultSample pipeline.SampleSpec, maxJobs int) ([]PlannedCell, error) {
 	if err := r.CheckForm(); err != nil {
 		return nil, err
 	}
@@ -237,19 +252,21 @@ func (r *SweepRequest) Plan(defaultSample pipeline.SampleSpec, maxJobs int) ([]e
 		return nil, err
 	}
 	cells := r.Flatten()
-	jobs := make([]engine.Job, len(cells))
+	planned := make([]PlannedCell, len(cells))
 	for i, c := range cells {
-		cfg, ok := sim.ConfigByName(c.Config)
+		m, ok := sim.MachineByName(c.Config)
 		if !ok {
 			return nil, fmt.Errorf("unknown config %q", c.Config)
 		}
 		if _, ok := workload.Get(c.Bench); !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", c.Bench)
 		}
-		jobs[i] = engine.Job{Study: "sweep", Label: cfg.Name, Config: cfg,
-			Bench: c.Bench, Insts: r.Insts, Sample: spec}
+		p := &planned[i]
+		p.Job.Study, p.Job.Label, p.Job.Config = "sweep", m.Name(), m.Config()
+		p.Job.Bench, p.Job.Insts, p.Job.Sample = c.Bench, r.Insts, spec
+		p.Key = m.Key(c.Bench, r.Insts, spec)
 	}
-	return jobs, nil
+	return planned, nil
 }
 
 // ErrorResponse is the body of every non-2xx response.

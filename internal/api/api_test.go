@@ -240,24 +240,24 @@ func TestPlan(t *testing.T) {
 	def := pipeline.SampleSpec{Warmup: 1_000, Detail: 1_000, Period: 10_000}
 	run := RunRequest{Config: " SSQ+SVW ", Bench: "gcc", Insts: 5_000}
 	sweep := run.Sweep()
-	jobs, err := sweep.Plan(def, 1)
-	if err != nil || len(jobs) != 1 {
-		t.Fatalf("run plan: %v, %d jobs", err, len(jobs))
+	cells, err := sweep.Plan(def, 1)
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("run plan: %v, %d jobs", err, len(cells))
 	}
 	want, _ := sim.ConfigByName("ssq+svw")
-	if j := jobs[0]; j.Config.Name != want.Name || j.Label != want.Name || j.Bench != "gcc" ||
+	if j := cells[0].Job; j.Config.Name != want.Name || j.Label != want.Name || j.Bench != "gcc" ||
 		j.Insts != 5_000 || j.Sample != def {
 		t.Fatalf("run planned as %s/%s on %s, %d insts, spec %+v", j.Label, j.Config.Name, j.Bench, j.Insts, j.Sample)
 	}
 	matrix := SweepRequest{Configs: []string{"ssq", "nlq"}, Benches: []string{"gcc", "twolf"}}
 	matrix.SetSample(pipeline.SampleSpec{Warmup: 10, Detail: 10, Period: 100})
-	jobs, err = matrix.Plan(def, 4)
-	if err != nil || len(jobs) != 4 {
-		t.Fatalf("matrix plan: %v, %d jobs", err, len(jobs))
+	cells, err = matrix.Plan(def, 4)
+	if err != nil || len(cells) != 4 {
+		t.Fatalf("matrix plan: %v, %d jobs", err, len(cells))
 	}
 	for i, c := range matrix.Flatten() {
 		want, _ := sim.ConfigByName(c.Config)
-		if j := jobs[i]; j.Config.Name != want.Name || j.Bench != c.Bench || j.Sample != matrix.Sample() {
+		if j := cells[i].Job; j.Config.Name != want.Name || j.Bench != c.Bench || j.Sample != matrix.Sample() {
 			t.Errorf("job %d planned as %s on %s (%+v), want %s on %s", i, j.Config.Name, j.Bench,
 				j.Sample, want.Name, c.Bench)
 		}

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -81,6 +83,72 @@ func TestWarmSweepOneRequestPerOwner(t *testing.T) {
 	wantTiers := strings.TrimSuffix(strings.Repeat(api.CachePeer+",", int(njobs)), ",")
 	if h := w.Header().Get(api.CacheHeader); h != wantTiers {
 		t.Fatalf("%s = %q, want %q", api.CacheHeader, h, wantTiers)
+	}
+}
+
+// configDigests reads svw_config_digests_total off a /metrics scrape.
+func configDigests(t *testing.T, scrape string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, "svw_config_digests_total "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("svw_config_digests_total %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no svw_config_digests_total in the scrape")
+	return 0
+}
+
+// digestCounts scrapes svw_config_digests_total from svwctl and from each
+// backend. (In this test the three share one process, and so one counter;
+// each still serves it on its own /metrics, as separate processes do.)
+func digestCounts(t *testing.T, f *fabric) []uint64 {
+	t.Helper()
+	counts := []uint64{configDigests(t, f.do("GET", "/metrics", "", nil).Body.String())}
+	for _, ts := range f.backends {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, configDigests(t, string(body)))
+	}
+	return counts
+}
+
+// TestWarmSweepComputesNoDigests pins the keying work, not its time: a
+// warm 60-cell sweep through svwctl over two backends keys every cell at
+// every hop — svwctl to place it, the owner to probe its store — from the
+// machines' interned digests, so no process hashes a configuration.
+// (Hashing each cell's configuration at each hop, as keying did before the
+// table, would add 60 at svwctl and 30 at each owner.)
+func TestWarmSweepComputesNoDigests(t *testing.T) {
+	f := newFabric(t, 2, Options{}, nil)
+	benches := []string{"gcc", "twolf", "mcf", "vortex"}
+	body := sweepBody(sim.ConfigNames(), benches)
+	if w := f.do("POST", "/v1/sweep", body, nil); w.Code != http.StatusOK {
+		t.Fatalf("warm-up sweep: HTTP %d: %s", w.Code, w.Body)
+	}
+	before := digestCounts(t, f)
+	w := f.do("POST", "/v1/sweep", body, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("warm sweep: HTTP %d: %s", w.Code, w.Body)
+	}
+	if n := strings.Count(w.Header().Get(api.CacheHeader), api.CachePeer); n != 60 {
+		t.Fatalf("warm sweep: %d of 60 cells answered by their owners", n)
+	}
+	after := digestCounts(t, f)
+	for i := range after {
+		if d := after[i] - before[i]; d != 0 {
+			t.Errorf("process %d (0 = svwctl) computed %d configuration digests for a warm sweep, want 0", i, d)
+		}
 	}
 }
 

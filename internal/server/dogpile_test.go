@@ -46,7 +46,7 @@ func heldLeader(t *testing.T, s *Server, jobs []engine.Job) (release, cancel fun
 	t.Cleanup(release)
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), jobs, nil, nil)
+		_, err := s.resolve(ctx, httptest.NewRequest("POST", "/v1/sweep", nil), planStudy(jobs), nil, nil)
 		leaderDone <- err
 	}()
 	<-started

@@ -200,15 +200,14 @@ type cell struct {
 // is awaited (an SSE stream opens there); its error stops the resolve.
 // Either way a cell counts in the store's hit/miss accounting only once it
 // is delivered, so rejected, failed or abandoned work skews no rates.
-func (s *Server) resolve(ctx context.Context, r *http.Request, jobs []engine.Job, open func() error, emit func(*cell) error) ([]cell, error) {
+func (s *Server) resolve(ctx context.Context, r *http.Request, planned []api.PlannedCell, open func() error, emit func(*cell) error) ([]cell, error) {
 	tr := trace.FromContext(ctx)
-	cells := make([]cell, len(jobs))
+	cells := make([]cell, len(planned))
 	t0 := time.Now()
 	sp := tr.Start("store_probe")
 	for i := range cells {
 		c := &cells[i]
-		c.index, c.job = i, jobs[i]
-		c.key = engine.SampledFingerprint(c.job.Config, c.job.Bench, c.job.Insts, c.job.Sample)
+		c.index, c.job, c.key = i, planned[i].Job, planned[i].Key
 		c.body, c.origin = s.store.Get(c.key)
 	}
 	if sp.Active() {
@@ -569,17 +568,17 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 	if r.Header.Get(api.ForwardedHeader) != "" {
 		def = pipeline.SampleSpec{}
 	}
-	jobs, err := req.Plan(def, s.maxSweepJobs)
+	planned, err := req.Plan(def, s.maxSweepJobs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set(api.SampleHeader, api.SampleName(jobs[0].Sample))
+	w.Header().Set(api.SampleHeader, api.SampleName(planned[0].Job.Sample))
 	if stream {
-		s.streamSweep(ctx, w, r, jobs)
+		s.streamSweep(ctx, w, r, planned)
 		return
 	}
-	resolved, err := s.resolve(ctx, r, jobs, nil, nil)
+	resolved, err := s.resolve(ctx, r, planned, nil, nil)
 	if err != nil {
 		writeResolveError(w, r, err, what+" failed")
 		return
@@ -604,14 +603,14 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 // refusal (429) or a failure before that point answers with an ordinary
 // error response, and one after it leaves the stream without its "done"
 // event, so a live client can tell the sweep did not complete.
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request, jobs []engine.Job) {
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http.Request, planned []api.PlannedCell) {
 	var stream *api.SSE
-	summary := SweepDone{Jobs: len(jobs)}
+	summary := SweepDone{Jobs: len(planned)}
 	open := func() (err error) {
 		stream, err = api.NewSSE(w)
 		return err
 	}
-	_, err := s.resolve(ctx, r, jobs, open, func(c *cell) error {
+	_, err := s.resolve(ctx, r, planned, open, func(c *cell) error {
 		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench, Backend: c.from}
 		if c.origin != store.OriginMiss {
 			ev.Cached, ev.Origin = true, c.origin.String()
@@ -631,10 +630,28 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		return
 	}
-	stream.Event("done", len(jobs), summary)
+	stream.Event("done", len(planned), summary)
 }
 
 // --- /v1/studies/{study} -------------------------------------------------
+
+// planStudy keys a study's jobs as cells. Every job of a study svwd serves
+// rebuilds from its own Config.Name (sim's TestStudyJobsRebuildFromTheirNames
+// pins this; it is also how a cell reaches its owner), so each is keyed
+// through sim.MachineByName like a sweep cell: a lookup for the standard
+// rungs, a digest for an SSN width outside the table.
+func planStudy(jobs []engine.Job) []api.PlannedCell {
+	planned := make([]api.PlannedCell, len(jobs))
+	for i, j := range jobs {
+		planned[i].Job = j
+		if m, ok := sim.MachineByName(j.Config.Name); ok {
+			planned[i].Key = m.Key(j.Bench, j.Insts, j.Sample)
+		} else {
+			planned[i].Key = engine.SampledFingerprint(j.Config, j.Bench, j.Insts, j.Sample)
+		}
+	}
+	return planned
+}
 
 // studyParams are the query parameters shared by the study endpoints.
 type studyParams struct {
@@ -651,7 +668,7 @@ type studyParams struct {
 // It writes the error response itself on failure.
 func parseStudyParams(w http.ResponseWriter, r *http.Request, defaultBenches []string) (*studyParams, bool) {
 	q := r.URL.Query()
-	p := &studyParams{benches: defaultBenches, bits: []int{8, 10, 12, 16, 0}}
+	p := &studyParams{benches: defaultBenches, bits: sim.SSNWidths()}
 	if v := q.Get("fig"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -754,7 +771,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	resolved, err := s.resolve(ctx, r, st.Jobs, nil, nil)
+	resolved, err := s.resolve(ctx, r, planStudy(st.Jobs), nil, nil)
 	if err != nil {
 		writeResolveError(w, r, err, "study failed")
 		return

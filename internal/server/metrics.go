@@ -5,6 +5,7 @@ import (
 
 	"svwsim/internal/api"
 	"svwsim/internal/metrics"
+	"svwsim/internal/sim/engine"
 )
 
 // serverMetrics is svwd's scrape surface (GET /metrics): the per-stage
@@ -126,6 +127,11 @@ func newServerMetrics(s *Server, clientWeights map[string]int) *serverMetrics {
 		func() uint64 { return s.engineStats().MemoHits })
 	reg.CounterFunc("svw_engine_memo_misses_total", "Engine memo-table misses (executions).",
 		func() uint64 { return s.engineStats().MemoMisses })
+	// Process-wide: a warm cell of a registry or study machine is keyed
+	// from its interned digest, so this stays flat under warm load.
+	reg.CounterFunc("svw_config_digests_total",
+		"Machine configuration digests (SHA-256) computed to key cells.",
+		engine.ConfigDigests)
 
 	return m
 }

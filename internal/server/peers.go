@@ -28,7 +28,10 @@ import (
 // api.ForwardedHeader, the owners concurrently — and an owner resolves a
 // marked batch from its own tiers or engine, never forwarding it again.
 // The batch carries each cell's machine by the name it rebuilds from
-// (sim.ConfigByName), and the resolved sampling spec.
+// (sim.ConfigByName), and the resolved sampling spec, but no keys: the
+// owner plans the batch like any sweep (api.SweepRequest.Plan), keying
+// each cell by looking its name up in the process's interned machines,
+// so it takes no key off the wire and hashes no configuration either.
 //
 // A forward that fails — transport error, non-200, a reply that does not
 // split into its cells, the response header timeout — marks its member

@@ -7,7 +7,10 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"unsafe"
+
+	"svwsim/internal/pipeline"
 )
 
 // Fingerprint is the memoization key for a job:
@@ -19,16 +22,52 @@ import (
 // equal fingerprints produce identical Stats, so the engine runs only the
 // first, and every store tier and the fabric's rendezvous placement key
 // the result by it. The key is about 80 bytes whatever the configuration
-// grows to, and costs one pass over the configuration's fields and one
-// hash to compute.
+// grows to. Computing it is two steps, ConfigDigest (one pass over the
+// configuration's fields and one hash) and Key (string assembly); a
+// caller that keys many cells of one machine — the interned machines of
+// sim.MachineByName — digests the machine once and only assembles.
 func Fingerprint(cfg Config, bench string, insts uint64) string {
-	sum := configCanon.sum(&cfg)
-	b := make([]byte, 0, len(bench)+1+20+1+2*len(sum))
-	b = append(b, bench...)
+	return Key(ConfigDigest(&cfg), bench, insts, pipeline.SampleSpec{})
+}
+
+// configDigests counts ConfigDigest calls in this process.
+var configDigests atomic.Uint64
+
+// ConfigDigests returns how many configuration digests this process has
+// computed: the hashing work behind every key not assembled from a cached
+// digest.
+func ConfigDigests() uint64 { return configDigests.Load() }
+
+// ConfigDigest is the hex SHA-256 of cfg's canonical encoding, the last
+// field of every key Fingerprint and SampledFingerprint give cfg.
+func ConfigDigest(cfg *Config) string {
+	configDigests.Add(1)
+	sum := configCanon.sum(cfg)
+	return hex.EncodeToString(sum[:])
+}
+
+// Key assembles a memo key from a configuration digest (ConfigDigest):
+//
+//	<bench>|<insts>|<digest>[|sample:w:d:p]
+//
+// the suffix present only for an enabled spec. It hashes nothing, and
+// Key(ConfigDigest(&cfg), bench, insts, spec) is byte-identical to
+// SampledFingerprint(cfg, bench, insts, spec).
+func Key(digest, bench string, insts uint64, spec pipeline.SampleSpec) string {
+	var buf [192]byte
+	b := append(buf[:0], bench...)
 	b = append(b, '|')
 	b = strconv.AppendUint(b, insts, 10)
 	b = append(b, '|')
-	b = hex.AppendEncode(b, sum[:])
+	b = append(b, digest...)
+	if spec.Enabled() {
+		b = append(b, "|sample:"...)
+		b = strconv.AppendUint(b, spec.Warmup, 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, spec.Detail, 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, spec.Period, 10)
+	}
 	return string(b)
 }
 

@@ -118,6 +118,33 @@ func TestFingerprintGolden(t *testing.T) {
 }
 
 // Keying is on every hop of a served cell, so it must stay cheap.
+// Key assembles, from one digest, the keys SampledFingerprint hashes for:
+// exact, sampled, any bench and budget, each digest computed counted once.
+func TestKeyAssemblesFingerprints(t *testing.T) {
+	cfg := pipeline.Wide8Config()
+	before := ConfigDigests()
+	digest := ConfigDigest(&cfg)
+	if d := ConfigDigests() - before; d != 1 {
+		t.Fatalf("one ConfigDigest counted %d digests", d)
+	}
+	for _, spec := range []pipeline.SampleSpec{{}, {Warmup: 1000, Detail: 1000, Period: 5000}, {Warmup: 1, Detail: 2, Period: 1 << 40}} {
+		for _, bench := range []string{"gcc", "twolf", ""} {
+			for _, insts := range []uint64{0, 10_000, ^uint64(0)} {
+				want := Fingerprint(cfg, bench, insts)
+				if spec.Enabled() {
+					want += "|sample:" + spec.String()
+				}
+				if got := Key(digest, bench, insts, spec); got != want {
+					t.Errorf("Key(%s, %d, %v) = %q, want %q", bench, insts, spec, got, want)
+				}
+				if got := SampledFingerprint(cfg, bench, insts, spec); got != want {
+					t.Errorf("SampledFingerprint(%s, %d, %v) = %q, want %q", bench, insts, spec, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFingerprintAllocs(t *testing.T) {
 	cfg := pipeline.Wide8Config()
 	if n := testing.AllocsPerRun(100, func() { Fingerprint(cfg, "gcc", 10_000) }); n > 4 {

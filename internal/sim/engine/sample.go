@@ -86,11 +86,7 @@ func (s storeCheckpoints) PutCheckpoint(key string, val []byte) { s.st.Put(key, 
 // so sampled results can never collide with exact ones (or with a
 // different spec's).
 func SampledFingerprint(cfg Config, bench string, insts uint64, spec pipeline.SampleSpec) string {
-	key := Fingerprint(cfg, bench, insts)
-	if spec.Enabled() {
-		key += "|sample:" + spec.String()
-	}
-	return key
+	return Key(ConfigDigest(&cfg), bench, insts, spec)
 }
 
 // runSampledOn executes one sampled job: detailed windows of
