@@ -3,9 +3,9 @@
 # static checks, a full build, the race-enabled test suite (covering the
 # ring-buffer timing core and the svwctl coordinator's concurrency/fault
 # tests), the perfbench module's vet and self-tests, a fuzz smoke over the
-# differential and builder fuzzers, one-shot engine, store and
-# sweep-planning benchmarks so regressions surface early, the
-# measured-performance gate against BENCH_pipeline.json, an svwexp
+# differential and builder fuzzers, one-shot engine, store,
+# sweep-planning and warm fabric sweep benchmarks so regressions surface
+# early, the measured-performance gate against BENCH_pipeline.json, an svwexp
 # dedupe stage (-j 1 and -j 4 byte-identical with pinned memo counts), an svwd
 # smoke stage that boots the daemon and byte-compares its responses
 # against the svwsim and svwexp CLIs, a sampled-simulation smoke stage
@@ -42,6 +42,7 @@ go test -race ./...
 go test -bench=Engine -benchtime=1x -run='^$' ./internal/sim/engine
 go test -bench=Store -benchtime=1x -run='^$' ./internal/store
 go test -bench=Plan -benchtime=1x -run='^$' ./internal/api
+go test -bench=WarmSweep -benchtime=1x -run='^$' ./internal/cluster
 
 # Fuzz smoke: each fuzzer gets a short budget; any crasher fails the gate.
 go test -fuzz='^FuzzProgBuilder$' -fuzztime=10s -run='^$' ./internal/prog

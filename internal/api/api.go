@@ -191,19 +191,13 @@ func (r *SweepRequest) NumCells() int {
 	return len(r.Configs) * len(r.Benches)
 }
 
-// Flatten returns the request's cells in job order: Cells as given, or
-// the matrix config-major.
-func (r *SweepRequest) Flatten() []SweepCell {
+// Cell returns the request's i-th cell in job order: Cells[i], or the
+// matrix flattened config-major.
+func (r *SweepRequest) Cell(i int) SweepCell {
 	if len(r.Cells) > 0 {
-		return r.Cells
+		return r.Cells[i]
 	}
-	cells := make([]SweepCell, 0, r.NumCells())
-	for _, c := range r.Configs {
-		for _, b := range r.Benches {
-			cells = append(cells, SweepCell{Config: c, Bench: b})
-		}
-	}
-	return cells
+	return SweepCell{Config: r.Configs[i/len(r.Benches)], Bench: r.Benches[i%len(r.Benches)]}
 }
 
 // Sample assembles the request's sampling spec (zero value = exact).
@@ -216,20 +210,50 @@ func (r *SweepRequest) SetSample(spec pipeline.SampleSpec) {
 	r.SampleWarmup, r.SampleDetail, r.SamplePeriod = spec.Warmup, spec.Detail, spec.Period
 }
 
-// PlannedCell is one cell of a planned request: the engine job and the
-// memo key its result lives under in every store tier and on the fabric.
+// PlannedCell is one cell of a planned request: its machine, held by
+// reference into the process's interned table, what the machine runs, and
+// the memo key its result lives under in every store tier and on the
+// fabric. A warm cell needs only its name and key, so planning copies no
+// configuration: Job builds the engine job, configuration and all, for
+// the cells a server actually runs.
 type PlannedCell struct {
-	Job engine.Job
-	Key string
+	// Machine is the cell's machine; nil for a study cell, which runs
+	// Study.
+	Machine *sim.Machine
+	Bench   string
+	Insts   uint64
+	Sample  pipeline.SampleSpec
+	Key     string
+	// Study is the study job the cell was planned from, held by pointer
+	// into the study's job list; nil for a run or sweep cell.
+	Study *engine.Job
 }
 
-// Plan validates the request and returns its cells as engine jobs in job
-// order, each with its key. The sampling spec is the request's own when
-// enabled, else defaultSample, and every job carries it resolved, so the
-// spec that keys a cell is the spec that runs it. The checks run in a
-// fixed order — form, the maxJobs bound, the spec, then each cell's config
-// and bench — and an error's text is the 400 message both services answer
-// with.
+// Name is the display name the cell's result carries, its
+// Config.Name.
+func (p *PlannedCell) Name() string {
+	if p.Study != nil {
+		return p.Study.Config.Name
+	}
+	return p.Machine.Name()
+}
+
+// Job is the engine job that computes the cell: the study's own job, or a
+// "sweep" job on a copy of the machine's configuration.
+func (p *PlannedCell) Job() engine.Job {
+	if p.Study != nil {
+		return *p.Study
+	}
+	return engine.Job{Study: "sweep", Label: p.Machine.Name(), Config: p.Machine.Config(),
+		Bench: p.Bench, Insts: p.Insts, Sample: p.Sample}
+}
+
+// Plan validates the request and returns its cells in job order, each
+// with its key. The sampling spec is the request's own when enabled, else
+// defaultSample, and every cell carries it resolved, so the spec that
+// keys a cell is the spec that runs it. The checks run in a fixed order —
+// form, the maxJobs bound, the spec, then each cell's config and bench —
+// and an error's text is the 400 message both services answer with.
 //
 // Each cell's machine comes from sim.MachineByName, so a cell named by a
 // registry, display or standard study-rung name costs a table lookup and
@@ -251,9 +275,9 @@ func (r *SweepRequest) Plan(defaultSample pipeline.SampleSpec, maxJobs int) ([]P
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cells := r.Flatten()
-	planned := make([]PlannedCell, len(cells))
-	for i, c := range cells {
+	planned := make([]PlannedCell, r.NumCells())
+	for i := range planned {
+		c := r.Cell(i)
 		m, ok := sim.MachineByName(c.Config)
 		if !ok {
 			return nil, fmt.Errorf("unknown config %q", c.Config)
@@ -261,10 +285,8 @@ func (r *SweepRequest) Plan(defaultSample pipeline.SampleSpec, maxJobs int) ([]P
 		if _, ok := workload.Get(c.Bench); !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", c.Bench)
 		}
-		p := &planned[i]
-		p.Job.Study, p.Job.Label, p.Job.Config = "sweep", m.Name(), m.Config()
-		p.Job.Bench, p.Job.Insts, p.Job.Sample = c.Bench, r.Insts, spec
-		p.Key = m.Key(c.Bench, r.Insts, spec)
+		planned[i] = PlannedCell{Machine: m, Bench: c.Bench, Insts: r.Insts, Sample: spec,
+			Key: m.Key(c.Bench, r.Insts, spec)}
 	}
 	return planned, nil
 }
@@ -326,6 +348,9 @@ type CacheStats struct {
 	// promotions — reads cannibalizing the memory tier, as opposed to
 	// Put-driven growth.
 	PromotionEvictions uint64 `json:"promotion_evictions"`
+	// PromotionsDeferred counts disk hits served without promotion: the
+	// memory tier was full and the key had not been disk-hit recently.
+	PromotionsDeferred uint64 `json:"promotions_deferred"`
 	// Coalesced counts singleflight waits: concurrent requests for a key
 	// already being computed that shared the one in-flight computation
 	// instead of running their own.
@@ -355,6 +380,7 @@ func StoreCacheStats(st store.Stats) CacheStats {
 		Misses:             st.Misses,
 		Evictions:          st.Evictions,
 		PromotionEvictions: st.PromotionEvictions,
+		PromotionsDeferred: st.PromotionsDeferred,
 		Coalesced:          st.Coalesced,
 		Entries:            st.Entries,
 		Capacity:           st.Capacity,
@@ -380,6 +406,7 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.PromotionEvictions += o.PromotionEvictions
+	s.PromotionsDeferred += o.PromotionsDeferred
 	s.Coalesced += o.Coalesced
 	s.Entries += o.Entries
 	s.Capacity += o.Capacity
@@ -629,10 +656,24 @@ func MarshalResult(res engine.Result) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// resultEnd closes one MarshalResult encoding: the top-level object's
-// brace is the only one MarshalIndent puts at the start of a line, and
-// JSON strings cannot hold a raw newline, so this marks cell boundaries.
-var resultEnd = []byte("\n}\n")
+// resultLen is the length of the MarshalResult encoding body starts
+// with: through the first "\n}\n", or -1 if body holds none. The
+// top-level object's closing brace is the only one MarshalIndent puts at
+// the start of a line, and JSON strings cannot hold a raw newline, so
+// this marks cell boundaries. The scan steps from brace to brace — a
+// result holds a few — not from newline to newline, which start every
+// one of its lines.
+func resultLen(body []byte) int {
+	for i := 0; ; i++ {
+		j := bytes.IndexByte(body[i:], '}')
+		if j < 0 {
+			return -1
+		}
+		if i += j; i > 0 && body[i-1] == '\n' && i+1 < len(body) && body[i+1] == '\n' {
+			return i + 2
+		}
+	}
+}
 
 // SplitResults splits a concatenation of MarshalResult encodings — a
 // buffered /v1/sweep body — back into its n cells, sharing body's bytes.
@@ -641,12 +682,12 @@ var resultEnd = []byte("\n}\n")
 func SplitResults(body []byte, n int) ([][]byte, error) {
 	cells := make([][]byte, 0, n)
 	for len(body) > 0 {
-		i := bytes.Index(body, resultEnd)
-		if i < 0 || body[0] != '{' {
+		k := resultLen(body)
+		if k < 0 || body[0] != '{' {
 			return nil, fmt.Errorf("sweep body: cell %d is not a whole result", len(cells))
 		}
-		cells = append(cells, body[:i+len(resultEnd)])
-		body = body[i+len(resultEnd):]
+		cells = append(cells, body[:k])
+		body = body[k:]
 	}
 	if len(cells) != n {
 		return nil, fmt.Errorf("sweep body holds %d results, want %d", len(cells), n)

@@ -245,7 +245,7 @@ func TestPlan(t *testing.T) {
 		t.Fatalf("run plan: %v, %d jobs", err, len(cells))
 	}
 	want, _ := sim.ConfigByName("ssq+svw")
-	if j := cells[0].Job; j.Config.Name != want.Name || j.Label != want.Name || j.Bench != "gcc" ||
+	if j := cells[0].Job(); j.Config.Name != want.Name || j.Label != want.Name || j.Bench != "gcc" ||
 		j.Insts != 5_000 || j.Sample != def {
 		t.Fatalf("run planned as %s/%s on %s, %d insts, spec %+v", j.Label, j.Config.Name, j.Bench, j.Insts, j.Sample)
 	}
@@ -255,9 +255,9 @@ func TestPlan(t *testing.T) {
 	if err != nil || len(cells) != 4 {
 		t.Fatalf("matrix plan: %v, %d jobs", err, len(cells))
 	}
-	for i, c := range matrix.Flatten() {
+	for i, c := range cellsOf(&matrix) {
 		want, _ := sim.ConfigByName(c.Config)
-		if j := cells[i].Job; j.Config.Name != want.Name || j.Bench != c.Bench || j.Sample != matrix.Sample() {
+		if j := cells[i].Job(); j.Config.Name != want.Name || j.Bench != c.Bench || j.Sample != matrix.Sample() {
 			t.Errorf("job %d planned as %s on %s (%+v), want %s on %s", i, j.Config.Name, j.Bench,
 				j.Sample, want.Name, c.Bench)
 		}
@@ -318,19 +318,28 @@ func TestSplitResults(t *testing.T) {
 	}
 }
 
-// TestSweepRequestForms: both forms flatten into job order, and a request
+// cellsOf lists r's cells in job order.
+func cellsOf(r *SweepRequest) []SweepCell {
+	cells := make([]SweepCell, r.NumCells())
+	for i := range cells {
+		cells[i] = r.Cell(i)
+	}
+	return cells
+}
+
+// TestSweepRequestForms: both forms list their cells in job order, and a request
 // that mixes them or names no cells is rejected.
 func TestSweepRequestForms(t *testing.T) {
 	matrix := SweepRequest{Configs: []string{"a", "b"}, Benches: []string{"x", "y"}}
 	want := []SweepCell{{"a", "x"}, {"a", "y"}, {"b", "x"}, {"b", "y"}}
 	if err := matrix.CheckForm(); err != nil || matrix.NumCells() != 4 ||
-		!reflect.DeepEqual(matrix.Flatten(), want) {
-		t.Fatalf("matrix form: err %v, %d cells %v", err, matrix.NumCells(), matrix.Flatten())
+		!reflect.DeepEqual(cellsOf(&matrix), want) {
+		t.Fatalf("matrix form: err %v, %d cells %v", err, matrix.NumCells(), cellsOf(&matrix))
 	}
 	list := SweepRequest{Cells: []SweepCell{{"b", "y"}, {"a", "x"}, {"b", "y"}}}
 	if err := list.CheckForm(); err != nil || list.NumCells() != 3 ||
-		!reflect.DeepEqual(list.Flatten(), list.Cells) {
-		t.Fatalf("cells form: err %v, %d cells %v", err, list.NumCells(), list.Flatten())
+		!reflect.DeepEqual(cellsOf(&list), list.Cells) {
+		t.Fatalf("cells form: err %v, %d cells %v", err, list.NumCells(), cellsOf(&list))
 	}
 	for name, bad := range map[string]SweepRequest{
 		"empty":           {},

@@ -2,6 +2,7 @@ package api
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,11 +69,15 @@ func checkPlannedKeys(t *testing.T, names []string) {
 					if key := engine.SampledFingerprint(want, bench, insts, spec); c.Key != key {
 						t.Errorf("%q/%s/%d/%v: planned key %s, want %s", name, bench, insts, spec, c.Key, key)
 					}
-					if got := engine.SampledFingerprint(c.Job.Config, bench, insts, spec); got != c.Key {
+					job := c.Job()
+					if got := engine.SampledFingerprint(job.Config, bench, insts, spec); got != c.Key {
 						t.Errorf("%q: the planned job's config keys as %s, its cell as %s", name, got, c.Key)
 					}
-					if c.Job.Config.Name != want.Name || c.Job.Label != want.Name {
-						t.Errorf("%q planned as %s/%s, want %s", name, c.Job.Label, c.Job.Config.Name, want.Name)
+					if job.Config.Name != want.Name || job.Label != want.Name || c.Name() != want.Name {
+						t.Errorf("%q planned as %s/%s/%s, want %s", name, job.Label, job.Config.Name, c.Name(), want.Name)
+					}
+					if job.Bench != bench || job.Insts != insts || job.Sample != spec {
+						t.Errorf("%q: planned job runs %s/%d/%v, want %s/%d/%v", name, job.Bench, job.Insts, job.Sample, bench, insts, spec)
 					}
 				}
 			}
@@ -128,8 +133,9 @@ func TestLookupReturnsCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells[0].Job.Config.MaxInsts++
-		cells[0].Job.Config.Name += "!"
+		job := cells[0].Job()
+		job.Config.MaxInsts++
+		job.Config.Name += "!"
 		after, _ := sim.ConfigByName(name)
 		if after.TraceCommit != nil || after.MaxInsts != before.MaxInsts || after.Name != before.Name {
 			t.Errorf("%q: a caller's change reached the next lookup (MaxInsts %d → %d, Name %q → %q)",
@@ -145,14 +151,21 @@ func sweepMatrix() SweepRequest {
 	return SweepRequest{Configs: sim.ConfigNames(), Benches: workload.Names()[:4], Insts: 10_000}
 }
 
-// maxPlanAllocs pins planning and keying the 60-cell matrix: one
-// allocation per key, plus the flattened cells and the planned slice.
-const maxPlanAllocs = 62
+// Planning and keying the 60-cell matrix allocates one key per cell and
+// the planned slice, nothing else: maxPlanAllocs. maxPlanBytes bounds the
+// bytes of those allocations, 9.4 KiB today (80 per key, 80 per planned
+// cell). When every planned cell carried a copy of its machine's
+// configuration, the matrix took 56 KB.
+const (
+	maxPlanAllocs = 61
+	maxPlanBytes  = 12 << 10
+)
 
-// TestPlanSweepAllocs pins the allocation count of Plan over the 60-cell
-// matrix. Keying from the interned digests left one allocation per cell,
-// its key; a regression that rebuilds or rehashes machines per cell shows
-// up here first.
+// TestPlanSweepAllocs pins the allocations of Plan over the 60-cell
+// matrix, in count and in bytes. Keying from the interned digests left
+// one allocation per cell, its key; a regression that rebuilds or
+// rehashes machines per cell, or copies a configuration into every
+// planned cell again, shows up here first.
 func TestPlanSweepAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -161,14 +174,30 @@ func TestPlanSweepAllocs(t *testing.T) {
 	if n := req.NumCells(); n != 60 {
 		t.Fatalf("matrix has %d cells, want 60", n)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
+	plan := func() {
 		if _, err := req.Plan(pipeline.SampleSpec{}, 60); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > maxPlanAllocs {
+	}
+	if allocs := testing.AllocsPerRun(50, plan); allocs > maxPlanAllocs {
 		t.Fatalf("Plan of 60 cells: %.0f allocations, want at most %d", allocs, maxPlanAllocs)
 	}
+	if b := bytesPerRun(50, plan); b > maxPlanBytes {
+		t.Fatalf("Plan of 60 cells: %d bytes allocated, want at most %d", b, maxPlanBytes)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkPlanSweep plans and keys the 60-cell matrix, the work every

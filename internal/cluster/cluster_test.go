@@ -36,7 +36,7 @@ type fabric struct {
 
 // newFabric builds n svwd backends and a coordinator over them. wrap, if
 // non-nil, can interpose a fault-injecting handler per backend.
-func newFabric(t *testing.T, n int, opts Options, wrap func(i int, h http.Handler) http.Handler) *fabric {
+func newFabric(t testing.TB, n int, opts Options, wrap func(i int, h http.Handler) http.Handler) *fabric {
 	t.Helper()
 	f := &fabric{}
 	for i := 0; i < n; i++ {

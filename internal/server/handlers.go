@@ -146,14 +146,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // --- the cell resolver ---------------------------------------------------
 
-// cell is one job's passage through resolve.
+// cell is one job's passage through resolve. It points at its planned
+// cell, which names its machine, bench, budget and key; only a cell this
+// server computes builds an engine job from it.
 type cell struct {
 	index int
-	job   engine.Job
-	key   string
+	*api.PlannedCell
 	// body is the cell's result in the `svwsim -json` encoding, carrying
-	// job.Config.Name whoever computed it.
+	// the cell's Name whoever computed it.
 	body []byte
+	// reply is the pooled owner reply a forwarded batch's bodies alias,
+	// held on the batch's first cell until the response is written
+	// (releaseReplies).
+	reply *[]byte
 	// origin is the store tier that served the cell; OriginMiss when this
 	// request computed it or waited on another request's flight, and
 	// OriginPeer when another member answered it.
@@ -200,15 +205,25 @@ type cell struct {
 // is awaited (an SSE stream opens there); its error stops the resolve.
 // Either way a cell counts in the store's hit/miss accounting only once it
 // is delivered, so rejected, failed or abandoned work skews no rates.
-func (s *Server) resolve(ctx context.Context, r *http.Request, planned []api.PlannedCell, open func() error, emit func(*cell) error) ([]cell, error) {
+//
+// Forwarded cells' bodies alias pooled reply buffers: a caller given the
+// cells calls releaseReplies once its response is written and no body is
+// read again. On an error resolve releases them itself.
+func (s *Server) resolve(ctx context.Context, r *http.Request, planned []api.PlannedCell, open func() error, emit func(*cell) error) (_ []cell, err error) {
 	tr := trace.FromContext(ctx)
 	cells := make([]cell, len(planned))
+	// Deferred first, so it runs after the forwards have been waited for.
+	defer func() {
+		if err != nil {
+			releaseReplies(cells)
+		}
+	}()
 	t0 := time.Now()
 	sp := tr.Start("store_probe")
 	for i := range cells {
 		c := &cells[i]
-		c.index, c.job, c.key = i, planned[i].Job, planned[i].Key
-		c.body, c.origin = s.store.Get(c.key)
+		c.index, c.PlannedCell = i, &planned[i]
+		c.body, c.origin = s.store.Get(c.Key)
 	}
 	if sp.Active() {
 		annotateProbe(sp, cells)
@@ -228,7 +243,7 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, planned []api.Pla
 			continue
 		}
 		if len(members) > 0 {
-			if w := walk(members, urls, c.key, now); w[0].url != self {
+			if w := walk(members, urls, c.Key, now); w[0].url != self {
 				c.walk, c.lands = w, true
 				routed = append(routed, c)
 				continue
@@ -303,7 +318,7 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, planned []api.Pla
 			}
 		}
 		if c.err == nil && !c.owned {
-			c.body, c.err = api.RenameResult(c.body, c.job.Config.Name)
+			c.body, c.err = api.RenameResult(c.body, c.Name())
 		}
 		if emit == nil {
 			if c.err != nil {
@@ -327,12 +342,12 @@ func (s *Server) resolve(ctx context.Context, r *http.Request, planned []api.Pla
 // on, or — when a flight completed between the probe and the claim and
 // left its bytes in the store — c is a hit, discovered late.
 func (s *Server) claim(c *cell) bool {
-	f, leader := s.store.BeginFlight(c.key)
+	f, leader := s.store.BeginFlight(c.Key)
 	if !leader {
 		c.flight = f
 		return false
 	}
-	if body, origin := s.store.Get(c.key); origin != store.OriginMiss {
+	if body, origin := s.store.Get(c.Key); origin != store.OriginMiss {
 		f.Complete(body, nil, false)
 		c.body, c.origin, c.flight = body, origin, nil
 		return false
@@ -372,7 +387,7 @@ func (s *Server) admit(tr *trace.Trace, r *http.Request, n int) (release func(),
 func (s *Server) compute(ctx context.Context, tr *trace.Trace, owned []*cell, landed chan<- int) {
 	sub := make([]engine.Job, len(owned))
 	for k, c := range owned {
-		sub[k] = c.job
+		sub[k] = c.Job()
 	}
 	t0 := time.Now()
 	run := tr.Start("engine_run")
@@ -573,7 +588,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	w.Header().Set(api.SampleHeader, api.SampleName(planned[0].Job.Sample))
+	w.Header().Set(api.SampleHeader, api.SampleName(planned[0].Sample))
 	if stream {
 		s.streamSweep(ctx, w, r, planned)
 		return
@@ -583,18 +598,22 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req SweepReq
 		writeResolveError(w, r, err, what+" failed")
 		return
 	}
+	defer releaseReplies(resolved)
 	n := 0
 	for i := range resolved {
 		n += len(resolved[i].body)
 	}
-	body := make([]byte, 0, n)
+	// One buffer, one Write: written cell by cell, the response would
+	// pass through net/http's small write buffer in many syscalls.
+	buf := getBuf(n)
+	defer putBuf(buf)
 	tiers := make([]string, len(resolved))
 	for i := range resolved {
-		body = append(body, resolved[i].body...)
+		*buf = append(*buf, resolved[i].body...)
 		tiers[i] = resolved[i].origin.String()
 	}
 	w.Header().Set(api.CacheHeader, strings.Join(tiers, ","))
-	writeBody(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, *buf)
 }
 
 // streamSweep is the SSE consumer of resolve. The stream opens as soon as
@@ -610,8 +629,8 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		stream, err = api.NewSSE(w)
 		return err
 	}
-	_, err := s.resolve(ctx, r, planned, open, func(c *cell) error {
-		ev := SweepEvent{Index: c.index, Config: c.job.Config.Name, Bench: c.job.Bench, Backend: c.from}
+	resolved, err := s.resolve(ctx, r, planned, open, func(c *cell) error {
+		ev := SweepEvent{Index: c.index, Config: c.Name(), Bench: c.Bench, Backend: c.from}
 		if c.origin != store.OriginMiss {
 			ev.Cached, ev.Origin = true, c.origin.String()
 		}
@@ -630,24 +649,28 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		return
 	}
+	releaseReplies(resolved)
 	stream.Event("done", len(planned), summary)
 }
 
 // --- /v1/studies/{study} -------------------------------------------------
 
-// planStudy keys a study's jobs as cells. Every job of a study svwd serves
-// rebuilds from its own Config.Name (sim's TestStudyJobsRebuildFromTheirNames
-// pins this; it is also how a cell reaches its owner), so each is keyed
-// through sim.MachineByName like a sweep cell: a lookup for the standard
-// rungs, a digest for an SSN width outside the table.
+// planStudy keys a study's jobs as cells, each holding its job by
+// pointer. Every job of a study svwd serves rebuilds from its own
+// Config.Name (sim's TestStudyJobsRebuildFromTheirNames pins this; it is
+// also how a cell reaches its owner), so each is keyed through
+// sim.MachineByName like a sweep cell: a lookup for the standard rungs, a
+// digest for an SSN width outside the table.
 func planStudy(jobs []engine.Job) []api.PlannedCell {
 	planned := make([]api.PlannedCell, len(jobs))
-	for i, j := range jobs {
-		planned[i].Job = j
+	for i := range jobs {
+		j := &jobs[i]
+		p := &planned[i]
+		p.Bench, p.Insts, p.Sample, p.Study = j.Bench, j.Insts, j.Sample, j
 		if m, ok := sim.MachineByName(j.Config.Name); ok {
-			planned[i].Key = m.Key(j.Bench, j.Insts, j.Sample)
+			p.Key = m.Key(j.Bench, j.Insts, j.Sample)
 		} else {
-			planned[i].Key = engine.SampledFingerprint(j.Config, j.Bench, j.Insts, j.Sample)
+			p.Key = engine.SampledFingerprint(j.Config, j.Bench, j.Insts, j.Sample)
 		}
 	}
 	return planned
@@ -776,6 +799,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		writeResolveError(w, r, err, "study failed")
 		return
 	}
+	defer releaseReplies(resolved)
 	results := make([]sim.Result, len(resolved))
 	for i := range resolved {
 		if results[i], err = api.UnmarshalResult(resolved[i].body); err != nil {

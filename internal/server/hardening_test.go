@@ -225,6 +225,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`svw_store_requests_total{tier="miss"} 1`,
 		`svw_store_requests_total{tier="memory"} 0`,
 		"\nsvw_store_promotion_evictions_total 0\n",
+		"\nsvw_store_promotions_deferred_total 0\n",
 		"\nsvw_store_disk_corrupt_total 0\n",
 		`svw_engine_memo_misses_total 1`,
 	} {

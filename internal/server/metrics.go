@@ -107,6 +107,9 @@ func newServerMetrics(s *Server, clientWeights map[string]int) *serverMetrics {
 	reg.CounterFunc("svw_store_promotion_evictions_total",
 		"Result store memory-tier evictions forced by disk-hit promotions.",
 		func() uint64 { return s.store.Stats().PromotionEvictions })
+	reg.CounterFunc("svw_store_promotions_deferred_total",
+		"Result store disk hits served without promotion into the full memory tier.",
+		func() uint64 { return s.store.Stats().PromotionsDeferred })
 	reg.CounterFunc("svw_store_disk_corrupt_total",
 		"Result store disk-tier entries dropped by validation (header, checksum, key).",
 		func() uint64 { return s.store.Stats().Disk.Corrupt })

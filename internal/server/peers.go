@@ -370,7 +370,7 @@ func (s *Server) route(ctx context.Context, tr *trace.Trace, r *http.Request, se
 // budget and sampling spec (one forwarded request carries one of each).
 func addToBatch(batches [][]*cell, c *cell) [][]*cell {
 	for i, b := range batches {
-		if h := b[0]; h.walk[h.hop] == c.walk[c.hop] && h.job.Insts == c.job.Insts && h.job.Sample == c.job.Sample {
+		if h := b[0]; h.walk[h.hop] == c.walk[c.hop] && h.Insts == c.Insts && h.Sample == c.Sample {
 			batches[i] = append(b, c)
 			return batches
 		}
@@ -380,14 +380,15 @@ func addToBatch(batches [][]*cell, c *cell) [][]*cell {
 
 // forward sends one batch of cells to the member at their current hop as
 // a marked cells-form /v1/sweep and, when the member answers with every
-// cell, fills in each cell's body as tier peer.
+// cell, fills in each cell's body as tier peer. The bodies alias the
+// pooled reply buffer, which the batch's first cell holds (cell.reply).
 func (s *Server) forward(ctx context.Context, tr *trace.Trace, urls []string, cells []*cell) error {
 	m := cells[0].walk[cells[0].hop]
-	req := api.SweepRequest{Cells: make([]api.SweepCell, len(cells)), Insts: cells[0].job.Insts}
+	req := api.SweepRequest{Cells: make([]api.SweepCell, len(cells)), Insts: cells[0].Insts}
 	for k, c := range cells {
-		req.Cells[k] = api.SweepCell{Config: c.job.Config.Name, Bench: c.job.Bench}
+		req.Cells[k] = api.SweepCell{Config: c.Name(), Bench: c.Bench}
 	}
-	req.SetSample(cells[0].job.Sample)
+	req.SetSample(cells[0].Sample)
 	body, _ := json.Marshal(req) // strings and integers always encode
 
 	sp := tr.Start("forward")
@@ -427,39 +428,47 @@ func (s *Server) forward(ctx context.Context, tr *trace.Trace, urls []string, ce
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
 	switch {
 	case err != nil:
-		return fail(err, true)
+		err = fail(err, true)
 	case resp.StatusCode == http.StatusTooManyRequests:
-		return fail(errGateSaturated, false)
+		err = fail(errGateSaturated, false)
 	case resp.StatusCode != http.StatusOK:
-		return fail(httpStatusError(resp.StatusCode), true)
+		err = fail(httpStatusError(resp.StatusCode), true)
 	}
-	got, err := api.SplitResults(reply, len(cells))
+	if err != nil {
+		putBuf(reply)
+		return err
+	}
+	got, err := api.SplitResults(*reply, len(cells))
 	tiers := strings.Split(resp.Header.Get(api.CacheHeader), ",")
 	if err == nil && len(tiers) != len(cells) {
 		err = fmt.Errorf("%s lists %d tiers for %d cells", api.CacheHeader, len(tiers), len(cells))
 	}
 	if err != nil {
+		putBuf(reply)
 		return fail(err, true)
 	}
 	for k, c := range cells {
 		c.body, c.origin, c.from = got[k], store.OriginPeer, m.url
 	}
+	cells[0].reply = reply
 	m.answered(tiers)
 	return nil
 }
 
-// readReply reads resp's body to EOF, so Close hands the connection back to
-// the keep-alive pool. A declared length sizes the buffer once (the spare
-// MinRead bytes take the read that sees EOF); without one the buffer grows
-// as the body arrives.
-func readReply(resp *http.Response) ([]byte, error) {
+// readReply reads resp's body to EOF into a pooled buffer, so Close hands
+// the connection back to the keep-alive pool. A declared length sizes the
+// buffer once (the spare MinRead bytes take the read that sees EOF);
+// without one the buffer grows as the body arrives.
+func readReply(resp *http.Response) (*[]byte, error) {
 	n := resp.ContentLength
 	if n < 0 || n > maxPresizedReply {
-		return io.ReadAll(resp.Body)
+		n = 0
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	reply := getBuf(int(n) + bytes.MinRead)
+	buf := bytes.NewBuffer(*reply)
 	_, err := buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
+	*reply = buf.Bytes()
+	return reply, err
 }
 
 // httpStatusError names a member's non-200 answer. It always carries the

@@ -13,8 +13,13 @@
 //     restarts and cross-process sharing cost a read instead of a
 //     re-simulation.
 //
-// Get consults memory first, then the write-behind queue and disk; a
-// disk hit is promoted into memory. Put writes through to both tiers.
+// Get consults memory first, then the write-behind queue and disk. A
+// disk hit is promoted into memory only when the tier has free room or
+// the key was disk-hit recently: "recently" is a bounded ghost list of
+// the keys of the last disk hits that were not promoted, as many as the
+// memory tier holds. So one pass of reads over a cold range cannot evict
+// the tier's working set, while a new hot set enters on its second read.
+// Put writes through to both tiers.
 // Lookups never touch the hit/miss counters — callers that actually
 // serve the bytes record the outcome with Account, so probes on requests
 // that end up rejected cannot skew the rates (the same contract the
@@ -34,12 +39,14 @@ const (
 	OriginMiss Origin = iota
 	// OriginMemory: served from the in-memory LRU.
 	OriginMemory
-	// OriginDisk: served from the disk tier (and promoted to memory).
+	// OriginDisk: served from the disk tier (promoted to memory under
+	// Get's rule).
 	OriginDisk
-	// OriginPeer: fetched from the key's store owner over HTTP (and
-	// promoted to memory). The store itself never produces this from Get —
-	// the serving layer's peer router does, after validating the fetched
-	// entry — but it accounts and spells like any other tier.
+	// OriginPeer: answered by the key's owner over HTTP. The store itself
+	// never produces this from Get — the serving layer does — but it
+	// accounts and spells like any other tier. A fetched checkpoint is put
+	// into the memory tier (PutMemory); a forwarded cell never is, so its
+	// result lives in its owner's store alone.
 	OriginPeer
 )
 
@@ -89,6 +96,9 @@ type Stats struct {
 	// memory tier is too small for the working set sloshing up from disk —
 	// reads are cannibalizing the hot tier, not growth.
 	PromotionEvictions uint64
+	// PromotionsDeferred counts disk hits served but not promoted: the
+	// memory tier was full and the key had not been disk-hit recently.
+	PromotionsDeferred uint64
 	// Coalesced counts singleflight waits: BeginFlight callers that found
 	// the key already being computed and shared the leader's result instead
 	// of computing their own (flight.go).
@@ -108,6 +118,7 @@ type Store struct {
 	mu                 sync.Mutex
 	mem                *LRU[[]byte]
 	cap                int
+	ghost              ghost
 	flights            map[string]*Flight
 	hits               uint64
 	diskHits           uint64
@@ -115,6 +126,7 @@ type Store struct {
 	misses             uint64
 	evictions          uint64
 	promotionEvictions uint64
+	promotionsDeferred uint64
 	coalesced          uint64
 }
 
@@ -163,8 +175,11 @@ func (s *Store) Flush() {
 // HasDisk reports whether a disk tier is configured.
 func (s *Store) HasDisk() bool { return s.disk != nil }
 
-// Get returns the bytes under key and the tier that held them; a disk hit
-// is promoted into the memory tier. An entry still waiting in the
+// Get returns the bytes under key and the tier that held them. A disk hit
+// is promoted into the memory tier when the tier has free room or the key
+// was disk-hit recently (it is in the ghost list); otherwise it is served
+// without promotion and its key joins the ghost list, so a second disk
+// hit soon after promotes it. An entry still waiting in the
 // write-behind queue is a disk hit too: the store accepted it, so
 // evicting it from memory before its write lands must not lose it.
 // Counters are untouched — callers that serve the result record it via
@@ -191,7 +206,12 @@ func (s *Store) Get(key string) ([]byte, Origin) {
 		return nil, OriginMiss
 	}
 	s.mu.Lock()
-	s.putMemLocked(key, val, true)
+	if s.ghost.forget(key) || s.mem.Len() < s.cap {
+		s.putMemLocked(key, val, true)
+	} else {
+		s.ghost.remember(key, s.cap)
+		s.promotionsDeferred++
+	}
 	s.mu.Unlock()
 	return val, OriginDisk
 }
@@ -208,9 +228,10 @@ func (s *Store) Put(key string, val []byte) {
 	s.diskPut(key, val)
 }
 
-// PutMemory stores val under key in the memory tier only. The peer
-// router uses it for fetched entries: the key's persistent copy lives on
-// its owner, so writing it to the local disk would unshard the tier.
+// PutMemory stores val under key in the memory tier only. The server
+// uses it for checkpoints fetched from their owner: the key's persistent
+// copy lives there, so writing it to the local disk would unshard the
+// tier.
 func (s *Store) PutMemory(key string, val []byte) {
 	s.mu.Lock()
 	s.putMemLocked(key, val, true)
@@ -286,6 +307,7 @@ func (s *Store) Stats() Stats {
 		Misses:             s.misses,
 		Evictions:          s.evictions,
 		PromotionEvictions: s.promotionEvictions,
+		PromotionsDeferred: s.promotionsDeferred,
 		Coalesced:          s.coalesced,
 		Entries:            s.mem.Len(),
 		Capacity:           s.cap,
@@ -298,4 +320,43 @@ func (s *Store) Stats() Stats {
 		st.WriteBehind = s.wb.stats()
 	}
 	return st
+}
+
+// ghost remembers the keys of the most recent disk hits that were not
+// promoted, at most the memory tier's capacity of them: a ring of keys in
+// arrival order and an index from key to its slot. A key leaves when it
+// is promoted (forget) or when a newer key overwrites its slot. The ring
+// is allocated on the first deferred promotion, so a store whose memory
+// tier never fills (and one without a disk tier) never pays for it.
+type ghost struct {
+	ring []string
+	next int
+	slot map[string]int
+}
+
+// forget reports whether key is remembered, and drops it if so.
+func (g *ghost) forget(key string) bool {
+	if _, ok := g.slot[key]; !ok {
+		return false
+	}
+	delete(g.slot, key)
+	return true
+}
+
+// remember records key as the newest entry, overwriting the oldest once
+// n keys are held. The caller has just seen forget(key) report false, so
+// key is not in the ring already.
+func (g *ghost) remember(key string, n int) {
+	if g.ring == nil {
+		g.ring = make([]string, n)
+		g.slot = make(map[string]int, n)
+	}
+	// An overwritten slot still indexes its key unless the key was
+	// forgotten or re-remembered elsewhere since.
+	if i, ok := g.slot[g.ring[g.next]]; ok && i == g.next {
+		delete(g.slot, g.ring[g.next])
+	}
+	g.ring[g.next] = key
+	g.slot[key] = g.next
+	g.next = (g.next + 1) % n
 }
