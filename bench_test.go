@@ -8,8 +8,9 @@ package svwsim
 //
 //	go test -bench=Fig -benchmem -benchtime=1x
 //
-// The cmd/svwexp tool runs the full-size experiments; EXPERIMENTS.md records
-// paper-vs-measured values for every figure.
+// The cmd/svwexp tool runs the full-size experiments. A table of
+// paper-vs-measured values per figure is planned by ROADMAP.md's
+// convergence item, at the budget where the figures converge.
 
 import (
 	"context"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's test gate. Mirrors what a hosted CI job runs:
 # static checks, a full build, the race-enabled test suite (covering the
-# ring-buffer timing core and the svwctl coordinator's concurrency/fault
+# ring-buffer timing core and the fabric coordinator's concurrency/fault
 # tests), the perfbench module's vet and self-tests, a fuzz smoke over the
 # differential and builder fuzzers, one-shot engine, store,
 # sweep-planning and warm fabric sweep benchmarks so regressions surface
@@ -11,8 +11,8 @@
 # against the svwsim and svwexp CLIs, a sampled-simulation smoke stage
 # (determinism, key disjointness, checkpoint reuse, a sampled ladder at
 # -j 1 and -j 4), and a cluster smoke
-# stage that does the same run/sweep comparison through svwctl fronting
-# two svwd children.
+# stage that does the same run/sweep comparison through a coordinator svwd
+# (-peers without -peer-self) fronting two svwd children.
 #
 #   ./ci.sh            run the full gate
 #   ./ci.sh benchjson  re-capture the 'current' block of BENCH_pipeline.json
@@ -227,11 +227,10 @@ for j in 1 4; do
 done
 cmp "$tmp/sampled_fig5_j1.json" "$tmp/sampled_fig5_j4.json"
 
-# Cluster smoke: svwctl over two svwd children must serve the same run
-# and sweep byte-identically to svwsim -json — the fabric must be
-# invisible to clients.
-go build -o "$tmp" ./cmd/svwctl
-
+# Cluster smoke: a coordinator — an svwd given -peers and no -peer-self,
+# so it owns no keys — over two svwd children must serve the same run and
+# sweep byte-identically to svwsim -json — the fabric must be invisible
+# to clients.
 "$tmp/svwd" -addr 127.0.0.1:0 -j 2 -grace 0 -slow-ms 0 >"$tmp/b1.out" 2>"$tmp/b1.err" &
 b1_pid=$!
 "$tmp/svwd" -addr 127.0.0.1:0 -j 2 -grace 0 -slow-ms 0 >"$tmp/b2.out" 2>"$tmp/b2.err" &
@@ -243,12 +242,12 @@ wait_listening "$tmp/b2.out" "svwd backend 2" "$tmp/b2.err"
 b1=$(sed -n 's/^svwd: listening on //p' "$tmp/b1.out")
 b2=$(sed -n 's/^svwd: listening on //p' "$tmp/b2.out")
 
-"$tmp/svwctl" -addr 127.0.0.1:0 -grace 0 -slow-ms 0 \
-    -backends "http://$b1,http://$b2" >"$tmp/ctl.out" 2>"$tmp/ctl.err" &
+"$tmp/svwd" -addr 127.0.0.1:0 -grace 0 -slow-ms 0 \
+    -peers "http://$b1,http://$b2" >"$tmp/ctl.out" 2>"$tmp/ctl.err" &
 ctl_pid=$!
 trap 'kill "$ctl_pid" "$b1_pid" "$b2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-wait_listening "$tmp/ctl.out" "svwctl" "$tmp/ctl.err"
-ctl=$(sed -n 's/^svwctl: listening on //p' "$tmp/ctl.out")
+wait_listening "$tmp/ctl.out" "coordinator" "$tmp/ctl.err"
+ctl=$(sed -n 's/^svwd: listening on //p' "$tmp/ctl.out")
 
 "$tmp/svwload" -smoke -url "http://$ctl" \
     -configs ssq,ssq+svw -benches gcc,twolf -insts "$smoke_insts" >"$tmp/ctl_got.json"
@@ -256,18 +255,18 @@ ctl=$(sed -n 's/^svwctl: listening on //p' "$tmp/ctl.out")
 "$tmp/svwsim" -json -config ssq,ssq+svw -bench gcc,twolf -insts "$smoke_insts" >>"$tmp/ctl_want.json"
 cmp "$tmp/ctl_got.json" "$tmp/ctl_want.json"
 
-# One forward route: svwctl sends svwd engine work only as cells-form
+# One forward route: the coordinator sends engine work only as cells-form
 # /v1/sweep — the smoke's run went out as a one-cell batch — so the
 # backends served sweeps and not a single /v1/run.
 "$tmp/svwload" -metrics -url "http://$b1" >"$tmp/backend_metrics.txt"
 "$tmp/svwload" -metrics -url "http://$b2" >>"$tmp/backend_metrics.txt"
 grep -q '^svw_http_requests_total{code="200",endpoint="/v1/sweep"}' "$tmp/backend_metrics.txt"
 if grep '^svw_http_requests_total{.*endpoint="/v1/run"' "$tmp/backend_metrics.txt"; then
-    echo "ci: svwctl forwarded /v1/run to a backend" >&2
+    echo "ci: the coordinator forwarded /v1/run to a backend" >&2
     exit 1
 fi
 
-# One forward per backend per sweep: svwctl sends each rendezvous owner one
+# One forward per backend per sweep: the coordinator sends each rendezvous owner one
 # cells-form batch, so the 4-cell smoke sweep, repeated, may reach the two
 # backends with at most 2 requests in total (one per cell would be 4).
 backend_requests() {
@@ -282,8 +281,8 @@ curl -fsS -X POST -H 'Content-Type: application/json' \
 cmp "$tmp/fwd_got.json" "$tmp/fwd_want.json"
 test "$(($(backend_requests "$tmp/fwd_after.json") - $(backend_requests "$tmp/fwd_before.json")))" -le 2
 
-# Coordinator observability smoke: svwctl serves the shared request
-# histograms plus its per-backend dispatch series.
+# Coordinator observability smoke: the coordinator serves the shared
+# request histograms plus its per-backend dispatch series (svwctl_*).
 "$tmp/svwload" -metrics -url "http://$ctl" >"$tmp/ctl_metrics.txt"
 grep -q '^svw_http_request_seconds_bucket' "$tmp/ctl_metrics.txt"
 grep -q '^svwctl_backend_in_flight' "$tmp/ctl_metrics.txt"
@@ -292,7 +291,7 @@ grep -q '^svwctl_jobs_total' "$tmp/ctl_metrics.txt"
 
 # Trace smoke: all three daemons ran with -slow-ms 0, so every traced
 # request logged a slow_request line and bumped the slow counter. The
-# slowest svwctl trace shows its forwards to the backends, and its ID must
+# slowest coordinator trace shows its forwards to the backends, and its ID must
 # also appear on one of the backends' /debug/traces — the same request,
 # correlated end to end.
 "$tmp/svwload" -trace-top 5 -url "http://$ctl" >"$tmp/ctl_traces.out"
@@ -305,17 +304,17 @@ grep -q "trace id=$tid" "$tmp/backend_traces.out"
 grep -q '"msg":"slow_request"' "$tmp/ctl.err"
 grep -q 'svw_slow_requests_total{endpoint="/v1/sweep"} [1-9]' "$tmp/ctl_metrics.txt"
 
-# Membership smoke: a coordinator started on a one-backend -backends-file
+# Membership smoke: a coordinator started on a one-backend -peers-file
 # grows to two under SIGHUP while a sweep is in flight; the straddling
 # sweep and a post-growth sweep must both stay byte-identical to
 # svwsim -json, and the new backend must appear in the pool.
 echo "http://$b1" >"$tmp/backends.txt"
-"$tmp/svwctl" -addr 127.0.0.1:0 -grace 0 \
-    -backends-file "$tmp/backends.txt" >"$tmp/ctl2.out" 2>"$tmp/ctl2.err" &
+"$tmp/svwd" -addr 127.0.0.1:0 -grace 0 \
+    -peers-file "$tmp/backends.txt" >"$tmp/ctl2.out" 2>"$tmp/ctl2.err" &
 ctl2_pid=$!
 trap 'kill "$ctl2_pid" "$ctl_pid" "$b1_pid" "$b2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-wait_listening "$tmp/ctl2.out" "svwctl (membership)" "$tmp/ctl2.err"
-ctl2=$(sed -n 's/^svwctl: listening on //p' "$tmp/ctl2.out")
+wait_listening "$tmp/ctl2.out" "coordinator (membership)" "$tmp/ctl2.err"
+ctl2=$(sed -n 's/^svwd: listening on //p' "$tmp/ctl2.out")
 
 "$tmp/svwload" -smoke -url "http://$ctl2" \
     -configs ssq,nlq,rle -benches gcc,twolf -insts "$smoke_insts" >"$tmp/m_got.json" &
@@ -330,7 +329,7 @@ cmp "$tmp/m_got.json" "$tmp/m_want.json"
 
 # The reload must have landed (logged, and the added backend now serves):
 # a second identical sweep over the grown pool must match byte for byte.
-grep -q '^svwctl: reload: +\[' "$tmp/ctl2.err"
+grep -q '^svwd: reload: +\[' "$tmp/ctl2.err"
 "$tmp/svwload" -stats -url "http://$ctl2" >"$tmp/m_stats.json"
 grep -q "http://$b2" "$tmp/m_stats.json"
 "$tmp/svwload" -smoke -url "http://$ctl2" \
@@ -349,7 +348,7 @@ wait "$b1_pid" "$b2_pid"
 trap 'rm -rf "$tmp"' EXIT
 
 # Sharded-store smoke: two svwd with SEPARATE persistent store dirs and
-# -peer-learn behind svwctl. svwctl's sweep lands each cell's entry on its
+# -peer-learn behind a coordinator svwd. The coordinator's sweep lands each cell's entry on its
 # rendezvous owner, and teaches both daemons the membership; a repeat of
 # the same sweep DIRECT at one backend must stay byte-identical with ZERO
 # new engine executions — the cells that backend does not own arrive from
@@ -370,12 +369,12 @@ wait_listening "$tmp/s2.out" "sharded svwd 2" "$tmp/s2.err"
 s1=$(sed -n 's/^svwd: listening on //p' "$tmp/s1.out")
 s2=$(sed -n 's/^svwd: listening on //p' "$tmp/s2.out")
 
-"$tmp/svwctl" -addr 127.0.0.1:0 -grace 0 \
-    -backends "http://$s1,http://$s2" >"$tmp/sctl.out" 2>"$tmp/sctl.err" &
+"$tmp/svwd" -addr 127.0.0.1:0 -grace 0 \
+    -peers "http://$s1,http://$s2" >"$tmp/sctl.out" 2>"$tmp/sctl.err" &
 sctl_pid=$!
 trap 'kill "$sctl_pid" "$s1_pid" "$s2_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-wait_listening "$tmp/sctl.out" "svwctl (sharded)" "$tmp/sctl.err"
-sctl=$(sed -n 's/^svwctl: listening on //p' "$tmp/sctl.out")
+wait_listening "$tmp/sctl.out" "coordinator (sharded)" "$tmp/sctl.err"
+sctl=$(sed -n 's/^svwd: listening on //p' "$tmp/sctl.out")
 
 # 16 cells (8 configs x 2 benches): enough that "one backend owns every
 # cell" — which would make the peer_hits assertion vacuous — has
@@ -388,7 +387,7 @@ shard_configs=ssq,nlq,rle,ssq+svw,nlq+svw,rle+svw,base-ssq,base-nlq
     >>"$tmp/s_want.json"
 cmp "$tmp/s_got.json" "$tmp/s_want.json"
 
-# Repeat the sweep DIRECT at backend 1. (A repeat through svwctl is all
+# Repeat the sweep DIRECT at backend 1. (A repeat through the coordinator is all
 # memory hits at the owners, so only a direct sweep exercises svwd's own
 # forwarding.)
 s2_sweeps() {

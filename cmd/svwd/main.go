@@ -9,12 +9,27 @@
 //
 //	svwd -addr 127.0.0.1:7411 -j 4
 //	svwd -addr 127.0.0.1:0            # pick a free port; printed on stdout
+//	svwd -addr 127.0.0.1:7411 -peers http://h1:7411,http://h2:7411 \
+//	     -peer-self http://h1:7411     # a fabric member
+//	svwd -addr 127.0.0.1:7410 -peers http://h1:7411,http://h2:7411
+//	                                   # the coordinator: owns no keys
+//
+// A daemon given -peers without -peer-self is the fabric's coordinator:
+// it owns no keys, sends each cell to its rendezvous owner, and answers
+// /v1/stats and /v1/healthz for the members (internal/server).
 //
 // The daemon prints "svwd: listening on HOST:PORT" to stdout once the
 // socket is open (scripts parse this to find a randomly chosen port) and
 // drains gracefully on SIGTERM/SIGINT: the health endpoint flips to 503,
 // in-flight requests get up to -drain to finish, then connections are
 // closed.
+//
+// The membership is dynamic: with -peers-file set, SIGHUP re-reads it
+// (one URL per line, # comments) and reconciles the members to the union
+// of -peers and the file; a reload that drops -peer-self is refused. With
+// -debug-addr set, the same reconciliation is reachable over HTTP as
+// GET/POST /admin/backends on the debug listener (never the serving
+// port).
 package main
 
 import (
@@ -26,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -74,19 +90,24 @@ func main() {
 			"buffered and flushed in batches by a background writer, drained on "+
 			"shutdown (0 = synchronous write per result)")
 	peers := flag.String("peers", "",
-		"comma-separated fabric member URLs, this daemon's own included (each "+
-			"memo key is owned by its rendezvous winner, and a cell this daemon "+
-			"misses goes to its owner, one batch per owner); empty = no static "+
-			"membership")
+		"comma-separated fabric member URLs (each memo key is owned by its "+
+			"rendezvous winner, and a cell this daemon misses goes to its owner, "+
+			"one batch per owner); empty = no static membership")
+	peersFile := flag.String("peers-file", "",
+		"file of member URLs (one per line, # comments), joined with -peers; "+
+			"re-read on SIGHUP, so the membership grows and shrinks without a restart")
 	peerSelf := flag.String("peer-self", "",
-		"this daemon's own URL within -peers (how it recognizes keys it owns); "+
-			"required with -peers")
+		"this daemon's own URL among the members (how it recognizes keys it "+
+			"owns); empty with members set = the coordinator, which owns no keys")
 	peerLearn := flag.Bool("peer-learn", false,
 		"adopt fabric membership from forwarded batches (X-Svw-Peers/"+
 			"X-Svw-Peer-Self headers); headers are trusted at face value, enable "+
 			"only on trusted networks")
-	peerTimeout := flag.Duration("peer-read-timeout", 0,
-		"per-fetch budget for checkpoint reads from peers (0 = 2s default)")
+	forwardTimeout := flag.Duration("forward-header-timeout", 0,
+		"per-forward wait for a member's response headers before its cells "+
+			"walk on to the next member; a member answers a batch only after "+
+			"computing it, so keep it above the longest expected batch "+
+			"(0 = 2m default, negative = no bound)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes")
 	maxSweep := flag.Int("max-sweep", server.DefaultMaxSweepJobs, "max jobs in one sweep matrix")
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none)")
@@ -122,31 +143,31 @@ func main() {
 		fmt.Fprintf(os.Stderr, "svwd: -client-weights: %v\n", err)
 		os.Exit(2)
 	}
-	members, err := parsePeers(*peers, *peerSelf)
+	members, err := parsePeers(*peers, *peersFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "svwd: %v\n", err)
 		os.Exit(2)
 	}
 
 	s, err := server.New(server.Options{
-		Workers:             *workers,
-		MaxConcurrentJobs:   *maxJobs,
-		CacheEntries:        *cacheEntries,
-		StoreDir:            *storeDir,
-		StoreMaxBytes:       *storeMaxBytes,
-		StoreWriteBehind:    *storeWriteBehind,
-		Peers:               members,
-		PeerSelf:            *peerSelf,
-		PeerLearn:           *peerLearn,
-		PeerReadTimeout:     *peerTimeout,
-		MaxBodyBytes:        *maxBody,
-		MaxSweepJobs:        *maxSweep,
-		JobTimeout:          *timeout,
-		ClientWeights:       weights,
-		DefaultClientWeight: *defaultWeight,
-		TraceBufferSize:     *traceBuf,
-		SlowLogEnabled:      *slowMS >= 0,
-		SlowLogThreshold:    time.Duration(*slowMS) * time.Millisecond,
+		Workers:              *workers,
+		MaxConcurrentJobs:    *maxJobs,
+		CacheEntries:         *cacheEntries,
+		StoreDir:             *storeDir,
+		StoreMaxBytes:        *storeMaxBytes,
+		StoreWriteBehind:     *storeWriteBehind,
+		Peers:                members,
+		PeerSelf:             *peerSelf,
+		PeerLearn:            *peerLearn,
+		ForwardHeaderTimeout: *forwardTimeout,
+		MaxBodyBytes:         *maxBody,
+		MaxSweepJobs:         *maxSweep,
+		JobTimeout:           *timeout,
+		ClientWeights:        weights,
+		DefaultClientWeight:  *defaultWeight,
+		TraceBufferSize:      *traceBuf,
+		SlowLogEnabled:       *slowMS >= 0,
+		SlowLogThreshold:     time.Duration(*slowMS) * time.Millisecond,
 		DefaultSample: pipeline.SampleSpec{
 			Warmup: *sampleWarmup, Detail: *sampleDetail, Period: *samplePeriod,
 		},
@@ -157,7 +178,10 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		dln, err := debugserver.Serve(*debugAddr)
+		// The membership admin endpoint shares the operator-only debug
+		// listener with pprof; it must never mount on the serving port.
+		dln, err := debugserver.Serve(*debugAddr,
+			debugserver.Mount{Pattern: "/admin/backends", Handler: s.AdminHandler()})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svwd: -debug-addr: %v\n", err)
 			os.Exit(1)
@@ -181,6 +205,24 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
+	if *peersFile != "" {
+		hup := make(chan os.Signal, 1)
+		signal.Notify(hup, syscall.SIGHUP)
+		go func() {
+			for range hup {
+				urls, err := parsePeers(*peers, *peersFile)
+				var added, removed []string
+				if err == nil {
+					added, removed, err = s.SetPeers(urls)
+				}
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "svwd: reload: %v\n", err)
+					continue
+				}
+				fmt.Fprintf(os.Stderr, "svwd: reload: +%v -%v\n", added, removed)
+			}
+		}()
+	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -215,18 +257,28 @@ func main() {
 	fmt.Fprintln(os.Stderr, "svwd: stopped")
 }
 
-// parsePeers parses -peers and -peer-self. A member list needs this
-// daemon's own URL in it: without one svwd would own no keys and route
-// every cell elsewhere, computing nothing.
-func parsePeers(peers, self string) ([]string, error) {
-	if strings.TrimSpace(peers) == "" {
-		return nil, nil
-	}
-	members := strings.Split(peers, ",")
-	for _, m := range members {
-		if self != "" && rendezvous.Normalize(m) == rendezvous.Normalize(self) {
-			return members, nil
+// parsePeers reads the membership: the union of -peers and the
+// -peers-file contents (one URL per line; blank lines and # comments
+// skipped), each URL normalized the way placement hashes it, repeats
+// dropped, order kept. Startup and each SIGHUP reload read it alike;
+// server.New and SetPeers refuse a set without -peer-self in it.
+func parsePeers(peers, file string) ([]string, error) {
+	raw := strings.Split(peers, ",")
+	if file != "" {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, fmt.Errorf("-peers-file: %v", err)
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			line, _, _ = strings.Cut(line, "#")
+			raw = append(raw, line)
 		}
 	}
-	return nil, fmt.Errorf("-peers needs -peer-self naming this daemon's own URL among them (got %q)", self)
+	var urls []string
+	for _, u := range raw {
+		if u = rendezvous.Normalize(u); u != "" && !slices.Contains(urls, u) {
+			urls = append(urls, u)
+		}
+	}
+	return urls, nil
 }

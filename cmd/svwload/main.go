@@ -1,12 +1,12 @@
 // Command svwload drives a running simulation service — a single svwd
-// daemon or svwctl fronting several, interchangeably: the
+// daemon or a coordinator svwd fronting several, interchangeably: the
 // repository's service-level benchmark. It fires N concurrent clients at
 // /v1/sweep with a repeated config × bench matrix and reports throughput,
 // latency percentiles, admission rejections, and the service's cache hit
 // rate over the run (from /v1/stats deltas) — the workload the ISCA
 // evaluation matrix generates when it is served remotely instead of run
-// locally. Pointed at svwctl, the /v1/stats cluster section is also
-// reported: backend health, jobs and retries over the run.
+// locally. Pointed at a server with members, the /v1/stats cluster
+// section is also reported: member health, jobs and retries over the run.
 //
 // Usage:
 //
@@ -319,7 +319,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 }
 
 // Stats snapshots decode into the shared wire types (internal/api): the
-// same structs svwd and svwctl marshal, so the reporter reads exactly
+// same structs every svwd marshals, so the reporter reads exactly
 // what the services wrote and cannot drift from them.
 
 // runLoad fires clients × iters sweep requests and prints the service-level

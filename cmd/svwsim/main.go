@@ -13,7 +13,7 @@
 // -list prints both the benchmarks and the configurations.
 //
 // With -store-dir, runs go through the persistent result store shared
-// with svwd and svwctl (internal/store): already-stored jobs are answered
+// with svwd (internal/store): already-stored jobs are answered
 // from disk without simulating, and fresh results are written back — so a
 // CLI sweep pre-warms the store a daemon later serves from, and vice
 // versa. Output, including -json, is byte-identical either way.
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "per-run wall-clock limit (0 = none)")
 	jsonOut := fs.Bool("json", false, "machine-readable output")
 	storeDir := fs.String("store-dir", "",
-		"persistent result store directory shared with svwd/svwctl (empty = off): "+
+		"persistent result store directory shared with svwd (empty = off): "+
 			"stored jobs are served from disk, fresh ones written back")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0,
 		"persistent store size cap in bytes, LRU-GCed past it (0 = 1GiB default)")

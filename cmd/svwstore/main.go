@@ -1,5 +1,5 @@
 // Command svwstore administers a result store disk tier (internal/store)
-// offline: the checksummed *.svw entry files svwd, svwctl and svwsim keep
+// offline: the checksummed *.svw entry files svwd and svwsim keep
 // under their -store-dir. Every command starts from a full directory
 // re-scan, so it sees everything present — including entries written by
 // other daemons sharing the directory, which a live tier's own GC never

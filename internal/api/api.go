@@ -1,15 +1,15 @@
 // Package api is the wire contract of the svw simulation services: the
-// request/response shapes and the exact JSON encoding shared by the svwd
-// daemon (internal/server) and svwctl (internal/cluster, an svwd that owns
-// no keys). Every process of a fabric serves the same /v1 surface from
+// request/response shapes and the exact JSON encoding served by every
+// svwd (internal/server), a fabric's key-owning members and its
+// coordinator alike, and read by svwload. Every process of a fabric serves the same /v1 surface from
 // these types, so a client — svwload, curl, a dashboard — cannot tell a
 // single daemon from a fabric of them: there is only one definition of
 // every body that crosses the wire.
 //
 // /v1/run and /v1/sweep bodies use exactly the `svwsim -json` encoding
 // (MarshalResult), so any service response can be byte-compared against
-// the CLI; the CI smoke stages do exactly that, for svwd and for svwctl
-// fronting two svwd children.
+// the CLI; the CI smoke stages do exactly that, for one svwd and for a
+// coordinator svwd fronting two svwd children.
 package api
 
 import (
@@ -308,9 +308,10 @@ type BenchesResponse struct {
 
 // HealthResponse is the body of GET /v1/healthz. Status is "ok" while
 // serving and "draining" (with HTTP 503) once shutdown has begun, so load
-// balancers stop routing new work during the drain. svwctl adds
-// "degraded" (503) when every backend is marked down, and reports pool
-// counts in the Backends* fields (omitted by svwd).
+// balancers stop routing new work during the drain. A server with members
+// reports their counts in the Backends* fields (omitted otherwise), and
+// is "degraded" (503) when every member is marked down — which only a
+// coordinator can be, as a member never marks itself down.
 type HealthResponse struct {
 	Status          string  `json:"status"`
 	UptimeS         float64 `json:"uptime_s"`
@@ -318,10 +319,11 @@ type HealthResponse struct {
 	BackendsTotal   *int    `json:"backends_total,omitempty"`
 }
 
-// StatsResponse is the body of GET /v1/stats. From svwd the Cluster field
-// is absent; from svwctl the Cache/Engine/Admission sections are sums over
-// the backend pool and Cluster carries svwctl's own routing counters, so
-// tooling written against one shape (svwload) reads both.
+// StatsResponse is the body of GET /v1/stats. The Cluster field is
+// absent from a server without members; from a coordinator (members, no
+// self among them) the Cache/Engine/Admission sections are sums over the
+// members, and Cluster carries its routing counters, so tooling written
+// against one shape (svwload) reads both.
 type StatsResponse struct {
 	UptimeS   float64       `json:"uptime_s"`
 	Cache     CacheStats    `json:"cache"`
@@ -330,8 +332,8 @@ type StatsResponse struct {
 	Cluster   *ClusterStats `json:"cluster,omitempty"`
 }
 
-// CacheStats is the /v1/stats view of a tiered result store (or, from
-// svwctl, the pool-wide sum). It is the one definition of the cache
+// CacheStats is the /v1/stats view of a tiered result store (or, from a
+// coordinator, the sum over its members). It is the one definition of the cache
 // counters: server, cluster and svwload all read and write this struct,
 // so the layers cannot drift apart. Hits counts memory-tier hits;
 // DiskHits counts results served from the persistent tier. The Disk*
@@ -396,8 +398,8 @@ func StoreCacheStats(st store.Stats) CacheStats {
 	}
 }
 
-// Add accumulates o into s field by field — svwctl's pool-wide
-// aggregation. Living next to the struct, it cannot silently miss a field
+// Add accumulates o into s field by field — the coordinator's sum over
+// its members. Living next to the struct, it cannot silently miss a field
 // the way per-caller summing loops can.
 func (s *CacheStats) Add(o CacheStats) {
 	s.Hits += o.Hits
@@ -466,8 +468,8 @@ func (s *GateStats) Add(o GateStats) {
 	s.Rejected += o.Rejected
 }
 
-// ClusterStats is svwctl's own /v1/stats section: its routing counters
-// plus the per-backend breakdown. Jobs counts each cell a backend answered
+// ClusterStats is the /v1/stats section of a server with members: its
+// routing counters plus the per-member breakdown. Jobs counts each cell a backend answered
 // exactly once, however many forwards it took.
 type ClusterStats struct {
 	BackendsTotal int `json:"backends_total"`
@@ -481,7 +483,7 @@ type ClusterStats struct {
 	Jobs      uint64 `json:"jobs"`
 	JobErrors uint64 `json:"job_errors"`
 	// Retries counts cell moves to the next backend of their walk after a
-	// failed forward. Hedges is always 0: svwctl no longer hedges, and the
+	// failed forward. Hedges is always 0: no server hedges, and the
 	// field stays only for tooling that reads it.
 	Retries  uint64                `json:"retries"`
 	Hedges   uint64                `json:"hedges"`

@@ -12,7 +12,7 @@ import (
 
 // Server-sent events for POST /v1/sweep: one "result" event per job, in
 // job-index order (the engine's determinism guarantee carried over the
-// wire — by svwd directly, and by svwctl across its merge of N backends),
+// wire — by a member directly, and by a coordinator across its members),
 // then one "done" event. Each event carries its job index as the SSE id,
 // so clients can assert ordering and resume bookkeeping trivially.
 

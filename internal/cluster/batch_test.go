@@ -11,6 +11,7 @@ import (
 
 	"svwsim/internal/api"
 	"svwsim/internal/rendezvous"
+	"svwsim/internal/server"
 	"svwsim/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func owners(t *testing.T, f *fabric, configs, benches []string) []int {
 	return out
 }
 
-// backendRequests sums svwctl's per-backend request counters.
+// backendRequests sums the coordinator's per-backend request counters.
 func backendRequests(st api.StatsResponse) uint64 {
 	var n uint64
 	for _, b := range st.Cluster.Backends {
@@ -52,7 +53,7 @@ func backendRequests(st api.StatsResponse) uint64 {
 // TestWarmSweepOneRequestPerOwner: a repeated sweep costs exactly one
 // backend request per distinct owner of its cells, not one per cell.
 func TestWarmSweepOneRequestPerOwner(t *testing.T) {
-	f := newFabric(t, 3, Options{}, nil)
+	f := newFabric(t, 3, server.Options{}, nil)
 	body := sweepBody(membershipConfigs, equivalenceBenches)
 	want := refSweepBody(t, membershipConfigs, equivalenceBenches)
 	if w := f.do("POST", "/v1/sweep", body, nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
@@ -79,7 +80,7 @@ func TestWarmSweepOneRequestPerOwner(t *testing.T) {
 	if hits := after.Cache.Hits - before.Cache.Hits; hits != njobs {
 		t.Fatalf("warm sweep got %d backend cache hits, want %d", hits, njobs)
 	}
-	// Like svwd, svwctl lists each cell's serving tier: a backend's answer.
+	// Like svwd, the coordinator lists each cell's serving tier: a backend's answer.
 	wantTiers := strings.TrimSuffix(strings.Repeat(api.CachePeer+",", int(njobs)), ",")
 	if h := w.Header().Get(api.CacheHeader); h != wantTiers {
 		t.Fatalf("%s = %q, want %q", api.CacheHeader, h, wantTiers)
@@ -102,7 +103,7 @@ func configDigests(t *testing.T, scrape string) uint64 {
 	return 0
 }
 
-// digestCounts scrapes svw_config_digests_total from svwctl and from each
+// digestCounts scrapes svw_config_digests_total from the coordinator and from each
 // backend. (In this test the three share one process, and so one counter;
 // each still serves it on its own /metrics, as separate processes do.)
 func digestCounts(t *testing.T, f *fabric) []uint64 {
@@ -124,13 +125,13 @@ func digestCounts(t *testing.T, f *fabric) []uint64 {
 }
 
 // TestWarmSweepComputesNoDigests pins the keying work, not its time: a
-// warm 60-cell sweep through svwctl over two backends keys every cell at
-// every hop — svwctl to place it, the owner to probe its store — from the
+// warm 60-cell sweep through the coordinator over two backends keys every cell at
+// every hop — the coordinator to place it, the owner to probe its store — from the
 // machines' interned digests, so no process hashes a configuration.
 // (Hashing each cell's configuration at each hop, as keying did before the
-// table, would add 60 at svwctl and 30 at each owner.)
+// table, would add 60 at the coordinator and 30 at each owner.)
 func TestWarmSweepComputesNoDigests(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	benches := []string{"gcc", "twolf", "mcf", "vortex"}
 	body := sweepBody(sim.ConfigNames(), benches)
 	if w := f.do("POST", "/v1/sweep", body, nil); w.Code != http.StatusOK {
@@ -147,7 +148,7 @@ func TestWarmSweepComputesNoDigests(t *testing.T) {
 	after := digestCounts(t, f)
 	for i := range after {
 		if d := after[i] - before[i]; d != 0 {
-			t.Errorf("process %d (0 = svwctl) computed %d configuration digests for a warm sweep, want 0", i, d)
+			t.Errorf("process %d (0 = the coordinator) computed %d configuration digests for a warm sweep, want 0", i, d)
 		}
 	}
 }
@@ -176,7 +177,7 @@ func cutBatches(h http.Handler) http.Handler {
 // mid-body still yields a byte-identical sweep. Only that batch's cells
 // move, regrouped by their next backend, and every cell is one job.
 func TestSweepSurvivesBatchCutMidBody(t *testing.T) {
-	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
+	f := newFabric(t, 3, server.Options{}, func(i int, h http.Handler) http.Handler {
 		if i == 0 {
 			return cutBatches(h)
 		}

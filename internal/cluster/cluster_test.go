@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -26,17 +27,19 @@ const testInsts = 5_000
 // representative bench subset, kept small enough for the race-enabled run.
 var equivalenceBenches = []string{"gcc", "twolf"}
 
-// fabric is svwctl over n real in-process svwd backends, each an httptest
-// server speaking actual HTTP (so transport-level faults — connection
-// kills, 503 wrappers — behave like production).
+// fabric is a coordinator — an svwd with members and no self among them
+// — over n real in-process svwd backends, each an httptest server
+// speaking actual HTTP (so transport-level faults — connection kills, 503
+// wrappers — behave like production).
 type fabric struct {
-	c        *Coordinator
+	c        *server.Server
 	backends []*httptest.Server
 }
 
-// newFabric builds n svwd backends and a coordinator over them. wrap, if
-// non-nil, can interpose a fault-injecting handler per backend.
-func newFabric(t testing.TB, n int, opts Options, wrap func(i int, h http.Handler) http.Handler) *fabric {
+// newFabric builds n svwd backends and a coordinator over them, configured
+// by opts with the backends as its Peers. wrap, if non-nil, can interpose
+// a fault-injecting handler per backend.
+func newFabric(t testing.TB, n int, opts server.Options, wrap func(i int, h http.Handler) http.Handler) *fabric {
 	t.Helper()
 	f := &fabric{}
 	for i := 0; i < n; i++ {
@@ -51,17 +54,33 @@ func newFabric(t testing.TB, n int, opts Options, wrap func(i int, h http.Handle
 		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		f.backends = append(f.backends, ts)
-		opts.Backends = append(opts.Backends, ts.URL)
+		opts.Peers = append(opts.Peers, ts.URL)
 	}
-	c, err := New(opts)
+	f.c = newCoordinator(t, opts)
+	return f
+}
+
+// newCoordinator builds the coordinator opts describe.
+func newCoordinator(t testing.TB, opts server.Options) *server.Server {
+	t.Helper()
+	c, err := server.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Runs after the backends close (LIFO): drop pooled keep-alive
 	// connections so server teardown never waits on them.
 	t.Cleanup(func() { c.Close() })
-	f.c = c
-	return f
+	return c
+}
+
+// members is the coordinator's membership, in order.
+func members(c *server.Server) []string {
+	_, rows := c.Routing()
+	urls := make([]string, len(rows))
+	for i, b := range rows {
+		urls[i] = b.URL
+	}
+	return urls
 }
 
 // do runs one request through the coordinator's handler.
@@ -196,7 +215,7 @@ func TestClusterSweepEquivalence(t *testing.T) {
 	want := refSweepBody(t, configs, equivalenceBenches)
 	body := sweepBody(configs, equivalenceBenches)
 
-	multi := newFabric(t, 3, Options{}, nil)
+	multi := newFabric(t, 3, server.Options{}, nil)
 	w := multi.do("POST", "/v1/sweep", body, nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("3-backend sweep HTTP %d: %s", w.Code, w.Body)
@@ -205,7 +224,7 @@ func TestClusterSweepEquivalence(t *testing.T) {
 		t.Fatal("3-backend sweep differs from the svwsim -json reference")
 	}
 
-	single := newFabric(t, 1, Options{}, nil)
+	single := newFabric(t, 1, server.Options{}, nil)
 	w1 := single.do("POST", "/v1/sweep", body, nil)
 	if w1.Code != http.StatusOK {
 		t.Fatalf("1-backend sweep HTTP %d: %s", w1.Code, w1.Body)
@@ -255,7 +274,7 @@ func TestClusterSweepEquivalence(t *testing.T) {
 // attributed to the backend that answered it (tier peer: a backend's
 // answer), and the repeat pass is served from the backends' stores.
 func TestClusterSSEOrderingAndPayloads(t *testing.T) {
-	f := newFabric(t, 3, Options{}, nil)
+	f := newFabric(t, 3, server.Options{}, nil)
 	configs := []string{"ssq", "ssq+svw", "nlq", "rle"}
 	benches := []string{"gcc", "twolf"}
 	body := sweepBody(configs, benches)
@@ -336,7 +355,7 @@ func TestClusterSSEOrderingAndPayloads(t *testing.T) {
 // the reference encoding and the CLI-facing registry endpoints are
 // byte-identical to a backend's.
 func TestClusterRunAndRegistryEndpoints(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	runReq := fmt.Sprintf(`{"config":"ssq+svw","bench":"gcc","insts":%d}`, testInsts)
 
 	w := f.do("POST", "/v1/run", runReq, nil)
@@ -398,7 +417,7 @@ func TestClusterRunAndRegistryEndpoints(t *testing.T) {
 // their owners — the §3.6 rungs travel by name — and repeats are served
 // cell by cell from the backends' stores.
 func TestClusterStudyProxy(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	path := fmt.Sprintf("/v1/studies/ssn?benches=gcc&bits=8,0&insts=%d", testInsts)
 	w := f.do("GET", path, "", nil)
 	if w.Code != http.StatusOK {
@@ -425,7 +444,7 @@ func TestClusterStudyProxy(t *testing.T) {
 		t.Fatalf("study repeat got %d backend cell hits and %d new misses, want 2 and 0",
 			hits, after.Cache.Misses-before.Cache.Misses)
 	}
-	// Validation errors are svwctl's own, as svwd's.
+	// Validation errors are the coordinator's own, as svwd's.
 	if w := f.do("GET", "/v1/studies/ladder?benches=gcc", "", nil); w.Code != http.StatusBadRequest {
 		t.Errorf("ladder without fig: HTTP %d, want 400", w.Code)
 	}
@@ -437,7 +456,7 @@ func TestClusterStudyProxy(t *testing.T) {
 // TestClusterValidation: the coordinator enforces the same request
 // contract as a single backend, before any fan-out.
 func TestClusterValidation(t *testing.T) {
-	f := newFabric(t, 2, Options{MaxSweepJobs: 4, MaxBodyBytes: 512}, nil)
+	f := newFabric(t, 2, server.Options{MaxSweepJobs: 4, MaxBodyBytes: 512}, nil)
 	cases := []struct {
 		method, path, body string
 		code               int
@@ -487,7 +506,7 @@ func TestNewRejectsBadPools(t *testing.T) {
 // forwards have marked every backend down, draining (503) once shutdown
 // begins.
 func TestHealthzStates(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	w := f.do("GET", "/v1/healthz", "", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz HTTP %d", w.Code)
@@ -521,12 +540,47 @@ func TestHealthzStates(t *testing.T) {
 	}
 }
 
-// TestForwardedBatchCarriesTheSpec: svwctl resolves each cell's sampling
+// TestStatsKeepMemberOrder: the coordinator's cluster rows come in
+// membership order — the order it was configured with — on every fetch,
+// so a client can diff Backends[i] between two fetches (perfbench does).
+func TestStatsKeepMemberOrder(t *testing.T) {
+	f := newFabric(t, 3, server.Options{}, nil)
+	var want []string
+	for _, ts := range f.backends {
+		want = append(want, ts.URL)
+	}
+	order := func(st api.StatsResponse) []string {
+		var urls []string
+		for _, b := range st.Cluster.Backends {
+			urls = append(urls, b.URL)
+		}
+		return urls
+	}
+	before := f.stats(t)
+	if w := f.do("POST", "/v1/sweep", sweepBody(membershipConfigs, equivalenceBenches), nil); w.Code != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d: %s", w.Code, w.Body)
+	}
+	after := f.stats(t)
+	var forwards uint64
+	for i, st := range []api.StatsResponse{before, after, f.stats(t)} {
+		if got := order(st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fetch %d: members %q, want %q", i, got, want)
+		}
+	}
+	for i := range want {
+		forwards += after.Cluster.Backends[i].Requests - before.Cluster.Backends[i].Requests
+	}
+	if forwards == 0 || forwards > uint64(len(want)) {
+		t.Errorf("%d forwards for one sweep over %d members, want 1..%d", forwards, len(want), len(want))
+	}
+}
+
+// TestForwardedBatchCarriesTheSpec: the coordinator resolves each cell's sampling
 // spec — its own default for a request without one — and the batch it
 // forwards carries that spec, so a backend never applies a default of its
-// own to it: the backend's store files the result under the key svwctl
-// planned. An exact svwctl in front of a sampling backend gets exact
-// results; a sampling svwctl gets the same bytes the backend answers
+// own to it: the backend's store files the result under the key the coordinator
+// planned. An exact coordinator in front of a sampling backend gets exact
+// results; a sampling coordinator gets the same bytes the backend answers
 // directly.
 func TestForwardedBatchCarriesTheSpec(t *testing.T) {
 	spec := pipeline.SampleSpec{Warmup: 1000, Detail: 1000, Period: 5000}
@@ -551,14 +605,10 @@ func TestForwardedBatchCarriesTheSpec(t *testing.T) {
 		ctl  pipeline.SampleSpec
 		want []byte
 	}{
-		{"exact svwctl", pipeline.SampleSpec{}, refRunBody(t, "ssq", "gcc")},
-		{"sampling svwctl", spec, sampled},
+		{"exact coordinator", pipeline.SampleSpec{}, refRunBody(t, "ssq", "gcc")},
+		{"sampling coordinator", spec, sampled},
 	} {
-		c, err := New(Options{Backends: []string{ts.URL}, DefaultSample: tc.ctl})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
+		c := newCoordinator(t, server.Options{Peers: []string{ts.URL}, DefaultSample: tc.ctl})
 		f := &fabric{c: c, backends: []*httptest.Server{ts}}
 		if w := f.do("POST", "/v1/run", runReq, nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), tc.want) {
 			t.Errorf("%s: HTTP %d, body matches want: %v", tc.name, w.Code, bytes.Equal(w.Body.Bytes(), tc.want))

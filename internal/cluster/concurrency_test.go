@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"svwsim/internal/server"
 	"svwsim/internal/sim"
 	"svwsim/internal/sim/engine"
 )
@@ -21,12 +22,12 @@ func jobKey(t *testing.T, config, bench string) string {
 	return engine.Fingerprint(cfg, bench, testInsts)
 }
 
-// TestConcurrentClients hammers svwctl from many goroutines with a mix of
+// TestConcurrentClients hammers the coordinator from many goroutines with a mix of
 // runs, buffered sweeps, SSE sweeps and stats reads; run under -race
 // (ci.sh does) this is the fabric's data-race gate, and every response
 // must be a clean 200.
 func TestConcurrentClients(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	runBody := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
 	sweepB := sweepBody([]string{"ssq", "nlq"}, []string{"gcc"})
 	sseHdr := map[string]string{"Accept": "text/event-stream"}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"svwsim/internal/api"
+	"svwsim/internal/server"
 	"svwsim/internal/sim"
 )
 
@@ -44,7 +45,7 @@ func failAfterN(n int64, h http.Handler) http.Handler {
 // backends' own caches (the no-double-count contract).
 func TestSweepSurvives503MidSweep(t *testing.T) {
 	const passThrough = 3
-	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
+	f := newFabric(t, 3, server.Options{}, func(i int, h http.Handler) http.Handler {
 		if i == 0 {
 			return failAfterN(passThrough, h)
 		}
@@ -104,7 +105,7 @@ func killingFabric(t *testing.T, killAfter int64) *fabric {
 		kill       sync.Once
 		killTarget atomic.Pointer[httptest.Server]
 	)
-	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
+	f := newFabric(t, 3, server.Options{}, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
 		}
@@ -222,7 +223,7 @@ func TestRunFailsOverFromDeadBackend(t *testing.T) {
 			api.WriteError(w, http.StatusServiceUnavailable, "injected fault: dead backend")
 		})
 	}
-	f := newFabric(t, 2, Options{}, dead)
+	f := newFabric(t, 2, server.Options{}, dead)
 
 	for _, cname := range sim.ConfigNames() {
 		body, _ := json.Marshal(api.RunRequest{Config: cname, Bench: "gcc", Insts: testInsts})
@@ -266,7 +267,7 @@ func TestSweepSaturatedPoolReturns429(t *testing.T) {
 			api.WriteError(w, http.StatusTooManyRequests, "admission gate saturated")
 		})
 	}
-	f := newFabric(t, 2, Options{}, saturated)
+	f := newFabric(t, 2, server.Options{}, saturated)
 	var cells []api.SweepCell
 	for _, c := range sim.ConfigNames() {
 		if len(cells) < 2 && owners(t, f, []string{c}, []string{"gcc"})[0] == 0 {
@@ -295,10 +296,10 @@ func TestSweepSaturatedPoolReturns429(t *testing.T) {
 	}
 }
 
-// TestAllBackendsDown: with the whole pool dead svwctl reports a clean
+// TestAllBackendsDown: with the whole pool dead the coordinator reports a clean
 // 502 per request and a degraded healthz — it does not hang or panic.
 func TestAllBackendsDown(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	for _, ts := range f.backends {
 		ts.Close()
 	}

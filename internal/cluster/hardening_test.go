@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"svwsim/internal/api"
+	"svwsim/internal/server"
 )
 
-// TestClusterMetricsEndpoint exercises svwctl's scrape surface: the shared
-// per-endpoint request series plus svwctl's routing counters and the
+// TestClusterMetricsEndpoint exercises the coordinator's scrape surface: the shared
+// per-endpoint request series plus the coordinator's routing counters and the
 // per-backend breakdown.
 func TestClusterMetricsEndpoint(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
 	if w := f.do("POST", "/v1/run", body, nil); w.Code != http.StatusOK {
 		t.Fatalf("run HTTP %d: %s", w.Code, w.Body)
@@ -44,11 +45,11 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestClusterDeadlineReturns504 pins deadline propagation through svwctl:
+// TestClusterDeadlineReturns504 pins deadline propagation through the coordinator:
 // a budget the backends cannot meet yields 504, and the aborted forward
 // must not be mistaken for a backend failure (no down mark).
 func TestClusterDeadlineReturns504(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	// ~100k instructions: far beyond a 1ms budget on any hardware, small
 	// enough that the backend finishes promptly at teardown.
 	body := `{"config":"ssq","bench":"gcc","insts":100000}`

@@ -25,7 +25,7 @@ var membershipConfigs = []string{"base-nlq", "nlq", "nlq+svw", "base-ssq", "ssq"
 // statusFabric is a fabric whose backends answer every cell batch with
 // the given statuses, one per backend.
 func statusFabric(t *testing.T, codes ...int) *fabric {
-	return newFabric(t, len(codes), Options{}, func(i int, h http.Handler) http.Handler {
+	return newFabric(t, len(codes), server.Options{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if jobCells(r) > 0 {
 				w.WriteHeader(codes[i])
@@ -58,7 +58,7 @@ func TestErrHTTPStatusText(t *testing.T) {
 }
 
 // TestProbeSurfacesNonStandardStatus drives the 599 path end to end: the
-// failed forward — svwctl's only probe of a backend — marks it down,
+// failed forward — the coordinator's only probe of a backend — marks it down,
 // healthz turns degraded, and /v1/stats carries a last_error naming the
 // code until the mark lapses.
 func TestProbeSurfacesNonStandardStatus(t *testing.T) {
@@ -100,11 +100,7 @@ func TestProbesReuseConnections(t *testing.T) {
 	ts.Start()
 	t.Cleanup(ts.Close)
 
-	c, err := New(Options{Backends: []string{ts.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := newCoordinator(t, server.Options{Peers: []string{ts.URL}})
 
 	body := fmt.Sprintf(`{"config":"ssq","bench":"gcc","insts":%d}`, testInsts)
 	for i := 0; i < 8; i++ {
@@ -132,7 +128,7 @@ func TestProbesReuseConnections(t *testing.T) {
 func TestMembershipRemoveMidSweep(t *testing.T) {
 	sawJob := make(chan struct{})
 	var once sync.Once
-	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
+	f := newFabric(t, 3, server.Options{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if jobCells(r) > 0 {
 				once.Do(func() { close(sawJob) })
@@ -147,8 +143,8 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 
 	recv(t, sawJob, "backend job") // at least one job is in flight on the 3-backend snapshot
 	removed := f.backends[2].URL
-	if _, _, err := f.c.SetBackends([]string{f.backends[0].URL, f.backends[1].URL}); err != nil {
-		t.Fatalf("SetBackends: %v", err)
+	if _, _, err := f.c.SetPeers([]string{f.backends[0].URL, f.backends[1].URL}); err != nil {
+		t.Fatalf("SetPeers: %v", err)
 	}
 
 	w := recv(t, resp, "sweep response")
@@ -165,7 +161,7 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 	if st.Cluster.JobErrors != 0 {
 		t.Errorf("job errors = %d, want 0", st.Cluster.JobErrors)
 	}
-	urls := f.c.Backends()
+	urls := members(f.c)
 	if len(urls) != 2 {
 		t.Fatalf("pool after removal = %v, want 2 members", urls)
 	}
@@ -181,7 +177,7 @@ func TestMembershipRemoveMidSweep(t *testing.T) {
 // top choice is the new member move to it — everything else is answered
 // from the original backends' caches (minimal remap).
 func TestMembershipAddRecoversAffinity(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 
 	body := sweepBody(membershipConfigs, equivalenceBenches)
 	want := refSweepBody(t, membershipConfigs, equivalenceBenches)
@@ -195,9 +191,9 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	added, _, err := f.c.SetBackends(append(f.c.Backends(), ts.URL))
+	added, _, err := f.c.SetPeers(append(members(f.c), ts.URL))
 	if err != nil || len(added) != 1 || added[0] != ts.URL {
-		t.Fatalf("SetBackends added %v, %v; want [%s]", added, err, ts.URL)
+		t.Fatalf("SetPeers added %v, %v; want [%s]", added, err, ts.URL)
 	}
 
 	if w := f.do("POST", "/v1/sweep", body, nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
@@ -207,7 +203,7 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 	// Expected remap: the cells whose rendezvous walk now tops out at the
 	// new member. Everything else must have been a cache hit on its
 	// original backend.
-	pool := f.c.Backends()
+	pool := members(f.c)
 	moved := 0
 	for _, cname := range membershipConfigs {
 		cfg, ok := sim.ConfigByName(cname)
@@ -242,12 +238,12 @@ func TestMembershipAddRecoversAffinity(t *testing.T) {
 }
 
 // TestClusterRunDogpile: N identical concurrent cold /v1/run requests
-// through svwctl compute the job once. svwctl forwards every request —
+// through the coordinator compute the job once. The coordinator forwards every request —
 // rendezvous routing sends them all to the key's one owner — and that
 // backend's cell resolver coalesces them: one engine execution, the other
 // N-1 joining its flight or hitting its store.
 func TestClusterRunDogpile(t *testing.T) {
-	f := newFabric(t, 1, Options{}, nil)
+	f := newFabric(t, 1, server.Options{}, nil)
 	before := f.stats(t)
 
 	const n = 6

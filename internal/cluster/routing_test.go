@@ -28,7 +28,7 @@ func sweepKeys(t *testing.T, insts uint64) []string {
 	return keys
 }
 
-// TestRankGolden pins the rendezvous ranking svwctl and every svwd walk
+// TestRankGolden pins the rendezvous ranking the coordinator and every svwd walk
 // cells in (rendezvous.Rank) for fixed inputs. The
 // expected orders were computed by this same implementation and are
 // asserted verbatim: because the hash is unseeded FNV-1a, any process on

@@ -12,6 +12,7 @@ import (
 
 	"svwsim/internal/api"
 	"svwsim/internal/rendezvous"
+	"svwsim/internal/server"
 )
 
 // Regression: the forwarding client used to have no response-header
@@ -20,7 +21,7 @@ import (
 // of failing the forward. With the bound set, the cell must give up on the
 // hung backend and walk on to the next ranked one.
 func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
-	f := newFabric(t, 2, Options{ResponseHeaderTimeout: 300 * time.Millisecond},
+	f := newFabric(t, 2, server.Options{ForwardHeaderTimeout: 300 * time.Millisecond},
 		func(i int, h http.Handler) http.Handler {
 			if i != 0 {
 				return h
@@ -83,13 +84,13 @@ func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
 	}
 }
 
-// TestPeersHeader: every forwarded batch is marked, and carries svwctl's
+// TestPeersHeader: every forwarded batch is marked, and carries the coordinator's
 // members and the URL the backend was addressed by — the membership
 // payload a -peer-learn backend adopts as its sharding map.
 func TestPeersHeader(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]http.Header{}
-	f := newFabric(t, 2, Options{}, func(i int, h http.Handler) http.Handler {
+	f := newFabric(t, 2, server.Options{}, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if jobCells(r) > 0 {
 				mu.Lock()
@@ -103,7 +104,7 @@ func TestPeersHeader(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("sweep: HTTP %d: %s", w.Code, w.Body)
 	}
-	members := strings.Join(f.c.Backends(), ",")
+	members := strings.Join(members(f.c), ",")
 	if len(got) == 0 {
 		t.Fatal("no backend saw a batch")
 	}

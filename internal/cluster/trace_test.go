@@ -11,9 +11,10 @@ import (
 
 	"svwsim/internal/api"
 	"svwsim/internal/rendezvous"
+	"svwsim/internal/server"
 )
 
-// coordTrace looks one trace up on svwctl's /debug/traces.
+// coordTrace looks one trace up on the coordinator's /debug/traces.
 func coordTrace(t *testing.T, f *fabric, id string) api.TraceJSON {
 	t.Helper()
 	w := f.do("GET", "/debug/traces?id="+id, "", nil)
@@ -58,12 +59,12 @@ func countSpans(tj api.TraceJSON) map[string]int {
 }
 
 // TestClusterTraceCorrelation: one client trace ID, sent with a sweep
-// through svwctl, shows up on svwctl's /debug/traces (store probe plus one
+// through the coordinator, shows up on the coordinator's /debug/traces (store probe plus one
 // forward span per owner) AND on the serving backends' /debug/traces with
 // the stage spans — gate wait, store probe (with its tier), engine run —
 // recorded under the same ID.
 func TestClusterTraceCorrelation(t *testing.T) {
-	f := newFabric(t, 2, Options{}, nil)
+	f := newFabric(t, 2, server.Options{}, nil)
 	req, _ := json.Marshal(api.SweepRequest{
 		Configs: []string{"ssq", "ssq+svw"}, Benches: equivalenceBenches, Insts: testInsts})
 	hdr := map[string]string{api.TraceHeader: "corr-sweep-1"}
@@ -71,7 +72,7 @@ func TestClusterTraceCorrelation(t *testing.T) {
 		t.Fatalf("sweep: HTTP %d: %s", w.Code, w.Body.String())
 	}
 
-	// svwctl's side: one forward per distinct owner of the 4 cells.
+	// The coordinator's side: one forward per distinct owner of the 4 cells.
 	urls := []string{f.backends[0].URL, f.backends[1].URL}
 	owners := map[string]bool{}
 	for _, cname := range []string{"ssq", "ssq+svw"} {
@@ -85,7 +86,7 @@ func TestClusterTraceCorrelation(t *testing.T) {
 	}
 	names := countSpans(ct)
 	if names["forward"] != len(owners) || names["store_probe"] != 1 {
-		t.Fatalf("svwctl spans: %v, want %d forwards", names, len(owners))
+		t.Fatalf("coordinator spans: %v, want %d forwards", names, len(owners))
 	}
 	for _, sp := range ct.Spans {
 		if sp.Name == "forward" && (!owners[sp.Attrs["member"]] || sp.Attrs["status"] != "200") {
@@ -120,15 +121,15 @@ func TestClusterTraceCorrelation(t *testing.T) {
 		}
 	}
 	if found == 0 {
-		t.Fatal("no backend recorded svwctl's trace ID")
+		t.Fatal("no backend recorded the coordinator's trace ID")
 	}
 }
 
 // TestRetryTraceFollowsToWinningBackend: the owner 503s, the cell walks on
-// to the next backend, and that backend's trace carries svwctl's trace ID;
-// svwctl's trace shows both forwards.
+// to the next backend, and that backend's trace carries the coordinator's trace ID;
+// the coordinator's trace shows both forwards.
 func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
-	f := newFabric(t, 2, Options{}, func(i int, h http.Handler) http.Handler {
+	f := newFabric(t, 2, server.Options{}, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
 		}
@@ -161,7 +162,7 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 		t.Fatalf("run: HTTP %d: %s", w.Code, w.Body.String())
 	}
 
-	// svwctl: two forwards — the 503 and the winner, the second at hop 1.
+	// The coordinator: two forwards — the 503 and the winner, the second at hop 1.
 	ct := coordTrace(t, f, "retry-run-1")
 	var failed, won, retries int
 	for _, sp := range ct.Spans {
@@ -200,11 +201,11 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 }
 
 // TestClusterSlowLogAndCounter: with slow logging at threshold 0 every
-// traced svwctl request emits one slow_request line and bumps
-// svw_slow_requests_total on svwctl's /metrics.
+// traced coordinator request emits one slow_request line and bumps
+// svw_slow_requests_total on the coordinator's /metrics.
 func TestClusterSlowLogAndCounter(t *testing.T) {
 	var buf syncBuffer
-	f := newFabric(t, 2, Options{
+	f := newFabric(t, 2, server.Options{
 		SlowLogEnabled:   true,
 		SlowLogThreshold: 0,
 		SlowLogWriter:    &buf,
@@ -225,7 +226,7 @@ func TestClusterSlowLogAndCounter(t *testing.T) {
 	}
 	w := f.do("GET", "/metrics", "", nil)
 	if want := `svw_slow_requests_total{endpoint="/v1/run"} 1`; !strings.Contains(w.Body.String(), want) {
-		t.Fatalf("svwctl metrics missing %q", want)
+		t.Fatalf("coordinator metrics missing %q", want)
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 )
 
 // The warm path reuses its large buffers: a buffered sweep's body and the
-// owner replies svwctl reads come from one pool, and a reply goes back
+// owner replies the coordinator reads come from one pool, and a reply goes back
 // only after the response whose cells alias it has been written. These
 // tests hold every reply byte-identical under concurrent reuse and pin
 // what a warm sweep allocates.
 
-// newDiskFabric is svwctl over n svwd backends, each with a disk tier
+// newDiskFabric is a coordinator over n svwd backends, each with a disk tier
 // under a memory tier of cacheEntries, so warm cells come from both tiers
 // and disk hits are promoted or deferred.
 func newDiskFabric(t *testing.T, n, cacheEntries int) *fabric {
@@ -44,12 +44,7 @@ func newDiskFabric(t *testing.T, n, cacheEntries int) *fabric {
 		f.backends = append(f.backends, ts)
 		urls = append(urls, ts.URL)
 	}
-	c, err := New(Options{Backends: urls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	f.c = c
+	f.c = newCoordinator(t, server.Options{Peers: urls})
 	return f
 }
 
@@ -72,7 +67,7 @@ func ladderReport(t *testing.T, benches []string) []byte {
 }
 
 // TestPooledRepliesStayIntact drives concurrent warm sweeps over different
-// bench groups, an SSE sweep and two studies through svwctl over two backends
+// bench groups, an SSE sweep and two studies through the coordinator over two backends
 // with disk tiers, and requires every reply byte-identical to the direct
 // MarshalResult encodings. A reply buffer handed back to the pool while a
 // response still aliases it is refilled by another request's forward —
@@ -158,7 +153,7 @@ func TestPooledRepliesStayIntact(t *testing.T) {
 	wg.Wait()
 
 	// Each backend holds about 60 results under an 8-entry memory tier, so
-	// warm reads took disk hits the tier did not promote; svwctl sums them
+	// warm reads took disk hits the tier did not promote; the coordinator sums them
 	// like every other cache counter.
 	if st := f.stats(t); st.Cache.PromotionsDeferred == 0 || st.Cache.DiskHits == 0 {
 		t.Fatalf("pool stats: %d disk hits, %d deferred promotions, want both > 0",
@@ -170,12 +165,12 @@ func TestPooledRepliesStayIntact(t *testing.T) {
 // registry machine on each), the sweep perfbench's fabric-serve repeats.
 var warmBenches = []string{"gcc", "twolf", "mcf", "vortex"}
 
-// warmFabric is svwctl over two memory-tier backends with the 60-cell
+// warmFabric is a coordinator over two memory-tier backends with the 60-cell
 // sweep computed once. Its sweep serves that sweep again and returns the
 // status; the reply is discarded unread, so what a sweep allocates is the
 // servers' alone, not a recorder's copy of the 84 KB body.
 func warmFabric(tb testing.TB) (sweep func() int) {
-	f := newFabric(tb, 2, Options{}, nil)
+	f := newFabric(tb, 2, server.Options{}, nil)
 	body := sweepBody(sim.ConfigNames(), warmBenches)
 	if w := f.do("POST", "/v1/sweep", body, nil); w.Code != http.StatusOK {
 		tb.Fatalf("cold sweep: HTTP %d: %s", w.Code, w.Body)
@@ -200,7 +195,7 @@ func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // maxWarmSweepBytesPerCell bounds the heap bytes a warm 60-cell sweep
-// through svwctl over two backends allocates per cell, in all three
+// through the coordinator over two backends allocates per cell, in all three
 // servers' code together (they share this test's heap): about 1.6 KB at
 // this writing, against 8.9 KB when every hop copied each cell's
 // configuration and every buffered body and owner reply was a fresh
@@ -239,7 +234,7 @@ func sweepBytes(n int, sweep func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
-// BenchmarkWarmSweep serves the warm 60-cell sweep through svwctl over two
+// BenchmarkWarmSweep serves the warm 60-cell sweep through the coordinator over two
 // backends: the fabric's warm path, plan to written reply, at every hop.
 // Its B/op is the heap bytes of all three servers together.
 func BenchmarkWarmSweep(b *testing.B) {

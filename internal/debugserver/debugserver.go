@@ -15,7 +15,7 @@ import (
 
 // Mount is an extra handler to serve from the debug listener — admin
 // surfaces that belong on the operator-only address for the same reason
-// pprof does (svwctl's /admin/backends membership endpoint, for one).
+// pprof does (svwd's /admin/backends membership endpoint, for one).
 type Mount struct {
 	// Pattern in http.ServeMux syntax, e.g. "/admin/backends" or
 	// "POST /admin/backends".

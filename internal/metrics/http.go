@@ -3,12 +3,13 @@ package metrics
 import (
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
 
-// The shared per-endpoint HTTP series both daemons expose, so one
-// dashboard reads svwd and svwctl alike.
+// The shared per-endpoint HTTP series every svwd exposes, so one
+// dashboard reads a member and a coordinator alike.
 const (
 	httpRequestsName = "svw_http_requests_total"
 	httpRequestsHelp = "HTTP requests served, by endpoint and status code."
@@ -73,6 +74,21 @@ func (h *HTTP) codeCounter(endpoint string, code int) *Counter {
 		Label{Key: "code", Value: strconv.Itoa(code)})
 	h.codes[key] = c
 	return c
+}
+
+// Requests sums the requests served under endpoint over every status
+// code.
+func (h *HTTP) Requests(endpoint string) uint64 {
+	prefix := endpoint + "\x00"
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var n uint64
+	for key, c := range h.codes {
+		if strings.HasPrefix(key, prefix) {
+			n += c.Value()
+		}
+	}
+	return n
 }
 
 // statusWriter records the response status. It passes Flush through so

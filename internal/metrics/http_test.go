@@ -153,3 +153,28 @@ func TestWrapObservesLatencyOnPanic(t *testing.T) {
 		t.Fatalf("latency histogram missed the panicking request:\n%s", sb.String())
 	}
 }
+
+// TestRequestsSumsCodesPerEndpoint: Requests adds an endpoint's counts
+// over every status code and never mixes in another endpoint, even one
+// whose name extends it.
+func TestRequestsSumsCodesPerEndpoint(t *testing.T) {
+	h := NewHTTP(NewRegistry())
+	code := http.StatusOK
+	wrap := func(endpoint string) http.Handler {
+		return h.Wrap(endpoint, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(code)
+		}))
+	}
+	run, runs := wrap("/v1/run"), wrap("/v1/runs")
+	for _, c := range []int{http.StatusOK, http.StatusOK, http.StatusTooManyRequests, http.StatusBadGateway} {
+		code = c
+		run.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/run", nil))
+	}
+	runs.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/runs", nil))
+	if got := h.Requests("/v1/run"); got != 4 {
+		t.Errorf("Requests(/v1/run) = %d, want 4", got)
+	}
+	if got := h.Requests("/v1/sweep"); got != 0 {
+		t.Errorf("Requests(/v1/sweep) = %d, want 0", got)
+	}
+}

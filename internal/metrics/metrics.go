@@ -1,8 +1,8 @@
 // Package metrics is the serving stack's dependency-free observability
 // core: atomic counters, gauges and fixed-bucket latency histograms,
-// rendered in the Prometheus text exposition format. Both daemons (svwd
-// and svwctl) mount a Registry on GET /metrics, so one scrape config
-// covers a single backend and a coordinator fronting a fleet of them.
+// rendered in the Prometheus text exposition format. Every svwd mounts a
+// Registry on GET /metrics, so one scrape config covers a single member
+// and a coordinator fronting a fleet of them.
 //
 // The hot path is allocation-free: Counter.Inc/Add, Gauge.Set/Add and
 // Histogram.Observe are single atomic operations (plus a bounded linear

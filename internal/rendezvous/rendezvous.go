@@ -1,6 +1,6 @@
 // Package rendezvous implements highest-random-weight (rendezvous)
 // hashing over string member identities. It is the single placement
-// function for the whole fabric: every svwd, svwctl included, sends a
+// function for the whole fabric: every svwd, the coordinator included, sends a
 // cell to its owner and walks a failed owner's cells on in this order
 // (internal/server), so all of them agree on which member holds a key's
 // persistent entry without exchanging any state beyond the member list
@@ -44,7 +44,7 @@ func Score(member, key string) uint64 {
 // slashes are insignificant, so "http://h:1/" and " http://h:1" name the
 // member "http://h:1". A member's normalized URL is its hash input on
 // every side of the fabric — learned and configured member lists and
-// svwctl's pool alike — so all of them normalize through here.
+// the coordinator's alike — so all of them normalize through here.
 func Normalize(u string) string {
 	return strings.TrimRight(strings.TrimSpace(u), "/")
 }

@@ -22,7 +22,7 @@ import (
 
 // --- shared helpers ------------------------------------------------------
 
-// The JSON and SSE encodings live in internal/api, shared with svwctl;
+// The JSON and SSE encodings live in internal/api, shared with svwload;
 // the wrappers below keep handler call sites short.
 
 func writeJSON(w http.ResponseWriter, status int, v any)    { api.WriteJSON(w, status, v) }
@@ -114,18 +114,7 @@ func (s *Server) checkCells(w http.ResponseWriter, n int) bool {
 	return true
 }
 
-// --- registry / health / stats ------------------------------------------
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status, code := "ok", http.StatusOK
-	if s.draining.Load() {
-		status, code = "draining", http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, HealthResponse{
-		Status:  status,
-		UptimeS: time.Since(s.start).Seconds(),
-	})
-}
+// --- registries (health and stats: stats.go) ---------------------------
 
 func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ConfigsResponse{Configs: sim.ConfigNames()})
@@ -133,15 +122,6 @@ func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBenches(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BenchesResponse{Benches: workload.Names()})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeS:   time.Since(s.start).Seconds(),
-		Cache:     api.StoreCacheStats(s.store.Stats()),
-		Engine:    s.engineStats(),
-		Admission: s.gate.stats(),
-	})
 }
 
 // --- the cell resolver ---------------------------------------------------

@@ -2,6 +2,7 @@ package server
 
 import (
 	"sort"
+	"time"
 
 	"svwsim/internal/api"
 	"svwsim/internal/metrics"
@@ -10,9 +11,10 @@ import (
 
 // serverMetrics is svwd's scrape surface (GET /metrics): the per-stage
 // latency histograms the handlers feed directly, plus func-backed views
-// over the store, gate and engine counters the daemon already keeps —
-// one source of truth, two read paths (/v1/stats JSON and Prometheus
-// text).
+// over the store, gate, engine and routing counters the daemon already
+// keeps — one source of truth, two read paths (/v1/stats JSON and
+// Prometheus text). The routing series keep the svwctl_ prefix they were
+// introduced under.
 type serverMetrics struct {
 	reg  *metrics.Registry
 	http *metrics.HTTP
@@ -136,5 +138,65 @@ func newServerMetrics(s *Server, clientWeights map[string]int) *serverMetrics {
 		"Machine configuration digests (SHA-256) computed to key cells.",
 		engine.ConfigDigests)
 
+	routing := func(name, help string, read func(api.ClusterStats) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return read(s.clusterStats()) })
+	}
+	routing("svwctl_runs_total", "Client /v1/run requests.",
+		func(st api.ClusterStats) uint64 { return st.Runs })
+	routing("svwctl_sweeps_total", "Client /v1/sweep requests.",
+		func(st api.ClusterStats) uint64 { return st.Sweeps })
+	routing("svwctl_jobs_total", "Cells a member answered (each counted once).",
+		func(st api.ClusterStats) uint64 { return st.Jobs })
+	routing("svwctl_job_errors_total", "Cells no member could answer.",
+		func(st api.ClusterStats) uint64 { return st.JobErrors })
+	routing("svwctl_retries_total", "Cell moves to the next member after a failed forward.",
+		func(st api.ClusterStats) uint64 { return st.Retries })
+	reg.GaugeFunc("svwctl_backends_healthy", "Members not marked down.",
+		func() float64 { return float64(s.clusterStats().BackendsHealthy) })
 	return m
+}
+
+// registerMember adds url's per-member series: forwards, errors and down
+// marks by member URL, so a dashboard sees which member of the fabric is
+// misbehaving without parsing /v1/stats JSON. The series look the member
+// up by URL at scrape time, so a removed member scrapes as zeros and one
+// that rejoins resumes from zero; the registry ignores a re-registration.
+func (s *Server) registerMember(url string) {
+	reg := s.metrics.reg
+	row := func() api.ClusterBackendStats {
+		_, members, _ := s.peers.snapshot()
+		for _, m := range members {
+			if m.url == url {
+				return m.snapshot(time.Now())
+			}
+		}
+		return api.ClusterBackendStats{}
+	}
+	l := metrics.Label{Key: "backend", Value: url}
+	counter := func(name, help string, read func(api.ClusterBackendStats) uint64) {
+		reg.CounterFunc(name, help, func() uint64 { return read(row()) }, l)
+	}
+	counter("svwctl_backend_requests_total", "Batches forwarded to the member.",
+		func(b api.ClusterBackendStats) uint64 { return b.Requests })
+	counter("svwctl_backend_errors_total", "Forwarded batches that failed.",
+		func(b api.ClusterBackendStats) uint64 { return b.Errors })
+	reg.GaugeFunc("svwctl_backend_in_flight", "Forwards currently in flight to the member.",
+		func() float64 { return float64(row().InFlight) }, l)
+	reg.GaugeFunc("svwctl_backend_healthy", "Whether the member is not marked down (0/1).",
+		func() float64 {
+			if row().Healthy {
+				return 1
+			}
+			return 0
+		}, l)
+	counter("svwctl_backend_health_flaps_total", "Down marks a failed forward put on the member while it was up.",
+		func(b api.ClusterBackendStats) uint64 { return b.HealthFlaps })
+	counter("svwctl_backend_jobs_ok_total", "Cells the member answered.",
+		func(b api.ClusterBackendStats) uint64 { return b.JobsOK })
+	counter("svwctl_backend_cache_hits_total", "Cells the member answered from its memory tier.",
+		func(b api.ClusterBackendStats) uint64 { return b.CacheHits })
+	counter("svwctl_backend_disk_hits_total", "Cells the member answered from its disk tier.",
+		func(b api.ClusterBackendStats) uint64 { return b.DiskHits })
+	counter("svwctl_backend_peer_hits_total", "Cells the member answered from another member.",
+		func(b api.ClusterBackendStats) uint64 { return b.PeerHits })
 }

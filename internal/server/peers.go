@@ -41,7 +41,7 @@ import (
 // A 429 moves the cells without the mark: a busy member is not a sick
 // one. A cell whose walk reaches this server is computed here, so a
 // failing owner costs a recompute, never a wrong answer; a server that is
-// not a member (svwctl) fails the cell once its walk runs out. Owner
+// not a member (the coordinator) fails the cell once its walk runs out. Owner
 // answers are served as tier peer and never promoted into the local
 // memory tier, so each result lives in one store: its owner's.
 //
@@ -57,11 +57,10 @@ import (
 // miss reads the key's owner over GET /v1/store/{key} (peerFetch), the
 // checksummed on-disk entry encoding, validated like a local file.
 
-// DefaultPeerReadTimeout bounds one checkpoint read from a peer when
-// Options leaves PeerReadTimeout zero. Peer reads are disk/memory lookups
-// on the owner, never computations, so a short budget is right: past it
-// the requester just fast-forwards itself.
-const DefaultPeerReadTimeout = 2 * time.Second
+// peerReadTimeout bounds one checkpoint read from a peer. Peer reads are
+// disk/memory lookups on the owner, never computations, so a short budget
+// is right: past it the requester just fast-forwards itself.
+const peerReadTimeout = 2 * time.Second
 
 // DefaultForwardHeaderTimeout bounds how long a forward waits for its
 // owner's response headers when Options leaves ForwardHeaderTimeout zero.
@@ -152,7 +151,7 @@ func (m *member) answered(tiers []string) {
 	}
 }
 
-// snapshot reads the member's row of the svwctl stats section.
+// snapshot reads the member's row of the /v1/stats cluster section.
 func (m *member) snapshot(now time.Time) api.ClusterBackendStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -170,8 +169,27 @@ type peerSet struct {
 	mu      sync.Mutex
 	self    string
 	members []*member
-	urls    []string // members' URLs, same order
-	joined  string   // last adopted PeersHeader value, for a cheap no-change path
+	urls    []string         // members' URLs, same order
+	joined  string           // last adopted PeersHeader value, for a cheap no-change path
+	onJoin  func(url string) // called, under mu, for each member the view gains
+}
+
+// checkPeers normalizes a membership, refusing a URL without a scheme (no
+// forward to it could be built, so every cell it owns would fall back to
+// a local walk), a repeated URL, and a self that is not among them.
+func checkPeers(raw []string, self string) ([]string, error) {
+	urls := make([]string, 0, len(raw))
+	for _, r := range raw {
+		u := rendezvous.Normalize(r)
+		if !strings.Contains(u, "://") || slices.Contains(urls, u) {
+			return nil, fmt.Errorf("invalid or duplicate peer URL %q", r)
+		}
+		urls = append(urls, u)
+	}
+	if self != "" && !slices.Contains(urls, rendezvous.Normalize(self)) {
+		return nil, fmt.Errorf("peer self %q is not among the peers", self)
+	}
+	return urls, nil
 }
 
 // set replaces the membership view. A member that stays keeps its state.
@@ -195,6 +213,9 @@ func (p *peerSet) setLocked(raw []string, joined string) {
 		m := old[u]
 		if m == nil {
 			m = &member{url: u}
+			if p.onJoin != nil {
+				p.onJoin(u)
+			}
 		}
 		p.members = append(p.members, m)
 		p.urls = append(p.urls, u)
@@ -496,7 +517,7 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 	}
 	t0 := time.Now()
 	defer func() { s.metrics.storePeer.Observe(time.Since(t0)) }()
-	fctx, cancel := context.WithTimeout(ctx, s.peerTimeout)
+	fctx, cancel := context.WithTimeout(ctx, peerReadTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
 		owner+"/v1/store/"+url.PathEscape(key), nil)

@@ -5,7 +5,8 @@
 //	GET  /v1/store/{key}         one checksummed store entry (checkpoint reads)
 //	GET  /v1/configs             configuration registry listing
 //	GET  /v1/benches             benchmark kernel listing
-//	GET  /v1/stats               cache / engine / admission counters
+//	GET  /v1/stats               cache / engine / admission counters, and
+//	                             the members' routing rows (stats.go)
 //	POST /v1/run                 one (config, bench, insts) job
 //	POST /v1/sweep               a config × bench matrix; SSE streaming
 //	GET  /v1/studies/{study}     ladder | fig8 | ssn | ssbf
@@ -27,8 +28,10 @@
 //     serving tier is named in the X-Svwd-Cache response header;
 //   - the fabric (peers.go): when the membership is known, a cell another
 //     member owns goes to that owner, one batch per owner, and a failed
-//     owner's cells walk on to the next member — svwctl is a Server whose
-//     members are the backends and which is not one of them itself;
+//     owner's cells walk on to the next member. A Server given members
+//     but no PeerSelf among them owns no keys: it is the fabric's
+//     coordinator, which computes nothing and answers /v1/stats and
+//     /v1/healthz for its members (stats.go);
 //   - a per-cell singleflight, so concurrent requests needing the same
 //     uncomputed cell run it once;
 //   - an admission gate bounding concurrently admitted engine jobs,
@@ -46,9 +49,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,20 +105,18 @@ type Options struct {
 	// Peers statically configures the fabric member URLs that own the
 	// keys (see peers.go): each cell this server misses goes to its
 	// rendezvous owner among them. Empty routes nothing unless PeerLearn
-	// adopts a membership payload.
+	// adopts a membership payload. Each URL needs a scheme and appears
+	// once.
 	Peers []string
 	// PeerSelf is this server's own URL within Peers — how it recognizes
-	// keys it owns itself. A server that is not one of its Peers owns no
-	// keys and computes nothing it can route (svwctl).
+	// keys it owns itself. When set it must be one of Peers. Left empty
+	// with Peers set, the server owns no keys: it is the coordinator.
 	PeerSelf string
 	// PeerLearn adopts the membership payload (api.PeersHeader /
 	// api.PeerSelfHeader) forwarded batches carry, so members learn the
 	// sharding map from the work itself. Headers are trusted at face
 	// value; enable only on trusted networks.
 	PeerLearn bool
-	// PeerReadTimeout bounds one checkpoint read from a peer
-	// (0 = DefaultPeerReadTimeout).
-	PeerReadTimeout time.Duration
 	// ForwardHeaderTimeout bounds how long a forwarded batch waits for
 	// its owner's response headers before the owner counts as failed
 	// (0 = DefaultForwardHeaderTimeout, < 0 = no bound).
@@ -171,15 +174,15 @@ type Server struct {
 	maxSweepJobs int
 	start        time.Time
 	draining     atomic.Bool
+	handler      http.Handler
 
 	// Fabric state (peers.go): the membership view, the client forwards
 	// and checkpoint reads go out on, and the routing counters.
-	peers       *peerSet
-	peerLearn   bool
-	peerTimeout time.Duration
-	peerClient  *http.Client
-	routeMu     sync.Mutex
-	routed      RouteStats
+	peers      *peerSet
+	peerLearn  bool
+	peerClient *http.Client
+	routeMu    sync.Mutex
+	routed     RouteStats
 
 	// defaultSample is applied to requests that carry no sampling spec of
 	// their own (Options.DefaultSample).
@@ -192,11 +195,15 @@ type Server struct {
 }
 
 // New builds a Server from opts (see Options for zero-value defaults). It
-// fails when a configured StoreDir cannot be opened or DefaultSample is
-// incoherent.
+// fails when the membership is malformed (checkPeers), a configured
+// StoreDir cannot be opened or DefaultSample is incoherent.
 func New(opts Options) (*Server, error) {
 	if err := opts.DefaultSample.Validate(); err != nil {
 		return nil, fmt.Errorf("default sample spec: %w", err)
+	}
+	peers, err := checkPeers(opts.Peers, opts.PeerSelf)
+	if err != nil {
+		return nil, err
 	}
 	maxJobs := opts.MaxConcurrentJobs
 	if maxJobs == 0 {
@@ -228,10 +235,6 @@ func New(opts Options) (*Server, error) {
 	}
 	g := newGate(maxJobs)
 	g.setWeights(opts.ClientWeights, opts.DefaultClientWeight)
-	peerTimeout := opts.PeerReadTimeout
-	if peerTimeout <= 0 {
-		peerTimeout = DefaultPeerReadTimeout
-	}
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = forwardConns
 	switch t := opts.ForwardHeaderTimeout; {
@@ -251,12 +254,13 @@ func New(opts Options) (*Server, error) {
 		start:         time.Now(),
 		peers:         &peerSet{},
 		peerLearn:     opts.PeerLearn,
-		peerTimeout:   peerTimeout,
 		peerClient:    &http.Client{Transport: tr},
 		defaultSample: opts.DefaultSample,
 	}
-	s.peers.set(opts.Peers, opts.PeerSelf)
 	s.metrics = newServerMetrics(s, opts.ClientWeights)
+	s.peers.onJoin = s.registerMember
+	s.peers.set(peers, opts.PeerSelf)
+	s.handler = s.routes()
 	if opts.SlowLogEnabled {
 		s.tracer.Slow = &trace.SlowLog{
 			Threshold: opts.SlowLogThreshold,
@@ -302,12 +306,35 @@ func (s *Server) Routing() (RouteStats, []api.ClusterBackendStats) {
 	return rs, rows
 }
 
-// SetPeers replaces the members cells are routed to, keeping PeerSelf. A
-// member that stays keeps its forwarding state; in-flight walks finish
-// over the members they started with.
-func (s *Server) SetPeers(urls []string) {
-	self, _ := s.peers.view()
-	s.peers.set(urls, self)
+// SetPeers reconciles the members cells are routed to with urls, keeping
+// this server's own URL: a member that stays keeps its forwarding state,
+// one that leaves drains out (walks already under way finish over the
+// members they started with), and a new one claims its rendezvous share
+// of keys from the next request on. It refuses what New would, and an
+// empty set, and reports what changed, sorted.
+func (s *Server) SetPeers(urls []string) (added, removed []string, err error) {
+	self, have := s.peers.view()
+	want, err := checkPeers(urls, self)
+	if err == nil && len(want) == 0 {
+		err = errors.New("empty membership")
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, u := range want {
+		if !slices.Contains(have, u) {
+			added = append(added, u)
+		}
+	}
+	for _, u := range have {
+		if !slices.Contains(want, u) {
+			removed = append(removed, u)
+		}
+	}
+	s.peers.set(want, self)
+	slices.Sort(added)
+	slices.Sort(removed)
+	return added, removed, nil
 }
 
 // Registry is the server's metrics registry (GET /metrics), for an
@@ -358,7 +385,9 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // latency histogram; the job-bearing routes (run, sweep, studies) are
 // additionally traced, with the completed-trace ring on GET /debug/traces
 // and the metrics registry on GET /metrics.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.handler }
+
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, endpoint string, fn http.HandlerFunc) {
 		mux.Handle(pattern, s.metrics.http.Wrap(endpoint, fn))

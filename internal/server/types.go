@@ -3,8 +3,8 @@ package server
 import "svwsim/internal/api"
 
 // The request and response shapes of the svwd HTTP API live in
-// internal/api, shared with svwctl so the two layers
-// serve literally the same wire types and cannot drift. The aliases keep
+// internal/api, shared with svwload so the client and the server read
+// and write literally the same wire types and cannot drift. The aliases keep
 // the server package's historical names usable.
 //
 // Study endpoints return the study reports' JSON (sim.Report.WriteJSON,

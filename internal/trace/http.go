@@ -77,7 +77,7 @@ func (l *SlowLog) Log(t *Trace) {
 
 // Tracer is a daemon's tracing edge: the middleware that opens a trace
 // per request and the /debug/traces handler over the completed-trace
-// ring. Both daemons (svwd and svwctl) own one.
+// ring. Every svwd, member or coordinator, owns one.
 type Tracer struct {
 	Ring *Ring
 	// Slow enables structured slow-request logging (nil = off).

@@ -1,6 +1,6 @@
 // Package trace is the serving stack's request-tracing core: a trace ID
 // that rides the X-Svw-Trace-Id header across every layer seam (client →
-// svwctl → svwd → engine), span recording keyed off context.Context, a
+// coordinator → member → engine), span recording keyed off context.Context, a
 // fixed-size ring of completed traces served at GET /debug/traces, and
 // structured slow-request logging.
 //

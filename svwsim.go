@@ -37,8 +37,10 @@
 //     byte-identical tables and JSON. The determinism and race tests in
 //     internal/sim enforce this.
 //
-// The cmd/svwexp tool regenerates every figure of the paper's evaluation;
-// see EXPERIMENTS.md for the measured results.
+// The cmd/svwexp tool regenerates every figure of the paper's evaluation.
+// No measured-results table is kept yet: ROADMAP.md's convergence item
+// ("Know whether the paper's figures are converged at their budget")
+// plans one, at the budget where the figures converge.
 package svwsim
 
 import (
